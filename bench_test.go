@@ -248,8 +248,8 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 }
 
 // reportSolves summarizes a chain of MCF results as benchmark metrics: the
-// worst DualGap (so the BENCH_mcf.json snapshots show any speedup comes
-// with the ε contract intact), total Dijkstra calls, warm-start count, and
+// worst DualGap (so a benchmark run shows any speedup comes with the ε
+// contract intact; `go run ./benchmark` gates the same as mcf.dual_gap_max), total Dijkstra calls, warm-start count, and
 // the last λ.
 func reportSolves(b *testing.B, results []mcf.Result) {
 	b.Helper()

@@ -19,7 +19,8 @@ import (
 // service over a crash-safe content-addressed result store. It has its own
 // FlagSet because its knobs (listen address, pool sizing, drain grace) are
 // service configuration, not experiment parameters — experiment identity
-// arrives per request.
+// arrives per request, and a knob a request leaves out takes its
+// experiments.Knobs() default.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("flatsim serve", flag.ExitOnError)
 	var (
@@ -31,8 +32,6 @@ func serveMain(args []string) {
 		drainGrace  = fs.Duration("draingrace", 10*time.Second, "how long in-flight cells may finish after SIGTERM")
 		retryAfter  = fs.Duration("retryafter", time.Second, "Retry-After hint on shed (429) responses")
 		codeVersion = fs.String("codeversion", "", "code-version component of content addresses (default: VCS revision, else \"dev\")")
-		seed        = fs.Uint64("seed", 1, "default seed for requests that do not pass one")
-		eps         = fs.Float64("eps", 0.1, "default approximation epsilon for requests that do not pass one")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: flatsim serve [flags]\n\nServes experiment cells over HTTP:\n"+
@@ -48,13 +47,6 @@ func serveMain(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	if *eps <= 0 || *eps >= 0.5 {
-		fmt.Fprintf(os.Stderr, "flatsim: -eps %g out of (0,0.5)\n", *eps)
-		os.Exit(2)
-	}
-
-	defaults := experiments.DefaultConfig()
-	defaults.Seed, defaults.Epsilon = *seed, *eps
 
 	srv, err := serve.New(serve.Config{
 		StoreDir:       *storeDir,
@@ -64,7 +56,7 @@ func serveMain(args []string) {
 		RetryAfter:     *retryAfter,
 		DrainGrace:     *drainGrace,
 		CodeVersion:    resolveCodeVersion(*codeVersion),
-		Defaults:       defaults,
+		Defaults:       experiments.DefaultConfig(),
 	})
 	check(err)
 

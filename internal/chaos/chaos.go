@@ -32,7 +32,6 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/faults"
 	"flattree/internal/graph"
-	"flattree/internal/mcf"
 	"flattree/internal/metrics"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
@@ -120,10 +119,9 @@ type Options struct {
 	// SLOThreshold is the served-capacity fraction the availability
 	// verdict is judged against, in (0,1].
 	SLOThreshold float64
-	// Epsilon, SolveBudget and SSSP configure the λ measurement solves.
+	// Epsilon and SolveBudget configure the λ measurement solves.
 	Epsilon     float64
 	SolveBudget time.Duration
-	SSSP        mcf.SSSPKernel
 	// Seed derives every random choice of the run via parallel.SeedStream.
 	Seed uint64
 	// Parallelism fans the measurement phase out (0 = all cores).

@@ -117,7 +117,7 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 			if len(comms) > 0 {
 				r, err := s.Solve(ctx, sp.nw, comms, mcf.Options{
 					Epsilon: e.opt.Epsilon, SkipDualBound: true,
-					TimeBudget: e.opt.SolveBudget, SSSP: e.opt.SSSP})
+					TimeBudget: e.opt.SolveBudget})
 				if err != nil {
 					return groupOut{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
 				}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"flattree/internal/chaos"
@@ -18,8 +17,9 @@ import (
 // finished table.
 //
 // The spec carries only result-identity inputs; execution knobs
-// (parallelism, solve budgets, SSSP kernel) live on Config and never change
-// the bytes a cell prints.
+// (parallelism, solve budgets) live on Config and never change the bytes a
+// cell prints. A zero numeric field is unset and takes its knob's default
+// (see Knobs).
 type CellSpec struct {
 	// Experiment is one of CellExperiments().
 	Experiment string
@@ -27,43 +27,99 @@ type CellSpec struct {
 	// table.
 	Column string
 	// K is the network size for the single-k scenario experiments
-	// (faults, faultsrecovery, selfheal, soak, latency); 0 means
+	// (faults, faultsrecovery, selfheal, soak, latency); unset means
 	// cfg.KMax. Ignored by the k-sweep figures.
 	K int
-	// ProfileK is the profile experiment's network size; 0 means 16
-	// (cmd/flatsim's default).
+	// ProfileK is the profile experiment's network size.
 	ProfileK int
-	// FailFrac and Batch parameterize selfheal (defaults 0.25 and 1);
-	// Batch also feeds soak's repair windows.
+	// FailFrac and Batch parameterize selfheal; Batch is also soak's
+	// repair batch.
 	FailFrac float64
 	Batch    int
-	// Load is latency's relative offered load (0 picks the driver's
-	// default).
+	// Load is latency's offered load in packets per server per unit time.
 	Load float64
 	// Scenario parameterizes faultsrecovery.
 	Scenario faults.Scenario
-	// Soak parameterizes the chaos soak; zero fields take cmd/flatsim's
-	// flag defaults (rate 1, horizon 20, window cost 0.25, SLO 0.9,
-	// batch 1).
+	// Soak parameterizes the chaos soak's event stream (rate, horizon,
+	// episode cap, window cost, SLO threshold, mix); an unset BatchSize
+	// means Batch, and Soak fills the solver fields from cfg.
 	Soak chaos.Options
 }
 
-// cellK resolves the scenario network size.
-func (sp CellSpec) cellK(cfg Config) int {
-	if sp.K > 0 {
-		return sp.K
-	}
-	return cfg.KMax
+// experiment is one registry entry: everything Cell, Columns, the CLI and
+// the service know about an experiment.
+type experiment struct {
+	name string
+	// header is the full static header (key column first) of a figure
+	// whose data columns can be computed independently; nil for scenario
+	// experiments, whose columns exist only once the whole trajectory ran.
+	header []string
+	// singleK marks the experiments that run at the one network size
+	// CellSpec.K instead of sweeping Config.Ks().
+	singleK bool
+	// run computes the table restricted to the data columns cols (indices
+	// into header[1:]; nil means all). Scenario experiments ignore cols.
+	run func(ctx context.Context, cfg Config, sp CellSpec, cols []int) (*Table, error)
 }
 
-// CellExperiments lists the experiments Cell accepts, sorted.
-func CellExperiments() []string {
-	names := []string{
-		"fig5", "fig6", "fig7", "fig8",
-		"faults", "faultsrecovery", "selfheal", "soak",
-		"latency", "hybrid", "profile", "props",
+// registry lists every experiment, in the order `flatsim all` prints them.
+// It is the only per-experiment dispatch: Cell, Columns, CellExperiments,
+// cmd/flatsim and internal/serve all go through it.
+var registry = []experiment{
+	{name: "props", run: func(ctx context.Context, cfg Config, _ CellSpec, _ []int) (*Table, error) {
+		t, _, err := Props(ctx, cfg)
+		return t, err
+	}},
+	{name: "fig5", header: fig5Header, run: func(ctx context.Context, cfg Config, _ CellSpec, cols []int) (*Table, error) {
+		return fig5(ctx, cfg, cols)
+	}},
+	{name: "fig6", header: fig6Header, run: func(ctx context.Context, cfg Config, _ CellSpec, cols []int) (*Table, error) {
+		return fig6(ctx, cfg, cols)
+	}},
+	fig7Spec.experiment(),
+	fig8Spec.experiment(),
+	{name: "hybrid", run: func(ctx context.Context, cfg Config, _ CellSpec, _ []int) (*Table, error) {
+		t, _, err := Hybrid(ctx, cfg)
+		return t, err
+	}},
+	{name: "profile", run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		t, _, err := Profile(ctx, cfg, sp.ProfileK)
+		return t, err
+	}},
+	{name: "faults", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		return Faults(ctx, cfg, sp.K)
+	}},
+	{name: "faultsrecovery", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		return FaultsRecovery(ctx, cfg, sp.K, sp.Scenario)
+	}},
+	{name: "selfheal", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		return SelfHeal(ctx, cfg, sp.K, sp.FailFrac, sp.Batch)
+	}},
+	{name: "soak", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		t, _, err := Soak(ctx, cfg, sp.K, sp.Soak)
+		return t, err
+	}},
+	{name: "latency", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		return Latency(ctx, cfg, sp.K, sp.Load)
+	}},
+}
+
+// lookup finds a registry entry by name.
+func lookup(name string) (experiment, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e, nil
+		}
 	}
-	sort.Strings(names)
+	return experiment{}, fmt.Errorf("experiments: unknown experiment %q", name)
+}
+
+// CellExperiments lists the experiments Cell accepts, in registry order.
+func CellExperiments() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
 	return names
 }
 
@@ -72,25 +128,11 @@ func CellExperiments() []string {
 // once the trajectory has run, so they are served as whole tables (Cell
 // can still project one column out afterwards).
 func Columns(experiment string) ([]string, error) {
-	var h []string
-	switch experiment {
-	case "fig5":
-		h = fig5Header()
-	case "fig6":
-		h = fig6Header()
-	case "fig7":
-		h = fig7Spec().header
-	case "fig8":
-		h = fig8Spec().header
-	default:
-		for _, e := range CellExperiments() {
-			if e == experiment {
-				return nil, nil
-			}
-		}
-		return nil, fmt.Errorf("experiments: unknown experiment %q", experiment)
+	e, err := lookup(experiment)
+	if err != nil || e.header == nil {
+		return nil, err
 	}
-	return h[1:], nil
+	return append([]string(nil), e.header[1:]...), nil
 }
 
 // columnIndex resolves a column name against a header's data columns.
@@ -135,87 +177,62 @@ func (t *Table) Approximate() bool {
 	return false
 }
 
-// Cell computes one experiment cell. Figure columns run only that column's
-// work items — the identical (column, trial) chains a full table run fans
-// out, so the cell is byte-identical to the same column of the full table.
-// Scenario experiments run their whole driver and, when Column is set,
-// project it afterwards.
+// Cell computes one experiment cell. A figure column runs the figure's one
+// driver over just that column — the identical work items a full table run
+// fans out, merged in the same order — so the cell is byte-identical to the
+// same column of the full table by construction. Scenario experiments run
+// their whole driver and, when Column is set, project it afterwards.
 func Cell(ctx context.Context, cfg Config, sp CellSpec) (*Table, error) {
-	fig := func(header func() []string, column func(context.Context, Config, int) (*Table, error),
-		table func(context.Context, Config) (*Table, error)) (*Table, error) {
-		if sp.Column == "" {
-			return table(ctx, cfg)
-		}
-		ci, err := columnIndex(header(), sp.Column)
+	e, err := lookup(sp.Experiment)
+	if err != nil {
+		return nil, err
+	}
+	r := Request{Config: cfg, Spec: sp}
+	r.applyDefaults()
+	sp = r.Spec
+	if sp.Column == "" {
+		return e.run(ctx, cfg, sp, nil)
+	}
+	if e.header != nil {
+		ci, err := columnIndex(e.header, sp.Column)
 		if err != nil {
 			return nil, err
 		}
-		return column(ctx, cfg, ci)
+		return e.run(ctx, cfg, sp, []int{ci})
 	}
-	project := func(t *Table, err error) (*Table, error) {
-		if err != nil || sp.Column == "" {
-			return t, err
-		}
-		return ProjectColumn(t, sp.Column)
+	t, err := e.run(ctx, cfg, sp, nil)
+	if err != nil {
+		return t, err
 	}
-	switch sp.Experiment {
-	case "fig5":
-		return fig(fig5Header, fig5Column, Fig5)
-	case "fig6":
-		return fig(fig6Header, fig6Column, Fig6)
-	case "fig7":
-		s := fig7Spec()
-		return fig(func() []string { return s.header }, s.column, s.table)
-	case "fig8":
-		s := fig8Spec()
-		return fig(func() []string { return s.header }, s.column, s.table)
-	case "faults":
-		return project(Faults(ctx, cfg, sp.cellK(cfg)))
-	case "faultsrecovery":
-		return project(FaultsRecovery(ctx, cfg, sp.cellK(cfg), sp.Scenario))
-	case "selfheal":
-		failFrac, batch := sp.FailFrac, sp.Batch
-		if failFrac <= 0 {
-			failFrac = 0.25
+	return ProjectColumn(t, sp.Column)
+}
+
+// selectColumns resolves a driver's cols argument (nil = every data column
+// of header) and returns it with the matching table header.
+func selectColumns(header []string, cols []int) ([]int, []string) {
+	if cols == nil {
+		cols = make([]int, len(header)-1)
+		for i := range cols {
+			cols[i] = i
 		}
-		if batch == 0 {
-			batch = 1
-		}
-		return project(SelfHeal(ctx, cfg, sp.cellK(cfg), failFrac, batch))
-	case "soak":
-		o := sp.Soak
-		if o.Rate <= 0 {
-			o.Rate = 1
-		}
-		if o.Horizon <= 0 {
-			o.Horizon = 20
-		}
-		if o.WindowCost <= 0 {
-			o.WindowCost = 0.25
-		}
-		if o.SLOThreshold <= 0 {
-			o.SLOThreshold = 0.9
-		}
-		if o.BatchSize <= 0 {
-			o.BatchSize = 1
-		}
-		t, _, err := Soak(ctx, cfg, sp.cellK(cfg), o)
-		return project(t, err)
-	case "latency":
-		return project(Latency(ctx, cfg, sp.cellK(cfg), sp.Load))
-	case "hybrid":
-		t, _, err := Hybrid(ctx, cfg)
-		return project(t, err)
-	case "profile":
-		pk := sp.ProfileK
-		if pk == 0 {
-			pk = 16
-		}
-		t, _, err := Profile(ctx, cfg, pk)
-		return project(t, err)
-	case "props":
-		t, _, err := Props(ctx, cfg)
-		return project(t, err)
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q", sp.Experiment)
+	h := []string{header[0]}
+	for _, ci := range cols {
+		h = append(h, header[1+ci])
+	}
+	return cols, h
+}
+
+// sweepTable assembles a k-sweep table: one row per k, the key column then
+// cell(ki, i) for the i-th selected data column.
+func sweepTable(title string, header []string, ks []int, cell func(ki, i int) string) *Table {
+	t := &Table{Title: title, Header: header}
+	for ki, k := range ks {
+		row := []string{fmt.Sprint(k)}
+		for i := range header[1:] {
+			row = append(row, cell(ki, i))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }

@@ -21,32 +21,51 @@ func cellTSV(t *testing.T, cfg Config, sp CellSpec) []byte {
 	return buf.Bytes()
 }
 
+// smallCell is a cheap instance of any registered experiment: a k=4..6
+// sweep for the figures, k=6 for the single-k scenarios, coarse epsilon, a
+// short soak. Registry-driven tests run every CellExperiments() entry on it,
+// so a newly registered experiment is covered without editing a test.
+func smallCell(exp string, seed uint64, workers int) (Config, CellSpec) {
+	cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: seed, Epsilon: 0.3, Trials: 2, HybridK: 6, Parallelism: workers}
+	sp := CellSpec{Experiment: exp, ProfileK: 8, Batch: 2, Load: 0.05}
+	sp.Soak.Rate, sp.Soak.Horizon = 2, 4
+	return cfg, sp
+}
+
 // TestCellMatchesFullTable pins the cache-soundness contract the serve
-// layer depends on: a single extracted cell prints byte-for-byte the bytes
-// the same column carries inside a full table run. Figure columns recompute
-// only their own (column, trial) chains; scenario experiments rerun the
-// whole driver and project — both must land on identical bytes.
+// layer depends on, for every registered experiment: a single extracted
+// cell prints byte-for-byte the bytes the same column carries inside a full
+// table run. Figure columns recompute only their own work items; scenario
+// experiments rerun the whole driver and project (first and last column
+// only — each is a full rerun) — both must land on identical bytes.
 func TestCellMatchesFullTable(t *testing.T) {
-	cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: 1, Epsilon: 0.3, Trials: 2, Parallelism: 4}
-	experiments := []string{"fig5", "fig6", "fig7", "fig8", "faults", "latency", "props"}
-	for _, exp := range experiments {
-		full, err := Cell(context.Background(), cfg, CellSpec{Experiment: exp})
+	for _, exp := range CellExperiments() {
+		cfg, sp := smallCell(exp, 1, 4)
+		full, err := Cell(context.Background(), cfg, sp)
 		if err != nil {
 			t.Fatalf("%s full table: %v", exp, err)
 		}
-		for ci, col := range full.Header[1:] {
-			want := &Table{Title: full.Title, Header: []string{full.Header[0], col}}
-			for _, r := range full.Rows {
-				want.AddRow(r[0], r[1+ci])
+		cis := make([]int, len(full.Header)-1)
+		for i := range cis {
+			cis[i] = i
+		}
+		if static, _ := Columns(exp); static == nil {
+			cis = []int{0, len(cis) - 1}
+		}
+		for _, ci := range cis {
+			sp.Column = full.Header[1+ci]
+			want, err := ProjectColumn(full, sp.Column)
+			if err != nil {
+				t.Fatal(err)
 			}
 			var wantBuf bytes.Buffer
 			if err := want.WriteTSV(&wantBuf); err != nil {
 				t.Fatal(err)
 			}
-			got := cellTSV(t, cfg, CellSpec{Experiment: exp, Column: col})
+			got := cellTSV(t, cfg, sp)
 			if !bytes.Equal(got, wantBuf.Bytes()) {
 				t.Errorf("%s column %q: extracted cell differs from full table\n--- full\n%s--- cell\n%s",
-					exp, col, wantBuf.Bytes(), got)
+					exp, sp.Column, wantBuf.Bytes(), got)
 			}
 		}
 	}
@@ -79,15 +98,22 @@ func TestCellDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestColumnsMatchHeaders pins Columns against the tables the drivers
-// actually print, so the serve layer's column listing can never drift.
+// actually print, for every registered experiment, so the serve layer's
+// column listing can never drift.
 func TestColumnsMatchHeaders(t *testing.T) {
-	cfg := Config{KMin: 4, KMax: 4, Seed: 1, Epsilon: 0.3}
-	for _, exp := range []string{"fig5", "fig6", "fig7", "fig8"} {
+	static := 0
+	for _, exp := range CellExperiments() {
 		cols, err := Columns(exp)
 		if err != nil {
 			t.Fatalf("Columns(%s): %v", exp, err)
 		}
-		tab, err := Cell(context.Background(), cfg, CellSpec{Experiment: exp})
+		if cols == nil {
+			continue // whole-table experiment: nothing to drift
+		}
+		static++
+		cfg, sp := smallCell(exp, 1, 4)
+		cfg.KMax = 4
+		tab, err := Cell(context.Background(), cfg, sp)
 		if err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
@@ -95,11 +121,8 @@ func TestColumnsMatchHeaders(t *testing.T) {
 			t.Errorf("%s: Columns()=%v but table header data columns are %v", exp, cols, tab.Header[1:])
 		}
 	}
-	for _, exp := range []string{"soak", "hybrid", "props"} {
-		cols, err := Columns(exp)
-		if err != nil || cols != nil {
-			t.Errorf("Columns(%s) = %v, %v; want nil, nil (whole-table experiment)", exp, cols, err)
-		}
+	if static == 0 {
+		t.Error("no registered experiment has static columns")
 	}
 	if _, err := Columns("nope"); err == nil {
 		t.Error("Columns(nope): expected error")

@@ -2,86 +2,33 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
-
-	"flattree/internal/chaos"
-	"flattree/internal/faults"
 )
 
 // TestTablesByteIdenticalAcrossWorkerCounts pins the package contract from
-// the doc comment: for any seed, a driver's table is byte-for-byte the same
-// at -parallel 1 and -parallel N. Each driver runs at a small scale for two
-// base seeds and two worker counts; the rendered TSV must not differ by a
-// single byte.
+// the doc comment: for any seed, an experiment's table is byte-for-byte the
+// same at -parallel 1 and -parallel N. Every registered experiment runs at
+// a small scale for two base seeds and two worker counts; the rendered TSV
+// must not differ by a single byte. The k=4..6 sweep makes every fig7/fig8
+// (column, trial) chain take a cross-k warm-started hop, hybrid's
+// per-proportion chains and soak's two arms (live TCP control plane with
+// overlapping repairs, and the fixed-cabling control) replay from the seed —
+// all must stay pure functions of the work item at any worker count.
 func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	drivers := []struct {
-		name string
-		run  func(cfg Config) (*Table, error)
-	}{
-		{"fig5", func(cfg Config) (*Table, error) { return Fig5(context.Background(), cfg) }},
-		{"fig6", func(cfg Config) (*Table, error) { return Fig6(context.Background(), cfg) }},
-		{"fig7", func(cfg Config) (*Table, error) { return Fig7(context.Background(), cfg) }},
-		{"fig8", func(cfg Config) (*Table, error) {
-			// The k=4..6 sweep makes every (column, trial) chain take a
-			// cross-k warm-started hop, like fig7 below it — the relaxed
-			// gate's seeding must stay a pure function of the work item.
-			return Fig8(context.Background(), cfg)
-		}},
-		{"faults", func(cfg Config) (*Table, error) { return Faults(context.Background(), cfg, 6) }},
-		{"faultsrecovery", func(cfg Config) (*Table, error) {
-			cfg.Epsilon = 0.3 // determinism is epsilon-independent; keep the -race run fast
-			return FaultsRecovery(context.Background(), cfg, 6, faults.Scenario{})
-		}},
-		{"latency", func(cfg Config) (*Table, error) { return Latency(context.Background(), cfg, 6, 0.05) }},
-		{"selfheal", func(cfg Config) (*Table, error) {
-			cfg.Epsilon = 0.3 // determinism is epsilon-independent; keep the live-plant run fast
-			return SelfHeal(context.Background(), cfg, 6, 0.25, 2)
-		}},
-		{"hybrid", func(cfg Config) (*Table, error) {
-			// Per-proportion solver chains (zoneG → zoneL → joint) must
-			// stay a pure function of the work item at any worker count.
-			cfg.HybridK = 6
-			cfg.Epsilon = 0.3
-			tab, _, err := Hybrid(context.Background(), cfg)
-			return tab, err
-		}},
-		{"profile", func(cfg Config) (*Table, error) {
-			tab, _, err := Profile(context.Background(), cfg, 8)
-			return tab, err
-		}},
-		{"soak", func(cfg Config) (*Table, error) {
-			// Both arms — live TCP control plane with overlapping repairs,
-			// and the fixed-cabling control — must replay byte-identically
-			// from the seed at any measurement worker count.
-			cfg.Epsilon = 0.3 // determinism is epsilon-independent; keep the live-plant run fast
-			tab, _, err := Soak(context.Background(), cfg, 4, chaos.Options{
-				Rate: 2, Horizon: 4, WindowCost: 0.25, SLOThreshold: 0.9})
-			return tab, err
-		}},
-	}
 	for _, seed := range []uint64{1, 2} {
-		for _, d := range drivers {
+		for _, exp := range CellExperiments() {
 			var want []byte
 			for _, workers := range []int{1, 4} {
-				cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: seed,
-					Epsilon: 0.15, Trials: 2, Parallelism: workers}
-				tab, err := d.run(cfg)
-				if err != nil {
-					t.Fatalf("%s seed=%d workers=%d: %v", d.name, seed, workers, err)
-				}
-				var buf bytes.Buffer
-				if err := tab.WriteTSV(&buf); err != nil {
-					t.Fatal(err)
-				}
+				cfg, sp := smallCell(exp, seed, workers)
+				got := cellTSV(t, cfg, sp)
 				if workers == 1 {
-					want = buf.Bytes()
+					want = got
 					continue
 				}
-				if !bytes.Equal(buf.Bytes(), want) {
+				if !bytes.Equal(got, want) {
 					t.Errorf("%s seed=%d: workers=%d output differs from workers=1:\n--- workers=1\n%s--- workers=%d\n%s",
-						d.name, seed, workers, want, workers, buf.Bytes())
+						exp, seed, workers, want, workers, got)
 				}
 			}
 		}

@@ -4,6 +4,14 @@
 // returns them as a Table that cmd/flatsim prints and the root benchmarks
 // execute. EXPERIMENTS.md records measured-vs-paper shapes.
 //
+// Two declarations tie the drivers to their callers. The registry
+// (cells.go) lists every experiment once; Cell is the only dispatch over
+// it, and a figure's table and its single-column cells are the same driver
+// over different column sets. The knob table (knobs.go) lists every
+// parameter once — name, default, domain, identity-or-execution — and
+// cmd/flatsim's flags, internal/serve's query parser and the content
+// address are all derived from it.
+//
 // The sweeps are embarrassingly parallel: every (k, topology, placement,
 // trial) cell is an independent pure computation. Drivers therefore fan
 // their cells out through internal/parallel and merge results in index
@@ -13,6 +21,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -21,7 +30,6 @@ import (
 	"flattree/internal/core"
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
-	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
 	"flattree/internal/twostage"
@@ -55,12 +63,6 @@ type Config struct {
 	// hits the budget depends on machine speed, so "~" markers — and the
 	// slightly lower λ of a truncated solve — can differ between runs.
 	SolveBudget time.Duration
-	// SSSP selects the shortest-path kernel inside every MCF solve (see
-	// mcf.Options.SSSP); the zero value picks the delta-stepping bucket
-	// queue with a per-call heap fallback. Both kernels settle nodes in
-	// the same (dist, id) order, so tables are byte-identical across
-	// settings — the knob only trades time.
-	SSSP mcf.SSSPKernel
 }
 
 // trials returns the effective number of randomized runs: Trials when
@@ -85,12 +87,6 @@ func (c Config) workers() int { return parallel.Workers(c.Parallelism) }
 // sees the same trial-seed sequence (paired comparisons, as the paper's
 // averaged figures require).
 func (c Config) trialSeeds() parallel.SeedStream { return parallel.NewSeedStream(c.Seed) }
-
-// DefaultConfig mirrors the paper's sweep at a scale suitable for a laptop
-// run; cmd/flatsim flags raise it to the paper's full k=32.
-func DefaultConfig() Config {
-	return Config{KMin: 4, KMax: 16, KStep: 2, Seed: 1, Epsilon: 0.1, HybridK: 10}
-}
 
 // Ks expands the sweep.
 func (c Config) Ks() []int {
@@ -215,6 +211,16 @@ func buildSuite(k int, seed uint64, mode core.Mode, withTwoStage bool) (*suite, 
 		}
 	}
 	return s, nil
+}
+
+// buildSuites builds the suite of every k in the sweep, fanned out over the
+// worker pool. Each suite is a pure function of (k, cfg.Seed, mode), so a
+// run over fewer columns rebuilds byte-identical networks.
+func buildSuites(ctx context.Context, cfg Config, mode core.Mode, withTwoStage bool) ([]*suite, error) {
+	ks := cfg.Ks()
+	return parallel.MapCtx(ctx, len(ks), cfg.workers(), func(i int) (*suite, error) {
+		return buildSuite(ks[i], cfg.Seed, mode, withTwoStage)
+	})
 }
 
 // serverIDsOf returns a topology's servers in index order.

@@ -25,9 +25,6 @@ import (
 // trials left the surviving servers less than fully connected, so the
 // information the APL mean no longer hides is still visible.
 func Faults(ctx context.Context, cfg Config, k int) (*Table, error) {
-	if k == 0 {
-		k = 8
-	}
 	trials := cfg.trials()
 	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
 	if err != nil {

@@ -36,9 +36,6 @@ import (
 // solve's length function. The chain lives entirely inside the cell, so it
 // is a pure function of the cell index, independent of scheduling.
 func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario) (*Table, error) {
-	if k == 0 {
-		k = 8
-	}
 	trials := cfg.trials()
 	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
 	if err != nil {
@@ -101,7 +98,7 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 				return conn, apl, 0, finite, false, nil
 			}
 			res, err := solver.Solve(ctx, nw, comms, mcf.Options{
-				Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget, SSSP: cfg.SSSP})
+				Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 			if err != nil {
 				return 0, 0, 0, false, false, err
 			}

@@ -43,13 +43,13 @@ var Fig5Settings = []MNSetting{
 
 // fig5Header is Figure 5's full header, the key column plus one data column
 // per topology and (m, n) setting.
-func fig5Header() []string {
+var fig5Header = func() []string {
 	h := []string{"k", "fat-tree", "random-graph"}
 	for _, s := range Fig5Settings {
 		h = append(h, s.Label())
 	}
 	return h
-}
+}()
 
 // fig5Cell computes one (k, column) cell of Figure 5 — a topology build
 // plus an all-pairs BFS sweep. It is a pure function of (cfg.Seed, k, ci),
@@ -94,47 +94,22 @@ func fig5Cell(cfg Config, k, ci int) (string, error) {
 
 // Fig5 regenerates Figure 5: network-wide average path length of server
 // pairs versus k, for fat-tree, random graph, and flat-tree in
-// global-random mode under each (m, n) setting. Every (k, column) cell
-// runs concurrently through the worker pool.
-func Fig5(ctx context.Context, cfg Config) (*Table, error) {
-	t := &Table{
-		Title:  "Figure 5: average path length of server pairs in the entire network",
-		Header: fig5Header(),
-	}
-	ks := cfg.Ks()
-	cols := len(t.Header) - 1
-	cells, err := parallel.MapCtx(ctx, len(ks)*cols, cfg.workers(), func(idx int) (string, error) {
-		return fig5Cell(cfg, ks[idx/cols], idx%cols)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ki, k := range ks {
-		t.AddRow(append([]string{fmt.Sprint(k)}, cells[ki*cols:(ki+1)*cols]...)...)
-	}
-	return t, nil
-}
+// global-random mode under each (m, n) setting.
+func Fig5(ctx context.Context, cfg Config) (*Table, error) { return fig5(ctx, cfg, nil) }
 
-// fig5Column computes one Figure 5 data column as a standalone cell table:
-// the same fig5Cell evaluations a full run performs, restricted to column
-// ci.
-func fig5Column(ctx context.Context, cfg Config, ci int) (*Table, error) {
-	h := fig5Header()
-	t := &Table{
-		Title:  "Figure 5: average path length of server pairs in the entire network",
-		Header: []string{h[0], h[1+ci]},
-	}
-	ks := cfg.Ks()
-	cells, err := parallel.MapCtx(ctx, len(ks), cfg.workers(), func(ki int) (string, error) {
-		return fig5Cell(cfg, ks[ki], ci)
+// fig5 computes the data columns cols of Figure 5 (nil = all). Every
+// (k, column) cell runs concurrently through the worker pool.
+func fig5(ctx context.Context, cfg Config, cols []int) (*Table, error) {
+	cols, header := selectColumns(fig5Header, cols)
+	ks, n := cfg.Ks(), len(cols)
+	cells, err := parallel.MapCtx(ctx, len(ks)*n, cfg.workers(), func(idx int) (string, error) {
+		return fig5Cell(cfg, ks[idx/n], cols[idx%n])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ki, k := range ks {
-		t.AddRow(fmt.Sprint(k), cells[ki])
-	}
-	return t, nil
+	return sweepTable("Figure 5: average path length of server pairs in the entire network",
+		header, ks, func(ki, i int) string { return cells[ki*n+i] }), nil
 }
 
 // ProfileResult is the outcome of the §2.4 profiling procedure for one k.

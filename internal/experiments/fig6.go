@@ -11,23 +11,11 @@ import (
 )
 
 // fig6Header is Figure 6's full header.
-func fig6Header() []string {
-	return []string{"k", "flat-tree", "fat-tree", "random-graph", "two-stage-rg"}
-}
+var fig6Header = []string{"k", "flat-tree", "fat-tree", "random-graph", "two-stage-rg"}
 
 // fig6Nets orders a suite's networks to match fig6Header's data columns.
 func fig6Nets(s *suite) []*topo.Network {
 	return []*topo.Network{s.flat.Net(), s.fat.Net, s.rg.Net, s.twoStage.Net}
-}
-
-// fig6Suites builds the per-k local-random suites Figure 6 measures. Each
-// is a pure function of (k, cfg.Seed), so a single-column run rebuilds
-// byte-identical networks.
-func fig6Suites(ctx context.Context, cfg Config) ([]*suite, error) {
-	ks := cfg.Ks()
-	return parallel.MapCtx(ctx, len(ks), cfg.workers(), func(i int) (*suite, error) {
-		return buildSuite(ks[i], cfg.Seed, core.ModeLocalRandom, true)
-	})
 }
 
 // fig6Cell computes one (k, column) cell: the intra-pod average path length
@@ -42,58 +30,25 @@ func fig6Cell(s *suite, ci int) (string, error) {
 
 // Fig6 regenerates Figure 6: average path length of server pairs within the
 // same pod, comparing flat-tree in local-random mode against fat-tree,
-// the global random graph, and the two-stage random graph. The per-k suite
-// builds and the per-topology BFS sweeps both fan out through the worker
-// pool.
-func Fig6(ctx context.Context, cfg Config) (*Table, error) {
-	t := &Table{
-		Title:  "Figure 6: average path length of server pairs in each pod",
-		Header: fig6Header(),
-	}
-	ks := cfg.Ks()
-	if len(ks) == 0 {
-		return t, nil
-	}
-	suites, err := fig6Suites(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cols := len(t.Header) - 1
-	cells, err := parallel.MapCtx(ctx, len(ks)*cols, cfg.workers(), func(idx int) (string, error) {
-		return fig6Cell(suites[idx/cols], idx%cols)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ki, k := range ks {
-		t.AddRow(append([]string{fmt.Sprint(k)}, cells[ki*cols:(ki+1)*cols]...)...)
-	}
-	return t, nil
-}
+// the global random graph, and the two-stage random graph.
+func Fig6(ctx context.Context, cfg Config) (*Table, error) { return fig6(ctx, cfg, nil) }
 
-// fig6Column computes one Figure 6 data column as a standalone cell table.
-func fig6Column(ctx context.Context, cfg Config, ci int) (*Table, error) {
-	h := fig6Header()
-	t := &Table{
-		Title:  "Figure 6: average path length of server pairs in each pod",
-		Header: []string{h[0], h[1+ci]},
-	}
-	ks := cfg.Ks()
-	if len(ks) == 0 {
-		return t, nil
-	}
-	suites, err := fig6Suites(ctx, cfg)
+// fig6 computes the data columns cols of Figure 6 (nil = all). The per-k
+// suite builds and the per-topology BFS sweeps both fan out through the
+// worker pool.
+func fig6(ctx context.Context, cfg Config, cols []int) (*Table, error) {
+	cols, header := selectColumns(fig6Header, cols)
+	ks, n := cfg.Ks(), len(cols)
+	suites, err := buildSuites(ctx, cfg, core.ModeLocalRandom, true)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := parallel.MapCtx(ctx, len(ks), cfg.workers(), func(ki int) (string, error) {
-		return fig6Cell(suites[ki], ci)
+	cells, err := parallel.MapCtx(ctx, len(ks)*n, cfg.workers(), func(idx int) (string, error) {
+		return fig6Cell(suites[idx/n], cols[idx%n])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ki, k := range ks {
-		t.AddRow(fmt.Sprint(k), cells[ki])
-	}
-	return t, nil
+	return sweepTable("Figure 6: average path length of server pairs in each pod",
+		header, ks, func(ki, i int) string { return cells[ki*n+i] }), nil
 }

@@ -47,9 +47,6 @@ type HybridRow struct {
 // and the table bit-identical to independent solves at every worker count.
 func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 	k := cfg.HybridK
-	if k == 0 {
-		k = 10
-	}
 	ft, err := core.Build(core.Params{K: k})
 	if err != nil {
 		return nil, nil, err
@@ -125,12 +122,12 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 		gComms := broadcastPattern(gcl)
 		lComms := allToAllPattern(lcl)
 
-		resG, err := s.Solve(ctx, nw, gComms, mcf.Options{Epsilon: cfg.Epsilon, SSSP: cfg.SSSP})
+		resG, err := s.Solve(ctx, nw, gComms, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
 		s.Reset()
-		resL, err := s.Solve(ctx, nw, lComms, mcf.Options{Epsilon: cfg.Epsilon, SSSP: cfg.SSSP})
+		resL, err := s.Solve(ctx, nw, lComms, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
@@ -147,7 +144,7 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
 		}
 		s.Reset()
-		resJ, err := s.Solve(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon, SSSP: cfg.SSSP})
+		resJ, err := s.Solve(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
@@ -182,7 +179,7 @@ func completeRef(ctx context.Context, ft *core.FlatTree, mode core.Mode, cluster
 	nw := ft.Net()
 	s := mcf.GetSolver()
 	defer s.Release()
-	res, err := throughput(ctx, s, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget, cfg.SSSP)
+	res, err := throughput(ctx, s, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
 	if err != nil {
 		return 0, err
 	}

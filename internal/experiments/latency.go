@@ -16,16 +16,13 @@ import (
 // fat-tree, flat-tree (each mode), and the random graph at one k, turning
 // the Figure-5 path-length differences into observable packet latency.
 // Load is the per-unit-time packet injection rate relative to the server
-// count (0 selects a light 0.1 pkt/server/unit). The targets are collected
+// count. The targets are collected
 // sequentially (mode flips mutate the flat-tree, though each Net() snapshot
 // is immutable), then the five simulations — each with its own RNG seeded
 // from cfg.Seed — run concurrently.
 func Latency(ctx context.Context, cfg Config, k int, load float64) (*Table, error) {
-	if k == 0 {
-		k = 8
-	}
-	if load <= 0 {
-		load = 0.1
+	if !(load > 0) {
+		return nil, fmt.Errorf("latency: load %g must be positive", load)
 	}
 	s, err := buildSuite(k, cfg.Seed, core.ModeClos, false)
 	if err != nil {

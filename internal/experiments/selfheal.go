@@ -49,14 +49,8 @@ type healStage struct {
 // detach some servers; they are down, not partitioned, and the surviving
 // fabric's throughput is the quantity of interest).
 func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSize int) (*Table, error) {
-	if k == 0 {
-		k = 8
-	}
 	if failFrac <= 0 || failFrac >= 1 {
 		return nil, fmt.Errorf("selfheal: fail fraction %g out of (0,1)", failFrac)
-	}
-	if batchSize <= 0 {
-		batchSize = 1
 	}
 	nDead := int(failFrac * float64(k))
 	if nDead < 1 {
@@ -115,7 +109,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 			comms := componentCommodities(nw, seeds.Seed(1<<32|uint64(tr)))
 			if len(comms) > 0 {
 				res, err := s.Solve(ctx, nw, comms, mcf.Options{
-					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget, SSSP: cfg.SSSP})
+					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 				if err != nil {
 					return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 				}

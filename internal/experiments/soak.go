@@ -31,7 +31,6 @@ func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, []
 	opt.Seed = cfg.Seed
 	opt.Epsilon = cfg.Epsilon
 	opt.SolveBudget = cfg.SolveBudget
-	opt.SSSP = cfg.SSSP
 	opt.Parallelism = cfg.Parallelism
 
 	t := &Table{

@@ -6,15 +6,13 @@
 // (uncapacitated), so commodities are aggregated to host-switch pairs and
 // routing is optimal (not restricted to any path system).
 //
-// Two solvers are provided:
-//
-//   - MaxConcurrentFlow: the Fleischer/Garg-Könemann FPTAS with a
-//     source-grouped shortest-path-tree oracle. This is the workhorse at
-//     paper scale (k up to 32: thousands of switches, tens of thousands of
-//     aggregated commodities). It reports both a feasible primal λ and an
-//     LP-dual upper bound, so every experiment knows its true accuracy.
-//   - MaxConcurrentFlowExact: the edge-based LP solved with internal/lp,
-//     usable on small instances and used by tests to validate the FPTAS.
+// Every experiment solves with the Fleischer/Garg-Könemann FPTAS
+// (Solver.Solve, MaxConcurrentFlow) over a source-grouped shortest-path-tree
+// oracle: it scales to the paper's k=32 (thousands of switches, tens of
+// thousands of aggregated commodities) and reports both a feasible primal λ
+// and an LP-dual upper bound, so every experiment knows its true accuracy.
+// MaxConcurrentFlowExact, the edge-based LP solved with internal/lp, is the
+// small-instance reference the tests validate the FPTAS against.
 package mcf
 
 import (
@@ -37,51 +35,6 @@ type Commodity struct {
 	Demand   float64
 }
 
-// SSSPKernel selects the shortest-path kernel under the FPTAS oracle. Both
-// kernels produce bit-identical results (distances, shortest-path trees,
-// and therefore every λ and every table); the choice is purely about speed.
-type SSSPKernel int
-
-const (
-	// KernelAuto (the default) runs the delta-stepping bucket queue, which
-	// itself falls back to the heap per call whenever the edge-length
-	// spread leaves its envelope — early, warm-seeded phases ride the
-	// buckets, late phases whose lengths have fanned out ride the heap.
-	KernelAuto SSSPKernel = iota
-	// KernelHeap forces the 4-ary heap everywhere.
-	KernelHeap
-	// KernelDelta asks for the bucket queue explicitly. Today this is the
-	// same dispatch as KernelAuto (the envelope fallback is a correctness
-	// requirement — zero-length edges break the frozen-bucket argument —
-	// so it cannot be disabled); the name exists so callers can pin the
-	// bucket path independently of what auto may later learn to do.
-	KernelDelta
-)
-
-// ParseSSSPKernel maps the flatsim -sssp flag values to a kernel.
-func ParseSSSPKernel(s string) (SSSPKernel, bool) {
-	switch s {
-	case "auto":
-		return KernelAuto, true
-	case "heap":
-		return KernelHeap, true
-	case "delta":
-		return KernelDelta, true
-	}
-	return KernelAuto, false
-}
-
-// String returns the flag spelling of k.
-func (k SSSPKernel) String() string {
-	switch k {
-	case KernelHeap:
-		return "heap"
-	case KernelDelta:
-		return "delta"
-	}
-	return "auto"
-}
-
 // Options tunes the approximation.
 type Options struct {
 	// Epsilon is the FPTAS accuracy parameter (default 0.08). Smaller is
@@ -102,9 +55,6 @@ type Options struct {
 	// safety margin), so a client timeout degrades to an approximate λ
 	// rather than erroring — deadline propagation for serving paths.
 	TimeBudget time.Duration
-	// SSSP selects the shortest-path kernel (default KernelAuto). Results
-	// are bit-identical across kernels; only speed differs.
-	SSSP SSSPKernel
 }
 
 // Result reports a solve.
@@ -288,14 +238,13 @@ func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 // after warm-up a whole solve allocates only its Result.
 type arena struct {
 	ws      *graph.Workspace
-	kern    SSSPKernel // shortest-path kernel for this solve
-	req     []float64  // per-edge flow requested this iteration (len M)
-	length  []float64  // per-edge FPTAS length function (len M)
-	touched []int32    // edges with req != 0
-	rem     []float64  // per-destination demand left this phase (len N)
-	remID   []int32    // per-destination commodity id for the current source
-	active  []int32    // destinations with remaining demand, ascending
-	routed  []float64  // per-commodity flow accumulated so far (len numComm)
+	req     []float64 // per-edge flow requested this iteration (len M)
+	length  []float64 // per-edge FPTAS length function (len M)
+	touched []int32   // edges with req != 0
+	rem     []float64 // per-destination demand left this phase (len N)
+	remID   []int32   // per-destination commodity id for the current source
+	active  []int32   // destinations with remaining demand, ascending
+	routed  []float64 // per-commodity flow accumulated so far (len numComm)
 }
 
 // solveState pairs an aggregated problem with its arena; the two are
@@ -347,17 +296,6 @@ func (ar *arena) bind(pr *problem) {
 	}
 	ar.touched = ar.touched[:0]
 	ar.active = ar.active[:0]
-}
-
-// oracle runs one early-stopped single-source shortest-path pass on the
-// solve's selected kernel. The kernels are bit-identical in results, so the
-// dispatch can never change a solve — only its speed.
-func (ar *arena) oracle(src int32, length []float64, targets []int32) {
-	if ar.kern == KernelHeap {
-		ar.ws.DijkstraTargets(int(src), length, targets)
-	} else {
-		ar.ws.DeltaStepTargets(int(src), length, targets)
-	}
 }
 
 // zeroed returns s resized to n with every element zero, reusing the
@@ -443,7 +381,6 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 
 	ar := &st.ar
 	ar.bind(pr)
-	ar.kern = opt.SSSP
 	res := Result{UpperBound: math.Inf(1)}
 
 	eps := opt.Epsilon
@@ -570,8 +507,12 @@ phases:
 				// Batched oracle: one pass serves every remaining commodity
 				// of the source and stops once all of them have settled.
 				// Settled results are bit-identical to a full Dijkstra, so
-				// the early stop is pure savings.
-				ar.oracle(src, length, ar.active)
+				// the early stop is pure savings. The delta-stepping bucket
+				// queue falls back to the 4-ary heap per call whenever the
+				// length spread leaves its envelope (zero-length edges break
+				// the frozen-bucket argument, so the fallback is a
+				// correctness requirement); both settle in (dist, id) order.
+				ar.ws.DeltaStepTargets(int(src), length, ar.active)
 				res.Dijkstras++
 				dist, prev := ar.ws.Dist, ar.ws.Prev
 				if firstIteration && !opt.SkipDualBound {
@@ -703,7 +644,7 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 		for _, c := range p.commsOf(si) {
 			ar.active = append(ar.active, c.dst)
 		}
-		ar.oracle(src, unit, ar.active)
+		ar.ws.DeltaStepTargets(int(src), unit, ar.active)
 		res.Dijkstras++
 		dist, prev := ar.ws.Dist, ar.ws.Prev
 		for _, c := range p.commsOf(si) {

@@ -400,7 +400,7 @@ func (w *warmState) capture(pr *problem, length []float64, eps, lambda float64) 
 // clamp at R = ((1+ε)·m)^¼ = ((1+ε)/δ)^(ε/4) bounds the understatement:
 // the lost headroom log_{1+ε}(R) is an ε/4 fraction of the full budget, so
 // a warm-started λ sits within ~ε/4 of its cold value, one-sidedly low
-// (measured on the BENCH_mcf.json sequence workload: ~3% at ε=0.1). The
+// (measured on BenchmarkSolverSequence's workload: ~3% at ε=0.1). The
 // dual bound is recomputed from the actual lengths each phase (weak
 // duality holds for any positive length function), so DualGap stays
 // truthful.

@@ -5,8 +5,9 @@
 //
 // The robustness posture, end to end:
 //
-//   - Results are keyed by content address — a SHA-256 over the canonical
-//     (config, seed, code-version) identity — and the determinism contract
+//   - Results are keyed by content address — a SHA-256 over the code version
+//     and every identity knob of experiments.Knobs(), the one declaration
+//     the query parser is also derived from — and the determinism contract
 //     (cells are byte-identical at any parallelism) is what makes serving
 //     a stored cell indistinguishable from recomputing it.
 //   - Admission control bounds memory and goroutines: at most Solvers
@@ -147,12 +148,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	key, err := newAddress(s.cfg.CodeVersion, req).key()
-	if err != nil {
-		s.counters.Error()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	key := cellKey(s.cfg.CodeVersion, req)
 
 	if body, ok, err := s.st.Get(key); err != nil {
 		s.counters.Error()
@@ -165,14 +161,14 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	if req.timeout > 0 {
+	if req.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.timeout)
+		ctx, cancel = context.WithTimeout(ctx, req.Timeout)
 		defer cancel()
 	}
 	// The flight key carries the timeout so a truncated solve is only ever
 	// shared among requests that asked for that truncation.
-	flightKey := key + "|" + req.timeout.String()
+	flightKey := key + "|" + req.Timeout.String()
 	res, shared, err := s.flights.do(ctx, flightKey, func() (*cellResult, error) {
 		return s.compute(ctx, key, req)
 	})
@@ -202,7 +198,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // compute runs one cold cell under admission control; it is the flight
 // leader's body, executed once per (address, timeout) among concurrent
 // identical requests.
-func (s *Server) compute(ctx context.Context, key string, req cellRequest) (*cellResult, error) {
+func (s *Server) compute(ctx context.Context, key string, req *experiments.Request) (*cellResult, error) {
 	// Admission: the pool holds Solvers computing + QueueDepth waiting;
 	// anyone past that is shed immediately rather than queued into
 	// unbounded memory.
@@ -222,12 +218,12 @@ func (s *Server) compute(ctx context.Context, key string, req cellRequest) (*cel
 	}
 	s.counters.Miss()
 
-	cfg := req.cfg
+	cfg := req.Config
 	cfg.Parallelism = s.cfg.JobParallelism
 	if cfg.Parallelism == 0 {
 		cfg.Parallelism = s.cfg.Defaults.Parallelism
 	}
-	tab, err := experiments.Cell(ctx, cfg, req.spec)
+	tab, err := experiments.Cell(ctx, cfg, req.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +236,7 @@ func (s *Server) compute(ctx context.Context, key string, req cellRequest) (*cel
 		// A deadline-truncated cell is served but never persisted: the
 		// bytes depend on machine speed, and the next cold request should
 		// get the chance to converge.
-		if req.timeout > 0 {
+		if req.Timeout > 0 {
 			s.counters.DeadlineDegrade()
 		}
 		return res, nil

@@ -378,23 +378,24 @@ func TestColumnsAndMetricsEndpoints(t *testing.T) {
 }
 
 // TestAddressSeparatesIdentities pins the content address: every identity
-// knob lands in a distinct key, and execution knobs do not.
+// knob lands in a distinct key, execution knobs do not split it, and two
+// spellings of one cell — a default left out or written down — share it.
 func TestAddressSeparatesIdentities(t *testing.T) {
-	base := func() cellRequest {
-		req, err := parseCellRequest(experiments.Config{KMin: 4, KMax: 8, KStep: 2, Seed: 1, Epsilon: 0.1},
-			url.Values{"exp": {"fig7"}, "col": {"fat-tree/loc"}})
+	defaults := experiments.Config{KMin: 4, KMax: 8, KStep: 2, Seed: 1, Epsilon: 0.1}
+	parse := func(query string) *experiments.Request {
+		t.Helper()
+		q, err := url.ParseQuery(query)
 		if err != nil {
 			t.Fatal(err)
+		}
+		req, err := parseCellRequest(defaults, q)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
 		}
 		return req
 	}
-	keyOf := func(code string, req cellRequest) string {
-		k, err := newAddress(code, req).key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
+	const baseQuery = "exp=fig7&col=fat-tree/loc"
+	base := func() *experiments.Request { return parse(baseQuery) }
 	seen := map[string]string{}
 	add := func(name, key string) {
 		if prev, ok := seen[key]; ok {
@@ -402,32 +403,54 @@ func TestAddressSeparatesIdentities(t *testing.T) {
 		}
 		seen[key] = name
 	}
-	req := base()
-	add("base", keyOf("v1", req))
-	add("code", keyOf("v2", base()))
-	req = base()
-	req.cfg.Seed = 2
-	add("seed", keyOf("v1", req))
-	req = base()
-	req.spec.Column = "fat-tree/noloc"
-	add("column", keyOf("v1", req))
-	req = base()
-	req.cfg.Epsilon = 0.15
-	add("eps", keyOf("v1", req))
-	req = base()
-	req.spec.Scenario.SwitchFraction = 0.1
-	add("scenario", keyOf("v1", req))
+	add("base", cellKey("v1", base()))
+	add("code", cellKey("v2", base()))
+	add("column", cellKey("v1", parse("exp=fig7&col=fat-tree/noloc")))
+	// Every identity knob splits the address: move each to the first
+	// candidate its domain admits that is not the value base has.
+	for _, k := range experiments.Knobs() {
+		if !k.Identity {
+			continue
+		}
+		moved := false
+		for _, cand := range []string{"6", "0.15", "1,1,1,1"} {
+			req, was := base(), k.Get(base())
+			if k.Set(req, cand) == nil && k.Get(req) != was {
+				add(k.Name, cellKey("v1", req))
+				moved = true
+				break
+			}
+		}
+		if !moved {
+			t.Errorf("no candidate value moves knob %s; extend the list", k.Name)
+		}
+	}
 
 	// Execution knobs must NOT split the address.
-	req = base()
-	req.timeout = time.Second
-	if keyOf("v1", req) != keyOf("v1", base()) {
+	if cellKey("v1", parse(baseQuery+"&timeout=1s")) != cellKey("v1", base()) {
 		t.Error("timeout leaked into the content address")
 	}
-	req = base()
-	req.cfg.Parallelism = 7
-	req.cfg.SolveBudget = time.Second
-	if keyOf("v1", req) != keyOf("v1", base()) {
+	req := base()
+	req.Config.Parallelism = 7
+	req.Config.SolveBudget = time.Second
+	if cellKey("v1", req) != cellKey("v1", base()) {
 		t.Error("parallelism/budget leaked into the content address")
+	}
+
+	// Equal identities ⇒ equal address: a default spelled out, in any
+	// spelling, is the cell that leaves it out.
+	for _, pair := range [][2]string{
+		{"exp=selfheal", "exp=selfheal&failfrac=0.25&batch=1"},
+		{"exp=fig7", "exp=fig7&trials=1"},
+		{"exp=faults&kmax=8", "exp=faults&kmax=8&k=8"},
+		{"exp=soak", "exp=soak&rate=1&horizon=20&windowcost=0.25&slo=0.9&episodes=0"},
+		{"exp=profile", "exp=profile&profilek=16"},
+		{"exp=latency", "exp=latency&load=0.1"},
+		{"exp=faultsrecovery", "exp=faultsrecovery&switchfrac=-0&burstfrac=0.0&convfrac=0e0"},
+		{"exp=fig7&eps=0.1", "exp=fig7&eps=1e-1&kstep=02"},
+	} {
+		if cellKey("v1", parse(pair[0])) != cellKey("v1", parse(pair[1])) {
+			t.Errorf("%q and %q name one cell but hash to different addresses", pair[0], pair[1])
+		}
 	}
 }

@@ -8,23 +8,16 @@
 # type-checks packages concurrently; serve multiplexes HTTP requests over
 # a bounded solver pool and store takes concurrent Put/Get). The unit-test
 # leg runs with -shuffle=on so inter-test ordering dependencies surface,
-# and the flatlint leg archives its -json findings as FLATLINT.json next
-# to the benchmark baselines. CI and local development both run exactly
-# this script:
+# the flatlint leg archives its -json findings as FLATLINT.json at the
+# repository root, and a short fuzz leg exercises the /v1/cell query parser.
+# CI and local development both run exactly this script:
 #
 #	./scripts/check.sh
 #
 # Every step must pass; the first failure stops the run.
 #
-# check.sh verifies correctness only. Performance is gated separately:
-# ./scripts/bench.sh --check is the pre-merge perf gate — it reruns the
-# solver benchmarks (AblationEpsilon, SolverSequence, SolverCrossK,
-# Fleischer) and exits non-zero on a >15% ns/op regression (tolerance
-# configurable: --tolerance / BENCH_TOLERANCE) against the checked-in
-# BENCH_mcf.json.
-# Run it when touching internal/graph or internal/mcf hot paths; a justified
-# regression is recorded by regenerating the baseline (./scripts/bench.sh)
-# in the same PR.
+# check.sh verifies correctness only. Performance is measured by the
+# ledger: `go run ./benchmark` (see BENCHMARK.json and benchmark/README.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,8 +36,8 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== flatlint"
-# The -json artifact is archived next to the benchmark baselines so a CI
-# run leaves a machine-readable record ([] when clean). flatlint exits 1
+# The -json artifact is archived at the repository root so a CI run
+# leaves a machine-readable record ([] when clean). flatlint exits 1
 # on findings, which stops the run after the artifact is written.
 go run ./cmd/flatlint -json ./... > FLATLINT.json || {
     echo "flatlint: findings (see FLATLINT.json):" >&2
@@ -77,7 +70,7 @@ go test -run 'TestServeSmokeEndToEnd' -count=1 ./cmd/flatsim
 
 echo "== soak smoke (bounded chaos soak, fixed seed)"
 # A tiny end-to-end soak through the real CLI: small k, short virtual
-# horizon, fixed seed. Proves the subcommand wiring (flag validation,
+# horizon, fixed seed. Proves the subcommand wiring (knob-table flags,
 # warm-stats reset, table emission) against a live control plane; the
 # determinism and overlap guarantees are pinned by the chaos and
 # experiments test suites above.
@@ -86,10 +79,18 @@ go run ./cmd/flatsim -kmax 4 -eps 0.3 -rate 2 -horizon 3 -seed 1 \
 
 echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks: not a perf
-# measurement (that is ./scripts/bench.sh --check), just proof the bench
-# harness still builds and both kernels still run. Catches bit-rot in
-# bench-only code paths that go test -run never executes.
+# measurement (that is `go run ./benchmark`), just proof the bench harness
+# still builds and both kernels still run. Catches bit-rot in bench-only
+# code paths that go test -run never executes.
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
+
+echo "== fuzz (10s on the /v1/cell query parser)"
+# The one knob parser behind both flatsim's flags and /v1/cell: no panic on
+# arbitrary queries, canonical re-encoding keeps the content address, and
+# parameter order never matters. The checked-in seed corpus
+# (internal/serve/testdata/fuzz) already ran in the unit-test leg; this
+# leg mutates from it.
+go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
 
 echo "ok: all checks passed"
