@@ -3,16 +3,18 @@ package graph
 import "math"
 
 // Workspace holds all scratch state a shortest-path computation needs:
-// distance and predecessor vectors plus an index-addressable d-ary heap
-// with decrease-key. Allocate one per goroutine (it is not safe for
-// concurrent use) and reuse it across calls; after the first call on a
-// given graph every subsequent Dijkstra is allocation-free. This is the
-// kernel under the FPTAS throughput solver, which runs thousands of
-// single-source solves per instance.
+// distance and predecessor vectors plus two queues with decrease-key, an
+// index-addressable d-ary heap (Dijkstra*) and a radix heap (DeltaStep*,
+// radix.go). Allocate one per goroutine (it is not safe for concurrent
+// use) and reuse it across calls; after the first call on a given graph
+// every subsequent run is allocation-free. This is the kernel under the
+// FPTAS throughput solver, which runs thousands of single-source solves
+// per instance.
 //
-// Ties in the heap order are broken by node id, so the pop sequence — and
-// therefore the shortest-path tree in Prev — is a deterministic function
-// of (graph, lengths) alone, not of heap internals or insertion history.
+// Ties in either queue's order are broken by node id, so the pop sequence
+// — and therefore the shortest-path tree in Prev — is a deterministic
+// function of (graph, lengths) alone, not of queue internals or insertion
+// history.
 type Workspace struct {
 	g *Graph
 	// Dist and Prev hold the result of the most recent Dijkstra call:
@@ -29,27 +31,22 @@ type Workspace struct {
 	tmark  []uint64 // target marks for DijkstraTargets, epoch-stamped
 	tepoch uint64   // current target epoch; bumping it clears all marks
 
-	// Bucket arena for the delta-stepping kernel (deltastep.go). Invariant
-	// between runs: every bucket empty, bnum[v] = -1 everywhere.
-	bkt  [][]int32 // circular array of buckets holding queued node ids
-	bnum []int32   // node -> absolute bucket number, -1 when not queued
-	bpos []int32   // node -> slot within its bucket
+	// Radix-heap queue (radix.go). Invariant between runs: no bucket
+	// occupied (occ = 0, zeroN = 0, zero all clear), bnum[v] = -1 everywhere.
+	bkt    [64][]int32 // bkt[i], i ≥ 1: queued ids whose key first differs from the minimum at bit i-1
+	occ    uint64      // bit i set iff bkt[i] is non-empty
+	zero   []uint64    // bucket 0 (keys equal to the minimum) as a node-id bitset
+	zeroN  int         // population of zero
+	zeroLo int         // no word of zero below this index is non-empty
+	bnum   []int8      // node -> bucket number, -1 when not queued
+	bpos   []int32     // node -> slot within bkt[bnum], for bnum ≥ 1
 }
 
 // NewWorkspace returns a Workspace sized for g. The graph must not gain
 // nodes while the workspace is in use.
 func (g *Graph) NewWorkspace() *Workspace {
-	n := g.N()
-	w := &Workspace{
-		g:    g,
-		Dist: make([]float64, n),
-		Prev: make([]int32, n),
-		heap: make([]int32, 0, n),
-		pos:  make([]int32, n),
-	}
-	for i := range w.pos {
-		w.pos[i] = -1
-	}
+	w := &Workspace{}
+	w.Rebind(g)
 	return w
 }
 
@@ -57,9 +54,9 @@ func (g *Graph) NewWorkspace() *Workspace {
 // arrays whenever they have the capacity. This is what makes pooling
 // workspaces across solver invocations worthwhile: each invocation
 // aggregates its own switch-level graph, but the sizes recur, so a
-// rebound workspace allocates nothing. The heap invariant (empty heap,
-// pos[v] = -1 everywhere) is re-established here because the node count
-// may change.
+// rebound workspace allocates nothing. Both queue invariants (empty heap
+// with pos[v] = -1 everywhere; empty radix buckets with bnum[v] = -1
+// everywhere) are re-established here because the node count may change.
 func (w *Workspace) Rebind(g *Graph) {
 	n := g.N()
 	w.g = g
@@ -68,16 +65,24 @@ func (w *Workspace) Rebind(g *Graph) {
 		w.Prev = make([]int32, n)
 		w.pos = make([]int32, n)
 		w.heap = make([]int32, 0, n)
+		w.bnum = make([]int8, n)
+		w.bpos = make([]int32, n)
+		w.zero = make([]uint64, (n+63)/64)
 	} else {
 		w.Dist = w.Dist[:n]
 		w.Prev = w.Prev[:n]
 		w.pos = w.pos[:n]
+		w.bnum = w.bnum[:n]
+		w.bpos = w.bpos[:n]
+		w.zero = w.zero[:(n+63)/64]
 	}
 	for i := range w.pos {
 		w.pos[i] = -1
+		w.bnum[i] = -1
 	}
 	w.heap = w.heap[:0]
 	w.key = nil
+	w.zeroLo = 0
 }
 
 // Dijkstra computes shortest distances from src under per-edge lengths
@@ -137,7 +142,7 @@ func (w *Workspace) ShortestPath(src, dst int, length []float64) (Path, bool) {
 // prepare resets dist/prev for a fresh run and epoch-stamps the target
 // marks, counting duplicates once. It returns the (possibly nil-ed) target
 // slice and the number of distinct targets still to settle; an empty target
-// list degenerates to a full run. Shared by the heap and bucket kernels so
+// list degenerates to a full run. Shared by the heap and radix kernels so
 // their early-exit accounting cannot drift apart.
 func (w *Workspace) prepare(dist []float64, prev []int32, targets []int32) ([]int32, int) {
 	for i := range dist {

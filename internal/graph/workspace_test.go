@@ -5,10 +5,14 @@ import (
 	"testing"
 )
 
-// randomMultigraph builds a connected multigraph with deliberate parallel
-// edges and random lengths in [0.1, 1.1).
+// randomMultigraph builds a connected multigraph on 12..23 nodes with
+// deliberate parallel edges and random lengths in [0.1, 1.1).
 func randomMultigraph(rng *RNG) (*Graph, []float64) {
-	n := 12 + rng.Intn(12)
+	return randomMultigraphN(rng, 12+rng.Intn(12))
+}
+
+// randomMultigraphN is randomMultigraph at a given node count.
+func randomMultigraphN(rng *RNG, n int) (*Graph, []float64) {
 	g := New(n)
 	// Connected base: every node links to an earlier one.
 	for i := 1; i < n; i++ {

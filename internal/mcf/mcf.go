@@ -507,11 +507,9 @@ phases:
 				// Batched oracle: one pass serves every remaining commodity
 				// of the source and stops once all of them have settled.
 				// Settled results are bit-identical to a full Dijkstra, so
-				// the early stop is pure savings. The delta-stepping bucket
-				// queue falls back to the 4-ary heap per call whenever the
-				// length spread leaves its envelope (zero-length edges break
-				// the frozen-bucket argument, so the fallback is a
-				// correctness requirement); both settle in (dist, id) order.
+				// the early stop is pure savings. The radix-heap kernel
+				// settles in the 4-ary heap's (dist, id) order at any length
+				// spread — here ~1e33 between the δ floor and used edges.
 				ar.ws.DeltaStepTargets(int(src), length, ar.active)
 				res.Dijkstras++
 				dist, prev := ar.ws.Dist, ar.ws.Prev

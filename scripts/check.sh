@@ -9,7 +9,8 @@
 # a bounded solver pool and store takes concurrent Put/Get). The unit-test
 # leg runs with -shuffle=on so inter-test ordering dependencies surface,
 # the flatlint leg archives its -json findings as FLATLINT.json at the
-# repository root, and a short fuzz leg exercises the /v1/cell query parser.
+# repository root, and a short fuzz leg exercises the /v1/cell query parser
+# and the two SSSP kernels' agreement.
 # CI and local development both run exactly this script:
 #
 #	./scripts/check.sh
@@ -85,12 +86,15 @@ echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
 
-echo "== fuzz (10s on the /v1/cell query parser)"
+echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement)"
 # The one knob parser behind both flatsim's flags and /v1/cell: no panic on
 # arbitrary queries, canonical re-encoding keeps the content address, and
-# parameter order never matters. The checked-in seed corpus
-# (internal/serve/testdata/fuzz) already ran in the unit-test leg; this
-# leg mutates from it.
+# parameter order never matters. Then the radix-heap kernel against the
+# 4-ary heap on generated multigraphs and lengths (zeros, denormals,
+# 1e-300..1e300): bit-identical Dist/Prev, clean workspace. The checked-in
+# seed corpora (internal/{serve,graph}/testdata/fuzz) already ran in the
+# unit-test leg; this leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz 'FuzzSSSPKernelsAgree' -fuzztime 10s ./internal/graph
 
 echo "ok: all checks passed"
