@@ -598,33 +598,61 @@ func BenchmarkDynsimFCT(b *testing.B) {
 	b.ReportMetric(global, "global_fct")
 }
 
-// BenchmarkAPL measures the all-pairs path-length computation at paper
-// scale.
+// BenchmarkAPL measures the server-pair path-length computation at paper
+// scale on the three shapes Figures 5 and 6 sweep: fat-tree (servers on
+// edge switches only, every hosting switch equally loaded), Jellyfish (no
+// pod structure in the fabric) and flat-tree in global-random mode (servers
+// spread over edge, aggregation and core switches).
 func BenchmarkAPL(b *testing.B) {
 	for _, k := range []int{16, 32} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			ft, err := core.Build(core.Params{K: k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
-				b.Fatal(err)
-			}
-			nw := ft.Net()
-			b.Run("seq", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := metrics.ServerPathLengths(nw); err != nil {
-						b.Fatal(err)
-					}
+		nets := []struct {
+			name  string
+			build func() (*topo.Network, error)
+		}{
+			{"fat-tree", func() (*topo.Network, error) {
+				f, err := fattree.New(k)
+				if err != nil {
+					return nil, err
+				}
+				return f.Net, nil
+			}},
+			{"jellyfish", func() (*topo.Network, error) {
+				j, err := jellyfish.New(k, 1)
+				if err != nil {
+					return nil, err
+				}
+				return j.Net, nil
+			}},
+			{"flat-tree", func() (*topo.Network, error) {
+				ft, err := core.Build(core.Params{K: k})
+				if err != nil {
+					return nil, err
+				}
+				if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
+					return nil, err
+				}
+				return ft.Net(), nil
+			}},
+		}
+		for _, tc := range nets {
+			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
+				nw, err := tc.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, run := range []struct {
+					name    string
+					workers int
+				}{{"seq", 1}, {"par", 0}} {
+					b.Run(run.name, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							if _, err := metrics.ServerPathLengthsParallel(nw, run.workers); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
 				}
 			})
-			b.Run("par", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := metrics.ServerPathLengthsParallel(nw, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
+		}
 	}
 }

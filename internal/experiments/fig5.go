@@ -52,8 +52,8 @@ var fig5Header = func() []string {
 }()
 
 // fig5Cell computes one (k, column) cell of Figure 5 — a topology build
-// plus an all-pairs BFS sweep. It is a pure function of (cfg.Seed, k, ci),
-// so the cell prints the same bytes whether it runs inside a full table
+// plus a path-length sweep. It is a pure function of (cfg.Seed, k, ci), so
+// the cell prints the same bytes whether it runs inside a full table
 // fan-out or alone.
 func fig5Cell(cfg Config, k, ci int) (string, error) {
 	var nw *topo.Network

@@ -2,7 +2,9 @@ package faults
 
 import (
 	"fmt"
+	"math/bits"
 
+	"flattree/internal/graph"
 	"flattree/internal/topo"
 )
 
@@ -61,57 +63,78 @@ func Analyze(nw *topo.Network) (Report, error) {
 		}
 		numComp++
 	}
-	serversPerComp := make(map[int32]int)
-	for _, sv := range nw.Servers() {
-		serversPerComp[comp[sv]]++
-	}
+	// Servers per component; a detached server is a component of its own.
+	perComp := make([]int, numComp)
 	best, bestComp := 0, int32(-1)
-	for cpt, cnt := range serversPerComp {
+	for _, sv := range nw.Servers() {
+		if c := comp[sv]; c >= 0 {
+			perComp[c]++
+		} else {
+			best = 1
+		}
+	}
+	// Ties go to the lowest component id, so the report depends on the
+	// network alone.
+	for c, cnt := range perComp {
 		if cnt > best {
-			best, bestComp = cnt, cpt
+			best, bestComp = cnt, int32(c)
 		}
 	}
 	r.LargestComponentFrac = float64(best) / float64(r.Servers)
-	r.Connected = len(serversPerComp) == 1 && best == r.Servers
+	r.Connected = best == r.Servers
 
-	// APL inside the largest component.
+	// APL inside the largest component, in integer sums: its hosting
+	// switches go through the path-length kernel graph.HopBatch at a time,
+	// and each unordered server pair is counted from its lower-indexed host.
 	if best < 2 {
 		return r, nil
 	}
-	var hostSwitches []int
-	counts := make(map[int]int64)
+	var hosts []int                // hosting switches of the largest component
+	var counts []int64             // counts[i]: servers on hosts[i]
+	hostOf := make([]int32, g.N()) // switch -> index into hosts, -1 if it hosts none there
+	for i := range hostOf {
+		hostOf[i] = -1
+	}
 	for _, sv := range nw.Servers() {
 		if comp[sv] != bestComp {
 			continue
 		}
 		sw := nw.HostSwitch(sv)
-		if counts[sw] == 0 {
-			hostSwitches = append(hostSwitches, sw)
+		if hostOf[sw] < 0 {
+			hostOf[sw] = int32(len(hosts))
+			hosts = append(hosts, sw)
+			counts = append(counts, 0)
 		}
-		counts[sw]++
+		counts[hostOf[sw]]++
 	}
-	dist := make([]int32, g.N())
-	var sum, pairs float64
-	for _, s := range hostSwitches {
-		g.BFSInto(s, dist, queue)
-		cs := counts[s]
-		same := cs * (cs - 1) / 2
-		sum += float64(same) * 2
-		pairs += float64(same)
-		for _, t := range hostSwitches {
-			if t <= s {
-				continue
+	hg := g.Induced(func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() })
+	var sum, pairs int64
+	for _, c := range counts {
+		same := c * (c - 1) / 2
+		sum += same * 2
+		pairs += same
+	}
+	for base := 0; base < len(hosts); base += graph.HopBatch {
+		end := min(base+graph.HopBatch, len(hosts))
+		err := hg.Sweep(hosts[base:end], func(level, node int, fresh uint64) {
+			t := int(hostOf[node])
+			if t <= base {
+				return
 			}
-			if dist[t] < 0 {
-				return r, fmt.Errorf("faults: component analysis inconsistent")
+			fresh &= 1<<uint(t-base) - 1 // the sources indexed below t; all of them once t-base >= 64
+			for ; fresh != 0; fresh &= fresh - 1 {
+				cnt := counts[base+bits.TrailingZeros64(fresh)] * counts[t]
+				sum += cnt * int64(level+2)
+				pairs += cnt
 			}
-			cnt := cs * counts[t]
-			sum += float64(cnt) * float64(int(dist[t])+2)
-			pairs += float64(cnt)
+		})
+		if err != nil {
+			return r, err
 		}
 	}
-	if pairs > 0 {
-		r.APL = sum / pairs
+	if pairs != int64(best)*int64(best-1)/2 {
+		return r, fmt.Errorf("faults: component analysis inconsistent")
 	}
+	r.APL = float64(sum) / float64(pairs)
 	return r, nil
 }

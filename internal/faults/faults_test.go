@@ -8,6 +8,7 @@ import (
 	"flattree/internal/core"
 	"flattree/internal/fattree"
 	"flattree/internal/metrics"
+	"flattree/internal/topo"
 )
 
 func TestNoFaultsIsIdentity(t *testing.T) {
@@ -157,5 +158,95 @@ func TestFlatTreeSurvivesModerateFailures(t *testing.T) {
 	}
 	if r.LargestComponentFrac < 0.95 {
 		t.Errorf("largest component only %.2f of servers", r.LargestComponentFrac)
+	}
+}
+
+// TestAnalyzeTieGoesToLowestComponent splits a network into two halves of
+// two servers each with different path lengths: one switch with both
+// servers (APL 2) and two linked switches with a server each (APL 3). The
+// largest component used to be chosen by ranging over a map, so the
+// reported APL flipped between runs; the lowest component id — the half
+// holding node 0 — must win every time. Run with -count=20.
+func TestAnalyzeTieGoesToLowestComponent(t *testing.T) {
+	b := topo.NewBuilder("halves")
+	sw0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	sw1 := b.AddNode(topo.EdgeSwitch, 1, 0, 4)
+	sw2 := b.AddNode(topo.EdgeSwitch, 1, 1, 4)
+	for i, sw := range []int{sw0, sw0, sw1, sw2} {
+		b.AddLink(b.AddNode(topo.Server, 0, i, 1), sw, topo.TagClos)
+	}
+	b.AddLink(sw1, sw2, topo.TagClos)
+	nw := b.Build()
+	for i := 0; i < 50; i++ {
+		r, err := Analyze(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Connected || r.LargestComponentFrac != 0.5 || r.APL != 2 {
+			t.Fatalf("run %d: report %+v, want the first half (frac 0.5, APL 2)", i, r)
+		}
+	}
+}
+
+// TestAnalyzeMatchesPerServerBFS checks Analyze's component choice and APL
+// against plain server-to-server BFS on networks degraded until they
+// split. Fat-tree k=14 has 98 hosting switches, so the largest component
+// spans more than one kernel batch.
+func TestAnalyzeMatchesPerServerBFS(t *testing.T) {
+	f, err := fattree.New(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		nw, err := Degrade(f.Net, Scenario{LinkFraction: 0.55, SwitchFraction: 0.1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Analyze(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Connected {
+			split++
+		}
+		// Components by reachability, in ascending server order; the first
+		// largest one wins.
+		g := nw.Graph()
+		seen := make([]bool, nw.N())
+		var best []int
+		for _, a := range nw.Servers() {
+			if seen[a] {
+				continue
+			}
+			dist := g.BFS(a)
+			var members []int
+			for _, sv := range nw.Servers() {
+				if dist[sv] >= 0 {
+					seen[sv] = true
+					members = append(members, sv)
+				}
+			}
+			if len(members) > len(best) {
+				best = members
+			}
+		}
+		var sum, pairs float64
+		for i, a := range best {
+			dist := g.BFS(a)
+			for _, sv := range best[i+1:] {
+				sum += float64(dist[sv])
+				pairs++
+			}
+		}
+		if want := float64(len(best)) / float64(got.Servers); got.LargestComponentFrac != want {
+			t.Errorf("seed %d: largest component fraction %g, want %g", seed, got.LargestComponentFrac, want)
+		}
+		if want := sum / pairs; math.Abs(got.APL-want) > 1e-12 {
+			t.Errorf("seed %d: APL %g, want %g", seed, got.APL, want)
+		}
+	}
+	if split == 0 {
+		t.Error("no scenario split the network; raise the failure fractions")
 	}
 }

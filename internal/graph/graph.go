@@ -45,6 +45,26 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]Half, n)}
 }
 
+// NewWithDegrees returns a graph with len(degree) isolated nodes whose
+// adjacency lists are carved from one allocation, node v's with room for
+// degree[v] entries, so a builder that knows its degrees up front adds edges
+// without growing a list. Each list's capacity ends where the next begins:
+// an append past the stated degree moves that list to its own storage.
+func NewWithDegrees(degree []int) *Graph {
+	total := 0
+	for _, d := range degree {
+		total += d
+	}
+	slab := make([]Half, total)
+	g := &Graph{adj: make([][]Half, len(degree)), edges: make([]Edge, 0, total/2)}
+	at := 0
+	for v, d := range degree {
+		g.adj[v] = slab[at : at : at+d]
+		at += d
+	}
+	return g
+}
+
 // Reset returns g to n isolated nodes, keeping the adjacency and edge
 // storage so a graph rebuilt with a recurring shape (the pooled FPTAS
 // solver re-aggregates a same-sized switch graph every solve) stops

@@ -258,3 +258,33 @@ func TestClone(t *testing.T) {
 		t.Errorf("clone not independent: %d, %d", g.M(), c.M())
 	}
 }
+
+// TestNewWithDegreesListsDoNotOverlap fills a slab-backed graph to its
+// stated degrees, then appends past node 0's degree: the extra entry must
+// land in fresh storage, not in node 1's list that follows it in the slab.
+func TestNewWithDegreesListsDoNotOverlap(t *testing.T) {
+	g := NewWithDegrees([]int{1, 2, 1, 0})
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(0, 3) // beyond the stated degree of both endpoints
+	want := [][]Half{
+		{{Peer: 1, Edge: 0}, {Peer: 3, Edge: 2}},
+		{{Peer: 0, Edge: 0}, {Peer: 2, Edge: 1}},
+		{{Peer: 1, Edge: 1}},
+		{{Peer: 0, Edge: 2}},
+	}
+	for v, w := range want {
+		got := g.Neighbors(v)
+		if len(got) != len(w) {
+			t.Fatalf("node %d: neighbours %v, want %v", v, got, w)
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("node %d: neighbours %v, want %v", v, got, w)
+			}
+		}
+	}
+	if g.M() != 3 {
+		t.Errorf("M = %d, want 3", g.M())
+	}
+}

@@ -9,7 +9,10 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
+	"flattree/internal/graph"
+	"flattree/internal/parallel"
 	"flattree/internal/topo"
 )
 
@@ -29,158 +32,176 @@ type PathLengthStats struct {
 	Histogram []int64
 }
 
-// ServerPathLengths computes PathLengthStats with one BFS per
-// server-hosting switch. It returns an error if any server pair is
-// disconnected.
+// ServerPathLengths computes PathLengthStats. It returns an error if a
+// server is detached or any server pair is disconnected.
 func ServerPathLengths(nw *topo.Network) (PathLengthStats, error) {
 	return ServerPathLengthsParallel(nw, 1)
 }
 
-// ServerPathLengthsParallel is ServerPathLengths with the per-switch BFS
-// sweep fanned out across workers goroutines (0 means all cores, 1 means
-// fully sequential). The per-pair aggregation always replays in ascending
-// source order, so the returned statistics are bit-identical for every
-// worker count.
-func ServerPathLengthsParallel(nw *topo.Network, workers int) (PathLengthStats, error) {
-	g := nw.Graph()
-	n := g.N()
+// podCount is the number of servers of one home pod on a switch; pod is a
+// dense index over the labels in use.
+type podCount struct {
+	pod   int
+	count int64
+}
 
-	// Hosting switches and per-switch server counts, plus per-(switch,pod)
-	// counts for the intra-pod aggregation.
-	type podCount struct {
-		pod   int
-		count int64
+// host is a switch with servers attached.
+type host struct {
+	sw    int
+	total int64
+	pods  []podCount
+}
+
+// pairHist counts server pairs by distance: all[d] is the number of pairs d
+// hops apart, pod[d] those of them sharing a pod label. Sums, means and the
+// maximum all derive from it, and being integers, partial histograms add up
+// to the same totals in any order.
+type pairHist struct {
+	all, pod []int64
+}
+
+func (p *pairHist) add(hops int, cnt, podCnt int64) {
+	if cnt == 0 {
+		return
 	}
-	hostSwitches := make([]int, 0)
-	total := make([]int64, n)
-	byPod := make([][]podCount, n)
-	numServers := 0
-	for _, sv := range nw.Servers() {
-		numServers++
+	for hops >= len(p.all) {
+		p.all = append(p.all, 0)
+		p.pod = append(p.pod, 0)
+	}
+	p.all[hops] += cnt
+	p.pod[hops] += podCnt
+}
+
+// ServerPathLengthsParallel is ServerPathLengths with the sweep fanned out
+// across workers goroutines (0 means all cores, 1 means fully sequential).
+// Hosting switches go through graph.HopGraph.Sweep on the switch-only graph
+// graph.HopBatch at a time; the statistics are identical for every worker
+// count.
+func ServerPathLengthsParallel(nw *topo.Network, workers int) (PathLengthStats, error) {
+	servers := nw.Servers()
+	if len(servers) < 2 {
+		return PathLengthStats{}, fmt.Errorf("metrics: need at least 2 servers, have %d", len(servers))
+	}
+	var hosts []host
+	podIndex := map[int]int{}       // pod label -> dense index
+	hostOf := make([]int32, nw.N()) // switch -> index into hosts, -1 if it hosts nothing
+	for i := range hostOf {
+		hostOf[i] = -1
+	}
+	for _, sv := range servers {
 		sw := nw.HostSwitch(sv)
 		if sw < 0 {
 			return PathLengthStats{}, fmt.Errorf("metrics: server %d detached", sv)
 		}
-		if total[sw] == 0 {
-			hostSwitches = append(hostSwitches, sw)
+		if hostOf[sw] < 0 {
+			hostOf[sw] = int32(len(hosts))
+			hosts = append(hosts, host{sw: sw})
 		}
-		total[sw]++
-		pod := nw.Nodes[sv].Pod
-		found := false
-		for i := range byPod[sw] {
-			if byPod[sw][i].pod == pod {
-				byPod[sw][i].count++
-				found = true
-				break
-			}
+		h := &hosts[hostOf[sw]]
+		h.total++
+		pod, ok := podIndex[nw.Nodes[sv].Pod]
+		if !ok {
+			pod = len(podIndex)
+			podIndex[nw.Nodes[sv].Pod] = pod
 		}
-		if !found {
-			byPod[sw] = append(byPod[sw], podCount{pod, 1})
+		i := 0
+		for i < len(h.pods) && h.pods[i].pod != pod {
+			i++
 		}
-	}
-	if numServers < 2 {
-		return PathLengthStats{}, fmt.Errorf("metrics: need at least 2 servers, have %d", numServers)
-	}
-
-	var (
-		sumGlobal   float64
-		pairsGlobal float64
-		sumPod      float64
-		pairsPod    float64
-		hist        []int64
-		maxD        int
-	)
-	bump := func(d int, cnt int64) {
-		for d >= len(hist) {
-			hist = append(hist, 0)
+		if i == len(h.pods) {
+			h.pods = append(h.pods, podCount{pod: pod})
 		}
-		hist[d] += cnt
-		if d > maxD {
-			maxD = d
-		}
+		h.pods[i].count++
 	}
 
-	// aggregate folds source switch hostSwitches[i]'s distance vector into
-	// the running sums. It must be called in ascending index order: the
-	// order of floating-point additions is part of the package's output
-	// contract (tables print identically for every worker count). Each
-	// unordered pair is visited once, from its lower-indexed side, so the
-	// cross-switch loop starts at i+1 instead of scanning and skipping the
-	// first half.
-	aggregate := func(i int, dist []int32) error {
-		s := hostSwitches[i]
-		cs := total[s]
-		// Same-switch pairs: distance 2.
-		same := cs * (cs - 1) / 2
-		if same > 0 {
-			sumGlobal += float64(same) * 2
-			pairsGlobal += float64(same)
-			bump(2, same)
-		}
-		for _, pc := range byPod[s] {
-			samePod := pc.count * (pc.count - 1) / 2
-			sumPod += float64(samePod) * 2
-			pairsPod += float64(samePod)
-		}
-		// Cross-switch pairs, counted once from the lower index.
-		for _, t := range hostSwitches[i+1:] {
-			d := dist[t]
-			if d < 0 {
-				return fmt.Errorf("metrics: switches %d and %d disconnected", s, t)
+	hg := nw.Graph().Induced(func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() })
+	batches := (len(hosts) + graph.HopBatch - 1) / graph.HopBatch
+	parts, err := parallel.Map(batches, workers, func(b int) (pairHist, error) {
+		return sweepBatch(hg, hosts, hostOf, len(podIndex), b*graph.HopBatch)
+	})
+	if err != nil {
+		return PathLengthStats{}, err
+	}
+	var sum, pairs, podSum, podPairs int64
+	var hist []int64
+	for _, p := range parts {
+		for d, cnt := range p.all {
+			for d >= len(hist) {
+				hist = append(hist, 0)
 			}
-			hops := int(d) + 2
-			cnt := cs * total[t]
-			sumGlobal += float64(cnt) * float64(hops)
-			pairsGlobal += float64(cnt)
-			bump(hops, cnt)
-			for _, pa := range byPod[s] {
-				for _, pb := range byPod[t] {
-					if pa.pod == pb.pod {
-						cnt := pa.count * pb.count
-						sumPod += float64(cnt) * float64(hops)
-						pairsPod += float64(cnt)
+			hist[d] += cnt
+			sum += cnt * int64(d)
+			pairs += cnt
+			podSum += p.pod[d] * int64(d)
+			podPairs += p.pod[d]
+		}
+	}
+	st := PathLengthStats{
+		Global:    float64(sum) / float64(pairs),
+		IntraPod:  math.NaN(),
+		Max:       len(hist) - 1,
+		Histogram: hist,
+	}
+	if podPairs > 0 {
+		st.IntraPod = float64(podSum) / float64(podPairs)
+	}
+	return st, nil
+}
+
+// sweepBatch counts the server pairs whose lower-indexed host is one of the
+// up to graph.HopBatch hosts starting at hosts[base], so that over all
+// batches each unordered pair is counted once.
+func sweepBatch(hg *graph.HopGraph, hosts []host, hostOf []int32, numPods, base int) (pairHist, error) {
+	batch := hosts[base:min(base+graph.HopBatch, len(hosts))]
+	var p pairHist
+	sources := make([]int, len(batch))
+	podBits := make([]uint64, numPods) // podBits[pod]: batch sources hosting a server of that pod
+	for j, h := range batch {
+		sources[j] = h.sw
+		// Two servers on one switch are 2 hops apart.
+		var samePod int64
+		for _, pc := range h.pods {
+			samePod += pc.count * (pc.count - 1) / 2
+			podBits[pc.pod] |= 1 << uint(j)
+		}
+		p.add(2, h.total*(h.total-1)/2, samePod)
+	}
+	reached := make([]uint64, len(hosts)) // reached[t]: batch sources below t that arrived at hosts[t]
+	err := hg.Sweep(sources, func(level, node int, fresh uint64) {
+		t := int(hostOf[node])
+		if t <= base {
+			return
+		}
+		fresh &= 1<<uint(t-base) - 1 // the sources indexed below t; all of them once t-base >= 64
+		reached[t] |= fresh
+		ht := &hosts[t]
+		var cnt, podCnt int64
+		for m := fresh; m != 0; m &= m - 1 {
+			cnt += batch[bits.TrailingZeros64(m)].total
+		}
+		// Most pairs span two pods; the per-pod masks skip them a word at a time.
+		for _, pt := range ht.pods {
+			for m := fresh & podBits[pt.pod]; m != 0; m &= m - 1 {
+				for _, ps := range batch[bits.TrailingZeros64(m)].pods {
+					if ps.pod == pt.pod {
+						podCnt += ps.count * pt.count
 					}
 				}
 			}
 		}
-		return nil
+		p.add(level+2, cnt*ht.total, podCnt)
+	})
+	if err != nil {
+		return p, err
 	}
-
-	if workers == 1 {
-		// Streaming sweep: one scratch vector, no per-source allocation.
-		dist := make([]int32, n)
-		queue := make([]int32, n)
-		for i, s := range hostSwitches {
-			g.BFSInto(s, dist, queue)
-			if err := aggregate(i, dist); err != nil {
-				return PathLengthStats{}, err
-			}
-		}
-	} else {
-		// Fan the BFS sweep out, then replay the aggregation in source
-		// order over the precomputed rows.
-		rows, err := g.AllPairsBFS(hostSwitches, workers)
-		if err != nil {
-			return PathLengthStats{}, err
-		}
-		for i := range hostSwitches {
-			if err := aggregate(i, rows[i]); err != nil {
-				return PathLengthStats{}, err
-			}
+	whole := uint64(1)<<uint(len(batch)) - 1
+	for t := base + 1; t < len(hosts); t++ {
+		if miss := whole & (1<<uint(t-base) - 1) &^ reached[t]; miss != 0 {
+			return p, fmt.Errorf("metrics: switches %d and %d disconnected",
+				batch[bits.TrailingZeros64(miss)].sw, hosts[t].sw)
 		}
 	}
-
-	st := PathLengthStats{
-		Global:    sumGlobal / pairsGlobal,
-		Max:       maxD,
-		Histogram: hist,
-	}
-	if pairsPod > 0 {
-		st.IntraPod = sumPod / pairsPod
-	} else {
-		st.IntraPod = math.NaN()
-	}
-	return st, nil
+	return p, nil
 }
 
 // AveragePathLength returns the network-wide server-pair average path

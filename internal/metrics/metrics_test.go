@@ -1,10 +1,16 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"flattree/internal/core"
 	"flattree/internal/fattree"
+	"flattree/internal/faults"
+	"flattree/internal/jellyfish"
 	"flattree/internal/topo"
 )
 
@@ -98,8 +104,26 @@ func TestDisconnectedError(t *testing.T) {
 	s1 := b.AddNode(topo.Server, 1, 1, 1)
 	b.AddLink(s0, sw0, topo.TagClos)
 	b.AddLink(s1, sw1, topo.TagClos)
-	if _, err := ServerPathLengths(b.Build()); err == nil {
-		t.Error("disconnected network should error")
+	nw := b.Build()
+	for _, workers := range []int{1, 4} {
+		_, err := ServerPathLengthsParallel(nw, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: disconnected network should error", workers)
+		}
+		if want := fmt.Sprintf("switches %d and %d disconnected", sw0, sw1); !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: error %q does not name the pair (%q)", workers, err, want)
+		}
+	}
+}
+
+func TestDetachedServerError(t *testing.T) {
+	b := topo.NewBuilder("detached")
+	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	s0 := b.AddNode(topo.Server, 0, 0, 1)
+	b.AddNode(topo.Server, 0, 1, 1)
+	b.AddLink(s0, sw, topo.TagClos)
+	if _, err := ServerPathLengths(b.Build()); err == nil || !strings.Contains(err.Error(), "detached") {
+		t.Errorf("detached server: err = %v", err)
 	}
 }
 
@@ -113,10 +137,173 @@ func TestSingleServerError(t *testing.T) {
 	}
 }
 
+// referencePathLengths is the per-source oracle the kernel is checked
+// against: one graph.BFSInto per hosting switch over the full node graph,
+// floating-point pair sums accumulated in ascending source order — the
+// body ServerPathLengths had before the bit-parallel kernel.
+func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
+	g := nw.Graph()
+	n := g.N()
+	type podCount struct {
+		pod   int
+		count int64
+	}
+	var hostSwitches []int
+	total := make([]int64, n)
+	byPod := make([][]podCount, n)
+	for _, sv := range nw.Servers() {
+		sw := nw.HostSwitch(sv)
+		if sw < 0 {
+			return PathLengthStats{}, fmt.Errorf("server %d detached", sv)
+		}
+		if total[sw] == 0 {
+			hostSwitches = append(hostSwitches, sw)
+		}
+		total[sw]++
+		pod := nw.Nodes[sv].Pod
+		found := false
+		for i := range byPod[sw] {
+			if byPod[sw][i].pod == pod {
+				byPod[sw][i].count++
+				found = true
+			}
+		}
+		if !found {
+			byPod[sw] = append(byPod[sw], podCount{pod, 1})
+		}
+	}
+	var sumGlobal, pairsGlobal, sumPod, pairsPod float64
+	var hist []int64
+	bump := func(d int, cnt int64) {
+		for d >= len(hist) {
+			hist = append(hist, 0)
+		}
+		hist[d] += cnt
+	}
+	dist := make([]int32, n)
+	queue := make([]int32, n)
+	for i, s := range hostSwitches {
+		g.BFSInto(s, dist, queue)
+		cs := total[s]
+		if same := cs * (cs - 1) / 2; same > 0 {
+			sumGlobal += float64(same) * 2
+			pairsGlobal += float64(same)
+			bump(2, same)
+		}
+		for _, pc := range byPod[s] {
+			samePod := pc.count * (pc.count - 1) / 2
+			sumPod += float64(samePod) * 2
+			pairsPod += float64(samePod)
+		}
+		for _, t := range hostSwitches[i+1:] {
+			if dist[t] < 0 {
+				return PathLengthStats{}, fmt.Errorf("switches %d and %d disconnected", s, t)
+			}
+			hops := int(dist[t]) + 2
+			cnt := cs * total[t]
+			sumGlobal += float64(cnt) * float64(hops)
+			pairsGlobal += float64(cnt)
+			bump(hops, cnt)
+			for _, pa := range byPod[s] {
+				for _, pb := range byPod[t] {
+					if pa.pod == pb.pod {
+						cnt := pa.count * pb.count
+						sumPod += float64(cnt) * float64(hops)
+						pairsPod += float64(cnt)
+					}
+				}
+			}
+		}
+	}
+	st := PathLengthStats{
+		Global:    sumGlobal / pairsGlobal,
+		IntraPod:  math.NaN(),
+		Max:       len(hist) - 1,
+		Histogram: hist,
+	}
+	if pairsPod > 0 {
+		st.IntraPod = sumPod / pairsPod
+	}
+	return st, nil
+}
+
+// sameStats is reflect.DeepEqual except that two NaN IntraPod values (a
+// network without intra-pod pairs) count as equal.
+func sameStats(a, b PathLengthStats) bool {
+	if math.IsNaN(a.IntraPod) && math.IsNaN(b.IntraPod) {
+		a.IntraPod, b.IntraPod = 0, 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestKernelMatchesReference holds the bit-parallel sweep to the per-source
+// oracle, field for field and bit for bit, for every worker count: on the
+// four Figure 5/6 topologies over a k sweep (k=12 and up put more than 64
+// hosting switches through several batches), on a flat-tree with pods in
+// three different modes, and on a network degraded by link and switch
+// failures, which hosts unequal server counts per switch.
+func TestKernelMatchesReference(t *testing.T) {
+	nets := map[string]*topo.Network{}
+	for _, k := range []int{4, 6, 8, 10, 12, 14, 16} {
+		f, err := fattree.New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[fmt.Sprintf("fat-tree k=%d", k)] = f.Net
+		j, err := jellyfish.New(k, uint64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[fmt.Sprintf("jellyfish k=%d", k)] = j.Net
+		for _, mode := range []core.Mode{core.ModeGlobalRandom, core.ModeLocalRandom} {
+			ft, err := core.Build(core.Params{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ft.SetUniformMode(mode); err != nil {
+				t.Fatal(err)
+			}
+			nets[fmt.Sprintf("flat-tree %s k=%d", mode, k)] = ft.Net()
+		}
+	}
+	hybrid, err := core.Build(core.Params{K: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := make([]core.Mode, 12)
+	for p := range modes {
+		modes[p] = core.Mode(p % 3)
+	}
+	if err := hybrid.SetModes(modes); err != nil {
+		t.Fatal(err)
+	}
+	nets["flat-tree hybrid k=12"] = hybrid.Net()
+	degraded, err := faults.Degrade(hybrid.Net(), faults.Scenario{LinkFraction: 0.1, SwitchFraction: 0.05, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets["degraded hybrid k=12"] = degraded
+
+	for name, nw := range nets {
+		want, err := referencePathLengths(nw)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 4, 13} {
+			got, err := ServerPathLengthsParallel(nw, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !sameStats(got, want) {
+				t.Errorf("%s workers=%d: stats %+v differ from the reference %+v", name, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestParallelBitIdentical asserts the package contract: the fanned-out
-// sweep produces bit-for-bit the same statistics as the sequential one, for
-// several worker counts. Exact float equality is intentional here — equal
-// operation order must give equal bits.
+// sweep returns exactly the sequential statistics for every worker count,
+// 0 (all cores) included.
 func TestParallelBitIdentical(t *testing.T) {
 	f, err := fattree.New(8)
 	if err != nil {
@@ -131,16 +318,8 @@ func TestParallelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got.Global != want.Global || got.IntraPod != want.IntraPod || got.Max != want.Max {
+		if !sameStats(got, want) {
 			t.Errorf("workers=%d: stats %+v differ from sequential %+v", workers, got, want)
-		}
-		if len(got.Histogram) != len(want.Histogram) {
-			t.Fatalf("workers=%d: histogram length %d vs %d", workers, len(got.Histogram), len(want.Histogram))
-		}
-		for d := range want.Histogram {
-			if got.Histogram[d] != want.Histogram[d] {
-				t.Errorf("workers=%d: histogram[%d] = %d, want %d", workers, d, got.Histogram[d], want.Histogram[d])
-			}
 		}
 	}
 }

@@ -241,7 +241,7 @@ func (b *Builder) Build() *Network {
 		byKind:  make(map[Kind][]int),
 		portUse: b.used,
 	}
-	nw.g = graph.New(len(b.nodes))
+	nw.g = graph.NewWithDegrees(b.used)
 	for _, l := range b.links {
 		nw.g.AddEdge(l.A, l.B)
 	}
