@@ -34,6 +34,24 @@ func BenchmarkFleischer(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverAllToAllChain walks one Solver down the k=4→6→8 all-to-all
+// column of TestRatchetBoundsPhases — a fig8 column in miniature — and
+// reports the work counts beside the time: phases/op tracks how far the
+// demand normalizer sat below OPT, dijkstras/op is the oracle traffic that
+// follows from it.
+func BenchmarkSolverAllToAllChain(b *testing.B) {
+	var phases, dijkstras int
+	for i := 0; i < b.N; i++ {
+		_, chain := solveAllToAllChain(b, 0.1)
+		for _, res := range chain {
+			phases += res.Phases
+			dijkstras += res.Dijkstras
+		}
+	}
+	b.ReportMetric(float64(phases)/float64(b.N), "phases/op")
+	b.ReportMetric(float64(dijkstras)/float64(b.N), "dijkstras/op")
+}
+
 // BenchmarkExactLP measures the simplex backend on a tiny instance.
 func BenchmarkExactLP(b *testing.B) {
 	ft, err := fattree.New(4)

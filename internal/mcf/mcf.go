@@ -43,8 +43,8 @@ type Options struct {
 	Epsilon float64
 	// MaxPhases bounds the outer loop as a safety valve (default 1<<20).
 	MaxPhases int
-	// SkipDualBound disables the once-per-phase dual bound computation
-	// (roughly halves runtime; UpperBound is then +Inf).
+	// SkipDualBound disables the once-per-phase dual bound computation and
+	// the final dual sweep (UpperBound is then +Inf).
 	SkipDualBound bool
 	// TimeBudget bounds the solver's wall-clock time (0 means unbounded).
 	// On exhaustion the solver degrades gracefully: the flow accumulated
@@ -63,13 +63,19 @@ type Result struct {
 	// Lambda × its demand simultaneously.
 	Lambda float64
 	// UpperBound is an LP-dual certificate: no feasible solution exceeds
-	// it. +Inf when not computed.
+	// it. +Inf when not computed. A converged solve reports the smaller of
+	// the best per-phase bound and the exact dual value D(l)/α(l) of its
+	// final length function; a budget-stopped (Approximate) solve has no
+	// time for that last sweep and reports the per-phase bound alone.
 	UpperBound float64
 	// Phases counts *completed* phases: full passes over every source in
-	// which each commodity shipped one round of its demand. A solve cut
-	// short by TimeBudget or a mid-phase convergence break does not count
-	// the partial phase. Dijkstras counts every shortest-path pass the
-	// solve ran, including the demand-scaling probe's.
+	// which each commodity shipped one round of its demand — the demand as
+	// normalized at that point, which the in-flight renormalization only
+	// ever raises, so later phases ship more. A solve cut short by
+	// TimeBudget or a mid-phase convergence break does not count the
+	// partial phase, and the final dual sweep is not a phase. Dijkstras
+	// counts every shortest-path pass the solve ran, including the
+	// demand-scaling probe's and the final dual sweep's.
 	Phases    int
 	Dijkstras int
 	// Approximate reports that the solver stopped on a budget (TimeBudget
@@ -245,6 +251,7 @@ type arena struct {
 	remID   []int32   // per-destination commodity id for the current source
 	active  []int32   // destinations with remaining demand, ascending
 	routed  []float64 // per-commodity flow accumulated so far (len numComm)
+	flow    []float64 // per-edge flow accumulated so far, in units of cap_e (len M)
 }
 
 // solveState pairs an aggregated problem with its arena; the two are
@@ -272,9 +279,9 @@ func getState() *solveState {
 func putState(st *solveState) { statePool.Put(st) }
 
 // bind sizes the arena for pr, reusing backing arrays whose capacity
-// suffices. req, length, and routed are accumulated into with += by the
-// solver and must start zero; rem and remID are fully written before each
-// read, so stale values there are harmless.
+// suffices. req, length, routed, and flow are accumulated into with += by
+// the solver and must start zero; rem and remID are fully written before
+// each read, so stale values there are harmless.
 func (ar *arena) bind(pr *problem) {
 	n, m := pr.g.N(), pr.g.M()
 	if ar.ws == nil {
@@ -285,6 +292,7 @@ func (ar *arena) bind(pr *problem) {
 	ar.req = zeroed(ar.req, m)
 	ar.length = zeroed(ar.length, m)
 	ar.routed = zeroed(ar.routed, pr.numComm)
+	ar.flow = zeroed(ar.flow, m)
 	ar.rem = resized(ar.rem, n)
 	if cap(ar.remID) < n {
 		ar.remID = make([]int32, n)
@@ -415,7 +423,9 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 	// redraws track OPT almost exactly and adjacent-k hops are off only by
 	// the capacity growth factor — still far tighter than the probe's
 	// stretch inflation, and the cold retry in solve catches any
-	// pathological overshoot.
+	// pathological overshoot. All three are only the starting guess: the
+	// phase loop below renormalizes upward whenever the flow it holds
+	// proves the guess low.
 	var lambdaHat float64
 	switch {
 	case mode == warmIdentical && warm.lambda > 0:
@@ -437,7 +447,7 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 	}
 
 	m := pr.g.M()
-	delta := (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
+	delta, scale := gkConstants(eps, m)
 	length := ar.length
 	sumLC := 0.0 // D(l) = sum_e length_e * cap_e
 	if mode != warmNone {
@@ -450,7 +460,8 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 		}
 	}
 
-	routed := ar.routed
+	routed, flow := ar.routed, ar.flow
+	congestion := 0.0 // max_e flow_e, kept as flow accumulates
 	var deadline time.Time
 	if opt.TimeBudget > 0 {
 		deadline = time.Now().Add(opt.TimeBudget) //flatlint:ignore clockwall TimeBudget is an explicit wall-clock cap; it bounds work, never the answer for a converged run
@@ -482,7 +493,7 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 
 phases:
 	for phase := 1; phase <= opt.MaxPhases; phase++ {
-		dualAlpha := 0.0
+		dualAlpha, dualD := 0.0, 0.0
 		for si, src := range pr.srcs {
 			comms := pr.commsOf(si)
 			ar.active = ar.active[:0]
@@ -517,6 +528,7 @@ phases:
 					for _, c := range comms {
 						dualAlpha += c.demand * dist[c.dst]
 					}
+					dualD = sumLC
 					firstIteration = false
 				}
 				// Requested flow per edge if every remaining demand were
@@ -559,10 +571,14 @@ phases:
 				}
 				ar.active = keep
 				for _, e := range ar.touched {
-					sent := alpha * ar.req[e]
+					sent := alpha * ar.req[e] / pr.cap[e]
 					old := length[e]
-					length[e] = old * (1 + eps*sent/pr.cap[e])
+					length[e] = old * (1 + eps*sent)
 					sumLC += (length[e] - old) * pr.cap[e]
+					flow[e] += sent
+					if flow[e] > congestion {
+						congestion = flow[e]
+					}
 					ar.req[e] = 0
 				}
 			}
@@ -570,38 +586,100 @@ phases:
 		// Count the phase only now that every source completed it: a budget
 		// or convergence break above leaves the partial phase uncounted.
 		res.Phases = phase
+		shipped := minRouted(pr, routed)
 		if !opt.SkipDualBound && dualAlpha > 0 {
-			// Weak duality: OPT <= D(l)/alpha(l). alpha was measured at
-			// phase start; D only grows during the phase, so the
-			// end-of-phase sumLC keeps the bound valid (just looser).
-			if ub := sumLC / dualAlpha; ub < res.UpperBound {
-				res.UpperBound = ub
-			}
+			// Weak duality: OPT <= D(l)/alpha(l) for any lengths l. The
+			// alpha terms were measured source by source while lengths only
+			// grew, so each is at most its value under the lengths in force
+			// when the last one was taken; dividing D as it stood then
+			// (dualD) by their sum is a valid bound, and exact for a
+			// single-source instance.
+			res.UpperBound = min(res.UpperBound, dualD/dualAlpha*lambdaHat)
 			// Early termination: the scaled-down flow is feasible at any
 			// point, so once the feasible λ is within ε of the dual bound
-			// there is nothing left to gain.
-			cur := minRouted(pr, routed) / (math.Log((1+eps)/delta) / math.Log(1+eps))
-			if cur > 0 && res.UpperBound <= cur*(1+eps) {
+			// there is nothing left to gain. This test keeps the
+			// end-of-phase D, one phase of growth looser than dualD: the
+			// scaled λ is itself a few percent conservative, and against
+			// the tight bound it would stop few-source solves the moment
+			// they came within ε of OPT, about 5 % short of where the
+			// sumLC stop takes them (fig7 cells, for 2 % of the calls).
+			if shipped > 0 && sumLC/dualAlpha <= shipped/scale*(1+eps) {
 				converged = true
 				break phases
 			}
 		}
+		// Renormalization ratchet. The flow held so far, scaled down by its
+		// worst edge congestion, is feasible and ships every commodity
+		// shipped/congestion of its demand: a proven lower bound on OPT in
+		// the current units. When it clears 1+ε the normalizer was low —
+		// each phase ships less than it could, and the phase count is
+		// normalized OPT times scale — so raise every demand (and
+		// lambdaHat, the units bookkeeping) by exactly that factor and
+		// carry on with the same lengths and the same routed flow.
+		// Normalized OPT stays ≥ 1 because the factor is a lower bound on
+		// it, which is all the Garg-Könemann argument asks of a phase
+		// (DESIGN.md §4), and λ is unit-free: routed/demand·lambdaHat does
+		// not move. congestion > 0 here: a completed phase shipped every
+		// (positive, cross-switch) demand over at least one edge.
+		if lb := shipped / congestion; lb > 1+eps {
+			for i := range pr.comms {
+				pr.comms[i].demand *= lb
+			}
+			lambdaHat *= lb
+		}
 	}
 	res.Approximate = !converged
-
-	// Scale the accumulated flow down to feasibility: an edge's length
-	// multiplies by at least (1+eps) every time it carries cap_e total
-	// flow, and final lengths are < (1+eps)/cap_e, so dividing by
-	// log_{1+eps}((1+eps)/delta) certifies feasibility.
-	scale := math.Log((1+eps)/delta) / math.Log(1+eps)
 	res.Lambda = minRouted(pr, routed) / scale * lambdaHat
-	if !math.IsInf(res.UpperBound, 1) {
-		res.UpperBound *= lambdaHat
+
+	// Exact final dual. Bigger late phases loosen the per-phase bound above
+	// (its alpha terms predate most of a phase of length growth), so a
+	// converged solve measures D(l)/alpha(l) once under its final lengths:
+	// one distance-only pass per source, context-checked but unbudgeted
+	// like the probe. Budget-stopped solves skip it — they have no time
+	// left — and keep the running bound.
+	if converged && !opt.SkipDualBound {
+		d, alpha := 0.0, 0.0
+		for e, l := range length {
+			d += l * pr.cap[e]
+		}
+		for si := range pr.srcs {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
+			pr.sourcePass(ar, si, length)
+			res.Dijkstras++
+			for _, c := range pr.commsOf(si) {
+				alpha += c.demand * ar.ws.Dist[c.dst]
+			}
+		}
+		res.UpperBound = min(res.UpperBound, d/alpha*lambdaHat)
 	}
 	if warm != nil {
 		warm.capture(pr, length, eps, res.Lambda)
 	}
 	return res, nil
+}
+
+// sourcePass runs one shortest-path pass under length from the si-th source
+// to every destination it has a commodity for, staging the target list in
+// ar.active and leaving distances and predecessors in ar.ws.
+func (p *problem) sourcePass(ar *arena, si int, length []float64) {
+	ar.active = ar.active[:0]
+	for _, c := range p.commsOf(si) {
+		ar.active = append(ar.active, c.dst)
+	}
+	ar.ws.DeltaStepTargets(int(p.srcs[si]), length, ar.active)
+}
+
+// gkConstants returns the Garg-Könemann start length δ (times 1/cap_e per
+// edge) for an m-edge instance at accuracy eps, and the feasibility scale
+// log_{1+eps}((1+eps)/δ): an edge's length multiplies by at least (1+eps)
+// every time it carries cap_e total flow, and final lengths are
+// < (1+eps)/cap_e, so the accumulated flow divided by scale is feasible. A
+// solve whose normalized OPT is β takes about β·scale phases.
+func gkConstants(eps float64, m int) (delta, scale float64) {
+	delta = (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
+	return delta, math.Log((1+eps)/delta) / math.Log(1+eps)
 }
 
 // minRouted returns the minimum routed/demand ratio over all commodities.
@@ -638,11 +716,7 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		ar.active = ar.active[:0]
-		for _, c := range p.commsOf(si) {
-			ar.active = append(ar.active, c.dst)
-		}
-		ar.ws.DeltaStepTargets(int(src), unit, ar.active)
+		p.sourcePass(ar, si, unit)
 		res.Dijkstras++
 		dist, prev := ar.ws.Dist, ar.ws.Prev
 		for _, c := range p.commsOf(si) {

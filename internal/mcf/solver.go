@@ -34,9 +34,10 @@ import (
 //     axis). The previous λ
 //     is rescaled by the aggregate-demand ratio before normalizing, which
 //     tracks OPT for same-fabric redraws exactly and within the capacity
-//     growth factor across k; a mis-normalized start costs phases, never
-//     correctness, and a pathological overshoot is caught by a cold retry
-//     (see solveState.solve).
+//     growth factor across k. A start normalized too low costs only the
+//     few phases the solve needs to prove it and renormalize upward (the
+//     ratchet in solveState.fptas), never correctness, and a pathological
+//     overshoot is caught by a cold retry (see solveState.solve).
 //
 // Unrelated instances (endpoint overlap below warmOverlapMin, e.g. a
 // different traffic zone on the same fabric) and ε changes run cold: a
