@@ -32,6 +32,7 @@ import (
 	"flattree/internal/routing"
 	"flattree/internal/topo"
 	"flattree/internal/traffic"
+	"flattree/internal/twostage"
 )
 
 func cfgUpTo(kmax int, eps float64) experiments.Config {
@@ -466,27 +467,31 @@ func BenchmarkAblationRouting(b *testing.B) {
 
 // BenchmarkBuildTopologies measures raw construction cost per topology.
 func BenchmarkBuildTopologies(b *testing.B) {
-	b.Run("fattree/k=16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fattree.New(16); err != nil {
-				b.Fatal(err)
-			}
+	for _, k := range []int{16, 32} {
+		_, n := core.DefaultMN(k)
+		for _, c := range []struct {
+			name  string
+			build func(i int) error
+		}{
+			{"fattree", func(int) error { _, err := fattree.New(k); return err }},
+			{"jellyfish", func(i int) error { _, err := jellyfish.New(k, uint64(i)); return err }},
+			{"twostage", func(i int) error { _, err := twostage.New(k, n, uint64(i)); return err }},
+			{"flattree", func(int) error { _, err := core.Build(core.Params{K: k}); return err }},
+			{"flattree-global", func(int) error {
+				_, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
+				return err
+			}},
+		} {
+			b.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := c.build(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("jellyfish/k=16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := jellyfish.New(16, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("flattree/k=16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Build(core.Params{K: 16}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkConversion measures a full mode flip (reconfiguration plus
@@ -499,6 +504,7 @@ func BenchmarkConversion(b *testing.B) {
 				b.Fatal(err)
 			}
 			modes := []core.Mode{core.ModeGlobalRandom, core.ModeClos}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ft.SetUniformMode(modes[i%2]); err != nil {

@@ -330,7 +330,8 @@ func statsTable(cfg experiments.Config) (*experiments.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, mode := range []core.Mode{core.ModeClos, core.ModeGlobalRandom, core.ModeLocalRandom} {
+		add("flat-tree/"+core.ModeClos.String(), ft.Net())
+		for _, mode := range []core.Mode{core.ModeGlobalRandom, core.ModeLocalRandom} {
 			if err := ft.SetUniformMode(mode); err != nil {
 				return nil, err
 			}
@@ -343,10 +344,6 @@ func statsTable(cfg experiments.Config) (*experiments.Table, error) {
 // exportNetwork writes a flat-tree's effective network to w as DOT or JSON
 // for external visualization and tooling.
 func exportNetwork(w io.Writer, k int, mode, format string) error {
-	ft, err := core.Build(core.Params{K: k})
-	if err != nil {
-		return err
-	}
 	var m core.Mode
 	switch mode {
 	case "clos":
@@ -358,7 +355,8 @@ func exportNetwork(w io.Writer, k int, mode, format string) error {
 	default:
 		return fmt.Errorf("unknown export mode %q", mode)
 	}
-	if err := ft.SetUniformMode(m); err != nil {
+	ft, err := core.BuildIn(core.Params{K: k}, m)
+	if err != nil {
 		return err
 	}
 	switch format {

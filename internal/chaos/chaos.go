@@ -496,11 +496,8 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 		baseline = f.Net
 	} else {
-		ft, err := core.Build(core.Params{K: opt.K})
+		ft, err := core.BuildIn(core.Params{K: opt.K}, core.ModeGlobalRandom)
 		if err != nil {
-			return nil, err
-		}
-		if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
 			return nil, err
 		}
 		baseline = ft.Net()

@@ -32,7 +32,7 @@ func BenchmarkSplice(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links, err := Splice(convs)
+		links, err := Splice(convs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -107,6 +107,41 @@ func Matching(ports int, cfg Config) ([][2]Port, error) {
 	return nil, fmt.Errorf("converter: invalid configuration %s for %d-port converter", cfg, ports)
 }
 
+// matchTable is a matching as a port -> matched-port table, -1 where open.
+type matchTable [NumPorts]int8
+
+// matchTables holds Matching's result for every legal (port count, config)
+// as a table, indexed [ports == 6][cfg]; illegal combinations stay nil.
+// Splice looks matchings up here instead of rebuilding them per converter.
+var matchTables = func() (ts [2][Cross + 1]*matchTable) {
+	for pi, ports := range [2]int{4, 6} {
+		for cfg := Default; cfg <= Cross; cfg++ {
+			pairs, err := Matching(ports, cfg)
+			if err != nil {
+				continue
+			}
+			t := matchTable{-1, -1, -1, -1, -1, -1}
+			for _, pr := range pairs {
+				t[pr[0]] = int8(pr[1])
+				t[pr[1]] = int8(pr[0])
+			}
+			ts[pi][cfg] = &t
+		}
+	}
+	return ts
+}()
+
+// tableFor is Matching as a table lookup; its error is Matching's.
+func tableFor(ports int, cfg Config) (*matchTable, error) {
+	if (ports == 4 || ports == 6) && cfg <= Cross {
+		if t := matchTables[(ports-4)/2][cfg]; t != nil {
+			return t, nil
+		}
+	}
+	_, err := Matching(ports, cfg)
+	return nil, err
+}
+
 // ValidConfigs lists the configurations a converter with the given port
 // count supports. 4-port converters deliberately exclude Side/Cross — and
 // also any server-to-core relocation, per §2.1 of the paper: with only four
@@ -153,25 +188,33 @@ type Converter struct {
 // device-facing ports are cabled, and that side ports are only used on
 // 6-port converters.
 func (c *Converter) Validate() error {
+	_, err := c.validate(c.Config)
+	return err
+}
+
+// validate is Validate under cfg in place of c.Config; it returns cfg's
+// matching.
+func (c *Converter) validate(cfg Config) (*matchTable, error) {
 	if c.Ports != 4 && c.Ports != 6 {
-		return fmt.Errorf("converter %d: bad port count %d", c.ID, c.Ports)
+		return nil, fmt.Errorf("converter %d: bad port count %d", c.ID, c.Ports)
 	}
-	if _, err := Matching(c.Ports, c.Config); err != nil {
-		return fmt.Errorf("converter %d: %w", c.ID, err)
+	t, err := tableFor(c.Ports, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("converter %d: %w", c.ID, err)
 	}
 	for _, p := range []Port{PortServer, PortEdge, PortAgg, PortCore} {
 		if !c.Attach[p].IsNode() {
-			return fmt.Errorf("converter %d: %s port not cabled to a device", c.ID, p)
+			return nil, fmt.Errorf("converter %d: %s port not cabled to a device", c.ID, p)
 		}
 	}
 	if c.Ports == 4 {
 		for _, p := range []Port{PortSide1, PortSide2} {
 			if c.Attach[p] != NoEndpoint {
-				return fmt.Errorf("converter %d: 4-port converter has a %s cable", c.ID, p)
+				return nil, fmt.Errorf("converter %d: 4-port converter has a %s cable", c.ID, p)
 			}
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // EffectiveLink is a device-to-device link produced by splicing.
@@ -187,34 +230,35 @@ type EffectiveLink struct {
 // Chains that dead-end on an uncabled port (e.g. a Side configuration whose
 // peer is missing) produce no link. An error is returned for malformed
 // inputs or a cyclic chain, which cannot arise from valid configurations.
-func Splice(convs []Converter) ([]EffectiveLink, error) {
-	type matchTable [NumPorts]int8 // port -> matched port, -1 if open
+//
+// A non-nil configs gives converter i's configuration as configs[i] in place
+// of convs[i].Config. Splice only reads convs, so one cabled plant can be
+// spliced under many assignments, concurrently, without being copied.
+func Splice(convs []Converter, configs []Config) ([]EffectiveLink, error) {
+	if configs != nil && len(configs) != len(convs) {
+		return nil, fmt.Errorf("converter: %d configurations for %d converters", len(configs), len(convs))
+	}
 	tables := make([]matchTable, len(convs))
+	maxLinks := 0
 	for i := range convs {
 		c := &convs[i]
 		if c.ID != i {
 			return nil, fmt.Errorf("converter: ID %d at position %d", c.ID, i)
 		}
-		if err := c.Validate(); err != nil {
-			return nil, err
+		cfg := c.Config
+		if configs != nil {
+			cfg = configs[i]
 		}
-		var t matchTable
-		for p := range t {
-			t[p] = -1
-		}
-		pairs, err := Matching(c.Ports, c.Config)
+		t, err := c.validate(cfg)
 		if err != nil {
 			return nil, err
 		}
-		for _, pr := range pairs {
-			t[pr[0]] = int8(pr[1])
-			t[pr[1]] = int8(pr[0])
-		}
-		tables[i] = t
+		tables[i] = *t
+		maxLinks += c.Ports / 2
 	}
 
 	done := make([][NumPorts]bool, len(convs))
-	var out []EffectiveLink
+	out := make([]EffectiveLink, 0, maxLinks)
 	for i := range convs {
 		for p := Port(0); p < NumPorts; p++ {
 			if done[i][p] || !convs[i].Attach[p].IsNode() {

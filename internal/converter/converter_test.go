@@ -38,7 +38,7 @@ func linkSet(links []EffectiveLink) map[[2]int32]bool {
 }
 
 func TestDefaultReproducesClos(t *testing.T) {
-	links, err := Splice(plantPair(Default, Default))
+	links, err := Splice(plantPair(Default, Default), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDefaultReproducesClos(t *testing.T) {
 }
 
 func TestLocalRelocatesServer(t *testing.T) {
-	links, err := Splice(plantPair(Local, Default))
+	links, err := Splice(plantPair(Local, Default), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLocalRelocatesServer(t *testing.T) {
 }
 
 func TestSideSidePeerWise(t *testing.T) {
-	links, err := Splice(plantPair(Side, Side))
+	links, err := Splice(plantPair(Side, Side), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSideSidePeerWise(t *testing.T) {
 
 func TestCrossSideCrossed(t *testing.T) {
 	// One end Cross, other Side: E-A' and A-E'.
-	links, err := Splice(plantPair(Cross, Side))
+	links, err := Splice(plantPair(Cross, Side), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCrossSideCrossed(t *testing.T) {
 func TestCrossCrossCancelsToPeerWise(t *testing.T) {
 	// Both ends Cross: the two swaps cancel — documented pitfall that
 	// core.ConfigFor works around by crossing only one end.
-	links, err := Splice(plantPair(Cross, Cross))
+	links, err := Splice(plantPair(Cross, Cross), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSideWithoutPeerWastesLink(t *testing.T) {
 	convs[0].Attach[PortSide2] = NoEndpoint
 	convs[1].Attach[PortSide1] = NoEndpoint
 	convs[1].Attach[PortSide2] = NoEndpoint
-	links, err := Splice(convs)
+	links, err := Splice(convs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSpliceConservesDevicePorts(t *testing.T) {
 	cfgs := []Config{Default, Local, Side, Cross}
 	err := quick.Check(func(a, b uint8) bool {
 		convs := plantPair(cfgs[a%4], cfgs[b%4])
-		links, err := Splice(convs)
+		links, err := Splice(convs, nil)
 		if err != nil {
 			return false
 		}
@@ -228,7 +228,7 @@ func TestSpliceConservesDevicePorts(t *testing.T) {
 func TestSpliceRejectsBadID(t *testing.T) {
 	convs := plantPair(Default, Default)
 	convs[1].ID = 7
-	if _, err := Splice(convs); err == nil {
+	if _, err := Splice(convs, nil); err == nil {
 		t.Error("mismatched ID should error")
 	}
 }

@@ -19,16 +19,25 @@
 //     configuration on even rows and Cross on odd rows when converted.
 //
 // Conversion is purely a matter of converter configurations: Build assembles
-// the physical cabling once, and SetModes re-derives the effective topology
-// for any per-pod mode assignment.
+// the physical cabling once — the node table, the untapped Clos links and
+// the converters' external wiring, none of which a mode can change — and
+// SetModes re-derives the effective topology for any per-pod mode assignment
+// from that plus the links the converters splice.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"flattree/internal/converter"
 	"flattree/internal/topo"
 )
+
+// ErrInvalidNetwork is wrapped by BuildIn, SetModes and SetUniformMode when
+// the parameters are sound but the mode assignment's effective network fails
+// topo validation — e.g. a wiring pattern whose rotation repeats every pod
+// leaves the converted fabric disconnected.
+var ErrInvalidNetwork = errors.New("core: effective network invalid")
 
 // Mode is a pod's operation mode.
 type Mode uint8
@@ -189,6 +198,15 @@ type FlatTree struct {
 	// Convs describes the converter plant (positions and cabling).
 	Convs []ConvInfo
 
+	// What no mode assignment can change, computed once by BuildIn and only
+	// read afterwards (effective networks are assembled from it by several
+	// goroutines at once): base holds the node table and the untapped Clos
+	// cabling and is forked per effective network, so node IDs and the IDs
+	// of untapped links are the same in every mode; plant is Convs as
+	// splice-ready converters, whose configurations travel beside it.
+	base  *topo.Builder
+	plant []converter.Converter
+
 	modes   []Mode
 	configs []converter.Config
 	net     *topo.Network
@@ -196,7 +214,11 @@ type FlatTree struct {
 
 // Build constructs the flat-tree physical plant for the given parameters
 // with every pod in ModeClos.
-func Build(p Params) (*FlatTree, error) {
+func Build(p Params) (*FlatTree, error) { return BuildIn(p, ModeClos) }
+
+// BuildIn is Build with every pod in mode from the start: one effective
+// network is assembled, not a Clos one to be converted away.
+func BuildIn(p Params, mode Mode) (*FlatTree, error) {
 	if p.K < 4 || p.K%2 != 0 {
 		return nil, fmt.Errorf("core: k must be even and >= 4, got %d", p.K)
 	}
@@ -226,14 +248,9 @@ func Build(p Params) (*FlatTree, error) {
 	serverAt := func(pod, pair, slot int) int32 {
 		return int32(ft.ServerIDs[pod*d*half+pair*half+slot])
 	}
-	offset := func(pod int) int {
-		if p.Pattern == Pattern2 {
-			return (pod * (p.M + 1)) % g
-		}
-		return (pod * p.M) % g
-	}
+	ft.Convs = make([]ConvInfo, 0, k*d*(p.M+p.N))
 	for pod := 0; pod < k; pod++ {
-		o := offset(pod)
+		o := ft.coreOffset(pod)
 		for pair := 0; pair < d; pair++ {
 			base := pair * g
 			for i := 0; i < p.M; i++ {
@@ -259,13 +276,28 @@ func Build(p Params) (*FlatTree, error) {
 		}
 	}
 	ft.pairSideConnectors()
+	ft.base = ft.untappedCabling()
+	ft.plant = ft.cablePlant()
 
 	ft.modes = make([]Mode, k)
+	for pod := range ft.modes {
+		ft.modes[pod] = mode
+	}
 	ft.configs = make([]converter.Config, len(ft.Convs))
 	if err := ft.rebuild(); err != nil {
 		return nil, err
 	}
 	return ft, nil
+}
+
+// coreOffset is pod's rotation of the blade block within each core group
+// (§2.3): p·m positions under pattern 1, p·(m+1) under pattern 2.
+func (ft *FlatTree) coreOffset(pod int) int {
+	g := ft.Params.K / 2
+	if ft.Params.Pattern == Pattern2 {
+		return (pod * (ft.Params.M + 1)) % g
+	}
+	return (pod * ft.Params.M) % g
 }
 
 // numberEquipment allocates node IDs in the same order as package fattree so
@@ -281,9 +313,10 @@ func (ft *FlatTree) numberEquipment() {
 	}
 	ft.Edges = make([][]int, k)
 	ft.Aggs = make([][]int, k)
+	podSwitches := make([]int, k*k)
 	for p := 0; p < k; p++ {
-		ft.Aggs[p] = make([]int, half)
-		ft.Edges[p] = make([]int, half)
+		ft.Aggs[p] = podSwitches[p*k : p*k+half : p*k+half]
+		ft.Edges[p] = podSwitches[p*k+half : (p+1)*k : (p+1)*k]
 		for i := 0; i < half; i++ {
 			ft.Aggs[p][i] = id
 			id++
@@ -434,12 +467,13 @@ func (ft *FlatTree) rebuild() error {
 	return nil
 }
 
-// Instantiate materializes the converter plant with the given per-converter
-// configurations for splicing.
-func (ft *FlatTree) Instantiate(configs []converter.Config) []converter.Converter {
+// cablePlant materializes Convs as splice-ready converters. Their Config
+// fields stay Default and are never written: an assignment's configurations
+// are handed to converter.Splice beside the plant.
+func (ft *FlatTree) cablePlant() []converter.Converter {
 	convs := make([]converter.Converter, len(ft.Convs))
 	for id, ci := range ft.Convs {
-		c := converter.Converter{ID: id, Ports: 4, Config: configs[id]}
+		c := converter.Converter{ID: id, Ports: 4}
 		if ci.Blade == BladeB {
 			c.Ports = 6
 		}
@@ -459,18 +493,18 @@ func (ft *FlatTree) Instantiate(configs []converter.Config) []converter.Converte
 	return convs
 }
 
-// effectiveNetwork builds the switch-level network induced by the physical
-// plant plus the given converter configurations. A non-nil keep predicate
-// filters converter-spliced links (used by TransitionNetwork to model dark
-// converters); filtered builds skip validation because they legitimately
-// contain detached servers.
-func (ft *FlatTree) effectiveNetwork(configs []converter.Config, keep func(a, b int32, viaSide bool) bool) (*topo.Network, error) {
+// untappedCabling returns the builder every effective network is forked
+// from: all nodes in the numbering order of numberEquipment, then the Clos
+// links no converter taps. Spliced links are appended after these, so an
+// untapped link keeps its ID across every mode assignment.
+func (ft *FlatTree) untappedCabling() *topo.Builder {
 	p := ft.Params
 	k := p.K
 	d, g, half := k/2, k/2, k/2
+	tapped := p.M + p.N
 
 	b := topo.NewBuilder(fmt.Sprintf("flattree(k=%d,m=%d,n=%d,%s)", k, p.M, p.N, p.Pattern))
-	// Recreate nodes in the exact numbering order of numberEquipment.
+	b.Reserve(half*half+k*k+len(ft.ServerIDs), k*d*(2*(half-tapped)+half))
 	for c := 0; c < half*half; c++ {
 		b.AddNode(topo.CoreSwitch, -1, c, k)
 	}
@@ -492,23 +526,16 @@ func (ft *FlatTree) effectiveNetwork(configs []converter.Config, keep func(a, b 
 		}
 	}
 
-	// Untapped Clos cabling. Converter-tapped server slots are [0, m+n);
-	// tapped core-group slots are the m+n starting at the pod's rotation
-	// offset.
-	offset := func(pod int) int {
-		if p.Pattern == Pattern2 {
-			return (pod * (p.M + 1)) % g
-		}
-		return (pod * p.M) % g
-	}
+	// Converter-tapped server slots are [0, m+n); tapped core-group slots
+	// are the m+n starting at the pod's rotation offset.
 	for pod := 0; pod < k; pod++ {
-		o := offset(pod)
+		o := ft.coreOffset(pod)
 		for pair := 0; pair < d; pair++ {
-			for s := p.M + p.N; s < half; s++ {
+			for s := tapped; s < half; s++ {
 				sv := ft.ServerIDs[pod*d*half+pair*half+s]
 				b.AddLink(sv, ft.Edges[pod][pair], topo.TagClos)
 			}
-			for t := p.M + p.N; t < g; t++ {
+			for t := tapped; t < g; t++ {
 				core := ft.Cores[pair*g+(o+t)%g]
 				b.AddLink(ft.Aggs[pod][pair], core, topo.TagClos)
 			}
@@ -520,14 +547,22 @@ func (ft *FlatTree) effectiveNetwork(configs []converter.Config, keep func(a, b 
 			}
 		}
 	}
+	return b
+}
 
-	// Converter-spliced links.
-	links, err := converter.Splice(ft.Instantiate(configs))
+// effectiveNetwork builds the switch-level network induced by the physical
+// plant plus the given converter configurations. A non-nil dark marks pods
+// whose converter-spliced links are dropped (TransitionNetwork's dark
+// converters); such builds skip validation because they legitimately
+// contain detached servers. It only reads ft's static plant.
+func (ft *FlatTree) effectiveNetwork(configs []converter.Config, dark []bool) (*topo.Network, error) {
+	links, err := converter.Splice(ft.plant, configs)
 	if err != nil {
 		return nil, err
 	}
+	b := ft.base.Fork(len(links))
 	for _, l := range links {
-		if keep != nil && !keep(l.A, l.B, l.ViaSide) {
+		if dark != nil && (ft.inDarkPod(dark, l.A) || ft.inDarkPod(dark, l.B)) {
 			continue
 		}
 		tag := topo.TagConverter
@@ -539,12 +574,19 @@ func (ft *FlatTree) effectiveNetwork(configs []converter.Config, keep func(a, b 
 		b.AddLink(int(l.A), int(l.B), tag)
 	}
 	nw := b.Build()
-	if keep == nil {
+	if dark == nil {
 		if err := nw.Validate(); err != nil {
-			return nil, fmt.Errorf("core: effective network invalid: %w", err)
+			return nil, fmt.Errorf("%w: %w", ErrInvalidNetwork, err)
 		}
 	}
 	return nw, nil
+}
+
+// inDarkPod reports whether device id sits in a pod marked dark (cores sit
+// in none).
+func (ft *FlatTree) inDarkPod(dark []bool, id int32) bool {
+	pod := ft.podOfNode(int(id))
+	return pod >= 0 && dark[pod]
 }
 
 // isClosShape reports whether a spliced link reproduces an original Clos

@@ -17,7 +17,7 @@ import (
 // Untapped Clos cabling (the edge-agg mesh, untapped server and agg-core
 // links) is unaffected by conversions and always present.
 func (ft *FlatTree) TransitionNetwork(converting []int) (*topo.Network, error) {
-	dark := make(map[int]bool, len(converting))
+	dark := make([]bool, ft.Params.K)
 	for _, p := range converting {
 		if p < 0 || p >= ft.Params.K {
 			return nil, fmt.Errorf("core: converting pod %d out of range", p)
@@ -30,9 +30,7 @@ func (ft *FlatTree) TransitionNetwork(converting []int) (*topo.Network, error) {
 	// end is converting; membership is decided by the devices the link
 	// touches, which is exact because every converter-produced link
 	// involves at least one device of its own pod.
-	return ft.effectiveNetwork(ft.configs, func(a, b int32, viaSide bool) bool {
-		return !dark[ft.podOfNode(int(a))] && !dark[ft.podOfNode(int(b))]
-	})
+	return ft.effectiveNetwork(ft.configs, dark)
 }
 
 // podOfNode returns the home pod of any equipment node (-1 for cores).

@@ -136,15 +136,25 @@ func (c *Controller) NumAgents() int {
 // Serve accepts agent connections on l until the listener is closed or ctx
 // is canceled. It also runs the event pump that drains agent messages and
 // maintains per-pod liveness, so conversions and the liveness monitor only
-// work while Serve is running.
+// work while Serve is running. On a controller that is already closed it
+// closes l and returns.
 func (c *Controller) Serve(ctx context.Context, l net.Listener) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		l.Close()
+		return
+	}
 	c.listener = l
+	// Counted under mu, so a concurrent Close either sees closed unset here
+	// and waits for the pump, or set it first and Serve never starts: the
+	// WaitGroup never goes 0 -> 1 beside Close's Wait. Connection handlers
+	// are added while the pump still holds its count.
+	c.wg.Add(1)
 	c.mu.Unlock()
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer context.AfterFunc(ctx, func() { l.Close() })()
-	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		c.pump(ictx)

@@ -222,6 +222,7 @@ func (p *repairPlan) buildState(name string, aimed, excluded, dark map[int]bool)
 	}
 	down := p.downLinks(aimed)
 	b := topo.NewBuilder(name)
+	b.Reserve(len(nw.Nodes), len(nw.Links)+len(p.rec.Added))
 	for _, n := range nw.Nodes {
 		b.AddNode(n.Kind, n.Pod, n.Index, n.Ports)
 	}

@@ -170,19 +170,6 @@ func lambdaCell(v float64, approx bool) string {
 	return f4(v)
 }
 
-// buildFlatTree constructs a flat-tree(k) with the paper's default (m, n)
-// in the given uniform mode.
-func buildFlatTree(k int, mode core.Mode) (*core.FlatTree, error) {
-	ft, err := core.Build(core.Params{K: k})
-	if err != nil {
-		return nil, err
-	}
-	if err := ft.SetUniformMode(mode); err != nil {
-		return nil, err
-	}
-	return ft, nil
-}
-
 // suite bundles the four comparable topologies for one k.
 type suite struct {
 	k        int
@@ -201,7 +188,7 @@ func buildSuite(k int, seed uint64, mode core.Mode, withTwoStage bool) (*suite, 
 	if s.rg, err = jellyfish.New(k, seed); err != nil {
 		return nil, err
 	}
-	if s.flat, err = buildFlatTree(k, mode); err != nil {
+	if s.flat, err = core.BuildIn(core.Params{K: k}, mode); err != nil {
 		return nil, err
 	}
 	if withTwoStage {

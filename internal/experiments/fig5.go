@@ -76,11 +76,8 @@ func fig5Cell(cfg Config, k, ci int) (string, error) {
 		if m+n > k/2 {
 			return "-", nil // infeasible for this k
 		}
-		ft, err := core.Build(core.Params{K: k, M: m, N: n})
+		ft, err := core.BuildIn(core.Params{K: k, M: m, N: n}, core.ModeGlobalRandom)
 		if err != nil {
-			return "", err
-		}
-		if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
 			return "", err
 		}
 		nw = ft.Net()
@@ -146,11 +143,8 @@ func Profile(ctx context.Context, cfg Config, k int) (*Table, ProfileResult, err
 		}
 	}
 	apls, err := parallel.MapCtx(ctx, len(settings), cfg.workers(), func(i int) (float64, error) {
-		ft, err := core.Build(core.Params{K: k, M: settings[i].m, N: settings[i].n})
+		ft, err := core.BuildIn(core.Params{K: k, M: settings[i].m, N: settings[i].n}, core.ModeGlobalRandom)
 		if err != nil {
-			return 0, err
-		}
-		if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
 			return 0, err
 		}
 		return metrics.AveragePathLength(ft.Net())

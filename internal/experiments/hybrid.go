@@ -47,17 +47,20 @@ type HybridRow struct {
 // and the table bit-identical to independent solves at every worker count.
 func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 	k := cfg.HybridK
-	ft, err := core.Build(core.Params{K: k})
+	ft, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Reference: complete networks.
-	refGlobal, err := completeRef(ctx, ft, core.ModeGlobalRandom, BroadcastClusterSize, broadcastPattern, cfg)
+	refGlobal, err := completeRef(ctx, ft.Net(), BroadcastClusterSize, broadcastPattern, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	refLocal, err := completeRef(ctx, ft, core.ModeLocalRandom, AllToAllClusterSize, allToAllPattern, cfg)
+	if err := ft.SetUniformMode(core.ModeLocalRandom); err != nil {
+		return nil, nil, err
+	}
+	refLocal, err := completeRef(ctx, ft.Net(), AllToAllClusterSize, allToAllPattern, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,14 +172,10 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 	return t, rows, nil
 }
 
-// completeRef computes the throughput of the complete network in one mode
+// completeRef computes the throughput of a complete (single-mode) network
 // under the full-network version of a workload.
-func completeRef(ctx context.Context, ft *core.FlatTree, mode core.Mode, clusterSize int,
+func completeRef(ctx context.Context, nw *topo.Network, clusterSize int,
 	pattern func([]traffic.Cluster) []mcf.Commodity, cfg Config) (float64, error) {
-	if err := ft.SetUniformMode(mode); err != nil {
-		return 0, err
-	}
-	nw := ft.Net()
 	s := mcf.GetSolver()
 	defer s.Release()
 	res, err := throughput(ctx, s, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"flattree/internal/core"
@@ -36,11 +37,8 @@ func Props(ctx context.Context, cfg Config) (*Table, []PropsReport, error) {
 		}
 		m, n := core.DefaultMN(k)
 		for _, pat := range []core.Pattern{core.Pattern1, core.Pattern2} {
-			ft, err := core.Build(core.Params{K: k, M: m, N: n, Pattern: pat})
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
+			ft, err := core.BuildIn(core.Params{K: k, M: m, N: n, Pattern: pat}, core.ModeGlobalRandom)
+			if errors.Is(err, core.ErrInvalidNetwork) {
 				// A pattern whose rotation repeats every pod can
 				// disconnect the converted network (e.g. k=4 pattern 2:
 				// some cores end up cabled only to servers). That is a
@@ -49,6 +47,9 @@ func Props(ctx context.Context, cfg Config) (*Table, []PropsReport, error) {
 				t.AddRow(fmt.Sprint(k), pat.String(),
 					fmt.Sprint(core.RepeatPeriod(pat, k, m)), "disconnected", "-", "-")
 				continue
+			}
+			if err != nil {
+				return nil, nil, err
 			}
 			nw := ft.Net()
 			var srv, edg, agg []int

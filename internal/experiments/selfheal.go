@@ -161,7 +161,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 // runSelfHealTrial executes one live self-heal round and returns the
 // trajectory's stage networks.
 func runSelfHealTrial(ctx context.Context, k, nDead, batchSize int, seed uint64) ([]healStage, error) {
-	ft, err := buildFlatTree(k, core.ModeGlobalRandom)
+	ft, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
 	if err != nil {
 		return nil, err
 	}

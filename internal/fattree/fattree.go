@@ -40,6 +40,8 @@ func New(k int) (*FatTree, error) {
 	}
 	half := k / 2
 	b := topo.NewBuilder(fmt.Sprintf("fattree(k=%d)", k))
+	// 5k²/4 switches and k³/4 servers; k³/4 links in each of three layers.
+	b.Reserve(5*k*k/4+k*k*k/4, 3*k*k*k/4)
 	f := &FatTree{K: k}
 
 	// Core switches.
@@ -50,9 +52,10 @@ func New(k int) (*FatTree, error) {
 	// Pod switches.
 	f.Edges = make([][]int, k)
 	f.Aggs = make([][]int, k)
+	podSwitches := make([]int, k*k)
 	for p := 0; p < k; p++ {
-		f.Edges[p] = make([]int, half)
-		f.Aggs[p] = make([]int, half)
+		f.Aggs[p] = podSwitches[p*k : p*k+half : p*k+half]
+		f.Edges[p] = podSwitches[p*k+half : (p+1)*k : (p+1)*k]
 		for i := 0; i < half; i++ {
 			f.Aggs[p][i] = b.AddNode(topo.AggSwitch, p, i, k)
 		}

@@ -252,6 +252,7 @@ func Compose(prev *Outcome, sc Scenario) (*Outcome, error) {
 	// Rebuild. Node IDs shift because failed switches and their servers
 	// disappear; Index and Pod are preserved.
 	b := topo.NewBuilder(nw.Name + "+faults")
+	b.Reserve(len(nw.Nodes), len(nw.Links))
 	remap := make([]int, nw.N())
 	for i := range remap {
 		remap[i] = -1

@@ -114,6 +114,7 @@ func Recover(out *Outcome, opt RecoverOptions) (*topo.Network, RecoverReport, er
 		broken[id] = true
 	}
 	b := topo.NewBuilder(nw.Name + "+recovered")
+	b.Reserve(len(nw.Nodes), len(nw.Links)+len(res.Added))
 	for _, n := range nw.Nodes {
 		b.AddNode(n.Kind, n.Pod, n.Index, n.Ports)
 	}

@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Half is one endpoint's view of an edge: the peer node and the edge index.
@@ -247,14 +247,23 @@ func (g *Graph) DegreeHistogram() map[int]int {
 
 // SortAdjacency orders every adjacency list by (peer, edge). Builders call
 // it to make iteration order — and thus every downstream deterministic
-// algorithm — independent of construction order.
+// algorithm — independent of construction order. Each list is sorted as
+// packed peer<<32|edge words (both are non-negative, so the unsigned order
+// is the pair order): an ordered sort with no comparison callback.
 func (g *Graph) SortAdjacency() {
+	var buf [64]uint64 // covers switch radices up to 64 without a heap scratch
+	keys := buf[:0]
 	for _, l := range g.adj {
-		sort.Slice(l, func(i, j int) bool {
-			if l[i].Peer != l[j].Peer {
-				return l[i].Peer < l[j].Peer
-			}
-			return l[i].Edge < l[j].Edge
-		})
+		if len(l) < 2 {
+			continue
+		}
+		keys = keys[:0]
+		for _, h := range l {
+			keys = append(keys, uint64(uint32(h.Peer))<<32|uint64(uint32(h.Edge)))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			l[i] = Half{Peer: int32(k >> 32), Edge: int32(uint32(k))}
+		}
 	}
 }

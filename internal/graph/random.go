@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RandomDegree builds a simple (no self loops, no parallel edges) random
 // graph on len(degrees) nodes where node v receives at most degrees[v]
@@ -17,24 +20,24 @@ import "fmt"
 // (BuildConnected does this).
 func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 	n := len(degrees)
-	g := New(n)
-	free := make([]int, n)
-	total := 0
 	for v, d := range degrees {
 		if d < 0 {
 			return nil, fmt.Errorf("graph: negative degree %d at node %d", d, v)
 		}
-		free[v] = d
-		total += d
 	}
-	// Active list of nodes with free ports.
+	// No node ever exceeds its degree, so the carved lists never move.
+	g := NewWithDegrees(degrees)
+	free := slices.Clone(degrees)
+	// Active list: the nodes with free ports, ascending. A node leaves the
+	// moment its last port is consumed, so the list never holds a spent
+	// node and is touched only then — not rescanned after every edge.
 	active := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if free[v] > 0 {
 			active = append(active, v)
 		}
 	}
-	removeInactive := func() {
+	compact := func() {
 		w := 0
 		for _, v := range active {
 			if free[v] > 0 {
@@ -57,32 +60,29 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 				continue
 			}
 			a, b := active[i], active[j]
-			if free[a] == 0 || free[b] == 0 {
-				removeInactive()
-				continue
-			}
 			if g.HasEdge(a, b) {
 				continue
 			}
 			g.AddEdge(a, b)
 			free[a]--
 			free[b]--
+			// Retire the higher position first so the lower stays valid.
+			for _, at := range [2]int{max(i, j), min(i, j)} {
+				if free[active[at]] == 0 {
+					active = slices.Delete(active, at, at+1)
+				}
+			}
 			paired = true
 			break
 		}
 		if paired {
 			stuck = 0
-			removeInactive()
 			continue
 		}
 		// Stuck: every remaining free-port pair is already adjacent (or a
 		// single node remains). Do a Jellyfish edge swap: pick x with
 		// free[x] >= 2, a random existing edge (u,w) with u,w not adjacent
 		// to x, replace it with (x,u) and (x,w).
-		removeInactive()
-		if len(active) == 0 {
-			break
-		}
 		x := -1
 		for _, v := range active {
 			if free[v] >= 2 {
@@ -114,31 +114,22 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 			// Swap type 2: the remaining free ports sit one-per-node on
 			// mutually adjacent nodes; break an edge (u,w) disjoint from
 			// two of them (x, y) and reconnect x-u, y-w.
-			y := -1
-			x = active[0]
-			for _, v := range active[1:] {
-				if v != x {
-					y = v
-					break
-				}
-			}
-			if y >= 0 {
-				for try := 0; try < 256 && !swapped; try++ {
-					e := g.Edge(rng.Intn(g.M()))
-					for _, or := range [2][2]int{{int(e.A), int(e.B)}, {int(e.B), int(e.A)}} {
-						u, w := or[0], or[1]
-						if u == x || u == y || w == x || w == y ||
-							g.HasEdge(x, u) || g.HasEdge(y, w) {
-							continue
-						}
-						g.removeEdgeBetween(u, w)
-						g.AddEdge(x, u)
-						g.AddEdge(y, w)
-						free[x]--
-						free[y]--
-						swapped = true
-						break
+			x, y := active[0], active[1]
+			for try := 0; try < 256 && !swapped; try++ {
+				e := g.Edge(rng.Intn(g.M()))
+				for _, or := range [2][2]int{{int(e.A), int(e.B)}, {int(e.B), int(e.A)}} {
+					u, w := or[0], or[1]
+					if u == x || u == y || w == x || w == y ||
+						g.HasEdge(x, u) || g.HasEdge(y, w) {
+						continue
 					}
+					g.removeEdgeBetween(u, w)
+					g.AddEdge(x, u)
+					g.AddEdge(y, w)
+					free[x]--
+					free[y]--
+					swapped = true
+					break
 				}
 			}
 		}
@@ -150,7 +141,7 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 			continue
 		}
 		stuck = 0
-		removeInactive()
+		compact() // swaps are rare: a rescan here is off the per-edge path
 	}
 	g.SortAdjacency()
 	return g, nil

@@ -37,6 +37,8 @@ func New(k int, seed uint64) (*Jellyfish, error) {
 	rng := graph.NewRNG(seed)
 
 	b := topo.NewBuilder(fmt.Sprintf("jellyfish(k=%d,seed=%d)", k, seed))
+	// One link per server, and at most one per two remaining switch ports.
+	b.Reserve(numSwitches+numServers, numServers+(numSwitches*k-numServers)/2)
 	j := &Jellyfish{K: k}
 
 	j.Switches = make([]int, 0, numSwitches)

@@ -126,7 +126,7 @@ type spair struct {
 type problem struct {
 	g       *graph.Graph // switch-level graph
 	cap     []float64    // per-edge capacity
-	node    []int        // problem node -> network node
+	node    []int        // problem node -> network node (the network's own switch list: read-only)
 	coord   []int64      // problem node -> canonical coordinate (see coordOf)
 	srcs    []int32      // commodity sources in ascending order
 	srcOff  []int32      // comms offsets per source; len(srcs)+1 entries
@@ -150,8 +150,8 @@ func (p *problem) commsOf(si int) []aggCommodity {
 // adjacent sum, so demands accumulate in input order — the same order the
 // map-based predecessor of this code used — keeping solves bit-identical.
 func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
-	pr.node = nw.AppendSwitches(pr.node[:0])
-	sw := pr.node
+	sw := nw.Switches()
+	pr.node = sw
 	pr.coord = pr.coord[:0]
 	for _, s := range sw {
 		pr.coord = append(pr.coord, coordOf(nw.Nodes[s]))

@@ -9,7 +9,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flattree/internal/graph"
 )
@@ -26,6 +26,8 @@ const (
 	AggSwitch
 	// CoreSwitch is a core-layer switch.
 	CoreSwitch
+
+	numKinds
 )
 
 // String returns a short human-readable kind name.
@@ -106,16 +108,20 @@ type Link struct {
 }
 
 // Network is an immutable data-center network. Build one with a Builder.
+// Networks forked from one Builder (every effective network of a flat-tree)
+// share their Nodes table, so Nodes, like every slice a Network hands out,
+// must not be modified.
 type Network struct {
 	Name  string
 	Nodes []Node
 	Links []Link
 
-	g       *graph.Graph
-	byKind  map[Kind][]int
-	hostOf  []int32 // server ID -> attachment switch ID (-1 if detached)
-	hosted  [][]int32
-	portUse []int
+	g        *graph.Graph
+	byKind   [numKinds][]int
+	switches []int   // every switch ID, ascending
+	hostOf   []int32 // server ID -> attachment switch ID (-1 if detached)
+	hosted   [][]int32
+	portUse  []int
 }
 
 // Graph returns the node-level graph (servers included) backing the network.
@@ -125,26 +131,19 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 func (nw *Network) N() int { return len(nw.Nodes) }
 
 // NodesOf returns the IDs of all nodes of the given kind, ascending.
-func (nw *Network) NodesOf(k Kind) []int { return nw.byKind[k] }
+func (nw *Network) NodesOf(k Kind) []int {
+	if k >= numKinds {
+		return nil
+	}
+	return nw.byKind[k]
+}
 
 // Servers returns all server IDs, ascending.
 func (nw *Network) Servers() []int { return nw.byKind[Server] }
 
-// Switches returns all switch IDs (edge, agg, core), ascending.
-func (nw *Network) Switches() []int {
-	return nw.AppendSwitches(nil)
-}
-
-// AppendSwitches appends the ids of every switch node in ascending order
-// to dst and returns the extended slice; pass dst[:0] to reuse a scratch
-// buffer across calls.
-func (nw *Network) AppendSwitches(dst []int) []int {
-	dst = append(dst, nw.byKind[EdgeSwitch]...)
-	dst = append(dst, nw.byKind[AggSwitch]...)
-	dst = append(dst, nw.byKind[CoreSwitch]...)
-	sort.Ints(dst)
-	return dst
-}
+// Switches returns all switch IDs (edge, agg, core), ascending. The caller
+// must not modify the slice.
+func (nw *Network) Switches() []int { return nw.switches }
 
 // HostSwitch returns the switch a server attaches to, or -1 if the server is
 // detached (which ValidateConnected treats as an error).
@@ -178,19 +177,65 @@ func rank(k Kind) int {
 	return 0
 }
 
-// Builder assembles a Network with strict port accounting.
+// Builder assembles a Network with strict port accounting. Build consumes
+// it: the Network takes over the builder's tables, so any later call on the
+// builder panics instead of writing into a network that is meant to be
+// immutable.
 type Builder struct {
 	name  string
 	nodes []Node
 	links []Link
 	used  []int
+	built bool
 }
 
 // NewBuilder returns a builder for a network with the given name.
 func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
+// open panics if Build already consumed b.
+func (b *Builder) open(op string) {
+	if b.built {
+		//flatlint:ignore nopanic documented construction invariant: Build consumes the builder
+		panic("topo: Builder." + op + " after Build: Build consumes the builder")
+	}
+}
+
+// Reserve makes room for nodes more nodes and links more links, so a builder
+// that knows its size up front (every topology here does, from k) fills its
+// tables without regrowing them.
+func (b *Builder) Reserve(nodes, links int) {
+	b.open("Reserve")
+	b.nodes = slices.Grow(b.nodes, nodes)
+	b.used = slices.Grow(b.used, nodes)
+	b.links = slices.Grow(b.links, links)
+}
+
+// Fork returns an independent builder holding b's nodes, links and port use,
+// with room for links more links. The node table is shared rather than
+// copied — a Builder never rewrites a node record, and an AddNode on the
+// fork moves it to storage of its own. Fork only reads b, so one builder
+// kept as a template may be forked from several goroutines at once.
+func (b *Builder) Fork(links int) *Builder {
+	b.open("Fork")
+	// make-then-copy at full length: the runtime skips zeroing what the
+	// copy overwrites, which a make with spare capacity would not.
+	all := make([]Link, len(b.links)+links)
+	copy(all, b.links)
+	return &Builder{
+		name:  b.name,
+		nodes: b.nodes[:len(b.nodes):len(b.nodes)],
+		links: all[:len(b.links)],
+		used:  slices.Clone(b.used),
+	}
+}
+
 // AddNode adds a node and returns its ID.
 func (b *Builder) AddNode(kind Kind, pod, index, ports int) int {
+	b.open("AddNode")
+	if kind >= numKinds {
+		//flatlint:ignore nopanic documented construction invariant: builders must be correct by construction
+		panic(fmt.Sprintf("topo: node of unknown %s", kind))
+	}
 	id := len(b.nodes)
 	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Pod: pod, Index: index, Ports: ports})
 	b.used = append(b.used, 0)
@@ -201,6 +246,7 @@ func (b *Builder) AddNode(kind Kind, pod, index, ports int) int {
 // node's port budget is exhausted or the endpoints are invalid — topology
 // builders must be correct by construction.
 func (b *Builder) AddLink(a, bb int, tag LinkTag) int {
+	b.open("AddLink")
 	if a == bb {
 		//flatlint:ignore nopanic documented construction invariant: builders must be correct by construction
 		panic(fmt.Sprintf("topo: self link at node %d", a))
@@ -232,41 +278,83 @@ func (b *Builder) NumNodes() int { return len(b.nodes) }
 // Node returns a copy of node v's current record.
 func (b *Builder) Node(v int) Node { return b.nodes[v] }
 
-// Build freezes the builder into a Network.
+// Build freezes the builder into a Network and consumes the builder. Every
+// derived table is counted first and carved from one allocation, so a build
+// costs a fixed number of allocations whatever the network's size.
 func (b *Builder) Build() *Network {
-	nw := &Network{
-		Name:    b.name,
-		Nodes:   b.nodes,
-		Links:   b.links,
-		byKind:  make(map[Kind][]int),
-		portUse: b.used,
+	b.open("Build")
+	nw := &Network{Name: b.name, Nodes: b.nodes, Links: b.links, portUse: b.used}
+	*b = Builder{built: true}
+	n := len(nw.Nodes)
+
+	// Nodes by kind and the switch list, ascending because node IDs are.
+	var count [numKinds]int
+	for i := range nw.Nodes {
+		count[nw.Nodes[i].Kind]++
 	}
-	nw.g = graph.NewWithDegrees(b.used)
-	for _, l := range b.links {
+	ids := make([]int, n+n-count[Server])
+	at := 0
+	for k := range nw.byKind {
+		nw.byKind[k] = ids[at : at : at+count[k]]
+		at += count[k]
+	}
+	nw.switches = ids[n:n]
+	for i := range nw.Nodes {
+		k := nw.Nodes[i].Kind
+		nw.byKind[k] = append(nw.byKind[k], i)
+		if k.IsSwitch() {
+			nw.switches = append(nw.switches, i)
+		}
+	}
+
+	nw.g = graph.NewWithDegrees(nw.portUse)
+	for _, l := range nw.Links {
 		nw.g.AddEdge(l.A, l.B)
 	}
-	for _, n := range b.nodes {
-		nw.byKind[n.Kind] = append(nw.byKind[n.Kind], n.ID)
-	}
-	nw.hostOf = make([]int32, len(b.nodes))
+	nw.g.SortAdjacency()
+
+	// Server attachment, both directions; hosted lists keep link order.
+	nw.hostOf = make([]int32, n)
 	for i := range nw.hostOf {
 		nw.hostOf[i] = -1
 	}
-	nw.hosted = make([][]int32, len(b.nodes))
-	for _, l := range b.links {
-		sv, sw := -1, -1
-		if b.nodes[l.A].Kind == Server && b.nodes[l.B].Kind.IsSwitch() {
-			sv, sw = l.A, l.B
-		} else if b.nodes[l.B].Kind == Server && b.nodes[l.A].Kind.IsSwitch() {
-			sv, sw = l.B, l.A
-		}
-		if sv >= 0 {
+	hostedAt := make([]int32, n)
+	attached := 0
+	for _, l := range nw.Links {
+		if sv, sw := nw.accessLink(l); sv >= 0 {
 			nw.hostOf[sv] = int32(sw)
+			hostedAt[sw]++
+			attached++
+		}
+	}
+	nw.hosted = make([][]int32, n)
+	slab := make([]int32, attached)
+	at = 0
+	for sw, c := range hostedAt {
+		if c > 0 {
+			nw.hosted[sw] = slab[at : at : at+int(c)]
+			at += int(c)
+		}
+	}
+	for _, l := range nw.Links {
+		if sv, sw := nw.accessLink(l); sv >= 0 {
 			nw.hosted[sw] = append(nw.hosted[sw], int32(sv))
 		}
 	}
-	nw.g.SortAdjacency()
 	return nw
+}
+
+// accessLink returns (server, switch) if l attaches a server to a switch,
+// and (-1, -1) otherwise.
+func (nw *Network) accessLink(l Link) (sv, sw int) {
+	ka, kb := nw.Nodes[l.A].Kind, nw.Nodes[l.B].Kind
+	switch {
+	case ka == Server && kb.IsSwitch():
+		return l.A, l.B
+	case kb == Server && ka.IsSwitch():
+		return l.B, l.A
+	}
+	return -1, -1
 }
 
 // Stats summarizes a network for display and sanity checks.

@@ -145,3 +145,77 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildConsumesBuilder: the Network takes over the builder's tables, so
+// a builder that stayed usable after Build would let an AddLink bump the
+// "immutable" network's port use and — with reserved capacity — write into
+// its Links. Every later call must panic instead, and the network must be
+// untouched.
+func TestBuildConsumesBuilder(t *testing.T) {
+	b := NewBuilder("t")
+	b.Reserve(3, 8) // slack: an append after Build would land in nw.Links' array
+	sw0 := b.AddNode(EdgeSwitch, 0, 0, 4)
+	sw1 := b.AddNode(EdgeSwitch, 0, 1, 4)
+	b.AddLink(sw0, sw1, TagClos)
+	nw := b.Build()
+
+	for name, use := range map[string]func(){
+		"AddLink": func() { b.AddLink(sw0, sw1, TagRandom) },
+		"AddNode": func() { b.AddNode(Server, 0, 0, 1) },
+		"Reserve": func() { b.Reserve(1, 1) },
+		"Fork":    func() { b.Fork(1) },
+		"Build":   func() { b.Build() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Build did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	if len(nw.Links) != 1 || nw.PortsUsed(sw0) != 1 || nw.PortsUsed(sw1) != 1 || nw.N() != 2 {
+		t.Errorf("network changed after Build: %d links, ports %d/%d, %d nodes",
+			len(nw.Links), nw.PortsUsed(sw0), nw.PortsUsed(sw1), nw.N())
+	}
+	if spare := nw.Links[:cap(nw.Links)]; len(spare) > 1 && spare[1] != (Link{}) {
+		t.Errorf("a link was written past the network's Links: %+v", spare[1])
+	}
+}
+
+// TestForkIsIndependent: forks start from the template's state, share
+// nothing writable with it or with each other, and leave it forkable.
+func TestForkIsIndependent(t *testing.T) {
+	base := NewBuilder("t")
+	sw0 := base.AddNode(EdgeSwitch, 0, 0, 2)
+	sw1 := base.AddNode(AggSwitch, 0, 0, 2)
+	sw2 := base.AddNode(CoreSwitch, -1, 0, 2)
+	base.AddLink(sw0, sw1, TagClos)
+
+	f1 := base.Fork(1)
+	f1.AddLink(sw1, sw2, TagConverter)
+	extra := f1.AddNode(Server, 0, 0, 1) // must not show up in base or f2
+	f2 := base.Fork(2)
+	f2.AddLink(sw0, sw2, TagSide)
+	n1, n2 := f1.Build(), f2.Build()
+
+	if n1.N() != 4 || n2.N() != 3 || base.NumNodes() != 3 {
+		t.Errorf("node counts %d/%d/%d, want 4/3/3", n1.N(), n2.N(), base.NumNodes())
+	}
+	if n1.Nodes[extra].Kind != Server {
+		t.Error("fork lost its own node")
+	}
+	if len(n1.Links) != 2 || n1.Links[1].Tag != TagConverter || len(n2.Links) != 2 || n2.Links[1].Tag != TagSide {
+		t.Errorf("links: %+v / %+v", n1.Links, n2.Links)
+	}
+	if n1.Links[0] != n2.Links[0] {
+		t.Error("template link moved between forks")
+	}
+	if base.FreePorts(sw0) != 1 || base.FreePorts(sw2) != 2 {
+		t.Errorf("fork consumed the template's ports: %d, %d", base.FreePorts(sw0), base.FreePorts(sw2))
+	}
+	if n1.PortsUsed(sw2) != 1 || n2.PortsUsed(sw1) != 1 {
+		t.Error("forks share port accounting")
+	}
+}

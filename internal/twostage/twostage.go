@@ -58,6 +58,10 @@ func New(k, n int, seed uint64) (*TwoStage, error) {
 func build(k, n int, rng *graph.RNG) (*TwoStage, error) {
 	half := k / 2
 	b := topo.NewBuilder(fmt.Sprintf("twostage(k=%d,n=%d)", k, n))
+	// Fat-tree(k) equipment and at most its link count: k³/4 server links,
+	// (k/2)² links inside each pod, and one link per two super-node stubs.
+	numStubs := k*k*k/4 + half*half*k
+	b.Reserve(5*k*k/4+k*k*k/4, k*k*k/4+k*half*half+numStubs/2)
 	ts := &TwoStage{K: k, N: n}
 
 	ts.Cores = make([]int, half*half)
@@ -66,9 +70,10 @@ func build(k, n int, rng *graph.RNG) (*TwoStage, error) {
 	}
 	ts.Edges = make([][]int, k)
 	ts.Aggs = make([][]int, k)
+	podSwitches := make([]int, k*k)
 	for p := 0; p < k; p++ {
-		ts.Aggs[p] = make([]int, half)
-		ts.Edges[p] = make([]int, half)
+		ts.Aggs[p] = podSwitches[p*k : p*k+half : p*k+half]
+		ts.Edges[p] = podSwitches[p*k+half : (p+1)*k : (p+1)*k]
 		for i := 0; i < half; i++ {
 			ts.Aggs[p][i] = b.AddNode(topo.AggSwitch, p, i, k)
 		}
@@ -100,14 +105,14 @@ func build(k, n int, rng *graph.RNG) (*TwoStage, error) {
 	// Stage 1: a random k/2-regular graph inside each pod (k switches,
 	// (k/2)^2 links — the same count as flat-tree's intra-pod edge-agg
 	// mesh).
+	podSw := make([]int, 0, k)
+	deg := make([]int, k)
+	for i := range deg {
+		deg[i] = half
+	}
 	for p := 0; p < k; p++ {
-		podSw := make([]int, 0, k)
-		podSw = append(podSw, ts.Edges[p]...)
+		podSw = append(podSw[:0], ts.Edges[p]...)
 		podSw = append(podSw, ts.Aggs[p]...)
-		deg := make([]int, k)
-		for i := range deg {
-			deg[i] = half
-		}
 		rg, err := graph.BuildConnected(deg, rng)
 		if err != nil {
 			return nil, fmt.Errorf("twostage: pod %d stage-1: %w", p, err)
@@ -123,7 +128,7 @@ func build(k, n int, rng *graph.RNG) (*TwoStage, error) {
 	// distinct physical links between the same super nodes).
 	numPods := k
 	numCores := half * half
-	var stubs []int // super-node id: pods are 0..k-1, cores are k..k+numCores-1
+	stubs := make([]int, 0, numStubs) // super-node id: pods are 0..k-1, cores are k..k+numCores-1
 	for p := 0; p < numPods; p++ {
 		for t := 0; t < k*k/4; t++ {
 			stubs = append(stubs, p)
@@ -157,6 +162,7 @@ func build(k, n int, rng *graph.RNG) (*TwoStage, error) {
 	}
 	podSlots := make([][]slot, numPods)
 	for p := 0; p < numPods; p++ {
+		podSlots[p] = make([]slot, 0, 2*half)
 		for j := 0; j < half; j++ {
 			if n > 0 {
 				podSlots[p] = append(podSlots[p], slot{ts.Edges[p][j], n})

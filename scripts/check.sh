@@ -6,7 +6,10 @@
 # deterministic fan-out runner; graph, metrics, faults, chaos, and
 # experiments fan their sweeps out through it; flatlint parses and
 # type-checks packages concurrently; serve multiplexes HTTP requests over
-# a bounded solver pool and store takes concurrent Put/Get). The unit-test
+# a bounded solver pool and store takes concurrent Put/Get; and every
+# effective network of one flat-tree shares that flat-tree's node table,
+# base cabling and converter plant, so core, topo, converter and the three
+# other topology builders run under the detector too). The unit-test
 # leg runs with -shuffle=on so inter-test ordering dependencies surface,
 # the flatlint leg archives its -json findings as FLATLINT.json at the
 # repository root, and a short fuzz leg exercises the /v1/cell query parser,
@@ -54,7 +57,9 @@ echo "== go test -race (concurrent packages)"
 go test -race ./internal/ctrl/... ./internal/dynsim/... \
     ./internal/parallel/... ./internal/graph/... ./internal/metrics/... \
     ./internal/faults/... ./internal/chaos/... ./internal/experiments/... \
-    ./internal/flatlint/... ./internal/serve/... ./internal/store/...
+    ./internal/flatlint/... ./internal/serve/... ./internal/store/... \
+    ./internal/core/... ./internal/topo/... ./internal/converter/... \
+    ./internal/fattree/... ./internal/jellyfish/... ./internal/twostage/...
 
 echo "== store crash-recovery (kill -9 mid-write, then reopen)"
 # The child-process fault-injection test: a writer is SIGKILLed mid-Put
