@@ -225,18 +225,20 @@ func (c *cli) run(ctx context.Context, name string, stdout, stderr io.Writer) er
 	}
 	// One warm-start summary line per experiment (stderr, so piped TSV
 	// stays clean): how many MCF solves reused a previous solve's length
-	// function, and why the cold ones didn't. The counters are process-wide
-	// totals, so diff around the experiment.
+	// function, and why the cold ones didn't — a cold solve the gate gave no
+	// reason for was a star instance, solved exactly by max-flow. The
+	// counters are process-wide totals, so diff around the experiment.
 	before := mcf.ReadWarmStats()
 	defer func() {
 		after := mcf.ReadWarmStats()
 		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 		if solves := hits + misses; solves > 0 {
+			first, eps := after.FirstSolve-before.FirstSolve, after.Epsilon-before.Epsilon
+			overlap, retry := after.Overlap-before.Overlap, after.ColdRetry-before.ColdRetry
 			fmt.Fprintf(stderr,
-				"flatsim: %s: %d/%d MCF solves warm-started (%.0f%%); cold: %d first-solve, %d eps-mismatch, %d low-overlap, %d overshoot-retry\n",
+				"flatsim: %s: %d/%d MCF solves warm-started (%.0f%%); cold: %d first-solve, %d eps-mismatch, %d low-overlap, %d overshoot-retry, %d exact\n",
 				name, hits, solves, 100*float64(hits)/float64(solves),
-				after.FirstSolve-before.FirstSolve, after.Epsilon-before.Epsilon,
-				after.Overlap-before.Overlap, after.ColdRetry-before.ColdRetry)
+				first, eps, overlap, retry, misses-first-eps-overlap-retry)
 		}
 	}()
 	switch name {

@@ -10,8 +10,9 @@ import (
 // the doc comment: for any seed, an experiment's table is byte-for-byte the
 // same at -parallel 1 and -parallel N. Every registered experiment runs at
 // a small scale for two base seeds and two worker counts; the rendered TSV
-// must not differ by a single byte. The k=4..6 sweep makes every fig7/fig8
-// (column, trial) chain take a cross-k warm-started hop, hybrid's
+// must not differ by a single byte. The k=4..6 sweep makes every fig8
+// (column, trial) chain take a cross-k warm-started hop (fig7's cells there
+// have one hot spot and are solved exactly, chain or no chain), hybrid's
 // per-proportion chains and soak's two arms (live TCP control plane with
 // overlapping repairs, and the fixed-cabling control) replay from the seed —
 // all must stay pure functions of the work item at any worker count.

@@ -1,8 +1,8 @@
 // Package graph provides the generic graph substrate used by every topology
 // in this repository: compact undirected adjacency structures, breadth-first
-// shortest paths, Dijkstra, Yen's k-shortest-paths, connectivity checks, and
-// a random graph builder for arbitrary degree sequences (the Jellyfish
-// construction).
+// shortest paths, Dijkstra, Yen's k-shortest-paths, max-flow, connectivity
+// checks, and a random graph builder for arbitrary degree sequences (the
+// Jellyfish construction).
 //
 // Graphs are node-indexed with dense integer IDs in [0, N). Parallel edges
 // are permitted (they arise naturally in super-node constructions); self

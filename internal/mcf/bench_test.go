@@ -9,7 +9,9 @@ import (
 	"flattree/internal/graph"
 )
 
-// BenchmarkFleischer measures the FPTAS on a fat-tree hot-spot instance.
+// BenchmarkFleischer measures the FPTAS on a fat-tree instance with two hot
+// spots in different pods, 32 random destinations each (one hot spot alone
+// would be a star and take the exact path — see BenchmarkStar).
 func BenchmarkFleischer(b *testing.B) {
 	for _, k := range []int{8, 12} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -19,10 +21,14 @@ func BenchmarkFleischer(b *testing.B) {
 			}
 			rng := graph.NewRNG(1)
 			var comms []Commodity
-			hot := ft.ServerIDs[0]
+			hots := []int{0, len(ft.ServerIDs) - 1}
 			for i := 0; i < 64; i++ {
-				dst := ft.ServerIDs[1+rng.Intn(len(ft.ServerIDs)-1)]
-				comms = append(comms, Commodity{Src: hot, Dst: dst, Demand: 1})
+				hot := hots[i%2]
+				dst := rng.Intn(len(ft.ServerIDs))
+				for dst == hot {
+					dst = rng.Intn(len(ft.ServerIDs))
+				}
+				comms = append(comms, Commodity{Src: ft.ServerIDs[hot], Dst: ft.ServerIDs[dst], Demand: 1})
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

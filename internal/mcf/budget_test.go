@@ -124,14 +124,21 @@ func TestCtxDeadlineDerivesBudget(t *testing.T) {
 	}
 }
 
+// TestCancellationAbortsSolve: a cancelled context aborts both solve paths —
+// the exact one (a single commodity is a star) and the FPTAS.
 func TestCancellationAbortsSolve(t *testing.T) {
 	ring := ringNetwork(6)
 	servers := ring.Servers()
-	comms := []Commodity{{Src: servers[0], Dst: servers[3], Demand: 1}}
+	comms := []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MaxConcurrentFlow(ctx, ring, comms, Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	for n := 1; n <= 2; n++ {
+		_, err := MaxConcurrentFlow(ctx, ring, comms[:n], Options{})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%d commodities: err = %v, want context.Canceled", n, err)
+		}
 	}
 }

@@ -6,13 +6,17 @@
 // (uncapacitated), so commodities are aggregated to host-switch pairs and
 // routing is optimal (not restricted to any path system).
 //
-// Every experiment solves with the Fleischer/Garg-Könemann FPTAS
-// (Solver.Solve, MaxConcurrentFlow) over a source-grouped shortest-path-tree
-// oracle: it scales to the paper's k=32 (thousands of switches, tens of
-// thousands of aggregated commodities) and reports both a feasible primal λ
-// and an LP-dual upper bound, so every experiment knows its true accuracy.
-// MaxConcurrentFlowExact, the edge-based LP solved with internal/lp, is the
-// small-instance reference the tests validate the FPTAS against.
+// Every experiment solves through one entry (Solver.Solve,
+// MaxConcurrentFlow). A general instance runs the Fleischer/Garg-Könemann
+// FPTAS over a source-grouped shortest-path-tree oracle: it scales to the
+// paper's k=32 (thousands of switches, tens of thousands of aggregated
+// commodities) and reports both a feasible primal λ and an LP-dual upper
+// bound, so every experiment knows its true accuracy. A star-shaped instance
+// — every commodity shares one endpoint switch, the paper's single hot spot —
+// is a single-commodity problem and is solved exactly by parametric max-flow
+// (star.go). MaxConcurrentFlowExact, the edge-based LP solved with
+// internal/lp, is the small-instance reference the tests validate both
+// against.
 package mcf
 
 import (
@@ -43,8 +47,9 @@ type Options struct {
 	Epsilon float64
 	// MaxPhases bounds the outer loop as a safety valve (default 1<<20).
 	MaxPhases int
-	// SkipDualBound disables the once-per-phase dual bound computation and
-	// the final dual sweep (UpperBound is then +Inf).
+	// SkipDualBound disables the FPTAS's once-per-phase dual bound
+	// computation and its final dual sweep (UpperBound is then +Inf). The
+	// exact path ignores it: its min cut is the bound, at no extra cost.
 	SkipDualBound bool
 	// TimeBudget bounds the solver's wall-clock time (0 means unbounded).
 	// On exhaustion the solver degrades gracefully: the flow accumulated
@@ -53,7 +58,9 @@ type Options struct {
 	// a budget, not a cancellation: use the context to abort outright.
 	// A context deadline additionally caps the budget (minus a small
 	// safety margin), so a client timeout degrades to an approximate λ
-	// rather than erroring — deadline propagation for serving paths.
+	// rather than erroring — deadline propagation for serving paths. The
+	// exact path takes milliseconds and has no partial answer to degrade
+	// to: it ignores the budget, and an expired context is an error there.
 	TimeBudget time.Duration
 }
 
@@ -63,10 +70,12 @@ type Result struct {
 	// Lambda × its demand simultaneously.
 	Lambda float64
 	// UpperBound is an LP-dual certificate: no feasible solution exceeds
-	// it. +Inf when not computed. A converged solve reports the smaller of
-	// the best per-phase bound and the exact dual value D(l)/α(l) of its
-	// final length function; a budget-stopped (Approximate) solve has no
-	// time for that last sweep and reports the per-phase bound alone.
+	// it. +Inf when not computed. A converged FPTAS solve reports the
+	// smaller of the best per-phase bound and the exact dual value
+	// D(l)/α(l) of its final length function; a budget-stopped
+	// (Approximate) solve has no time for that last sweep and reports the
+	// per-phase bound alone. An exact (star) solve reports the ratio of its
+	// minimum cut, which Lambda meets up to rounding.
 	UpperBound float64
 	// Phases counts *completed* phases: full passes over every source in
 	// which each commodity shipped one round of its demand — the demand as
@@ -75,7 +84,8 @@ type Result struct {
 	// TimeBudget or a mid-phase convergence break does not count the
 	// partial phase, and the final dual sweep is not a phase. Dijkstras
 	// counts every shortest-path pass the solve ran, including the
-	// demand-scaling probe's and the final dual sweep's.
+	// demand-scaling probe's and the final dual sweep's. Both are 0 for an
+	// exact (star) solve, which runs neither phases nor shortest paths.
 	Phases    int
 	Dijkstras int
 	// Approximate reports that the solver stopped on a budget (TimeBudget
@@ -85,8 +95,9 @@ type Result struct {
 	// longer applies.
 	Approximate bool
 	// WarmStarted reports that the solve was seeded with the previous
-	// instance's edge-length function (Solver only). The ε contract is
-	// unchanged: Lambda is feasible and DualGap remains a true certificate.
+	// instance's edge-length function (Solver only; never an exact solve).
+	// The ε contract is unchanged: Lambda is feasible and DualGap remains a
+	// true certificate.
 	WarmStarted bool
 	// WarmHits and WarmMisses count warm and cold solves over the owning
 	// Solver's chain so far, this solve included; both are zero for
@@ -254,12 +265,13 @@ type arena struct {
 	flow    []float64 // per-edge flow accumulated so far, in units of cap_e (len M)
 }
 
-// solveState pairs an aggregated problem with its arena; the two are
-// pooled as a unit because the arena's workspace stays bound to the
+// solveState pairs an aggregated problem with the scratch of both solve
+// paths; they are pooled as a unit because the workspaces stay bound to the
 // problem's (reused) graph.
 type solveState struct {
-	pr problem
-	ar arena
+	pr   problem
+	ar   arena
+	star starArena
 }
 
 var statePool sync.Pool
@@ -325,13 +337,15 @@ func resized(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// MaxConcurrentFlow runs the FPTAS. All commodity endpoints must be
-// connected; disconnected pairs yield an error.
+// MaxConcurrentFlow solves one instance: exactly when it is star-shaped,
+// with the FPTAS otherwise. All commodity endpoints must be connected;
+// disconnected pairs yield an error.
 //
 // The context is checked between shortest-path iterations (including the
-// demand-scaling probe's): cancellation aborts the solve and returns
-// ctx.Err(). Options.TimeBudget instead ends the phase loop early with the
-// best feasible λ found so far (flagged Approximate).
+// demand-scaling probe's) and between max-flow rounds: cancellation aborts
+// the solve and returns ctx.Err(). Options.TimeBudget instead ends the
+// FPTAS's phase loop early with the best feasible λ found so far (flagged
+// Approximate); an exact solve has nothing to cut short and ignores it.
 //
 // Every call solves cold. Repeated solves over near-identical instances
 // should hold a Solver, which warm-starts the length function from the
@@ -342,10 +356,19 @@ func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Comm
 	return st.solve(ctx, nw, commodities, opt, nil)
 }
 
-// solve runs one FPTAS solve on st. A non-nil warm is consumed to seed the
-// length function (when the gate allows) and refreshed with the final
-// lengths on success; any error leaves it invalidated, because an aborted
-// solve has no trustworthy length function to hand forward.
+// solve runs one solve on st: it validates the options, aggregates the
+// instance, and hands a star-shaped one (a single hot spot, see stageStar) to
+// the exact max-flow path and everything else to the FPTAS. The dispatch is
+// on what the input is, not on a knob: a single-source instance is the
+// FPTAS's worst case — a tree oracle sends the source's whole phase over its
+// cheapest out-link, so it needs deg(src) shortest-path passes per phase to
+// learn what one min cut states.
+//
+// A non-nil warm is consumed by the FPTAS to seed the length function (when
+// the gate allows) and refreshed with the final lengths on success. Any error
+// leaves it invalidated, because an aborted solve has no trustworthy length
+// function to hand forward, and so does an exact solve, which has no length
+// function at all.
 //
 // A warm solve that "converged" without completing a single phase is redone
 // cold: that shape only occurs when the transferred normalizer overshot
@@ -355,21 +378,14 @@ func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Comm
 // what a conservative gate would have paid anyway, and its Dijkstra count
 // carries the wasted warm work so the accounting stays honest.
 func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options, warm *warmState) (Result, error) {
-	res, err := st.fptas(ctx, nw, commodities, opt, warm, false)
-	if err == nil && res.WarmStarted && !res.Approximate && res.Phases == 0 {
-		wasted := res.Dijkstras
-		res, err = st.fptas(ctx, nw, commodities, opt, warm, true)
-		if err == nil {
-			res.Dijkstras += wasted
-		}
-	}
+	res, err := st.dispatch(ctx, nw, commodities, opt, warm)
 	if warm != nil && err != nil {
 		warm.valid = false
 	}
 	return res, err
 }
 
-func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options, warm *warmState, forceCold bool) (Result, error) {
+func (st *solveState) dispatch(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options, warm *warmState) (Result, error) {
 	if opt.Epsilon <= 0 {
 		opt.Epsilon = 0.08
 	}
@@ -379,14 +395,39 @@ func (st *solveState) fptas(ctx context.Context, nw *topo.Network, commodities [
 	if opt.MaxPhases <= 0 {
 		opt.MaxPhases = 1 << 20
 	}
-	pr := &st.pr
-	if err := aggregate(nw, commodities, pr); err != nil {
+	if err := aggregate(nw, commodities, &st.pr); err != nil {
 		return Result{}, err
 	}
-	if pr.numComm == 0 {
+	if st.pr.numComm == 0 {
 		return Result{Lambda: math.Inf(1), UpperBound: math.Inf(1)}, nil
 	}
+	if st.stageStar() {
+		if warm != nil {
+			warm.valid = false
+		}
+		return st.solveStar(ctx)
+	}
+	res, err := st.fptas(ctx, opt, warm, false)
+	if err == nil && res.WarmStarted && !res.Approximate && res.Phases == 0 {
+		wasted := res.Dijkstras
+		// The warm attempt rescaled the demands in place; start over from
+		// the caller's.
+		if err = aggregate(nw, commodities, &st.pr); err != nil {
+			return Result{}, err
+		}
+		res, err = st.fptas(ctx, opt, warm, true)
+		if err == nil {
+			res.Dijkstras += wasted
+		}
+	}
+	return res, err
+}
 
+// fptas runs the Garg-Könemann/Fleischer scheme on the aggregated problem in
+// st.pr, whose demands it rescales in place. opt must carry a valid Epsilon
+// and a positive MaxPhases (dispatch fills in the defaults).
+func (st *solveState) fptas(ctx context.Context, opt Options, warm *warmState, forceCold bool) (Result, error) {
+	pr := &st.pr
 	ar := &st.ar
 	ar.bind(pr)
 	res := Result{UpperBound: math.Inf(1)}

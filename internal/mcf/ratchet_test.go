@@ -61,9 +61,40 @@ func checkCertificate(tb testing.TB, label string, res Result, exact, eps float6
 	}
 }
 
+// isStar reports whether the solver takes the exact path for comms: the
+// aggregated instance has one distinct source switch or one distinct
+// destination switch.
+func isStar(tb testing.TB, nw *topo.Network, comms []Commodity) bool {
+	tb.Helper()
+	st := &solveState{}
+	if err := aggregate(nw, comms, &st.pr); err != nil {
+		tb.Fatal(err)
+	}
+	return st.pr.numComm > 0 && st.stageStar()
+}
+
+// checkExact asserts what the exact path promises of a star instance: the LP
+// optimum itself with a closed certificate, no FPTAS work, and no warm start.
+func checkExact(tb testing.TB, label string, res Result, exact float64) {
+	tb.Helper()
+	if res.Approximate || res.WarmStarted || res.WarmReject != "" {
+		tb.Errorf("%s: star solve reports Approximate %v, WarmStarted %v, WarmReject %q", label, res.Approximate, res.WarmStarted, res.WarmReject)
+	}
+	if res.Phases != 0 || res.Dijkstras != 0 {
+		tb.Errorf("%s: star solve counts %d phases, %d Dijkstras", label, res.Phases, res.Dijkstras)
+	}
+	if math.Abs(res.Lambda-exact) > 1e-9*exact {
+		tb.Errorf("%s: star λ %.12g, LP optimum %.12g", label, res.Lambda, exact)
+	}
+	if gap := res.DualGap(); !(gap >= 0 && gap < 1e-9) {
+		tb.Errorf("%s: star DualGap %g (λ %g, UpperBound %g), want within [0, 1e-9)", label, gap, res.Lambda, res.UpperBound)
+	}
+}
+
 // checkChain solves comms cold, then on one Solver cold → identical warm →
 // rescaled warm (every demand tripled), holding each result to
-// checkCertificate against its own LP optimum.
+// checkCertificate against its own LP optimum. A star instance never warm
+// starts: every step must be exact (checkExact) and count as a cold miss.
 func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity, eps float64) {
 	tb.Helper()
 	exact, err := MaxConcurrentFlowExact(nw, comms)
@@ -79,7 +110,12 @@ func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity
 	if err != nil {
 		tb.Fatalf("%s: %v", label, err)
 	}
-	checkCertificate(tb, label+" cold", cold, exact, eps)
+	star := isStar(tb, nw, comms)
+	if star {
+		checkExact(tb, label+" cold", cold, exact)
+	} else {
+		checkCertificate(tb, label+" cold", cold, exact, eps)
+	}
 
 	s := NewSolver()
 	steps := []struct {
@@ -92,10 +128,17 @@ func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity
 		{"warm-identical", comms, exact, true},
 		{"warm-rescaled", scaled(comms, 3), exact / 3, true},
 	}
-	for _, st := range steps {
+	for i, st := range steps {
 		res, err := s.Solve(ctx, nw, st.comms, opt)
 		if err != nil {
 			tb.Fatalf("%s %s: %v", label, st.name, err)
+		}
+		if star {
+			checkExact(tb, label+" "+st.name, res, st.exact)
+			if res.WarmHits != 0 || res.WarmMisses != i+1 {
+				tb.Errorf("%s %s: chain counters %d/%d hits/misses, want 0/%d", label, st.name, res.WarmHits, res.WarmMisses, i+1)
+			}
+			continue
 		}
 		if res.WarmStarted != st.warm {
 			tb.Errorf("%s %s: WarmStarted = %v, want %v (reject %q)", label, st.name, res.WarmStarted, st.warm, res.WarmReject)
@@ -108,6 +151,9 @@ func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity
 // renormalizing solver against the exact LP: random commodity sets on the
 // k=4 flat-tree in every mode, demands scaled across six orders of
 // magnitude, each solved cold and down an identical/rescaled warm chain.
+// Commodities are drawn until at least two source and two destination
+// switches are in play, so every instance takes the FPTAS; TestStarMatchesLP
+// is the same check for the ones that do not.
 func TestRatchetNeverOvershootsOPT(t *testing.T) {
 	const eps = 0.1
 	for _, mode := range k4Modes {
@@ -115,7 +161,7 @@ func TestRatchetNeverOvershootsOPT(t *testing.T) {
 		for seed := uint64(0); seed < 4; seed++ {
 			rng := graph.NewRNG(seed*31 + uint64(mode))
 			var comms []Commodity
-			for len(comms) < 2+int(seed%3) {
+			for len(comms) < 2+int(seed%3) || isStar(t, nw, comms) {
 				s, d := rng.Intn(len(servers)), rng.Intn(len(servers))
 				if s != d {
 					comms = append(comms, Commodity{Src: servers[s], Dst: servers[d], Demand: float64(1 + rng.Intn(4))})
@@ -236,8 +282,8 @@ func TestDemandScalingIsMetamorphic(t *testing.T) {
 // demand scale and up to four commodities — byte 0 the mode, byte 1 the ε,
 // byte 2 the power of ten, then (src, dst, demand) triples — and holds the
 // cold solve and the identical/rescaled warm chain to checkCertificate
-// against the exact LP. The seed corpus is checked in under
-// testdata/fuzz/FuzzSolverCertificate.
+// against the exact LP, or to checkExact when the decoded instance is a star.
+// The seed corpus is checked in under testdata/fuzz/FuzzSolverCertificate.
 func FuzzSolverCertificate(f *testing.F) {
 	// Solves only read the network, so the three are built once.
 	nets := make([]*topo.Network, len(k4Modes))

@@ -42,7 +42,10 @@ import (
 // Unrelated instances (endpoint overlap below warmOverlapMin, e.g. a
 // different traffic zone on the same fabric) and ε changes run cold: a
 // zone's λ can be orders of magnitude off the other zone's OPT, and δ and
-// the feasibility scale depend on ε.
+// the feasibility scale depend on ε. A star-shaped instance is solved exactly
+// by max-flow (solveState.solveStar) and leaves no length function behind,
+// so it counts as a cold solve with no reject reason and resets the chain:
+// the next FPTAS solve runs cold as a first solve.
 //
 // The warm start never weakens the contract: the seeded lengths are
 // rescaled back into the valid δ band (see warmState.seed), the returned

@@ -103,14 +103,17 @@ func TestSolverWarmMatchesColdWithinEps(t *testing.T) {
 // same family warm-starts through the relaxed gate (its switch coordinates
 // and commodity sources overlap); an ε change runs cold, because δ and the
 // feasibility scale depend on it. The per-chain hit/miss accounting rides
-// along.
+// along. Two sources and two destinations keep every instance off the exact
+// star path, which has no warm state to gate.
 func TestSolverWarmStartGate(t *testing.T) {
 	s := NewSolver()
 	solveOn := func(nw *topo.Network, eps float64) Result {
 		t.Helper()
 		servers := nw.Servers()
-		res, err := s.Solve(context.Background(), nw,
-			[]Commodity{{Src: servers[0], Dst: servers[1], Demand: 1}}, Options{Epsilon: eps})
+		res, err := s.Solve(context.Background(), nw, []Commodity{
+			{Src: servers[0], Dst: servers[1], Demand: 1},
+			{Src: servers[2], Dst: servers[3], Demand: 1},
+		}, Options{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +127,7 @@ func TestSolverWarmStartGate(t *testing.T) {
 		t.Error("identical re-solve did not warm-start")
 	}
 	// A larger instance of the same family keeps every captured switch
-	// coordinate and the same commodity source, so the relaxed gate
+	// coordinate and the same commodity sources, so the relaxed gate
 	// warm-starts it — the cross-k path fig7/fig8 columns ride.
 	if res := solveOn(ringNetwork(8), 0.1); !res.WarmStarted {
 		t.Error("adjacent-size instance did not warm-start through the relaxed gate")
@@ -146,11 +149,12 @@ func TestSolverWarmStartGate(t *testing.T) {
 }
 
 // TestSolverGateCommodityDeltas pins the commodity half of the relaxed
-// gate: a changed demand and a re-drawn destination warm-start through the
+// gate: changed demands and re-drawn destinations warm-start through the
 // demand-delta rescale (their source coordinates overlap fully), while a
-// demand set from disjoint sources — a different traffic zone on the same
+// demand set on disjoint switches — a different traffic zone on the same
 // fabric, whose λ can be orders of magnitude off this instance's OPT —
-// runs cold, and an identical re-solve after the mismatch warm-starts.
+// runs cold, and an identical re-solve after the mismatch warm-starts. Every
+// instance has two sources and two destinations, so none is a star.
 func TestSolverGateCommodityDeltas(t *testing.T) {
 	s := NewSolver()
 	nw := ringNetwork(6)
@@ -163,21 +167,27 @@ func TestSolverGateCommodityDeltas(t *testing.T) {
 		}
 		return res
 	}
-	base := []Commodity{{Src: servers[0], Dst: servers[2], Demand: 1}}
-	if res := solve(base); res.WarmStarted {
+	pair := func(s1, d1, s2, d2 int, demand float64) []Commodity {
+		return []Commodity{
+			{Src: servers[s1], Dst: servers[d1], Demand: demand},
+			{Src: servers[s2], Dst: servers[d2], Demand: demand},
+		}
+	}
+	if res := solve(pair(0, 2, 3, 5, 1)); res.WarmStarted {
 		t.Error("first solve claims WarmStarted")
 	}
-	if res := solve([]Commodity{{Src: servers[0], Dst: servers[2], Demand: 2}}); !res.WarmStarted {
-		t.Error("changed demand did not warm-start — the λ rescale should absorb it")
+	if res := solve(pair(0, 2, 3, 5, 2)); !res.WarmStarted {
+		t.Error("changed demands did not warm-start — the λ rescale should absorb them")
 	}
-	if res := solve([]Commodity{{Src: servers[0], Dst: servers[4], Demand: 1}}); !res.WarmStarted {
-		t.Error("re-drawn destination from the same source did not warm-start")
+	if res := solve(pair(0, 4, 3, 1, 1)); !res.WarmStarted {
+		t.Error("re-drawn destinations from the same sources did not warm-start")
 	}
-	if res := solve([]Commodity{{Src: servers[1], Dst: servers[3], Demand: 1}}); res.WarmStarted || res.WarmReject != WarmRejectOverlap {
-		t.Errorf("disjoint-source zone: WarmStarted %v, WarmReject %q; want cold, %q",
+	// Switches 2 and 5 are the only ones the captured commodities never touch.
+	if res := solve(pair(2, 5, 5, 2, 1)); res.WarmStarted || res.WarmReject != WarmRejectOverlap {
+		t.Errorf("disjoint zone: WarmStarted %v, WarmReject %q; want cold, %q",
 			res.WarmStarted, res.WarmReject, WarmRejectOverlap)
 	}
-	if res := solve([]Commodity{{Src: servers[1], Dst: servers[3], Demand: 1}}); !res.WarmStarted {
+	if res := solve(pair(2, 5, 5, 2, 1)); !res.WarmStarted {
 		t.Error("identical re-solve after a mismatch did not warm-start")
 	}
 }
@@ -233,7 +243,10 @@ func TestSolverColdRetryOnOvershoot(t *testing.T) {
 	s := NewSolver()
 	nw := ringNetwork(6)
 	servers := nw.Servers()
-	cs := []Commodity{{Src: servers[0], Dst: servers[3], Demand: 1}}
+	cs := []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+	}
 	if _, err := s.Solve(context.Background(), nw, cs, Options{Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +274,10 @@ func TestSolverColdRetryOnOvershoot(t *testing.T) {
 func TestWarmStatsCounters(t *testing.T) {
 	nw := ringNetwork(6)
 	servers := nw.Servers()
-	cs := []Commodity{{Src: servers[0], Dst: servers[3], Demand: 1}}
+	cs := []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+	}
 	before := ReadWarmStats()
 	s := NewSolver()
 	for i := 0; i < 3; i++ {
@@ -290,7 +306,10 @@ func TestWarmStatsCounters(t *testing.T) {
 func TestSolverPoolResets(t *testing.T) {
 	nw := ringNetwork(6)
 	servers := nw.Servers()
-	cs := []Commodity{{Src: servers[0], Dst: servers[3], Demand: 1}}
+	cs := []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+	}
 	s := GetSolver()
 	if _, err := s.Solve(context.Background(), nw, cs, Options{Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
@@ -310,7 +329,8 @@ func TestSolverPoolResets(t *testing.T) {
 // TestProbeScaleTinyOPT pins the demand pre-scaling path: one hot pair with
 // demand 1000 against a fabric quantizes λ to garbage without the probe
 // (OPT ~ 1/250), so λ landing within ε of the exact LP is direct evidence
-// lambdaHat normalized the instance.
+// lambdaHat normalized the instance. The unit pair from another pod is what
+// keeps the instance on the FPTAS: the hot pair alone would be a star.
 func TestProbeScaleTinyOPT(t *testing.T) {
 	ft, err := fattree.New(4)
 	if err != nil {

@@ -232,7 +232,9 @@ func TestOverloadSheds429(t *testing.T) {
 // TestDeadlineDegradesToApproximate pins deadline propagation end to end:
 // a client timeout far below the solve time yields a 200 with a
 // `~`-suffixed approximate cell — not an error — and the truncated result
-// is never cached.
+// is never cached. The cell is a many-source one (fig8's all-to-all): a
+// single-hot-spot fig7 cell is solved exactly in milliseconds and has no
+// approximate answer to degrade to.
 func TestDeadlineDegradesToApproximate(t *testing.T) {
 	s := testServer(t, Config{
 		Defaults: experiments.Config{KMin: 10, KMax: 10, KStep: 2, Seed: 1, Epsilon: 0.01, HybridK: 6},
@@ -240,7 +242,7 @@ func TestDeadlineDegradesToApproximate(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	u := ts.URL + "/v1/cell?exp=fig7&col=fat-tree/noloc&timeout=300ms"
+	u := ts.URL + "/v1/cell?exp=fig8&col=fat-tree/weak&timeout=300ms"
 	resp, body := get(t, ts.Client(), u)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

@@ -13,8 +13,9 @@
 # leg runs with -shuffle=on so inter-test ordering dependencies surface,
 # the flatlint leg archives its -json findings as FLATLINT.json at the
 # repository root, and a short fuzz leg exercises the /v1/cell query parser,
-# the two SSSP kernels' agreement, the path-length kernel against BFS and
-# the FPTAS certificate against the exact LP.
+# the two SSSP kernels' agreement, the path-length kernel against BFS, the
+# max-flow kernel against the simplex LP and the solver's certificate (FPTAS
+# bracket, exact star path) against the exact LP.
 # CI and local development both run exactly this script:
 #
 #	./scripts/check.sh
@@ -86,17 +87,18 @@ go run ./cmd/flatsim -kmax 4 -eps 0.3 -rate 2 -horizon 3 -seed 1 \
 
 echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks, of the root package's
-# path-length benchmark and of the solver's all-to-all chain: not a perf
+# path-length benchmark, of the solver's all-to-all chain and of its exact
+# star path up to k=48: not a perf
 # measurement (that is `go run ./benchmark`), just proof the bench harness
 # still builds and the kernels still run. Catches bit-rot in bench-only code
 # paths that go test -run never executes.
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
 go test -run '^$' -bench 'BenchmarkAPL' -benchtime 1x . > /dev/null
-go test -run '^$' -bench 'BenchmarkSolverAllToAllChain' -benchtime 1x \
-    ./internal/mcf > /dev/null
+go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkStar' \
+    -benchtime 1x ./internal/mcf > /dev/null
 
-echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, solver certificate)"
+echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate)"
 # The one knob parser behind both flatsim's flags and /v1/cell: no panic on
 # arbitrary queries, canonical re-encoding keeps the content address, and
 # parameter order never matters. Then the radix-heap kernel against the
@@ -104,14 +106,19 @@ echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-leng
 # 1e-300..1e300): bit-identical Dist/Prev, clean workspace. Then the
 # 64-source bit-parallel BFS against BFSInto on generated multigraphs, kept
 # node sets and source lists: the whole distance matrix equal. Then the
-# FPTAS on generated k=4 flat-tree instances (mode, commodities, demand
-# scale, ε; cold and down a warm chain) against the exact LP:
-# λ ≤ λ_LP ≤ UpperBound and λ ≥ (1−3ε)·λ_LP. The checked-in seed corpora
+# Dinic max-flow workspace on generated multigraphs (parallel edges,
+# fractional capacities and drains) against the simplex LP: same value,
+# conservation, a saturated cut of that value. Then the solver on generated
+# k=4 flat-tree instances (mode, commodities, demand scale, ε; cold and down
+# a Solver chain) against the exact LP: λ ≤ λ_LP ≤ UpperBound and
+# λ ≥ (1−3ε)·λ_LP from the FPTAS, λ = λ_LP to 1e-9 with a closed
+# certificate when the instance is a star. The checked-in seed corpora
 # (internal/{serve,graph,mcf}/testdata/fuzz) already ran in the unit-test
 # leg; this leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzSSSPKernelsAgree' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzHopKernelAgrees' -fuzztime 10s ./internal/graph
+go test -run '^$' -fuzz 'FuzzMaxFlowMatchesLP' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzSolverCertificate' -fuzztime 10s ./internal/mcf
 
 echo "ok: all checks passed"
