@@ -23,7 +23,6 @@ import (
 	"flattree/internal/dynsim"
 	"flattree/internal/experiments"
 	"flattree/internal/fattree"
-	"flattree/internal/faults"
 	"flattree/internal/flowsim"
 	"flattree/internal/graph"
 	"flattree/internal/jellyfish"
@@ -248,168 +247,6 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 			b.ReportMetric(float64(res.Dijkstras), "dijkstras")
 		})
 	}
-}
-
-// reportSolves summarizes a chain of MCF results as benchmark metrics: the
-// worst DualGap (so a benchmark run shows any speedup comes with the ε
-// contract intact; `go run ./benchmark` gates the same as mcf.dual_gap_max), total Dijkstra calls, warm-start count, and
-// the last λ.
-func reportSolves(b *testing.B, results []mcf.Result) {
-	b.Helper()
-	worstGap, dijkstras, warm := 0.0, 0, 0
-	for _, r := range results {
-		if g := r.DualGap(); g > worstGap {
-			worstGap = g
-		}
-		dijkstras += r.Dijkstras
-		if r.WarmStarted {
-			warm++
-		}
-	}
-	b.ReportMetric(worstGap, "dual_gap_max")
-	b.ReportMetric(float64(dijkstras), "dijkstras")
-	b.ReportMetric(float64(warm), "warm_starts")
-	b.ReportMetric(results[len(results)-1].Lambda, "lambda_last")
-}
-
-// BenchmarkSolverSequence measures the repeated-solve workload the
-// experiment drivers actually run: a failure → dark-window → repair
-// trajectory of link-level variants of one fabric, solved back to back.
-// Each stage re-draws its permutation workload (distinct seed), the way
-// selfheal trials re-draw theirs when the surviving component shifts, so
-// warm solves go through the relaxed gate's demand-delta rescale rather
-// than the identical-commodities fast path. The cold variant solves every
-// network from scratch (one MaxConcurrentFlow each); the warm variant
-// chains one mcf.Solver through the sequence, warm-starting each solve
-// from the previous length function.
-func BenchmarkSolverSequence(b *testing.B) {
-	ft, err := core.Build(core.Params{K: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
-		b.Fatal(err)
-	}
-	base := ft.Net()
-	nets := []*topo.Network{base}
-	for i, frac := range []float64{0.08, 0.12} {
-		sc := faults.Scenario{LinkFraction: frac, Seed: uint64(21 + i)}
-		out, err := faults.Fail(base, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Dark window: the staged repair has restored roughly half the
-		// damage (Degrade at half the fraction approximates the mid-repair
-		// network without standing up the live control plane).
-		sc.LinkFraction = frac / 2
-		win, err := faults.Degrade(base, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec, _, err := faults.Recover(out, faults.RecoverOptions{
-			Seed: uint64(91 + i), Rewirable: faults.DefaultRewirable})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nets = append(nets, out.Net, win, rec)
-	}
-	servers := base.Servers()
-	stageComms := make([][]mcf.Commodity, len(nets))
-	for ni := range nets {
-		perm := graph.NewRNG(uint64(7 + ni)).Perm(len(servers))
-		comms := make([]mcf.Commodity, 0, len(servers))
-		for i, p := range perm {
-			if i != p {
-				comms = append(comms, mcf.Commodity{Src: servers[i], Dst: servers[p], Demand: 1})
-			}
-		}
-		stageComms[ni] = comms
-	}
-	opt := mcf.Options{Epsilon: 0.1}
-	results := make([]mcf.Result, len(nets))
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for ni, nw := range nets {
-				results[ni], err = mcf.MaxConcurrentFlow(context.Background(), nw, stageComms[ni], opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		reportSolves(b, results)
-	})
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := mcf.GetSolver()
-			for ni, nw := range nets {
-				results[ni], err = s.Solve(context.Background(), nw, stageComms[ni], opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			s.Release()
-		}
-		reportSolves(b, results)
-	})
-}
-
-// BenchmarkSolverCrossK measures the cross-k warm chain the fig8 column
-// work items run: the all-to-all workload per k, solved down a fat-tree k
-// column. The cold variant solves each k independently; the warm variant
-// chains one mcf.Solver through the column, so every solve after the first
-// maps the previous k's final length function across by canonical switch
-// coordinates and rescales its λ by the aggregate-demand ratio. The
-// many-source workload is where the tighter normalizer pays: each phase
-// costs at least one Dijkstra per source, so cutting phases cuts oracle
-// calls directly (a single-source broadcast chain has no such floor and
-// warm-starting it is roughly neutral).
-func BenchmarkSolverCrossK(b *testing.B) {
-	ks := []int{6, 8, 10}
-	type stage struct {
-		nw    *topo.Network
-		comms []mcf.Commodity
-	}
-	stages := make([]stage, 0, len(ks))
-	for _, k := range ks {
-		ft, err := fattree.New(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nw := ft.Net
-		clusters, err := traffic.MakeClusters(nw, nw.Servers(), traffic.Spec{
-			ClusterSize: 20, Placement: traffic.Locality, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stages = append(stages, stage{nw, traffic.AllToAllCommodities(clusters, 20)})
-	}
-	opt := mcf.Options{Epsilon: 0.1}
-	var err error
-	results := make([]mcf.Result, len(stages))
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for ni, st := range stages {
-				results[ni], err = mcf.MaxConcurrentFlow(context.Background(), st.nw, st.comms, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		reportSolves(b, results)
-	})
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := mcf.GetSolver()
-			for ni, st := range stages {
-				results[ni], err = s.Solve(context.Background(), st.nw, st.comms, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			s.Release()
-		}
-		reportSolves(b, results)
-	})
 }
 
 // BenchmarkAblationRouting compares practical routing schemes (§2.6)

@@ -60,8 +60,7 @@ func serve(args []string) {
 	mode := fs.String("mode", "global-random", "target mode once all agents register")
 	fs.Parse(args)
 
-	ft, err := core.Build(core.Params{K: *k})
-	check(err)
+	ft := buildFlatTree(*k)
 	c := ctrl.NewController(ft)
 	l, err := net.Listen("tcp", *listen)
 	check(err)
@@ -92,8 +91,7 @@ func agent(args []string) {
 	delay := fs.Duration("apply-delay", 0, "simulated converter switching latency")
 	fs.Parse(args)
 
-	ft, err := core.Build(core.Params{K: *k})
-	check(err)
+	ft := buildFlatTree(*k)
 	if *pod < 0 || *pod >= *k {
 		check(fmt.Errorf("pod %d out of range [0,%d)", *pod, *k))
 	}
@@ -117,8 +115,7 @@ func demo(args []string) {
 	delay := fs.Duration("apply-delay", 5*time.Millisecond, "simulated converter switching latency")
 	fs.Parse(args)
 
-	ft, err := core.Build(core.Params{K: *k})
-	check(err)
+	ft := buildFlatTree(*k)
 	c := ctrl.NewController(ft)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
@@ -169,6 +166,14 @@ func parseModes(mode string, k int) ([]core.Mode, error) {
 		modes[p] = m
 	}
 	return modes, nil
+}
+
+// buildFlatTree builds the k-pod flat-tree every subcommand manages, in
+// the Clos mode the plant boots in.
+func buildFlatTree(k int) *core.FlatTree {
+	ft, err := core.Build(core.Params{K: k})
+	check(err)
+	return ft
 }
 
 func printStats(ft *core.FlatTree) {

@@ -46,7 +46,6 @@ import (
 	"flattree/internal/experiments"
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
-	"flattree/internal/mcf"
 	"flattree/internal/topo"
 	"flattree/internal/twostage"
 )
@@ -95,7 +94,7 @@ func main() {
 			check(f.Close())
 		}()
 	}
-	check(c.run(ctx, c.name, os.Stdout, os.Stderr))
+	check(c.run(ctx, c.name, os.Stdout))
 }
 
 // cli is one parsed flatsim invocation.
@@ -187,9 +186,10 @@ func (c *cli) request(name string) (experiments.Request, error) {
 
 // run executes one subcommand. Every registered experiment is one
 // experiments.Cell call on the parsed knobs; only stats, export and all are
-// CLI-only, and profile and soak call their drivers directly for the extra
-// lines they print around the same table.
-func (c *cli) run(ctx context.Context, name string, stdout, stderr io.Writer) error {
+// CLI-only, and profile and soak call their drivers directly: profile for
+// the line it prints after its table, soak to print a cancelled run's partial
+// table.
+func (c *cli) run(ctx context.Context, name string, stdout io.Writer) error {
 	emit := func(t *experiments.Table) error {
 		if c.tsv {
 			if err := t.WriteTSV(stdout); err != nil {
@@ -212,7 +212,7 @@ func (c *cli) run(ctx context.Context, name string, stdout, stderr io.Writer) er
 		return exportNetwork(stdout, c.exportK, c.exportMode, c.exportFmt)
 	case "all":
 		for _, n := range append([]string{"stats"}, c.experiments(name)...) {
-			if err := c.run(ctx, n, stdout, stderr); err != nil {
+			if err := c.run(ctx, n, stdout); err != nil {
 				return err
 			}
 		}
@@ -223,24 +223,6 @@ func (c *cli) run(ctx context.Context, name string, stdout, stderr io.Writer) er
 	if err != nil {
 		return err
 	}
-	// One warm-start summary line per experiment (stderr, so piped TSV
-	// stays clean): how many MCF solves reused a previous solve's length
-	// function, and why the cold ones didn't — a cold solve the gate gave no
-	// reason for was a star instance, solved exactly by max-flow. The
-	// counters are process-wide totals, so diff around the experiment.
-	before := mcf.ReadWarmStats()
-	defer func() {
-		after := mcf.ReadWarmStats()
-		hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
-		if solves := hits + misses; solves > 0 {
-			first, eps := after.FirstSolve-before.FirstSolve, after.Epsilon-before.Epsilon
-			overlap, retry := after.Overlap-before.Overlap, after.ColdRetry-before.ColdRetry
-			fmt.Fprintf(stderr,
-				"flatsim: %s: %d/%d MCF solves warm-started (%.0f%%); cold: %d first-solve, %d eps-mismatch, %d low-overlap, %d overshoot-retry, %d exact\n",
-				name, hits, solves, 100*float64(hits)/float64(solves),
-				first, eps, overlap, retry, misses-first-eps-overlap-retry)
-		}
-	}()
 	switch name {
 	case "profile":
 		t, res, err := experiments.Profile(ctx, req.Config, req.Spec.ProfileK)
@@ -254,28 +236,7 @@ func (c *cli) run(ctx context.Context, name string, stdout, stderr io.Writer) er
 			res.BestM, res.BestN, res.BestAPL, res.K/8, 2*res.K/8)
 		return err
 	case "soak":
-		// Start the soak from a clean warm-start ledger so the per-batch
-		// lines below describe this soak alone, not whatever ran before.
-		mcf.ResetWarmStats()
-		before = mcf.ReadWarmStats()
-		t, arms, err := experiments.Soak(ctx, req.Config, req.Spec.K, req.Spec.Soak)
-		// One warm-rate line per episode batch (the segments sharing one
-		// episode index solve in series on one solver), per arm — stderr,
-		// so piped TSV stays clean.
-		for _, arm := range arms {
-			for _, g := range arm.Result.Groups {
-				label := fmt.Sprintf("episode %d", g.Episode)
-				if g.Episode < 0 {
-					label = "baseline"
-				}
-				rate := 0.0
-				if g.Solves > 0 {
-					rate = 100 * float64(g.Warm) / float64(g.Solves)
-				}
-				fmt.Fprintf(stderr, "flatsim: soak %s: %s: %d/%d solves warm-started (%.0f%%)\n",
-					arm.Name, label, g.Warm, g.Solves, rate)
-			}
-		}
+		t, err := experiments.Soak(ctx, req.Config, req.Spec.K, req.Spec.Soak)
 		// The partial table is still valid on cancellation; print what
 		// finished before reporting the interruption.
 		if len(t.Rows) > 0 {

@@ -29,7 +29,7 @@ func TestCLIMatchesCell(t *testing.T) {
 			t.Fatalf("%s: parseArgs: %v\n%s", exp, err, diag.String())
 		}
 		var stdout bytes.Buffer
-		if err := c.run(context.Background(), exp, &stdout, io.Discard); err != nil {
+		if err := c.run(context.Background(), exp, &stdout); err != nil {
 			t.Fatalf("flatsim %s: %v", exp, err)
 		}
 

@@ -213,15 +213,6 @@ type EpisodeStat struct {
 	FailedSwitches, FailedLinks int
 }
 
-// GroupStats reports the λ-measurement warm-start behavior of one episode
-// group (all segments sharing Episode index, solved in series order on one
-// pooled solver).
-type GroupStats struct {
-	Episode int
-	Solves  int
-	Warm    int
-}
-
 // Result is one soak run's full record.
 type Result struct {
 	Samples  []Sample
@@ -235,7 +226,6 @@ type Result struct {
 	Lambda0 float64
 	Horizon float64
 	SLO     metrics.SLOSummary
-	Groups  []GroupStats
 }
 
 // span is a segment of the live loop before measurement.

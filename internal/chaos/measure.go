@@ -42,9 +42,8 @@ func largestComponentServers(nw *topo.Network) []int {
 }
 
 // componentCommodities gives each largest-component server unit demand to
-// one seeded pseudo-random peer. One seed serves the whole soak: segment
-// to segment the component shifts only gradually, so consecutive solves
-// ride the solver's warm/rescale path instead of running cold.
+// one seeded pseudo-random peer. One seed serves the whole soak, so segments
+// whose component did not change score the same workload.
 func componentCommodities(comp []int, seed uint64) []mcf.Commodity {
 	if len(comp) < 2 {
 		return nil
@@ -61,12 +60,9 @@ func componentCommodities(comp []int, seed uint64) []mcf.Commodity {
 }
 
 // measure runs the λ sweep over the live loop's segments and folds the
-// series into the availability summary. Segments are grouped by episode
-// index; each group owns one pooled solver and walks its segments in
-// series order, so consecutive solves of near-identical fabrics
-// warm-start — and the grouping is a pure function of the series, keeping
-// the result byte-identical at any worker count. Lambda0 comes from the
-// first (baseline) segment, which always forms its own group.
+// series into the availability summary. Each segment is one work item, a
+// function of its own fabric alone, so the result is byte-identical at any
+// worker count. Lambda0 comes from the first (baseline) segment.
 func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, error) {
 	res := &Result{
 		Episodes: e.episodes,
@@ -81,64 +77,28 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 	baseServers := len(baseline.Servers())
 	commSeed := e.stream.Seed(1 << 40)
 
-	// Group consecutive spans by episode index.
-	type group struct{ lo, hi int } // spans[lo:hi]
-	var groups []group
-	for i := 0; i < len(e.spans); {
-		j := i + 1
-		for j < len(e.spans) && e.spans[j].episode == e.spans[i].episode {
-			j++
-		}
-		groups = append(groups, group{i, j})
-		i = j
-	}
-
 	type cell struct {
 		frac, lambda float64
 		approx       bool
 	}
-	type groupOut struct {
-		cells []cell
-		stats GroupStats
-	}
-	outs, err := parallel.MapCtx(ctx, len(groups), e.opt.Parallelism, func(gi int) (groupOut, error) {
-		g := groups[gi]
-		s := mcf.GetSolver()
-		defer s.Release()
-		out := groupOut{
-			cells: make([]cell, g.hi-g.lo),
-			stats: GroupStats{Episode: e.spans[g.lo].episode},
-		}
-		for i := g.lo; i < g.hi; i++ {
-			sp := e.spans[i]
-			comp := largestComponentServers(sp.nw)
-			c := cell{frac: float64(len(comp)) / float64(baseServers)}
-			comms := componentCommodities(comp, commSeed)
-			if len(comms) > 0 {
-				r, err := s.Solve(ctx, sp.nw, comms, mcf.Options{
-					Epsilon: e.opt.Epsilon, SkipDualBound: true,
-					TimeBudget: e.opt.SolveBudget})
-				if err != nil {
-					return groupOut{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
-				}
-				c.lambda, c.approx = r.Lambda, r.Approximate
-				out.stats.Solves++
-				if r.WarmStarted {
-					out.stats.Warm++
-				}
+	cells, err := parallel.MapCtx(ctx, len(e.spans), e.opt.Parallelism, func(i int) (cell, error) {
+		sp := e.spans[i]
+		comp := largestComponentServers(sp.nw)
+		c := cell{frac: float64(len(comp)) / float64(baseServers)}
+		comms := componentCommodities(comp, commSeed)
+		if len(comms) > 0 {
+			r, err := mcf.MaxConcurrentFlow(ctx, sp.nw, comms, mcf.Options{
+				Epsilon: e.opt.Epsilon, SkipDualBound: true,
+				TimeBudget: e.opt.SolveBudget})
+			if err != nil {
+				return cell{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
 			}
-			out.cells[i-g.lo] = c
+			c.lambda, c.approx = r.Lambda, r.Approximate
 		}
-		return out, nil
+		return c, nil
 	})
 	if err != nil {
 		return res, err
-	}
-
-	var cells []cell
-	for _, o := range outs {
-		cells = append(cells, o.cells...)
-		res.Groups = append(res.Groups, o.stats)
 	}
 	res.Lambda0 = cells[0].lambda
 

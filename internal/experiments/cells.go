@@ -96,8 +96,7 @@ var registry = []experiment{
 		return SelfHeal(ctx, cfg, sp.K, sp.FailFrac, sp.Batch)
 	}},
 	{name: "soak", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
-		t, _, err := Soak(ctx, cfg, sp.K, sp.Soak)
-		return t, err
+		return Soak(ctx, cfg, sp.K, sp.Soak)
 	}},
 	{name: "latency", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
 		return Latency(ctx, cfg, sp.K, sp.Load)

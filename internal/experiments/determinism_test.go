@@ -2,20 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"strings"
 	"testing"
+
+	"flattree/internal/faults"
 )
 
 // TestTablesByteIdenticalAcrossWorkerCounts pins the package contract from
 // the doc comment: for any seed, an experiment's table is byte-for-byte the
 // same at -parallel 1 and -parallel N. Every registered experiment runs at
 // a small scale for two base seeds and two worker counts; the rendered TSV
-// must not differ by a single byte. The k=4..6 sweep makes every fig8
-// (column, trial) chain take a cross-k warm-started hop (fig7's cells there
-// have one hot spot and are solved exactly, chain or no chain), hybrid's
-// per-proportion chains and soak's two arms (live TCP control plane with
-// overlapping repairs, and the fixed-cabling control) replay from the seed —
-// all must stay pure functions of the work item at any worker count.
+// must not differ by a single byte. The figures sweep k=4..6, and soak's two
+// arms (live TCP control plane with overlapping repairs, and the
+// fixed-cabling control) replay from the seed.
 func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		for _, exp := range CellExperiments() {
@@ -51,6 +52,41 @@ func TestTrialSeedsDifferAcrossBaseSeeds(t *testing.T) {
 				t.Fatalf("trial seed %#x collides: %s and %s", s, prev, key)
 			}
 			seen[s] = key
+		}
+	}
+}
+
+// TestRowIsIndependentOfSweep: a cell's value is a function of its own
+// (network, traffic), not of what was solved before it. A fig8 row reads the
+// same whether the sweep started below it or at it, and with nothing failed
+// faultsrecovery's after-failure and after-recovery λ are the same number.
+func TestRowIsIndependentOfSweep(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: 1, Epsilon: 0.2, Trials: 1}
+	swept, err := Fig8(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.KMin = 6
+	alone, err := Fig8(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(swept.Rows[1], "\t"), strings.Join(alone.Rows[0], "\t"); got != want {
+		t.Errorf("fig8 row k=6 depends on the sweep:\n  kmin=4: %s\n  kmin=6: %s", got, want)
+	}
+
+	fr, err := FaultsRecovery(ctx, cfg, 4, faults.Scenario{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, name := range fr.Header {
+		if topo, ok := strings.CutSuffix(name, "/tput-fail"); ok {
+			// Header layout: conn, apl, tput after failure, then the same three
+			// after recovery.
+			if fail, rec := fr.Rows[0][ci], fr.Rows[0][ci+3]; fail != rec {
+				t.Errorf("faultsrecovery %s at fail-frac 0: λ %s after failure, %s after recovery of the same network", topo, fail, rec)
+			}
 		}
 	}
 }

@@ -51,13 +51,13 @@ func TestFaultsDriver(t *testing.T) {
 func TestSoakDriver(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Epsilon = 0.3
-	tab, arms, err := Soak(context.Background(), cfg, 4, chaos.Options{
+	tab, err := Soak(context.Background(), cfg, 4, chaos.Options{
 		Rate: 2, Horizon: 5, WindowCost: 0.25, SLOThreshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 || len(arms) != 2 {
-		t.Fatalf("rows = %d, arms = %d", len(tab.Rows), len(arms))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	if tab.Rows[0][0] != "flat-tree/self-heal" || tab.Rows[1][0] != "fat-tree/control" {
 		t.Fatalf("arm order: %q, %q", tab.Rows[0][0], tab.Rows[1][0])
@@ -85,7 +85,7 @@ func TestSoakDriver(t *testing.T) {
 	// A cancelled soak still returns the (empty or partial) table.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tab, _, err = Soak(ctx, cfg, 4, chaos.Options{
+	tab, err = Soak(ctx, cfg, 4, chaos.Options{
 		Rate: 2, Horizon: 5, WindowCost: 0.25, SLOThreshold: 0.9})
 	if err == nil {
 		t.Fatal("cancelled soak reported success")

@@ -30,11 +30,7 @@ import (
 // permutation (each surviving server sends unit demand to one peer),
 // solved with SkipDualBound; a disconnected network scores 0 without
 // solving. Cells fan out over cfg.Parallelism workers and reduce in index
-// order, so the table is byte-identical at every worker count. Each cell
-// owns one pooled mcf.Solver: the after-recovery network is a link-level
-// delta of the after-failure one, so its solve warm-starts from the failed
-// solve's length function. The chain lives entirely inside the cell, so it
-// is a pure function of the cell index, independent of scheduling.
+// order, so the table is byte-identical at every worker count.
 func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario) (*Table, error) {
 	trials := cfg.trials()
 	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
@@ -82,8 +78,6 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 		if err != nil {
 			return cell{}, fmt.Errorf("faultsrecovery frac=%.2f net=%s trial=%d: %w", fracs[fi], tg.name, tr, err)
 		}
-		solver := mcf.GetSolver()
-		defer solver.Release()
 		measure := func(nw *topo.Network) (conn, apl, tput float64, finite, approx bool, err error) {
 			rep, err := faults.Analyze(nw)
 			if err != nil {
@@ -97,7 +91,7 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 			if len(comms) == 0 {
 				return conn, apl, 0, finite, false, nil
 			}
-			res, err := solver.Solve(ctx, nw, comms, mcf.Options{
+			res, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
 				Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 			if err != nil {
 				return 0, 0, 0, false, false, err

@@ -14,9 +14,8 @@ import (
 
 // throughput runs the paper's throughput methodology on one topology: build
 // clusters under the placement policy, emit the pattern's commodities, and
-// solve maximum concurrent flow on the caller's Solver (which carries the
-// aggregated problem, arena, and warm-start state across a sweep's solves).
-func throughput(ctx context.Context, s *mcf.Solver, nw *topo.Network, serverIDs []int, clusterSize int, placement traffic.Placement,
+// solve maximum concurrent flow.
+func throughput(ctx context.Context, nw *topo.Network, serverIDs []int, clusterSize int, placement traffic.Placement,
 	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64, budget time.Duration) (mcf.Result, error) {
 	clusters, err := traffic.MakeClusters(nw, serverIDs, traffic.Spec{
 		ClusterSize: clusterSize,
@@ -26,7 +25,7 @@ func throughput(ctx context.Context, s *mcf.Solver, nw *topo.Network, serverIDs 
 	if err != nil {
 		return mcf.Result{}, err
 	}
-	return s.Solve(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon, TimeBudget: budget})
+	return mcf.MaxConcurrentFlow(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon, TimeBudget: budget})
 }
 
 // BroadcastClusterSize is the paper's hot-spot cluster size (§3.3).
@@ -68,24 +67,17 @@ type figSpec struct {
 	netsOf       func(*suite) []*topo.Network
 }
 
-// columnTrial is the unit of work a figure fans out over: one (column, trial) pair walking the adjacent-k solves
-// in sweep order on one pooled mcf.Solver. Switches of a k-instance keep
-// their (kind, pod, index) coordinates in the (k+step)-instance, so the
-// relaxed warm gate maps the captured edge lengths across and warm-starts
-// each hop of the column (cross-k seeding). Each warm λ stays inside the
-// same ε contract as a cold solve, and the chain lives entirely inside this
-// one work item, so its result is a pure function of (column, trial) —
-// independent of scheduling, worker counts, and whether the surrounding run
-// is a full table or a single extracted cell.
+// columnTrial is the unit of work a figure fans out over: one (column,
+// trial) pair, solved at every k of the sweep. Each solve is a function of
+// its own (network, traffic) alone, so a row reads the same whatever sweep it
+// is part of.
 func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, ci, tr int) ([]figSolve, error) {
 	seeds := cfg.trialSeeds()
 	numPl := len(fs.placements)
-	s := mcf.GetSolver()
-	defer s.Release()
 	out := make([]figSolve, len(suites))
 	for ki := range suites {
 		nw := fs.netsOf(suites[ki])[ci/numPl]
-		res, err := throughput(ctx, s, nw, serverIDsOf(nw), fs.clusterSize, fs.placements[ci%numPl],
+		res, err := throughput(ctx, nw, serverIDsOf(nw), fs.clusterSize, fs.placements[ci%numPl],
 			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
 		if err != nil {
 			return nil, fmt.Errorf("%s k=%d net=%d trial=%d: %w", fs.fig, suites[ki].k, ci/numPl, tr, err)
@@ -95,16 +87,16 @@ func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, 
 	return out, nil
 }
 
-// averageColumn folds one column's per-trial chains into the formatted
+// averageColumn folds one column's per-trial solves into the formatted
 // cells, one per k. Trials are summed in index order, so the float digits
-// are identical wherever the chains were computed.
+// are identical wherever they were computed.
 func averageColumn(perTrial [][]figSolve, nk int) []string {
 	cells := make([]string, nk)
 	for ki := 0; ki < nk; ki++ {
 		sum, approx := 0.0, false
-		for _, chain := range perTrial {
-			sum += chain[ki].lambda
-			approx = approx || chain[ki].approx
+		for _, trial := range perTrial {
+			sum += trial[ki].lambda
+			approx = approx || trial[ki].approx
 		}
 		cells[ki] = lambdaCell(sum/float64(len(perTrial)), approx)
 	}

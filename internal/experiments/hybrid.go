@@ -36,15 +36,8 @@ type HybridRow struct {
 //
 // Mode flips mutate the shared flat-tree, so the reference solves and the
 // per-proportion network snapshots are prepared sequentially; the nine
-// proportions' cluster builds and MCF solves (three LPs each) then fan out
-// through the worker pool and are merged back in proportion order. Each
-// proportion owns one pooled mcf.Solver, amortizing the aggregated problem
-// and arena across its three solves, with an explicit Reset between them:
-// the relaxed warm gate admits any demand set whose sources overlap the
-// capture, and the joint demand set contains both zones' sources, so
-// without the Reset it would inherit one zone's λ — a normalizer off by
-// the ratio of the zones' throughputs. Resetting keeps every solve cold
-// and the table bit-identical to independent solves at every worker count.
+// proportions' cluster builds and MCF solves (three each) then fan out
+// through the worker pool and are merged back in proportion order.
 func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 	k := cfg.HybridK
 	ft, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
@@ -100,8 +93,6 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 
 	rows, err := parallel.MapCtx(ctx, len(cases), cfg.workers(), func(i int) (HybridRow, error) {
 		zg, nw := cases[i].zg, cases[i].nw
-		s := mcf.GetSolver()
-		defer s.Release()
 
 		// Zone server sets (servers keep home-pod labels).
 		var globalServers, localServers []int
@@ -125,12 +116,11 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 		gComms := broadcastPattern(gcl)
 		lComms := allToAllPattern(lcl)
 
-		resG, err := s.Solve(ctx, nw, gComms, mcf.Options{Epsilon: cfg.Epsilon})
+		resG, err := mcf.MaxConcurrentFlow(ctx, nw, gComms, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
-		s.Reset()
-		resL, err := s.Solve(ctx, nw, lComms, mcf.Options{Epsilon: cfg.Epsilon})
+		resL, err := mcf.MaxConcurrentFlow(ctx, nw, lComms, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
@@ -146,8 +136,7 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 		for _, c := range lComms {
 			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
 		}
-		s.Reset()
-		resJ, err := s.Solve(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon})
+		resJ, err := mcf.MaxConcurrentFlow(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon})
 		if err != nil {
 			return HybridRow{}, err
 		}
@@ -176,9 +165,7 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 // under the full-network version of a workload.
 func completeRef(ctx context.Context, nw *topo.Network, clusterSize int,
 	pattern func([]traffic.Cluster) []mcf.Commodity, cfg Config) (float64, error) {
-	s := mcf.GetSolver()
-	defer s.Release()
-	res, err := throughput(ctx, s, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
+	res, err := throughput(ctx, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
 	if err != nil {
 		return 0, err
 	}

@@ -35,16 +35,7 @@ type healStage struct {
 // function of the seed; TCP timing only affects wall-clock), and the
 // measurement fans out one work item per trial over cfg.Parallelism
 // workers, reducing in index order — so the table is byte-identical at
-// every worker count. Each trial owns one pooled mcf.Solver and walks its
-// trajectory in stage order: consecutive stages are link-level deltas of
-// the same fabric, so a solve warm-starts from the previous stage. The
-// permutation is re-drawn over the largest component's servers when that
-// component shifts (e.g. entering the first dark window), but the relaxed
-// gate still admits the re-draw as long as the surviving sources overlap
-// the captured ones, rescaling the previous λ by the aggregate-demand
-// ratio; only a wholesale source change runs cold. Grouping by trial (not
-// by cell) is what keeps the warm chain a pure function of the trial,
-// independent of scheduling. λ is the max concurrent flow of a seeded permutation
+// every worker count. λ is the max concurrent flow of a seeded permutation
 // workload over the largest connected component's servers (dark windows
 // detach some servers; they are down, not partitioned, and the surviving
 // fabric's throughput is the quantity of interest).
@@ -93,8 +84,6 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 		finite, approx, ok bool
 	}
 	results, err := parallel.MapCtx(ctx, trials, cfg.workers(), func(tr int) ([]healCell, error) {
-		s := mcf.GetSolver()
-		defer s.Release()
 		cells := make([]healCell, len(canon))
 		for si, name := range canon {
 			nw := netOf[tr][name]
@@ -108,7 +97,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 			c := healCell{conn: rep.LargestComponentFrac, apl: rep.APL, finite: rep.APL > 0, ok: true}
 			comms := componentCommodities(nw, seeds.Seed(1<<32|uint64(tr)))
 			if len(comms) > 0 {
-				res, err := s.Solve(ctx, nw, comms, mcf.Options{
+				res, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
 					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
 				if err != nil {
 					return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)

@@ -7,14 +7,6 @@ import (
 	"flattree/internal/chaos"
 )
 
-// SoakArm is one completed arm of the soak comparison, kept alongside the
-// table so callers can report measurement internals (warm-start chains)
-// per arm.
-type SoakArm struct {
-	Name   string
-	Result *chaos.Result
-}
-
 // Soak runs the chaos soak comparison of §5: the same seeded stream of
 // correlated failure episodes replayed against two fabrics — the
 // self-healing flat-tree (live control plane, repairs overlapping new
@@ -26,7 +18,7 @@ type SoakArm struct {
 // On cancellation the table holds every arm that finished plus the
 // partial arm's series, alongside the error — an interrupted soak still
 // reports what it saw.
-func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, []SoakArm, error) {
+func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, error) {
 	opt.K = k
 	opt.Seed = cfg.Seed
 	opt.Epsilon = cfg.Epsilon
@@ -46,22 +38,18 @@ func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, []
 		{"flat-tree/self-heal", false},
 		{"fat-tree/control", true},
 	}
-	var out []SoakArm
 	for _, arm := range arms {
 		o := opt
 		o.Control = arm.control
 		res, err := chaos.Run(ctx, o)
-		if res != nil {
-			out = append(out, SoakArm{Name: arm.name, Result: res})
-			if len(res.Samples) > 0 {
-				t.AddRow(soakRow(arm.name, res)...)
-			}
+		if res != nil && len(res.Samples) > 0 {
+			t.AddRow(soakRow(arm.name, res)...)
 		}
 		if err != nil {
-			return t, out, err
+			return t, err
 		}
 	}
-	return t, out, nil
+	return t, nil
 }
 
 // soakRow folds one arm's Result into its table row.

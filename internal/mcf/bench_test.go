@@ -40,8 +40,8 @@ func BenchmarkFleischer(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverAllToAllChain walks one Solver down the k=4→6→8 all-to-all
-// column of TestRatchetBoundsPhases — a fig8 column in miniature — and
+// BenchmarkSolverAllToAllChain solves the k=4→6→8 all-to-all column of
+// TestRatchetBoundsPhases on one solve state — a fig8 column in miniature — and
 // reports the work counts beside the time: phases/op tracks how far the
 // demand normalizer sat below OPT, dijkstras/op is the oracle traffic that
 // follows from it.

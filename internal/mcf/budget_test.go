@@ -13,8 +13,8 @@ import (
 // TestPhaseBudgetDegradesGracefully cross-checks the budget semantics
 // against the exact LP on a small instance (three diameter demands on a
 // 6-ring, optimum 2/3): an unbounded solve must meet its epsilon bound
-// unflagged, and a phase-truncated solve must be flagged Approximate while
-// staying feasible.
+// unflagged, and a phase-truncated solve must report exactly the phases it
+// completed and be flagged Approximate while staying feasible.
 func TestPhaseBudgetDegradesGracefully(t *testing.T) {
 	ring := ringNetwork(6)
 	servers := ring.Servers()
@@ -39,7 +39,7 @@ func TestPhaseBudgetDegradesGracefully(t *testing.T) {
 		t.Fatalf("unbounded lambda %g outside epsilon bound of exact %g", full.Lambda, exact)
 	}
 	if full.Phases < 4 {
-		t.Skipf("solver converged in %d phases; no room to truncate", full.Phases)
+		t.Fatalf("solver converged in %d phases; no room to truncate", full.Phases)
 	}
 
 	// Cut the phase budget well below convergence: the solver must flag
@@ -47,6 +47,9 @@ func TestPhaseBudgetDegradesGracefully(t *testing.T) {
 	cut, err := MaxConcurrentFlow(context.Background(), ring, comms, Options{Epsilon: eps, MaxPhases: full.Phases / 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cut.Phases != full.Phases/2 {
+		t.Errorf("MaxPhases-limited solve reports %d phases, want %d", cut.Phases, full.Phases/2)
 	}
 	if !cut.Approximate {
 		t.Errorf("truncated solve (phases=%d of %d) not flagged Approximate", cut.Phases, full.Phases)
@@ -60,6 +63,43 @@ func TestPhaseBudgetDegradesGracefully(t *testing.T) {
 	// The dual bound keeps telling the truth on the degraded result.
 	if !math.IsInf(cut.UpperBound, 1) && cut.UpperBound < exact-1e-9 {
 		t.Errorf("degraded dual bound %g below optimum %g", cut.UpperBound, exact)
+	}
+}
+
+// TestPhasesCountsCompletedOnly is the regression test for the
+// over-reporting bug: a solve whose TimeBudget expires before the first
+// phase completes must report Phases == 0 (and only the probe's Dijkstra
+// passes). TestPhaseBudgetDegradesGracefully holds the MaxPhases side.
+func TestPhasesCountsCompletedOnly(t *testing.T) {
+	ft, err := fattree.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var comms []Commodity
+	for i := 0; i < 8; i++ {
+		comms = append(comms, Commodity{Src: ft.ServerIDs[i], Dst: ft.ServerIDs[15-i], Demand: 1})
+	}
+	// The 1ns budget is already spent when the first iteration checks the
+	// deadline (the probe alone takes far longer), so zero phases complete.
+	res, err := MaxConcurrentFlow(context.Background(), ft.Net, comms,
+		Options{Epsilon: 0.05, TimeBudget: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Phases != 0 {
+		t.Errorf("budget-exhausted solve reports %d phases, want 0", res.Phases)
+	}
+	if !res.Approximate {
+		t.Error("budget-exhausted solve not flagged Approximate")
+	}
+	// Exactly one probe pass per distinct source switch ran — this pins the
+	// probe-accounting fix too (it used to report 0).
+	srcSwitches := map[int]bool{}
+	for _, c := range comms {
+		srcSwitches[ft.Net.HostSwitch(c.Src)] = true
+	}
+	if res.Dijkstras != len(srcSwitches) {
+		t.Errorf("Dijkstras = %d, want %d probe passes", res.Dijkstras, len(srcSwitches))
 	}
 }
 

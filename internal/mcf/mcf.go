@@ -6,17 +6,18 @@
 // (uncapacitated), so commodities are aggregated to host-switch pairs and
 // routing is optimal (not restricted to any path system).
 //
-// Every experiment solves through one entry (Solver.Solve,
-// MaxConcurrentFlow). A general instance runs the Fleischer/Garg-Könemann
-// FPTAS over a source-grouped shortest-path-tree oracle: it scales to the
-// paper's k=32 (thousands of switches, tens of thousands of aggregated
-// commodities) and reports both a feasible primal λ and an LP-dual upper
-// bound, so every experiment knows its true accuracy. A star-shaped instance
-// — every commodity shares one endpoint switch, the paper's single hot spot —
-// is a single-commodity problem and is solved exactly by parametric max-flow
-// (star.go). MaxConcurrentFlowExact, the edge-based LP solved with
-// internal/lp, is the small-instance reference the tests validate both
-// against.
+// Every experiment solves through one entry, MaxConcurrentFlow, and a solve
+// is a pure function of its own instance: nothing but recycled scratch memory
+// survives from one call to the next. A general instance runs the
+// Fleischer/Garg-Könemann FPTAS over a source-grouped shortest-path-tree
+// oracle: it scales to the paper's k=32 (thousands of switches, tens of
+// thousands of aggregated commodities) and reports both a feasible primal λ
+// and an LP-dual upper bound, so every experiment knows its true accuracy. A
+// star-shaped instance — every commodity shares one endpoint switch, the
+// paper's single hot spot — is a single-commodity problem and is solved
+// exactly by parametric max-flow (star.go). MaxConcurrentFlowExact, the
+// edge-based LP solved with internal/lp, is the small-instance reference the
+// tests validate both against.
 package mcf
 
 import (
@@ -94,18 +95,10 @@ type Result struct {
 	// might be; the flag only says the usual (1-ε)-optimality promise no
 	// longer applies.
 	Approximate bool
-	// WarmStarted reports that the solve was seeded with the previous
-	// instance's edge-length function (Solver only; never an exact solve).
-	// The ε contract is unchanged: Lambda is feasible and DualGap remains a
-	// true certificate.
+	// WarmStarted is always false: no solve is seeded from another. The
+	// field stays only because benchmark/ reads it, and goes with that read
+	// (ROADMAP item 1).
 	WarmStarted bool
-	// WarmHits and WarmMisses count warm and cold solves over the owning
-	// Solver's chain so far, this solve included; both are zero for
-	// MaxConcurrentFlow and after Solver.Reset. WarmReject names the gate's
-	// rejection reason when this solve ran cold (one of the WarmReject*
-	// constants; empty when warm-started or when no warm state was in play).
-	WarmHits, WarmMisses int
-	WarmReject           string
 }
 
 // DualGap returns UpperBound/Lambda - 1, the proven relative optimality
@@ -138,7 +131,6 @@ type problem struct {
 	g       *graph.Graph // switch-level graph
 	cap     []float64    // per-edge capacity
 	node    []int        // problem node -> network node (the network's own switch list: read-only)
-	coord   []int64      // problem node -> canonical coordinate (see coordOf)
 	srcs    []int32      // commodity sources in ascending order
 	srcOff  []int32      // comms offsets per source; len(srcs)+1 entries
 	comms   []aggCommodity
@@ -163,10 +155,6 @@ func (p *problem) commsOf(si int) []aggCommodity {
 func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 	sw := nw.Switches()
 	pr.node = sw
-	pr.coord = pr.coord[:0]
-	for _, s := range sw {
-		pr.coord = append(pr.coord, coordOf(nw.Nodes[s]))
-	}
 	if cap(pr.idx) < nw.N() {
 		pr.idx = make([]int32, nw.N())
 	}
@@ -346,14 +334,10 @@ func resized(s []float64, n int) []float64 {
 // the solve and returns ctx.Err(). Options.TimeBudget instead ends the
 // FPTAS's phase loop early with the best feasible λ found so far (flagged
 // Approximate); an exact solve has nothing to cut short and ignores it.
-//
-// Every call solves cold. Repeated solves over near-identical instances
-// should hold a Solver, which warm-starts the length function from the
-// previous solve.
 func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options) (Result, error) {
 	st := getState()
 	defer putState(st)
-	return st.solve(ctx, nw, commodities, opt, nil)
+	return st.solve(ctx, nw, commodities, opt)
 }
 
 // solve runs one solve on st: it validates the options, aggregates the
@@ -363,29 +347,7 @@ func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Comm
 // FPTAS's worst case — a tree oracle sends the source's whole phase over its
 // cheapest out-link, so it needs deg(src) shortest-path passes per phase to
 // learn what one min cut states.
-//
-// A non-nil warm is consumed by the FPTAS to seed the length function (when
-// the gate allows) and refreshed with the final lengths on success. Any error
-// leaves it invalidated, because an aborted solve has no trustworthy length
-// function to hand forward, and so does an exact solve, which has no length
-// function at all.
-//
-// A warm solve that "converged" without completing a single phase is redone
-// cold: that shape only occurs when the transferred normalizer overshot
-// this instance's OPT by orders of magnitude (normalized OPT ≪ 1), which
-// quantizes λ to garbage — possibly 0, when the stop condition fired before
-// late sources routed anything. The retry costs one cold solve, exactly
-// what a conservative gate would have paid anyway, and its Dijkstra count
-// carries the wasted warm work so the accounting stays honest.
-func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options, warm *warmState) (Result, error) {
-	res, err := st.dispatch(ctx, nw, commodities, opt, warm)
-	if warm != nil && err != nil {
-		warm.valid = false
-	}
-	return res, err
-}
-
-func (st *solveState) dispatch(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options, warm *warmState) (Result, error) {
+func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options) (Result, error) {
 	if opt.Epsilon <= 0 {
 		opt.Epsilon = 0.08
 	}
@@ -402,86 +364,35 @@ func (st *solveState) dispatch(ctx context.Context, nw *topo.Network, commoditie
 		return Result{Lambda: math.Inf(1), UpperBound: math.Inf(1)}, nil
 	}
 	if st.stageStar() {
-		if warm != nil {
-			warm.valid = false
-		}
 		return st.solveStar(ctx)
 	}
-	res, err := st.fptas(ctx, opt, warm, false)
-	if err == nil && res.WarmStarted && !res.Approximate && res.Phases == 0 {
-		wasted := res.Dijkstras
-		// The warm attempt rescaled the demands in place; start over from
-		// the caller's.
-		if err = aggregate(nw, commodities, &st.pr); err != nil {
-			return Result{}, err
-		}
-		res, err = st.fptas(ctx, opt, warm, true)
-		if err == nil {
-			res.Dijkstras += wasted
-		}
-	}
-	return res, err
+	return st.fptas(ctx, opt)
 }
 
 // fptas runs the Garg-Könemann/Fleischer scheme on the aggregated problem in
 // st.pr, whose demands it rescales in place. opt must carry a valid Epsilon
-// and a positive MaxPhases (dispatch fills in the defaults).
-func (st *solveState) fptas(ctx context.Context, opt Options, warm *warmState, forceCold bool) (Result, error) {
+// and a positive MaxPhases (solve fills in the defaults).
+func (st *solveState) fptas(ctx context.Context, opt Options) (Result, error) {
 	pr := &st.pr
 	ar := &st.ar
 	ar.bind(pr)
 	res := Result{UpperBound: math.Inf(1)}
 
 	eps := opt.Epsilon
-	mode := warmNone
-	if warm != nil {
-		if forceCold {
-			res.WarmReject = WarmRejectColdRetry
-		} else {
-			var reject string
-			mode, reject = warm.gate(pr, eps)
-			res.WarmReject = reject
-		}
-		// Fingerprint the commodities before normalization rescales the
-		// demands in place; capture promotes it if the solve succeeds.
-		warm.snapshot(pr)
-	}
 
 	// Demand pre-scaling: the Garg-Könemann phase count is ~OPT·log(m)/ε²
 	// *after* normalization, so an instance with tiny OPT (e.g. one hot
 	// spot against a whole fabric) would stop after a fraction of a phase,
 	// quantizing λ badly and leaving late sources unrouted. A one-sweep
 	// shortest-path load probe estimates OPT within the path-stretch
-	// factor; scaling demands by it normalizes OPT to Θ(1). A warm start
-	// does better: the previous solve's λ estimates this instance's OPT
-	// within the (small) topology drift plus the ε gap — no stretch
-	// inflation — so normalized OPT lands at ~1 and the phase count drops
-	// by the stretch factor. Either normalizer is just a change of units,
-	// undone when λ is scaled back at the end, so this affects work and λ
-	// quantization granularity, never correctness. A related (not
-	// identical) instance's λ is first rescaled by the aggregate-demand
-	// ratio: λ·ΣD is roughly the shippable flow, so same-fabric demand
-	// redraws track OPT almost exactly and adjacent-k hops are off only by
-	// the capacity growth factor — still far tighter than the probe's
-	// stretch inflation, and the cold retry in solve catches any
-	// pathological overshoot. All three are only the starting guess: the
-	// phase loop below renormalizes upward whenever the flow it holds
-	// proves the guess low.
-	var lambdaHat float64
-	switch {
-	case mode == warmIdentical && warm.lambda > 0:
-		lambdaHat = warm.lambda
-	case mode == warmRescaled && warm.lambda > 0 && warm.demand > 0:
-		newDem := 0.0
-		for i := range pr.comms {
-			newDem += pr.comms[i].demand
-		}
-		lambdaHat = warm.lambda * warm.demand / newDem
-	default:
-		var err error
-		if lambdaHat, err = pr.probeScale(ctx, ar, &res); err != nil {
-			return Result{}, err
-		}
+	// factor; scaling demands by it normalizes OPT to Θ(1). The normalizer
+	// is just a change of units, undone when λ is scaled back at the end,
+	// so this affects work and λ quantization granularity, never
+	// correctness — and it is only the starting guess: the phase loop below
+	// renormalizes upward whenever the flow it holds proves the guess low.
+	lambdaHat, err := pr.probeScale(ctx, ar, &res)
+	if err != nil {
+		return Result{}, err
 	}
 	for i := range pr.comms {
 		pr.comms[i].demand *= lambdaHat
@@ -491,14 +402,9 @@ func (st *solveState) fptas(ctx context.Context, opt Options, warm *warmState, f
 	delta, scale := gkConstants(eps, m)
 	length := ar.length
 	sumLC := 0.0 // D(l) = sum_e length_e * cap_e
-	if mode != warmNone {
-		sumLC = warm.seed(pr, length, delta, eps)
-		res.WarmStarted = true
-	} else {
-		for e := 0; e < m; e++ {
-			length[e] = delta / pr.cap[e]
-			sumLC += length[e] * pr.cap[e]
-		}
+	for e := 0; e < m; e++ {
+		length[e] = delta / pr.cap[e]
+		sumLC += length[e] * pr.cap[e]
 	}
 
 	routed, flow := ar.routed, ar.flow
@@ -694,9 +600,6 @@ phases:
 			}
 		}
 		res.UpperBound = min(res.UpperBound, d/alpha*lambdaHat)
-	}
-	if warm != nil {
-		warm.capture(pr, length, eps, res.Lambda)
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package mcf
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"flattree/internal/fattree"
@@ -232,5 +233,139 @@ func TestDualGap(t *testing.T) {
 	r2 := Result{Lambda: 1, UpperBound: math.Inf(1)}
 	if !math.IsInf(r2.DualGap(), 1) {
 		t.Error("DualGap should be +Inf without a bound")
+	}
+}
+
+// TestProbeScaleTinyOPT pins the demand pre-scaling path: one hot pair with
+// demand 1000 against a fabric quantizes λ to garbage without the probe
+// (OPT ~ 1/250), so λ landing within ε of the exact LP is direct evidence
+// lambdaHat normalized the instance. The unit pair from another pod is what
+// keeps the instance on the FPTAS: the hot pair alone would be a star.
+func TestProbeScaleTinyOPT(t *testing.T) {
+	ft, err := fattree.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := []Commodity{
+		{Src: ft.ServerIDs[0], Dst: ft.ServerIDs[15], Demand: 1000},
+		{Src: ft.ServerIDs[4], Dst: ft.ServerIDs[11], Demand: 1},
+	}
+	exact, err := MaxConcurrentFlowExact(ft.Net, comms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.05
+	res, err := MaxConcurrentFlow(context.Background(), ft.Net, comms, Options{Epsilon: eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lambda > exact*(1+1e-9) || res.Lambda < (1-3*eps)*exact {
+		t.Errorf("tiny-OPT lambda %g outside ε contract of exact %g", res.Lambda, exact)
+	}
+	if res.UpperBound < exact*(1-1e-9) {
+		t.Errorf("tiny-OPT dual bound %g below exact %g", res.UpperBound, exact)
+	}
+}
+
+// TestProbeDisconnectedCommodity: the probe must skip a disconnected
+// commodity without crashing, and the main run must surface it as an error.
+func TestProbeDisconnectedCommodity(t *testing.T) {
+	b := topo.NewBuilder("islands")
+	a0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	a1 := b.AddNode(topo.EdgeSwitch, 0, 1, 4)
+	b.AddLink(a0, a1, topo.TagClos)
+	c0 := b.AddNode(topo.EdgeSwitch, 1, 0, 4)
+	c1 := b.AddNode(topo.EdgeSwitch, 1, 1, 4)
+	b.AddLink(c0, c1, topo.TagClos)
+	sa := b.AddNode(topo.Server, 0, 0, 1)
+	sc := b.AddNode(topo.Server, 1, 0, 1)
+	b.AddLink(sa, a0, topo.TagClos)
+	b.AddLink(sc, c0, topo.TagClos)
+	nw := b.Build()
+	_, err := MaxConcurrentFlow(context.Background(), nw,
+		[]Commodity{{Src: sa, Dst: sc, Demand: 1}}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "disconnected") {
+		t.Fatalf("err = %v, want disconnected-commodity error", err)
+	}
+}
+
+// withoutLink rebuilds nw minus the link with the given ID; node IDs are
+// unchanged, as after a link failure.
+func withoutLink(nw *topo.Network, id int) *topo.Network {
+	b := topo.NewBuilder(nw.Name)
+	for _, n := range nw.Nodes {
+		b.AddNode(n.Kind, n.Pod, n.Index, n.Ports)
+	}
+	for _, l := range nw.Links {
+		if l.ID != id {
+			b.AddLink(l.A, l.B, l.Tag)
+		}
+	}
+	return b.Build()
+}
+
+// TestSolveIsHistoryFree: a solve is a function of its own instance. One
+// Solver is walked through every kind of neighbour a driver can hand it — an
+// FPTAS instance after a star, the next k after a smaller one, a link-failed
+// variant after its parent, a coarser ε after a finer one, a star after an
+// FPTAS instance — and each Result must equal, field for field and bit for
+// bit, a solve of the same instance on scratch nothing has touched.
+func TestSolveIsHistoryFree(t *testing.T) {
+	mirrored := func(k int) (*topo.Network, []Commodity) {
+		ft, err := fattree.New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := ft.ServerIDs
+		var comms []Commodity
+		for i := 0; i < len(srv)/2; i++ {
+			comms = append(comms, Commodity{Src: srv[i], Dst: srv[len(srv)-1-i], Demand: 1})
+		}
+		return ft.Net, comms
+	}
+	k4, comms4 := mirrored(4)
+	k6, comms6 := mirrored(6)
+	var aggUplink int // an edge-agg link of k6: its loss moves λ
+	for _, l := range k6.Links {
+		if ka, kb := k6.LinkEndpointKinds(l); ka.IsSwitch() && kb.IsSwitch() {
+			aggUplink = l.ID
+			break
+		}
+	}
+	failed := withoutLink(k6, aggUplink)
+	steps := []struct {
+		name  string
+		nw    *topo.Network
+		comms []Commodity
+		eps   float64
+	}{
+		{"star k=4", k4, comms4[:1], 0.1},
+		{"FPTAS after star", k4, comms4, 0.1},
+		{"k=6 after k=4", k6, comms6, 0.1},
+		{"link failed after parent", failed, comms6, 0.1},
+		{"eps 0.2 after 0.1", failed, comms6, 0.2},
+		{"star after FPTAS", k6, comms6[:1], 0.2},
+	}
+	s := GetSolver()
+	defer s.Release()
+	seen := map[Result]string{}
+	for _, st := range steps {
+		got, err := s.Solve(context.Background(), st.nw, st.comms, Options{Epsilon: st.eps})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want, err := new(solveState).solve(context.Background(), st.nw, st.comms, Options{Epsilon: st.eps})
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: on the used Solver %+v, on fresh scratch %+v", st.name, got, want)
+		}
+		// The steps are different instances: equal results would mean the
+		// walk exercises nothing.
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s: same Result as %q, the step is vacuous", st.name, prev)
+		}
+		seen[got] = st.name
 	}
 }

@@ -74,11 +74,11 @@ func isStar(tb testing.TB, nw *topo.Network, comms []Commodity) bool {
 }
 
 // checkExact asserts what the exact path promises of a star instance: the LP
-// optimum itself with a closed certificate, no FPTAS work, and no warm start.
+// optimum itself with a closed certificate and no FPTAS work.
 func checkExact(tb testing.TB, label string, res Result, exact float64) {
 	tb.Helper()
-	if res.Approximate || res.WarmStarted || res.WarmReject != "" {
-		tb.Errorf("%s: star solve reports Approximate %v, WarmStarted %v, WarmReject %q", label, res.Approximate, res.WarmStarted, res.WarmReject)
+	if res.Approximate {
+		tb.Errorf("%s: star solve flagged Approximate", label)
 	}
 	if res.Phases != 0 || res.Dijkstras != 0 {
 		tb.Errorf("%s: star solve counts %d phases, %d Dijkstras", label, res.Phases, res.Dijkstras)
@@ -91,10 +91,11 @@ func checkExact(tb testing.TB, label string, res Result, exact float64) {
 	}
 }
 
-// checkChain solves comms cold, then on one Solver cold → identical warm →
-// rescaled warm (every demand tripled), holding each result to
-// checkCertificate against its own LP optimum. A star instance never warm
-// starts: every step must be exact (checkExact) and count as a cold miss.
+// checkChain solves comms on fresh scratch, then on that same scratch the
+// tripled-demand instance and comms again. The first two are held to their
+// own LP optimum — checkCertificate, or checkExact when the instance is a
+// star — and the re-solve on used scratch must equal the fresh one bit for
+// bit: a solve is a function of its instance, not of what ran before it.
 func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity, eps float64) {
 	tb.Helper()
 	exact, err := MaxConcurrentFlowExact(nw, comms)
@@ -104,53 +105,31 @@ func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity
 	if math.IsInf(exact, 1) {
 		return // every commodity was switch-local
 	}
-	ctx := context.Background()
-	opt := Options{Epsilon: eps}
-	cold, err := MaxConcurrentFlow(ctx, nw, comms, opt)
-	if err != nil {
-		tb.Fatalf("%s: %v", label, err)
-	}
 	star := isStar(tb, nw, comms)
-	if star {
-		checkExact(tb, label+" cold", cold, exact)
-	} else {
-		checkCertificate(tb, label+" cold", cold, exact, eps)
-	}
-
-	s := NewSolver()
-	steps := []struct {
-		name  string
-		comms []Commodity
-		exact float64
-		warm  bool
-	}{
-		{"chain-first", comms, exact, false},
-		{"warm-identical", comms, exact, true},
-		{"warm-rescaled", scaled(comms, 3), exact / 3, true},
-	}
-	for i, st := range steps {
-		res, err := s.Solve(ctx, nw, st.comms, opt)
+	st := new(solveState)
+	solve := func(name string, comms []Commodity, exact float64) Result {
+		res, err := st.solve(context.Background(), nw, comms, Options{Epsilon: eps})
 		if err != nil {
-			tb.Fatalf("%s %s: %v", label, st.name, err)
+			tb.Fatalf("%s %s: %v", label, name, err)
 		}
 		if star {
-			checkExact(tb, label+" "+st.name, res, st.exact)
-			if res.WarmHits != 0 || res.WarmMisses != i+1 {
-				tb.Errorf("%s %s: chain counters %d/%d hits/misses, want 0/%d", label, st.name, res.WarmHits, res.WarmMisses, i+1)
-			}
-			continue
+			checkExact(tb, label+" "+name, res, exact)
+		} else {
+			checkCertificate(tb, label+" "+name, res, exact, eps)
 		}
-		if res.WarmStarted != st.warm {
-			tb.Errorf("%s %s: WarmStarted = %v, want %v (reject %q)", label, st.name, res.WarmStarted, st.warm, res.WarmReject)
-		}
-		checkCertificate(tb, label+" "+st.name, res, st.exact, eps)
+		return res
+	}
+	fresh := solve("fresh", comms, exact)
+	solve("tripled", scaled(comms, 3), exact/3)
+	if again := solve("again", comms, exact); again != fresh {
+		tb.Errorf("%s: re-solve on used scratch = %+v, fresh solve = %+v", label, again, fresh)
 	}
 }
 
 // TestRatchetNeverOvershootsOPT is the generated differential check of the
 // renormalizing solver against the exact LP: random commodity sets on the
 // k=4 flat-tree in every mode, demands scaled across six orders of
-// magnitude, each solved cold and down an identical/rescaled warm chain.
+// magnitude, each through checkChain.
 // Commodities are drawn until at least two source and two destination
 // switches are in play, so every instance takes the FPTAS; TestStarMatchesLP
 // is the same check for the ones that do not.
@@ -177,8 +156,8 @@ func TestRatchetNeverOvershootsOPT(t *testing.T) {
 // allToAllColumn is one k of a fig8-shaped column: fat-tree(k) with its
 // servers dealt round-robin into clusters of (up to) 20, one unit commodity
 // per unordered pair inside each cluster. Dealing round-robin spreads every
-// cluster over the pods, which is what throws the hop-count probe and the
-// cross-k rescale furthest off.
+// cluster over the pods, which is what throws the hop-count probe furthest
+// off.
 func allToAllColumn(tb testing.TB, k int) (*topo.Network, []Commodity) {
 	tb.Helper()
 	ft, err := fattree.New(k)
@@ -198,19 +177,19 @@ func allToAllColumn(tb testing.TB, k int) (*topo.Network, []Commodity) {
 	return ft.Net, comms
 }
 
-// solveAllToAllChain walks one Solver down the k=4→6→8 all-to-all column,
-// returning each solve's result beside its feasibility scale (the phase
-// count at normalized OPT = 1).
+// solveAllToAllChain solves the k=4→6→8 all-to-all column on one solve
+// state, returning each solve's result beside its feasibility scale (the
+// phase count at normalized OPT = 1).
 func solveAllToAllChain(tb testing.TB, eps float64) (scales []float64, out []Result) {
 	tb.Helper()
-	s := NewSolver()
+	st := new(solveState)
 	for _, k := range []int{4, 6, 8} {
 		nw, comms := allToAllColumn(tb, k)
-		res, err := s.Solve(context.Background(), nw, comms, Options{Epsilon: eps})
+		res, err := st.solve(context.Background(), nw, comms, Options{Epsilon: eps})
 		if err != nil {
 			tb.Fatalf("k=%d: %v", k, err)
 		}
-		_, scale := gkConstants(eps, s.st.pr.g.M())
+		_, scale := gkConstants(eps, st.pr.g.M())
 		scales, out = append(scales, scale), append(out, res)
 	}
 	return scales, out
@@ -218,8 +197,7 @@ func solveAllToAllChain(tb testing.TB, eps float64) (scales []float64, out []Res
 
 // TestRatchetBoundsPhases pins what the ratchet is for. A Garg-Könemann
 // solve takes (normalized OPT)·scale phases; before the ratchet the probe
-// and the cross-k rescale left this chain at 3.03, 3.33 and 2.36·scale. With
-// it the normalizer is pulled up to the flow's own certified throughput
+// left the k=4 solve of this column at 3.03·scale. With it the normalizer is pulled up to the flow's own certified throughput
 // within the first phases and every solve finishes inside 1.5·scale. The
 // final dual sweep must also leave each converged solve a tighter
 // certificate than the per-phase bound the pre-ratchet solver reported on
@@ -233,9 +211,6 @@ func TestRatchetBoundsPhases(t *testing.T) {
 		k := 4 + 2*i
 		if res.Approximate {
 			t.Fatalf("k=%d: unbudgeted solve flagged Approximate", k)
-		}
-		if want := i > 0; res.WarmStarted != want {
-			t.Errorf("k=%d: WarmStarted = %v, want %v (reject %q)", k, res.WarmStarted, want, res.WarmReject)
 		}
 		if r := float64(res.Phases) / scales[i]; r > 1.5 {
 			t.Errorf("k=%d: %d phases = %.2f·scale, want ≤ 1.5·scale", k, res.Phases, r)
@@ -280,9 +255,9 @@ func TestDemandScalingIsMetamorphic(t *testing.T) {
 
 // FuzzSolverCertificate decodes bytes into a k=4 flat-tree mode, an ε, a
 // demand scale and up to four commodities — byte 0 the mode, byte 1 the ε,
-// byte 2 the power of ten, then (src, dst, demand) triples — and holds the
-// cold solve and the identical/rescaled warm chain to checkCertificate
-// against the exact LP, or to checkExact when the decoded instance is a star.
+// byte 2 the power of ten, then (src, dst, demand) triples — and runs
+// checkChain on it: certificates against the exact LP (checkExact when the
+// decoded instance is a star) and a bit-identical re-solve on used scratch.
 // The seed corpus is checked in under testdata/fuzz/FuzzSolverCertificate.
 func FuzzSolverCertificate(f *testing.F) {
 	// Solves only read the network, so the three are built once.

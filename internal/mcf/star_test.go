@@ -139,7 +139,7 @@ func fabrics(tb testing.TB, k int) []fabric {
 	}
 }
 
-// fptasOnly runs the FPTAS on comms whatever their shape, the way dispatch
+// fptasOnly runs the FPTAS on comms whatever their shape, the way solve
 // would have had it not recognised a star.
 func fptasOnly(tb testing.TB, nw *topo.Network, comms []Commodity, eps float64) (Result, error) {
 	tb.Helper()
@@ -148,7 +148,7 @@ func fptasOnly(tb testing.TB, nw *topo.Network, comms []Commodity, eps float64) 
 	if err := aggregate(nw, comms, &st.pr); err != nil {
 		tb.Fatal(err)
 	}
-	return st.fptas(context.Background(), Options{Epsilon: eps, MaxPhases: 1 << 20}, nil, false)
+	return st.fptas(context.Background(), Options{Epsilon: eps, MaxPhases: 1 << 20})
 }
 
 // TestStarBracketsFPTAS uses the exact path as the oracle where the LP
@@ -184,48 +184,6 @@ func TestStarBracketsFPTAS(t *testing.T) {
 					k, tc.name, approx.Lambda, approx.Lambda/star.Lambda, star.Lambda)
 			}
 		}
-	}
-}
-
-// TestStarResetsSolverChain pins how an exact solve sits in a Solver chain:
-// it counts as a cold miss with no reject reason (process-wide too), and it
-// drops the warm state — the same FPTAS instance that warm-started before it
-// runs cold as a first solve after it.
-func TestStarResetsSolverChain(t *testing.T) {
-	nw := ringNetwork(6)
-	servers := nw.Servers()
-	two := []Commodity{
-		{Src: servers[0], Dst: servers[3], Demand: 1},
-		{Src: servers[1], Dst: servers[4], Demand: 1},
-	}
-	one := two[:1]
-	s := NewSolver()
-	solve := func(cs []Commodity) Result {
-		t.Helper()
-		res, err := s.Solve(context.Background(), nw, cs, Options{Epsilon: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	solve(two)
-	if res := solve(two); !res.WarmStarted {
-		t.Fatal("identical FPTAS re-solve did not warm-start")
-	}
-	before := ReadWarmStats()
-	res := solve(one)
-	after := ReadWarmStats()
-	checkExact(t, "star in chain", res, 2) // both ways round the ring, one unit each
-	if res.WarmHits != 1 || res.WarmMisses != 2 {
-		t.Errorf("chain counters after the star = %d/%d hits/misses, want 1/2", res.WarmHits, res.WarmMisses)
-	}
-	before.Misses++
-	if after != before {
-		t.Errorf("process-wide counters moved %+v → %+v, want one reasonless miss", before, after)
-	}
-	if res := solve(two); res.WarmStarted || res.WarmReject != WarmRejectFirstSolve {
-		t.Errorf("FPTAS solve after a star: WarmStarted %v, WarmReject %q; want cold, %q",
-			res.WarmStarted, res.WarmReject, WarmRejectFirstSolve)
 	}
 }
 

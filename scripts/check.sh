@@ -79,7 +79,7 @@ go test -run 'TestServeSmokeEndToEnd' -count=1 ./cmd/flatsim
 echo "== soak smoke (bounded chaos soak, fixed seed)"
 # A tiny end-to-end soak through the real CLI: small k, short virtual
 # horizon, fixed seed. Proves the subcommand wiring (knob-table flags,
-# warm-stats reset, table emission) against a live control plane; the
+# table emission) against a live control plane; the
 # determinism and overlap guarantees are pinned by the chaos and
 # experiments test suites above.
 go run ./cmd/flatsim -kmax 4 -eps 0.3 -rate 2 -horizon 3 -seed 1 \
@@ -109,10 +109,10 @@ echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-leng
 # Dinic max-flow workspace on generated multigraphs (parallel edges,
 # fractional capacities and drains) against the simplex LP: same value,
 # conservation, a saturated cut of that value. Then the solver on generated
-# k=4 flat-tree instances (mode, commodities, demand scale, ε; cold and down
-# a Solver chain) against the exact LP: λ ≤ λ_LP ≤ UpperBound and
-# λ ≥ (1−3ε)·λ_LP from the FPTAS, λ = λ_LP to 1e-9 with a closed
-# certificate when the instance is a star. The checked-in seed corpora
+# k=4 flat-tree instances (mode, commodities, demand scale, ε) against the
+# exact LP: λ ≤ λ_LP ≤ UpperBound and λ ≥ (1−3ε)·λ_LP from the FPTAS,
+# λ = λ_LP to 1e-9 with a closed certificate when the instance is a star,
+# and a re-solve on used scratch bit-identical to the fresh one. The checked-in seed corpora
 # (internal/{serve,graph,mcf}/testdata/fuzz) already ran in the unit-test
 # leg; this leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve

@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -204,5 +207,46 @@ func TestConstructionAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs, want <= %.0f", c.name, got, c.ceiling)
 		}
 		t.Logf("%s: %.0f allocs", c.name, got)
+	}
+}
+
+// TestSolverDoorsHaveNoUsers keeps the solver's compatibility doors from
+// growing users before the benchmark-only PR removes them: internal/mcf
+// names nothing Warm* but Result.WarmStarted, and no non-test file outside
+// internal/mcf and benchmark/ (which still compiles against the doors)
+// mentions mcf.Solver, GetSolver or WarmStarted.
+func TestSolverDoorsHaveNoUsers(t *testing.T) {
+	warm := regexp.MustCompile(`\w*Warm\w*`)
+	door := regexp.MustCompile(`mcf\.Solver|GetSolver|WarmStarted`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if filepath.Dir(path) == filepath.Join("internal", "mcf") {
+			for _, name := range warm.FindAllString(string(src), -1) {
+				if name != "WarmStarted" {
+					t.Errorf("%s names %s; the warm-start machinery is gone and only Result.WarmStarted remains for benchmark/", path, name)
+				}
+			}
+		} else if m := door.Find(src); m != nil {
+			t.Errorf("%s uses %s; call mcf.MaxConcurrentFlow instead", path, m)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
