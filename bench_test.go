@@ -20,14 +20,13 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/ctrl"
-	"flattree/internal/dynsim"
 	"flattree/internal/experiments"
 	"flattree/internal/fattree"
-	"flattree/internal/flowsim"
 	"flattree/internal/graph"
 	"flattree/internal/jellyfish"
 	"flattree/internal/mcf"
 	"flattree/internal/metrics"
+	"flattree/internal/netsim"
 	"flattree/internal/routing"
 	"flattree/internal/topo"
 	"flattree/internal/traffic"
@@ -266,10 +265,6 @@ func BenchmarkAblationRouting(b *testing.B) {
 		b.Fatal(err)
 	}
 	mcfComms := traffic.BroadcastCommodities(clusters, 1000)
-	fsComms := make([]flowsim.Commodity, len(mcfComms))
-	for i, c := range mcfComms {
-		fsComms[i] = flowsim.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-	}
 	b.Run("optimal", func(b *testing.B) {
 		var res mcf.Result
 		for i := 0; i < b.N; i++ {
@@ -282,9 +277,9 @@ func BenchmarkAblationRouting(b *testing.B) {
 	})
 	for _, kk := range []int{4, 8} {
 		b.Run(fmt.Sprintf("ksp%d", kk), func(b *testing.B) {
-			var res flowsim.Result
+			var res netsim.MaxMinResult
 			for i := 0; i < b.N; i++ {
-				res, err = flowsim.MaxMin(nw, routing.NewKSP(nw, kk), fsComms)
+				res, err = netsim.MaxMin(nw, routing.NewKSP(nw, kk), mcfComms)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,9 +288,9 @@ func BenchmarkAblationRouting(b *testing.B) {
 		})
 	}
 	b.Run("ecmp", func(b *testing.B) {
-		var res flowsim.Result
+		var res netsim.MaxMinResult
 		for i := 0; i < b.N; i++ {
-			res, err = flowsim.MaxMin(nw, routing.NewECMP(nw, 32), fsComms)
+			res, err = netsim.MaxMin(nw, routing.NewECMP(nw, 32), mcfComms)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -427,8 +422,8 @@ func BenchmarkDynsimFCT(b *testing.B) {
 		}
 		nw := ft.Net()
 		servers := nw.Servers()
-		arr := dynsim.PoissonHotspot(servers, servers[0], 4.0, 1.0, 150, graph.NewRNG(11))
-		res, err := dynsim.Simulate(context.Background(), nw, routing.NewKSP(nw, 8), arr, 0)
+		arr := netsim.PoissonHotspot(servers, servers[0], 4.0, 1.0, 150, graph.NewRNG(11))
+		res, err := netsim.Fluid(context.Background(), nw, routing.NewKSP(nw, 8), arr)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Adaptive conversion: the full §2.6 loop — measure, classify, convert —
 // running against live TCP agents. A flat-tree starts as a Clos network; a
-// hot-spot workload is simulated at flow level (internal/dynsim), the
+// hot-spot workload is simulated at flow level (netsim.Fluid), the
 // controller classifies the measured flows (ctrl.Advise) and converts the
 // network to the advised modes, and the same workload is replayed to show
 // the flow-completion-time improvement. Then the workload shifts to small
@@ -18,8 +18,8 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/ctrl"
-	"flattree/internal/dynsim"
 	"flattree/internal/graph"
+	"flattree/internal/netsim"
 	"flattree/internal/routing"
 )
 
@@ -52,7 +52,7 @@ func main() {
 	rng := graph.NewRNG(42)
 	servers := ft.Net().Servers()
 	hotspot := servers[0]
-	phase1 := dynsim.PoissonHotspot(servers, hotspot, 4.0, 1.0, 200, rng)
+	phase1 := netsim.PoissonHotspot(servers, hotspot, 4.0, 1.0, 200, rng)
 
 	fmt.Println("phase 1: hot-spot broadcast workload")
 	before := measure(ft, phase1)
@@ -66,10 +66,10 @@ func main() {
 
 	// --- Phase 2: the tenant mix shifts to small intra-pod clusters. ---
 	podSize := k * k / 4
-	var phase2 []dynsim.Arrival
+	var phase2 []netsim.Arrival
 	for p := 0; p < k; p++ {
 		podServers := servers[p*podSize : (p+1)*podSize]
-		phase2 = append(phase2, dynsim.PoissonPairs(podServers, 2.0, 1.0, 60, rng)...)
+		phase2 = append(phase2, netsim.PoissonPairs(podServers, 2.0, 1.0, 60, rng)...)
 	}
 
 	fmt.Println("phase 2: small intra-pod cluster workload")
@@ -84,9 +84,9 @@ func main() {
 }
 
 // measure replays a workload on the current topology at flow level.
-func measure(ft *core.FlatTree, arrivals []dynsim.Arrival) dynsim.Result {
+func measure(ft *core.FlatTree, arrivals []netsim.Arrival) netsim.FluidResult {
 	nw := ft.Net()
-	res, err := dynsim.Simulate(context.Background(), nw, routing.NewKSP(nw, 8), arrivals, 0)
+	res, err := netsim.Fluid(context.Background(), nw, routing.NewKSP(nw, 8), arrivals)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func measure(ft *core.FlatTree, arrivals []dynsim.Arrival) dynsim.Result {
 
 // adapt feeds the measured flows to the controller's classifier and
 // converts the network to the advised modes over the live agents.
-func adapt(ctx context.Context, controller *ctrl.Controller, ft *core.FlatTree, measured dynsim.Result) {
+func adapt(ctx context.Context, controller *ctrl.Controller, ft *core.FlatTree, measured netsim.FluidResult) {
 	obs := make([]ctrl.FlowObservation, len(measured.Completed))
 	for i, f := range measured.Completed {
 		obs[i] = ctrl.FlowObservation{Src: f.Src, Dst: f.Dst, Bytes: f.Size}

@@ -14,8 +14,8 @@ import (
 	"log"
 
 	"flattree/internal/core"
-	"flattree/internal/flowsim"
 	"flattree/internal/mcf"
+	"flattree/internal/netsim"
 	"flattree/internal/routing"
 	"flattree/internal/traffic"
 )
@@ -53,11 +53,7 @@ func main() {
 			routing.NewKSP(nw, 4),
 		}
 		for _, s := range schemes {
-			fsComms := make([]flowsim.Commodity, len(comms))
-			for i, c := range comms {
-				fsComms[i] = flowsim.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-			}
-			res, err := flowsim.MaxMin(nw, s, fsComms)
+			res, err := netsim.MaxMin(nw, s, comms)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 	"flattree/internal/graph"
 	"flattree/internal/mcf"
 	"flattree/internal/metrics"
-	"flattree/internal/pktsim"
+	"flattree/internal/netsim"
 	"flattree/internal/routing"
 	"flattree/internal/traffic"
 )
@@ -74,8 +74,8 @@ func TestPacketLatencyMatchesPathLength(t *testing.T) {
 	rng := graph.NewRNG(9)
 	servers := nw.Servers()
 	// One packet at a time (rate so low nothing queues), uniform pairs.
-	pkts := pktsim.PoissonPackets(servers, 0.01, 3000, 1, rng)
-	res, err := pktsim.Simulate(nw, routing.BuildTable(nw), pkts, pktsim.Config{PropDelay: 0.25})
+	pkts := netsim.PoissonPackets(servers, 0.01, 3000, 1, rng)
+	res, err := netsim.Packets(context.Background(), nw, routing.BuildTable(nw), pkts, netsim.PacketConfig{PropDelay: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestPacketLatencyMatchesPathLength(t *testing.T) {
 		t.Fatalf("drops at idle load: %+v", res)
 	}
 	if math.Abs(res.MeanHops-wantHops) > 0.1 {
-		t.Errorf("pktsim mean hops %.3f vs metrics %.3f", res.MeanHops, wantHops)
+		t.Errorf("packet-run mean hops %.3f vs metrics %.3f", res.MeanHops, wantHops)
 	}
 	// Latency per hop = 1 (transmission) + 0.25 (propagation).
 	if math.Abs(res.MeanLatency-res.MeanHops*1.25) > 1e-6 {

@@ -3,61 +3,14 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"flattree/internal/graph"
+	"flattree/internal/faults"
 	"flattree/internal/mcf"
 	"flattree/internal/metrics"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
+	"flattree/internal/traffic"
 )
-
-// largestComponentServers returns the servers of the largest connected
-// component, ascending. Soak fabrics are legitimately missing servers
-// (dark windows detach them, dead pods remove them); the surviving
-// majority's service is the quantity the SLO judges.
-func largestComponentServers(nw *topo.Network) []int {
-	g := nw.Graph()
-	servers := nw.Servers()
-	seen := make([]bool, nw.N())
-	var best []int
-	for _, s := range servers {
-		if seen[s] {
-			continue
-		}
-		dist := g.BFS(s)
-		var comp []int
-		for _, sv := range servers {
-			if dist[sv] >= 0 && !seen[sv] {
-				seen[sv] = true
-				comp = append(comp, sv)
-			}
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	sort.Ints(best)
-	return best
-}
-
-// componentCommodities gives each largest-component server unit demand to
-// one seeded pseudo-random peer. One seed serves the whole soak, so segments
-// whose component did not change score the same workload.
-func componentCommodities(comp []int, seed uint64) []mcf.Commodity {
-	if len(comp) < 2 {
-		return nil
-	}
-	perm := graph.NewRNG(seed).Perm(len(comp))
-	comms := make([]mcf.Commodity, 0, len(comp))
-	for i, p := range perm {
-		if i == p {
-			continue
-		}
-		comms = append(comms, mcf.Commodity{Src: comp[i], Dst: comp[p], Demand: 1})
-	}
-	return comms
-}
 
 // measure runs the λ sweep over the live loop's segments and folds the
 // series into the availability summary. Each segment is one work item, a
@@ -83,9 +36,9 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 	}
 	cells, err := parallel.MapCtx(ctx, len(e.spans), e.opt.Parallelism, func(i int) (cell, error) {
 		sp := e.spans[i]
-		comp := largestComponentServers(sp.nw)
+		comp := faults.LargestComponent(sp.nw)
 		c := cell{frac: float64(len(comp)) / float64(baseServers)}
-		comms := componentCommodities(comp, commSeed)
+		comms := traffic.Permutation(comp, commSeed)
 		if len(comms) > 0 {
 			r, err := mcf.MaxConcurrentFlow(ctx, sp.nw, comms, mcf.Options{
 				Epsilon: e.opt.Epsilon, SkipDualBound: true,

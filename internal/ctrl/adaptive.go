@@ -8,7 +8,7 @@ import (
 
 // FlowObservation is one measured flow: endpoints (server node IDs) and
 // bytes carried. The controller consumes these from whatever measurement
-// plane exists — internal/dynsim's FlowRecords in this repository.
+// plane exists — internal/netsim's FlowRecords in this repository.
 type FlowObservation struct {
 	Src, Dst int
 	Bytes    float64

@@ -6,10 +6,10 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/faults"
-	"flattree/internal/graph"
 	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
+	"flattree/internal/traffic"
 )
 
 // FaultsRecovery measures the §5 self-recovery claim end to end: for
@@ -87,7 +87,7 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 			if !rep.Connected {
 				return conn, apl, 0, finite, false, nil // disconnected pairs ship nothing
 			}
-			comms := permutationCommodities(nw, sc.Seed)
+			comms := traffic.Permutation(nw.Servers(), sc.Seed)
 			if len(comms) == 0 {
 				return conn, apl, 0, finite, false, nil
 			}
@@ -155,24 +155,4 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// permutationCommodities pairs every server with one pseudo-random peer
-// (a seeded permutation, derangement-filtered per index): the classic
-// uniform stress workload. Same-switch pairs are dropped by the solver's
-// aggregation, so only the cross-fabric demands remain.
-func permutationCommodities(nw *topo.Network, seed uint64) []mcf.Commodity {
-	servers := nw.Servers()
-	if len(servers) < 2 {
-		return nil
-	}
-	perm := graph.NewRNG(seed).Perm(len(servers))
-	comms := make([]mcf.Commodity, 0, len(servers))
-	for i, p := range perm {
-		if i == p {
-			continue
-		}
-		comms = append(comms, mcf.Commodity{Src: servers[i], Dst: servers[p], Demand: 1})
-	}
-	return comms
 }

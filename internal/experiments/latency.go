@@ -6,8 +6,8 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/graph"
+	"flattree/internal/netsim"
 	"flattree/internal/parallel"
-	"flattree/internal/pktsim"
 	"flattree/internal/routing"
 	"flattree/internal/topo"
 )
@@ -53,8 +53,8 @@ func Latency(ctx context.Context, cfg Config, k int, load float64) (*Table, erro
 		rate := load * float64(len(servers))
 		count := 40 * len(servers)
 		rng := graph.NewRNG(cfg.Seed)
-		pkts := pktsim.PoissonPackets(servers, rate, count, 8, rng)
-		res, err := pktsim.Simulate(tg.nw, routing.BuildTable(tg.nw), pkts, pktsim.Config{})
+		pkts := netsim.PoissonPackets(servers, rate, count, 8, rng)
+		res, err := netsim.Packets(ctx, tg.nw, routing.BuildTable(tg.nw), pkts, netsim.PacketConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("latency %s: %w", tg.name, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
+	"flattree/internal/traffic"
 )
 
 // healStage is one point of a self-heal trajectory: the effective network
@@ -95,7 +96,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 			}
 			c := healCell{conn: rep.LargestComponentFrac, apl: rep.APL, finite: rep.APL > 0, ok: true}
-			comms := componentCommodities(nw, seeds.Seed(1<<32|uint64(tr)))
+			comms := traffic.Permutation(faults.LargestComponent(nw), seeds.Seed(1<<32|uint64(tr)))
 			if len(comms) > 0 {
 				res, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
 					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
@@ -210,44 +211,4 @@ func runSelfHealTrial(ctx context.Context, k, nDead, batchSize int, seed uint64)
 	}
 	stages = append(stages, healStage{"recovered", rep.Healed})
 	return stages, nil
-}
-
-// componentCommodities is permutationCommodities restricted to the largest
-// connected component's servers: each sends unit demand to one seeded
-// pseudo-random peer. Networks mid-repair are legitimately missing servers
-// (dark windows detach them); scoring the surviving fabric 0 because of a
-// detached straggler would hide the recovery the table is measuring.
-func componentCommodities(nw *topo.Network, seed uint64) []mcf.Commodity {
-	g := nw.Graph()
-	servers := nw.Servers()
-	seen := make([]bool, nw.N())
-	var best []int
-	for _, s := range servers {
-		if seen[s] {
-			continue
-		}
-		dist := g.BFS(s)
-		var comp []int
-		for _, sv := range servers {
-			if dist[sv] >= 0 && !seen[sv] {
-				seen[sv] = true
-				comp = append(comp, sv)
-			}
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	if len(best) < 2 {
-		return nil
-	}
-	perm := graph.NewRNG(seed).Perm(len(best))
-	comms := make([]mcf.Commodity, 0, len(best))
-	for i, p := range perm {
-		if i == p {
-			continue
-		}
-		comms = append(comms, mcf.Commodity{Src: best[i], Dst: best[p], Demand: 1})
-	}
-	return comms
 }

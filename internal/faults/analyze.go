@@ -138,3 +138,32 @@ func Analyze(nw *topo.Network) (Report, error) {
 	r.APL = float64(sum) / float64(pairs)
 	return r, nil
 }
+
+// LargestComponent returns the servers of the largest connected component,
+// ascending; of equally large components, the one holding the lowest server
+// ID. Networks mid-repair are legitimately missing servers (dark windows
+// detach them, dead pods remove them), and the surviving majority is what
+// recovery tables and the soak's SLO score.
+func LargestComponent(nw *topo.Network) []int {
+	g := nw.Graph()
+	servers := nw.Servers()
+	seen := make([]bool, nw.N())
+	var best []int
+	for _, s := range servers {
+		if seen[s] {
+			continue
+		}
+		dist := g.BFS(s)
+		var comp []int
+		for _, sv := range servers {
+			if dist[sv] >= 0 && !seen[sv] {
+				seen[sv] = true
+				comp = append(comp, sv)
+			}
+		}
+		if len(comp) > len(best) {
+			best = comp
+		}
+	}
+	return best
+}

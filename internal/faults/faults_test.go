@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +187,9 @@ func TestAnalyzeTieGoesToLowestComponent(t *testing.T) {
 			t.Fatalf("run %d: report %+v, want the first half (frac 0.5, APL 2)", i, r)
 		}
 	}
+	if lc, want := LargestComponent(nw), nw.Servers()[:2]; !reflect.DeepEqual(lc, want) {
+		t.Errorf("LargestComponent = %v, want the first half %v", lc, want)
+	}
 }
 
 // TestAnalyzeMatchesPerServerBFS checks Analyze's component choice and APL
@@ -238,6 +242,9 @@ func TestAnalyzeMatchesPerServerBFS(t *testing.T) {
 				sum += float64(dist[sv])
 				pairs++
 			}
+		}
+		if lc := LargestComponent(nw); !reflect.DeepEqual(lc, best) {
+			t.Errorf("seed %d: LargestComponent has %d servers, the scan %d", seed, len(lc), len(best))
 		}
 		if want := float64(len(best)) / float64(got.Servers); got.LargestComponentFrac != want {
 			t.Errorf("seed %d: largest component fraction %g, want %g", seed, got.LargestComponentFrac, want)

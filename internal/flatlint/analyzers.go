@@ -171,7 +171,7 @@ func runGlobalrand(pc *pkgChecker) {
 //	layer 1: converter, graph, lp, flatlint, store (leaf utilities)
 //	layer 2: topo                             (labeled topology model)
 //	layer 3: core, fattree, faults, jellyfish, mcf, metrics, routing
-//	layer 4: dynsim, flowsim, pktsim, traffic, twostage (simulators)
+//	layer 4: netsim, traffic, twostage        (simulators, workloads)
 //	layer 5: ctrl                             (control plane)
 //	layer 6: chaos                            (soak engine; drives ctrl plants)
 //	layer 7: experiments                      (drivers; may stand up ctrl plants)
@@ -198,9 +198,7 @@ var layerOf = map[string]int{
 	"internal/mcf":         3,
 	"internal/metrics":     3,
 	"internal/routing":     3,
-	"internal/dynsim":      4,
-	"internal/flowsim":     4,
-	"internal/pktsim":      4,
+	"internal/netsim":      4,
 	"internal/traffic":     4,
 	"internal/twostage":    4,
 	"internal/ctrl":        5,
@@ -407,14 +405,14 @@ func runNopanic(pc *pkgChecker) {
 // ---------------------------------------------------------------- stopchan
 
 // stopchanPackages are the packages whose lifecycles were migrated onto
-// context.Context: the controller, agents, and the dynamic simulator all
+// context.Context: the controller, agents, and the network simulators all
 // cancel through the ctx passed at the call site. A new raw stop/quit
 // channel there would fork the cancellation mechanism back into two
 // halves that cannot compose (a select on a stop channel ignores ctx and
 // vice versa).
 var stopchanPackages = map[string]bool{
 	"internal/ctrl":   true,
-	"internal/dynsim": true,
+	"internal/netsim": true,
 }
 
 // stopchanName reports whether a variable name reads like a lifecycle

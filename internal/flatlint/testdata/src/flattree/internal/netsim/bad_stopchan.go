@@ -1,6 +1,6 @@
-// Package dynsim is the stopchan fixture: raw stop/quit channels in the
+// Package netsim is the stopchan fixture: raw stop/quit channels in the
 // context-scoped packages must be flagged unless annotated.
-package dynsim
+package netsim
 
 // runLoop builds a raw stop channel and is flagged.
 func runLoop() chan struct{} {

@@ -1,4 +1,4 @@
-package dynsim
+package netsim
 
 import (
 	"context"
@@ -10,28 +10,13 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/graph"
 	"flattree/internal/routing"
-	"flattree/internal/topo"
 )
 
-func lineNet(t testing.TB) (*topo.Network, []int) {
-	b := topo.NewBuilder("line")
-	s0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
-	s1 := b.AddNode(topo.EdgeSwitch, 0, 1, 4)
-	b.AddLink(s0, s1, topo.TagClos)
-	var servers []int
-	for i, sw := range []int{s0, s1} {
-		sv := b.AddNode(topo.Server, 0, i, 1)
-		b.AddLink(sv, sw, topo.TagClos)
-		servers = append(servers, sv)
-	}
-	return b.Build(), servers
-}
-
 func TestSingleFlowFCT(t *testing.T) {
-	nw, servers := lineNet(t)
-	res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+	nw, servers := lineNet(2)
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 1, Src: servers[0], Dst: servers[1], Size: 5},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +30,11 @@ func TestSingleFlowFCT(t *testing.T) {
 }
 
 func TestTwoFlowsShareLink(t *testing.T) {
-	nw, servers := lineNet(t)
-	res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+	nw, servers := lineNet(2)
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 0, Src: servers[0], Dst: servers[1], Size: 2},
 		{Time: 0, Src: servers[0], Dst: servers[1], Size: 2},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +47,11 @@ func TestTwoFlowsShareLink(t *testing.T) {
 }
 
 func TestSequentialFlowsDontShare(t *testing.T) {
-	nw, servers := lineNet(t)
-	res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+	nw, servers := lineNet(2)
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 0, Src: servers[0], Dst: servers[1], Size: 1},
 		{Time: 10, Src: servers[0], Dst: servers[1], Size: 1},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,18 +66,10 @@ func TestSequentialFlowsDontShare(t *testing.T) {
 }
 
 func TestSameSwitchFlowInstant(t *testing.T) {
-	b := topo.NewBuilder("one")
-	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
-	sw2 := b.AddNode(topo.EdgeSwitch, 0, 1, 4)
-	b.AddLink(sw, sw2, topo.TagClos)
-	s0 := b.AddNode(topo.Server, 0, 0, 1)
-	s1 := b.AddNode(topo.Server, 0, 1, 1)
-	b.AddLink(s0, sw, topo.TagClos)
-	b.AddLink(s1, sw, topo.TagClos)
-	nw := b.Build()
-	res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+	nw, s0, s1 := sameSwitchNet()
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 3, Src: s0, Dst: s1, Size: 100},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +81,11 @@ func TestSameSwitchFlowInstant(t *testing.T) {
 // TestDeparturesFreeCapacity: a short flow arriving alongside a long one
 // finishes early, and the long one speeds up afterward.
 func TestDeparturesFreeCapacity(t *testing.T) {
-	nw, servers := lineNet(t)
-	res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+	nw, servers := lineNet(2)
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 0, Src: servers[0], Dst: servers[1], Size: 10},
 		{Time: 0, Src: servers[0], Dst: servers[1], Size: 1},
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +116,7 @@ func TestFatTreeWorkload(t *testing.T) {
 	}
 	rng := graph.NewRNG(5)
 	arr := PoissonPairs(f.ServerIDs, 2.0, 1.0, 60, rng)
-	res, err := Simulate(context.Background(), f.Net, routing.NewKSP(f.Net, 4), arr, 0)
+	res, err := Fluid(context.Background(), f.Net, routing.NewKSP(f.Net, 4), arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +153,7 @@ func TestHotspotFasterOnGlobalRandom(t *testing.T) {
 		servers := nw.Servers()
 		rng := graph.NewRNG(11)
 		arr := PoissonHotspot(servers, servers[0], 4.0, 1.0, 150, rng)
-		res, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 8), arr, 0)
+		res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 8), arr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,20 +166,32 @@ func TestHotspotFasterOnGlobalRandom(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	nw, servers := lineNet(t)
-	if _, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
+func TestFluidErrors(t *testing.T) {
+	nw, servers := lineNet(2)
+	if _, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 0, Src: -5, Dst: servers[1], Size: 1},
-	}, 0); err == nil {
+	}); err == nil {
 		t.Error("bad src accepted")
 	}
-	// Concurrency limit.
-	var arr []Arrival
-	for i := 0; i < 5; i++ {
-		arr = append(arr, Arrival{Time: 0, Src: servers[0], Dst: servers[1], Size: 1e9})
+	// Concurrency limit: two short flows drain, then one flow more than
+	// maxConcurrent arrives at once. The run stops with an error, and its
+	// partial result is still summarized over the two that completed.
+	arr := []Arrival{
+		{Time: 0, Src: servers[0], Dst: servers[1], Size: 1},
+		{Time: 0, Src: servers[0], Dst: servers[1], Size: 1},
 	}
-	if _, err := Simulate(context.Background(), nw, routing.NewKSP(nw, 1), arr, 3); err == nil {
-		t.Error("concurrency limit not enforced")
+	for i := 0; i <= maxConcurrent; i++ {
+		arr = append(arr, Arrival{Time: 10, Src: servers[0], Dst: servers[1], Size: 1e9})
+	}
+	res, err := Fluid(context.Background(), nw, routing.NewKSP(nw, 1), arr)
+	if err == nil {
+		t.Fatal("concurrency limit not enforced")
+	}
+	if len(res.Completed) != 2 || res.Unfinished != maxConcurrent {
+		t.Errorf("completed %d, unfinished %d; want 2 and %d", len(res.Completed), res.Unfinished, maxConcurrent)
+	}
+	if res.MeanFCT != 2 || res.P99FCT != 2 {
+		t.Errorf("partial result not summarized: mean %g, p99 %g, want 2 and 2", res.MeanFCT, res.P99FCT)
 	}
 }
 
@@ -235,12 +224,12 @@ func TestGenerators(t *testing.T) {
 // wrapped ctx error and a partial (still internally consistent) result,
 // instead of silently returning a complete-looking one.
 func TestSimulateCancelled(t *testing.T) {
-	nw, servers := lineNet(t)
+	nw, servers := lineNet(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Simulate(ctx, nw, routing.NewKSP(nw, 1), []Arrival{
+	res, err := Fluid(ctx, nw, routing.NewKSP(nw, 1), []Arrival{
 		{Time: 1, Src: servers[0], Dst: servers[1], Size: 5},
-	}, 0)
+	})
 	if err == nil {
 		t.Fatal("cancelled simulation returned nil error")
 	}

@@ -1,4 +1,4 @@
-package flowsim
+package netsim
 
 import (
 	"math"
@@ -7,29 +7,11 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/mcf"
 	"flattree/internal/routing"
-	"flattree/internal/topo"
 )
 
-func linNet(n int) *topo.Network {
-	b := topo.NewBuilder("line")
-	sw := make([]int, n)
-	for i := range sw {
-		sw[i] = b.AddNode(topo.EdgeSwitch, 0, i, 8)
-	}
-	for i := 0; i+1 < n; i++ {
-		b.AddLink(sw[i], sw[i+1], topo.TagClos)
-	}
-	for i := range sw {
-		s := b.AddNode(topo.Server, 0, i, 1)
-		b.AddLink(s, sw[i], topo.TagClos)
-	}
-	return b.Build()
-}
-
 func TestSingleFlowLine(t *testing.T) {
-	nw := linNet(3)
-	servers := nw.Servers()
-	res, err := MaxMin(nw, routing.NewKSP(nw, 2), []Commodity{
+	nw, servers := lineNet(3)
+	res, err := MaxMin(nw, routing.NewKSP(nw, 2), []mcf.Commodity{
 		{Src: servers[0], Dst: servers[2], Demand: 1},
 	})
 	if err != nil {
@@ -41,9 +23,8 @@ func TestSingleFlowLine(t *testing.T) {
 }
 
 func TestFairShareOnSharedLink(t *testing.T) {
-	nw := linNet(2)
-	servers := nw.Servers()
-	comms := []Commodity{
+	nw, servers := lineNet(2)
+	comms := []mcf.Commodity{
 		{Src: servers[0], Dst: servers[1], Demand: 1},
 		{Src: servers[0], Dst: servers[1], Demand: 1},
 	}
@@ -57,16 +38,8 @@ func TestFairShareOnSharedLink(t *testing.T) {
 }
 
 func TestLocalCommodityUnconstrained(t *testing.T) {
-	b := topo.NewBuilder("one")
-	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
-	sw2 := b.AddNode(topo.EdgeSwitch, 0, 1, 4)
-	b.AddLink(sw, sw2, topo.TagClos)
-	s0 := b.AddNode(topo.Server, 0, 0, 1)
-	s1 := b.AddNode(topo.Server, 0, 1, 1)
-	b.AddLink(s0, sw, topo.TagClos)
-	b.AddLink(s1, sw, topo.TagClos)
-	nw := b.Build()
-	res, err := MaxMin(nw, routing.NewKSP(nw, 1), []Commodity{{Src: s0, Dst: s1, Demand: 1}})
+	nw, s0, s1 := sameSwitchNet()
+	res, err := MaxMin(nw, routing.NewKSP(nw, 1), []mcf.Commodity{{Src: s0, Dst: s1, Demand: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +55,7 @@ func TestMaxMinNeverExceedsOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comms := []Commodity{
+	comms := []mcf.Commodity{
 		{Src: f.ServerIDs[0], Dst: f.ServerIDs[8], Demand: 1},
 		{Src: f.ServerIDs[1], Dst: f.ServerIDs[12], Demand: 1},
 		{Src: f.ServerIDs[4], Dst: f.ServerIDs[15], Demand: 1},
@@ -91,11 +64,7 @@ func TestMaxMinNeverExceedsOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfComms := make([]mcf.Commodity, len(comms))
-	for i, c := range comms {
-		mcfComms[i] = mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand}
-	}
-	exact, err := mcf.MaxConcurrentFlowExact(f.Net, mcfComms)
+	exact, err := mcf.MaxConcurrentFlowExact(f.Net, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +88,7 @@ func TestECMPSpreadsLoad(t *testing.T) {
 	}
 	// One source edge switch to 3 different pods: each commodity has 4
 	// ECMP paths; aggregate capacity out of the edge is 2.
-	comms := []Commodity{
+	comms := []mcf.Commodity{
 		{Src: f.ServerIDs[0], Dst: f.ServerIDs[4], Demand: 1},
 		{Src: f.ServerIDs[0], Dst: f.ServerIDs[8], Demand: 1},
 		{Src: f.ServerIDs[0], Dst: f.ServerIDs[12], Demand: 1},
@@ -134,10 +103,9 @@ func TestECMPSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	nw := linNet(2)
-	servers := nw.Servers()
-	if _, err := MaxMin(nw, routing.NewKSP(nw, 1), []Commodity{
+func TestMaxMinErrors(t *testing.T) {
+	nw, servers := lineNet(2)
+	if _, err := MaxMin(nw, routing.NewKSP(nw, 1), []mcf.Commodity{
 		{Src: servers[0], Dst: servers[1], Demand: -1},
 	}); err == nil {
 		t.Error("negative demand accepted")

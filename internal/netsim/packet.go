@@ -1,20 +1,9 @@
-// Package pktsim is a packet-level discrete-event simulator: packets are
-// routed hop by hop through the switch fabric using per-flow ECMP hashing
-// over a routing.Table, every directed link is a unit-rate store-and-forward
-// server with a finite FIFO queue, and the simulator reports end-to-end
-// latency, hop counts, drops, and link utilization.
-//
-// Where internal/mcf answers "what is the optimal-routing capacity?" and
-// internal/dynsim answers "how do fluid flows fare under max-min sharing?",
-// pktsim answers the question operators ask first: what latency do packets
-// see — and it makes the average-path-length differences of Figures 5 and 6
-// directly observable as nanoseconds-on-the-wire.
-package pktsim
+package netsim
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"flattree/internal/graph"
@@ -30,8 +19,8 @@ type Packet struct {
 	Flow     uint64
 }
 
-// Config tunes the simulator.
-type Config struct {
+// PacketConfig tunes the packet run.
+type PacketConfig struct {
 	// QueueLimit is the per-directed-link FIFO capacity in packets
 	// (default 64). Arrivals to a full queue are dropped.
 	QueueLimit int
@@ -43,8 +32,8 @@ type Config struct {
 	HopLimit int
 }
 
-// Result summarizes a run.
-type Result struct {
+// PacketResult summarizes a packet run.
+type PacketResult struct {
 	Sent, Delivered, Dropped int
 	// MeanLatency and P99Latency are end-to-end (injection to delivery).
 	MeanLatency, P99Latency float64
@@ -59,8 +48,8 @@ type Result struct {
 
 type pkt struct {
 	Packet
-	dstSwitch int32
-	hops      int
+	srcSwitch, dstSwitch int32
+	hops                 int
 }
 
 type queuedLink struct {
@@ -74,7 +63,7 @@ type event struct {
 	time float64
 	kind uint8 // 0 = injection, 1 = tx complete, 2 = hop arrival
 	link int32 // tx complete: which directed link
-	at   int32 // hop arrival: which switch
+	at   int32 // hop arrival: which switch; tx complete: the link's far end
 	pkt  *pkt  // injection / hop arrival
 	seq  int64
 }
@@ -99,14 +88,24 @@ func (q *eventQueue) Pop() interface{} {
 	return it
 }
 
-// Simulate runs the packet simulation over the injected packets using the
-// forwarding table's ECMP next hops.
-func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Config) (Result, error) {
+// ctxBatch is how many events the packet run processes between looks at
+// its context.
+const ctxBatch = 1024
+
+// Packets runs the packet-level simulation over the injected packets:
+// they are routed hop by hop using the forwarding table's ECMP next hops,
+// hashed per flow, and each direction of a pooled link is a unit-rate
+// store-and-forward server with a finite FIFO queue.
+//
+// Cancelling ctx ends the run between event batches; it then returns the
+// context's error together with the result summarized over the packets
+// delivered so far.
+func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packets []Packet, cfg PacketConfig) (PacketResult, error) {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
 	}
 	if cfg.PropDelay < 0 {
-		return Result{}, fmt.Errorf("pktsim: negative propagation delay")
+		return PacketResult{}, fmt.Errorf("netsim: negative propagation delay")
 	}
 	if cfg.PropDelay == 0 { //flatlint:ignore floatcmp zero value means unset; exact by construction
 		cfg.PropDelay = 0.05
@@ -115,40 +114,13 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 		cfg.HopLimit = 32
 	}
 
-	// Directed link state, keyed by (from, to) switch pair.
-	type dirKey struct{ from, to int32 }
-	linkIdx := make(map[dirKey]int32)
-	var links []queuedLink
-	var linkTo []int32 // destination switch of each directed link
-	for _, l := range nw.Links {
-		if !nw.Nodes[l.A].Kind.IsSwitch() || !nw.Nodes[l.B].Kind.IsSwitch() {
-			continue
-		}
-		for _, d := range [2]dirKey{{int32(l.A), int32(l.B)}, {int32(l.B), int32(l.A)}} {
-			if _, ok := linkIdx[d]; !ok {
-				linkIdx[d] = int32(len(links))
-				links = append(links, queuedLink{})
-				linkTo = append(linkTo, d.to)
-			}
-		}
-	}
-
-	hostOf := func(v int) (int32, error) {
-		if v < 0 || v >= nw.N() {
-			return 0, fmt.Errorf("pktsim: node %d out of range", v)
-		}
-		if nw.Nodes[v].Kind.IsSwitch() {
-			return int32(v), nil
-		}
-		h := nw.HostSwitch(v)
-		if h < 0 {
-			return 0, fmt.Errorf("pktsim: server %d detached", v)
-		}
-		return int32(h), nil
-	}
+	f := newFabric(nw, nil)
+	// Pooled link li carries two directed queues: 2·li toward its
+	// higher-numbered switch, 2·li+1 toward the lower.
+	links := make([]queuedLink, 2*len(f.capacity))
 
 	var (
-		res     Result
+		res     PacketResult
 		events  eventQueue
 		seq     int64
 		now     float64
@@ -191,9 +163,13 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 			return false
 		}
 		next := hops[hash(p.Flow, sw, len(hops))]
-		li, ok := linkIdx[dirKey{sw, next}]
+		li, ok := f.link(sw, next)
 		if !ok {
 			return false
+		}
+		li *= 2
+		if sw > next {
+			li++
 		}
 		l := &links[li]
 		if len(l.queue) >= cfg.QueueLimit {
@@ -205,7 +181,7 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 		}
 		if !l.busy {
 			l.busy = true
-			push(&event{time: now + 1, kind: 1, link: li})
+			push(&event{time: now + 1, kind: 1, link: li, at: next})
 		}
 		return true
 	}
@@ -213,26 +189,29 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 	sorted := append([]Packet(nil), packets...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 	for i := range sorted {
-		// Validate the source host up front so injection can't fail later.
-		if _, err := hostOf(sorted[i].Src); err != nil {
-			return res, err
-		}
-		dst, err := hostOf(sorted[i].Dst)
+		// Resolve both hosts up front so injection can't fail later.
+		src, dst, err := f.endpoints(sorted[i].Src, sorted[i].Dst)
 		if err != nil {
 			return res, err
 		}
-		p := &pkt{Packet: sorted[i], dstSwitch: dst}
+		p := &pkt{Packet: sorted[i], srcSwitch: int32(src), dstSwitch: int32(dst)}
 		push(&event{time: sorted[i].Time, kind: 0, pkt: p})
 	}
 	res.Sent = len(sorted)
 
-	for events.Len() > 0 {
+	var err error
+	for n := 0; events.Len() > 0; n++ {
+		if n%ctxBatch == 0 {
+			if err = ctx.Err(); err != nil {
+				err = fmt.Errorf("netsim: %w with %d events pending", err, events.Len())
+				break
+			}
+		}
 		e := heap.Pop(&events).(*event)
 		now = e.time
 		switch e.kind {
 		case 0: // injection at source switch
-			src, _ := hostOf(e.pkt.Src)
-			if !forward(e.pkt, src) {
+			if !forward(e.pkt, e.pkt.srcSwitch) {
 				res.Dropped++
 			}
 		case 1: // transmission complete on directed link
@@ -241,12 +220,12 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 			l.queue = l.queue[1:]
 			l.busyTime++
 			if len(l.queue) > 0 {
-				push(&event{time: now + 1, kind: 1, link: e.link})
+				push(&event{time: now + 1, kind: 1, link: e.link, at: e.at})
 			} else {
 				l.busy = false
 			}
 			// The packet reaches the peer switch after propagation.
-			push(&event{time: now + cfg.PropDelay, kind: 2, at: linkTo[e.link], pkt: p})
+			push(&event{time: now + cfg.PropDelay, kind: 2, at: e.at, pkt: p})
 		case 2: // hop arrival at a switch
 			e.pkt.hops++
 			if !forward(e.pkt, e.at) {
@@ -255,14 +234,8 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 		}
 	}
 
-	if len(latencies) > 0 {
-		sort.Float64s(latencies)
-		sum := 0.0
-		for _, v := range latencies {
-			sum += v
-		}
-		res.MeanLatency = sum / float64(len(latencies))
-		res.P99Latency = latencies[int(0.99*float64(len(latencies)-1))]
+	res.MeanLatency, res.P99Latency = meanP99(latencies)
+	if res.Delivered > 0 {
 		res.MeanHops = float64(totalHops) / float64(res.Delivered)
 	}
 	if lastDel > 0 && len(links) > 0 {
@@ -272,7 +245,7 @@ func Simulate(nw *topo.Network, table *routing.Table, packets []Packet, cfg Conf
 		}
 		res.Utilization = busy / (lastDel * float64(len(links)))
 	}
-	return res, nil
+	return res, err
 }
 
 // PoissonPackets injects count packets between uniform random server pairs
@@ -287,17 +260,10 @@ func PoissonPackets(servers []int, rate float64, count, flowPkts int, rng *graph
 	var src, dst int
 	var flow uint64
 	for i := 0; i < count; i++ {
-		u := rng.Float64()
-		for u == 0 { //flatlint:ignore floatcmp rejects the exact 0.0 Float64 can return, so Log is finite
-			u = rng.Float64()
-		}
-		t += -math.Log(u) / rate
+		t += expInterval(rate, rng)
 		if i%flowPkts == 0 {
 			src = servers[rng.Intn(len(servers))]
-			dst = servers[rng.Intn(len(servers))]
-			for dst == src {
-				dst = servers[rng.Intn(len(servers))]
-			}
+			dst = peer(servers, src, rng)
 			flow = rng.Uint64()
 		}
 		out = append(out, Packet{Time: t, Src: src, Dst: dst, Flow: flow})

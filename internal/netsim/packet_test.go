@@ -1,6 +1,8 @@
-package pktsim
+package netsim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -8,33 +10,14 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/graph"
 	"flattree/internal/routing"
-	"flattree/internal/topo"
 )
 
-// lineNet: sw0 - sw1 - sw2 with a server on each end.
-func lineNet() (*topo.Network, []int) {
-	b := topo.NewBuilder("line")
-	var sw [3]int
-	for i := range sw {
-		sw[i] = b.AddNode(topo.EdgeSwitch, 0, i, 4)
-	}
-	b.AddLink(sw[0], sw[1], topo.TagClos)
-	b.AddLink(sw[1], sw[2], topo.TagClos)
-	var servers []int
-	for i, s := range []int{sw[0], sw[2]} {
-		sv := b.AddNode(topo.Server, 0, i, 1)
-		b.AddLink(sv, s, topo.TagClos)
-		servers = append(servers, sv)
-	}
-	return b.Build(), servers
-}
-
 func TestSinglePacketLatency(t *testing.T) {
-	nw, servers := lineNet()
+	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
-	res, err := Simulate(nw, table, []Packet{
-		{Time: 0, Src: servers[0], Dst: servers[1], Flow: 1},
-	}, Config{PropDelay: 0.5})
+	res, err := Packets(context.Background(), nw, table, []Packet{
+		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 1},
+	}, PacketConfig{PropDelay: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +34,14 @@ func TestSinglePacketLatency(t *testing.T) {
 }
 
 func TestQueueingDelay(t *testing.T) {
-	nw, servers := lineNet()
+	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
 	// Two simultaneous packets on the same path: the second waits one
 	// transmission time at the first link.
-	res, err := Simulate(nw, table, []Packet{
-		{Time: 0, Src: servers[0], Dst: servers[1], Flow: 1},
-		{Time: 0, Src: servers[0], Dst: servers[1], Flow: 2},
-	}, Config{PropDelay: 0.5})
+	res, err := Packets(context.Background(), nw, table, []Packet{
+		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 1},
+		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 2},
+	}, PacketConfig{PropDelay: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +59,13 @@ func TestQueueingDelay(t *testing.T) {
 }
 
 func TestQueueOverflowDrops(t *testing.T) {
-	nw, servers := lineNet()
+	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
 	var pkts []Packet
 	for i := 0; i < 5; i++ {
-		pkts = append(pkts, Packet{Time: 0, Src: servers[0], Dst: servers[1], Flow: uint64(i)})
+		pkts = append(pkts, Packet{Time: 0, Src: servers[0], Dst: servers[2], Flow: uint64(i)})
 	}
-	res, err := Simulate(nw, table, pkts, Config{QueueLimit: 2})
+	res, err := Packets(context.Background(), nw, table, pkts, PacketConfig{QueueLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +78,10 @@ func TestQueueOverflowDrops(t *testing.T) {
 }
 
 func TestSameSwitchDeliveryInstant(t *testing.T) {
-	b := topo.NewBuilder("one")
-	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
-	sw2 := b.AddNode(topo.EdgeSwitch, 0, 1, 4)
-	b.AddLink(sw, sw2, topo.TagClos)
-	s0 := b.AddNode(topo.Server, 0, 0, 1)
-	s1 := b.AddNode(topo.Server, 0, 1, 1)
-	b.AddLink(s0, sw, topo.TagClos)
-	b.AddLink(s1, sw, topo.TagClos)
-	nw := b.Build()
-	res, err := Simulate(nw, routing.BuildTable(nw), []Packet{
+	nw, s0, s1 := sameSwitchNet()
+	res, err := Packets(context.Background(), nw, routing.BuildTable(nw), []Packet{
 		{Time: 1, Src: s0, Dst: s1, Flow: 9},
-	}, Config{})
+	}, PacketConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +104,7 @@ func TestECMPFlowConsistency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pkts = append(pkts, Packet{Time: float64(i) * 0.1, Src: f.ServerIDs[0], Dst: f.ServerIDs[12], Flow: 7})
 	}
-	res, err := Simulate(f.Net, table, pkts, Config{})
+	res, err := Packets(context.Background(), f.Net, table, pkts, PacketConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +126,7 @@ func TestFatTreeUniformTraffic(t *testing.T) {
 	}
 	rng := graph.NewRNG(3)
 	pkts := PoissonPackets(f.ServerIDs, 5.0, 400, 4, rng)
-	res, err := Simulate(f.Net, routing.BuildTable(f.Net), pkts, Config{})
+	res, err := Packets(context.Background(), f.Net, routing.BuildTable(f.Net), pkts, PacketConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +153,14 @@ func TestGlobalRandomLowerLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode core.Mode) Result {
+	run := func(mode core.Mode) PacketResult {
 		if err := ft.SetUniformMode(mode); err != nil {
 			t.Fatal(err)
 		}
 		nw := ft.Net()
 		rng := graph.NewRNG(17)
 		pkts := PoissonPackets(nw.Servers(), 10.0, 1500, 4, rng)
-		res, err := Simulate(nw, routing.BuildTable(nw), pkts, Config{})
+		res, err := Packets(context.Background(), nw, routing.BuildTable(nw), pkts, PacketConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,13 +176,30 @@ func TestGlobalRandomLowerLatency(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	nw, servers := lineNet()
+func TestPacketErrors(t *testing.T) {
+	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
-	if _, err := Simulate(nw, table, []Packet{{Src: -1, Dst: servers[0]}}, Config{}); err == nil {
+	if _, err := Packets(context.Background(), nw, table, []Packet{{Src: -1, Dst: servers[0]}}, PacketConfig{}); err == nil {
 		t.Error("bad src accepted")
 	}
-	if _, err := Simulate(nw, table, nil, Config{PropDelay: -1}); err == nil {
+	if _, err := Packets(context.Background(), nw, table, nil, PacketConfig{PropDelay: -1}); err == nil {
 		t.Error("negative delay accepted")
+	}
+}
+
+// TestPacketsCancelled: a cancelled context ends the packet run with a
+// wrapped ctx error and a result that does not look complete.
+func TestPacketsCancelled(t *testing.T) {
+	nw, servers := lineNet(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Packets(ctx, nw, routing.BuildTable(nw), []Packet{
+		{Time: 1, Src: servers[0], Dst: servers[2], Flow: 1},
+	}, PacketConfig{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+	if res.Sent != 1 || res.Delivered != 0 {
+		t.Errorf("cancelled-at-start run: %+v", res)
 	}
 }

@@ -202,3 +202,22 @@ func AllToAllCommodities(clusters []Cluster, nominalSize int) []mcf.Commodity {
 	}
 	return out
 }
+
+// Permutation gives every server unit demand to one pseudo-random peer (a
+// seeded permutation, fixed points dropped): the classic uniform stress
+// workload. Same-switch pairs are dropped by the solver's aggregation, so
+// only the cross-fabric demands remain.
+func Permutation(servers []int, seed uint64) []mcf.Commodity {
+	if len(servers) < 2 {
+		return nil
+	}
+	perm := graph.NewRNG(seed).Perm(len(servers))
+	comms := make([]mcf.Commodity, 0, len(servers))
+	for i, p := range perm {
+		if i == p {
+			continue
+		}
+		comms = append(comms, mcf.Commodity{Src: servers[i], Dst: servers[p], Demand: 1})
+	}
+	return comms
+}

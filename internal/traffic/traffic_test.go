@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -171,5 +172,29 @@ func TestDeterministicBySeed(t *testing.T) {
 				t.Fatal("same seed diverged")
 			}
 		}
+	}
+}
+
+// TestPermutation: every server sends to at most one peer and receives from
+// at most one, never itself; the pairing is a function of the seed; fewer
+// than two servers make no workload.
+func TestPermutation(t *testing.T) {
+	servers := mustFatTree(t, 4).ServerIDs
+	comms := Permutation(servers, 7)
+	if len(comms) == 0 || len(comms) > len(servers) {
+		t.Fatalf("%d commodities for %d servers", len(comms), len(servers))
+	}
+	sends, receives := map[int]bool{}, map[int]bool{}
+	for _, c := range comms {
+		if c.Src == c.Dst || c.Demand != 1 || sends[c.Src] || receives[c.Dst] {
+			t.Fatalf("bad commodity %+v", c)
+		}
+		sends[c.Src], receives[c.Dst] = true, true
+	}
+	if again := Permutation(servers, 7); !reflect.DeepEqual(again, comms) {
+		t.Error("same seed diverged")
+	}
+	if Permutation(servers[:1], 7) != nil {
+		t.Error("a lone server got a workload")
 	}
 }

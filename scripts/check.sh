@@ -2,9 +2,11 @@
 # check.sh is the repository's tier-1 verification gate: build, go vet,
 # gofmt, the custom flatlint static-analysis pass, the unit tests, and the
 # race detector on the concurrent packages (the ctrl control plane spawns
-# per-connection goroutines; dynsim drives it under load; parallel is the
-# deterministic fan-out runner; graph, metrics, faults, chaos, and
-# experiments fan their sweeps out through it; flatlint parses and
+# per-connection goroutines; parallel is the deterministic fan-out runner;
+# graph, metrics, faults, chaos, and experiments fan their sweeps out
+# through it; netsim starts no goroutine itself, but experiments runs its
+# packet simulations side by side on networks that share tables, and its
+# fluid and packet loops poll a context; flatlint parses and
 # type-checks packages concurrently; serve multiplexes HTTP requests over
 # a bounded solver pool and store takes concurrent Put/Get; and every
 # effective network of one flat-tree shares that flat-tree's node table,
@@ -55,7 +57,7 @@ echo "== go test"
 go test -shuffle=on ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/ctrl/... ./internal/dynsim/... \
+go test -race ./internal/ctrl/... ./internal/netsim/... \
     ./internal/parallel/... ./internal/graph/... ./internal/metrics/... \
     ./internal/faults/... ./internal/chaos/... ./internal/experiments/... \
     ./internal/flatlint/... ./internal/serve/... ./internal/store/... \
@@ -87,14 +89,17 @@ go run ./cmd/flatsim -kmax 4 -eps 0.3 -rate 2 -horizon 3 -seed 1 \
 
 echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks, of the root package's
-# path-length benchmark, of the solver's all-to-all chain and of its exact
-# star path up to k=48: not a perf
+# path-length benchmark and its three simulator benchmarks (netsim.MaxMin and
+# netsim.Fluid are reached from benches and examples only), of the solver's
+# all-to-all chain and of its exact star path up to k=48: not a perf
 # measurement (that is `go run ./benchmark`), just proof the bench harness
 # still builds and the kernels still run. Catches bit-rot in bench-only code
 # paths that go test -run never executes.
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
-go test -run '^$' -bench 'BenchmarkAPL' -benchtime 1x . > /dev/null
+go test -run '^$' \
+    -bench 'BenchmarkAPL|BenchmarkAblationRouting|BenchmarkDynsimFCT|BenchmarkLatency' \
+    -benchtime 1x . > /dev/null
 go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkStar' \
     -benchtime 1x ./internal/mcf > /dev/null
 
