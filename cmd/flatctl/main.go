@@ -116,19 +116,12 @@ func demo(args []string) {
 	fs.Parse(args)
 
 	ft := buildFlatTree(*k)
-	c := ctrl.NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	check(err)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	go c.Serve(ctx, l)
-	defer c.Close()
-	for p := 0; p < *k; p++ {
-		a := ctrl.NewAgent(p, ctrl.ConfigsForPod(ft, p))
-		a.ApplyDelay = *delay
-		go func() { _ = a.Run(ctx, l.Addr().String()) }()
-	}
-	check(c.WaitForAgents(ctx, *k))
+	plant, err := ctrl.StartPlant(ctx, ft, 0, *delay)
+	check(err)
+	defer plant.Close()
+	c := plant.Controller()
 	fmt.Printf("flatctl demo: flat-tree(k=%d), %d converters, %d agents\n",
 		*k, len(ft.Convs), c.NumAgents())
 

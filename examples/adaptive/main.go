@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"flattree/internal/core"
@@ -30,22 +29,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	controller := ctrl.NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	plant, err := ctrl.StartPlant(ctx, ft, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	go controller.Serve(ctx, l)
-	defer controller.Close()
-	for p := 0; p < k; p++ {
-		a := ctrl.NewAgent(p, ctrl.ConfigsForPod(ft, p))
-		go func() { _ = a.Run(ctx, l.Addr().String()) }()
-	}
-	if err := controller.WaitForAgents(ctx, k); err != nil {
-		log.Fatal(err)
-	}
+	defer plant.Close()
+	controller := plant.Controller()
 	fmt.Printf("flat-tree(k=%d) controller up, starting in Clos mode\n\n", k)
 
 	// --- Phase 1: a hot-spot tenant appears. ---

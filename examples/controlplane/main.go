@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"flattree/internal/core"
@@ -25,31 +24,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	controller := ctrl.NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// One agent per pod, each modelling that pod's converter hardware
+	// with a 2ms switching latency.
+	plant, err := ctrl.StartPlant(ctx, ft, 0, 2*time.Millisecond)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	go controller.Serve(ctx, l)
-	defer controller.Close()
-
-	// One agent per pod, each modelling that pod's converter hardware
-	// with a 2ms switching latency.
-	agents := make([]*ctrl.Agent, k)
-	for p := 0; p < k; p++ {
-		agents[p] = ctrl.NewAgent(p, ctrl.ConfigsForPod(ft, p))
-		agents[p].ApplyDelay = 2 * time.Millisecond
-		go func(a *ctrl.Agent) {
-			if err := a.Run(ctx, l.Addr().String()); err != nil {
-				log.Printf("agent %d: %v", a.Pod(), err)
-			}
-		}(agents[p])
-	}
-	if err := controller.WaitForAgents(ctx, k); err != nil {
-		log.Fatal(err)
-	}
+	defer plant.Close()
+	controller := plant.Controller()
 	fmt.Printf("controller up with %d pod agents (%d converters)\n\n",
 		controller.NumAgents(), len(ft.Convs))
 
@@ -81,12 +65,12 @@ func main() {
 	// Inject a converter driver fault in pod 2: the two-phase protocol
 	// aborts everywhere and the model stays consistent.
 	fmt.Println("\ninjecting stage rejection at pod 2:")
-	agents[2].RejectStage = true
+	plant.Agent(2).RejectStage = true
 	convert("-> local random graphs", uniform(core.ModeLocalRandom))
 	fmt.Printf("model still in %s mode (epoch %d)\n\n",
 		controller.FlatTree().Mode(0), controller.Epoch())
 
-	agents[2].RejectStage = false
+	plant.Agent(2).RejectStage = false
 	fmt.Println("fault cleared, retrying:")
 	convert("-> local random graphs", uniform(core.ModeLocalRandom))
 }

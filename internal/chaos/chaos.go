@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"time"
 
 	"flattree/internal/core"
@@ -247,9 +246,7 @@ type engine struct {
 	arrivalRNG *graph.RNG
 
 	// live-arm plant (nil on the control arm)
-	c       *ctrl.Controller
-	cancels []context.CancelFunc
-	killed  []bool
+	plant *ctrl.Plant
 
 	cur      *faults.Outcome // damage state when no repair is in flight
 	rep      *ctrl.Repair
@@ -332,8 +329,9 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 	case ConverterKill:
 		return faults.Scenario{ConverterFraction: m.ConverterFraction, Seed: rng.Uint64()}, kind, nil
 	case PodKill:
-		// A pod is killable while it still has switches and (on the live
-		// arm) a live agent; otherwise fall through to a link burst.
+		// A pod is killable while it still has switches (a killed pod's
+		// agent died with all of them); otherwise fall through to a link
+		// burst.
 		alive := make([]bool, e.opt.K)
 		for _, s := range base.Net.Switches() {
 			if p := base.Net.Nodes[s].Pod; p >= 0 && p < e.opt.K {
@@ -342,7 +340,7 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 		}
 		var pods []int
 		for p, ok := range alive {
-			if ok && (e.killed == nil || !e.killed[p]) {
+			if ok {
 				pods = append(pods, p)
 			}
 		}
@@ -356,15 +354,13 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 				switches = append(switches, s)
 			}
 		}
-		if e.cancels != nil {
+		if e.plant != nil {
 			// Kill the pod's agent and let the heartbeat monitor reach
 			// its verdict before repair planning — wall-clock only.
-			e.cancels[pod]()
-			e.cancels[pod] = nil
-			e.killed[pod] = true
+			e.plant.Kill(pod)
 			wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
 			defer wcancel()
-			if _, err := e.c.WaitForFailures(wctx, []int{pod}, heartbeatDeadline); err != nil {
+			if _, err := e.plant.Controller().WaitForFailures(wctx, []int{pod}, heartbeatDeadline); err != nil {
 				return faults.Scenario{}, kind, err
 			}
 		}
@@ -423,7 +419,7 @@ func (e *engine) spawn(ctx context.Context) error {
 	e.windowsAt = append(e.windowsAt, e.windows)
 	e.cur = out
 	e.rep = nil
-	if e.c != nil {
+	if e.plant != nil {
 		opt := ctrl.SelfHealOptions{
 			Seed:      e.stream.Seed(1<<32 | uint64(e.planIdx)),
 			BatchSize: e.opt.BatchSize,
@@ -433,7 +429,7 @@ func (e *engine) spawn(ctx context.Context) error {
 			opt.MaxRetries = carriedRetries(e.retries)
 		}
 		e.planIdx++
-		r, err := e.c.PlanRepair(out, opt)
+		r, err := e.plant.Controller().PlanRepair(out, opt)
 		if err != nil {
 			return fmt.Errorf("chaos: episode %d (%s): plan: %w", i, kind, err)
 		}
@@ -492,46 +488,12 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 		baseline = ft.Net()
 
-		c := ctrl.NewController(ft)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+		p, err := ctrl.StartPlant(ctx, ft, 5*time.Millisecond, 0)
 		if err != nil {
 			return nil, err
 		}
-		sctx, cancelServe := context.WithCancel(ctx)
-		defer cancelServe()
-		go c.Serve(sctx, l)
-
-		e.c = c
-		e.cancels = make([]context.CancelFunc, opt.K)
-		e.killed = make([]bool, opt.K)
-		dones := make([]chan struct{}, opt.K)
-		defer func() {
-			for _, cancel := range e.cancels {
-				if cancel != nil {
-					cancel()
-				}
-			}
-			cancelServe()
-			c.Close()
-			for _, d := range dones {
-				<-d
-			}
-		}()
-		for p := 0; p < opt.K; p++ {
-			a := ctrl.NewAgent(p, ctrl.ConfigsForPod(ft, p))
-			a.HeartbeatInterval = 5 * time.Millisecond
-			actx, cancel := context.WithCancel(ctx)
-			e.cancels[p] = cancel
-			done := make(chan struct{})
-			dones[p] = done
-			//flatlint:ignore ignorederr agent exit races soak teardown; liveness is asserted via WaitForAgents/WaitForFailures
-			go func() { _ = a.Run(actx, l.Addr().String()); close(done) }()
-		}
-		wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
-		defer wcancel()
-		if err := c.WaitForAgents(wctx, opt.K); err != nil {
-			return nil, err
-		}
+		defer p.Close()
+		e.plant = p
 	}
 	e.cur = &faults.Outcome{Net: baseline}
 	e.nextT = e.interarrival()

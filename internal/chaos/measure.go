@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"flattree/internal/faults"
 	"flattree/internal/mcf"
@@ -30,55 +31,63 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 	baseServers := len(baseline.Servers())
 	commSeed := e.stream.Seed(1 << 40)
 
-	type cell struct {
-		frac, lambda float64
-		approx       bool
-	}
-	cells, err := parallel.MapCtx(ctx, len(e.spans), e.opt.Parallelism, func(i int) (cell, error) {
+	samples, err := parallel.MapCtx(ctx, len(e.spans), e.opt.Parallelism, func(i int) (Sample, error) {
 		sp := e.spans[i]
-		comp := faults.LargestComponent(sp.nw)
-		c := cell{frac: float64(len(comp)) / float64(baseServers)}
-		comms := traffic.Permutation(comp, commSeed)
-		if len(comms) > 0 {
-			r, err := mcf.MaxConcurrentFlow(ctx, sp.nw, comms, mcf.Options{
-				Epsilon: e.opt.Epsilon, SkipDualBound: true,
-				TimeBudget: e.opt.SolveBudget})
-			if err != nil {
-				return cell{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
-			}
-			c.lambda, c.approx = r.Lambda, r.Approximate
+		servers, lambda, approx, err := Score(ctx, sp.nw, commSeed, e.opt.Epsilon, e.opt.SolveBudget)
+		if err != nil {
+			return Sample{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
 		}
-		return c, nil
+		return Sample{
+			T: sp.t, Dur: sp.dur, Label: sp.label,
+			Episode: sp.episode, InWindow: sp.inWindow,
+			ServerFrac: float64(servers) / float64(baseServers), Lambda: lambda,
+			Approx: approx,
+		}, nil
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Lambda0 = cells[0].lambda
+	res.Lambda0 = samples[0].Lambda
 
-	segs := make([]metrics.Segment, 0, len(e.spans))
-	for i, sp := range e.spans {
-		c := cells[i]
-		served := c.frac
+	segs := make([]metrics.Segment, 0, len(samples))
+	for i := range samples {
+		s := &samples[i]
+		s.Served = s.ServerFrac
 		if res.Lambda0 > 0 {
-			rel := c.lambda / res.Lambda0
+			rel := s.Lambda / res.Lambda0
 			if rel < 1 {
-				served *= rel
+				s.Served *= rel
 			}
-		} else if c.lambda <= 0 {
-			served = 0
+		} else if s.Lambda <= 0 {
+			s.Served = 0
 		}
-		res.Samples = append(res.Samples, Sample{
-			T: sp.t, Dur: sp.dur, Label: sp.label,
-			Episode: sp.episode, InWindow: sp.inWindow,
-			ServerFrac: c.frac, Lambda: c.lambda, Served: served,
-			Approx: c.approx,
-		})
-		segs = append(segs, metrics.Segment{Dur: sp.dur, Value: served})
+		segs = append(segs, metrics.Segment{Dur: s.Dur, Value: s.Served})
 	}
+	res.Samples = samples
 	slo, err := metrics.SLO(segs, e.opt.SLOThreshold)
 	if err != nil {
 		return res, err
 	}
 	res.SLO = slo
 	return res, nil
+}
+
+// Score measures a possibly damaged fabric the way the soak and self-heal
+// drivers do: λ of a seeded unit-demand permutation over the servers of
+// the largest connected component (servers a failure or dark window cut
+// off are down, not partitioned). It returns that component's server
+// count, λ (0 when fewer than two servers remain) and whether the solve
+// stopped at its time budget.
+func Score(ctx context.Context, nw *topo.Network, seed uint64, eps float64, budget time.Duration) (servers int, lambda float64, approx bool, err error) {
+	comp := faults.LargestComponent(nw)
+	comms := traffic.Permutation(comp, seed)
+	if len(comms) == 0 {
+		return len(comp), 0, false, nil
+	}
+	r, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
+		Epsilon: eps, SkipDualBound: true, TimeBudget: budget})
+	if err != nil {
+		return 0, 0, false, err
+	}
+	return len(comp), r.Lambda, r.Approximate, nil
 }

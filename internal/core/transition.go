@@ -71,13 +71,20 @@ type TransitionReport struct {
 }
 
 // AnalyzeTransition builds the transition network for the converting pods
-// and reports its health. Servers whose access cable is dark are excluded
-// from the connectivity requirement (they are down, not partitioned).
+// and reports its health (see AnalyzeNetwork).
 func (ft *FlatTree) AnalyzeTransition(converting []int) (TransitionReport, error) {
 	nw, err := ft.TransitionNetwork(converting)
 	if err != nil {
 		return TransitionReport{}, err
 	}
+	return AnalyzeNetwork(nw), nil
+}
+
+// AnalyzeNetwork reports the health of a network caught mid-switch (a
+// conversion step or a repair's dark window). Servers whose access cable
+// is dark are excluded from the connectivity requirement (they are down,
+// not partitioned).
+func AnalyzeNetwork(nw *topo.Network) TransitionReport {
 	var rep TransitionReport
 	for _, l := range nw.Links {
 		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
@@ -86,14 +93,12 @@ func (ft *FlatTree) AnalyzeTransition(converting []int) (TransitionReport, error
 	}
 	g := nw.Graph()
 	// Reachability over live servers.
-	var first = -1
-	live := 0
+	first := -1
 	for _, sv := range nw.Servers() {
 		if g.Degree(sv) == 0 {
 			rep.DetachedServers++
 			continue
 		}
-		live++
 		if first < 0 {
 			first = sv
 		}
@@ -108,5 +113,5 @@ func (ft *FlatTree) AnalyzeTransition(converting []int) (TransitionReport, error
 			}
 		}
 	}
-	return rep, nil
+	return rep
 }

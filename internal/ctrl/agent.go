@@ -85,7 +85,8 @@ func (a *Agent) write(conn net.Conn, t MsgType, payload []byte) error {
 
 // Run dials the controller and serves the protocol until the context is
 // canceled or the connection drops, sending periodic heartbeats in the
-// background. A nil error means the context ended the session.
+// background; it returns only after the heartbeat goroutine has. A nil
+// error means the context ended the session.
 func (a *Agent) Run(ctx context.Context, addr string) error {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -109,8 +110,19 @@ func (a *Agent) Run(ctx context.Context, addr string) error {
 	}
 	if interval > 0 {
 		hctx, cancelHB := context.WithCancel(ctx)
-		defer cancelHB()
-		go a.heartbeat(hctx, conn, interval)
+		var hb sync.WaitGroup
+		hb.Add(1)
+		go func() {
+			defer hb.Done()
+			a.heartbeat(hctx, conn, interval)
+		}()
+		// Run returns only after the heartbeat goroutine has: closing the
+		// connection first unblocks a write it may be stuck in.
+		defer func() {
+			cancelHB()
+			conn.Close()
+			hb.Wait()
+		}()
 	}
 
 	for {

@@ -12,11 +12,13 @@ import (
 	"flattree/internal/core"
 )
 
-// Default hardening parameters; see the corresponding Controller fields.
+// Controller->agent sends are hardened: each send gets a per-write
+// deadline of sendTimeout and is retried up to sendAttempts times with
+// exponential backoff starting at sendBackoff.
 const (
-	DefaultSendAttempts = 3
-	DefaultSendTimeout  = 2 * time.Second
-	DefaultSendBackoff  = 5 * time.Millisecond
+	sendAttempts = 3
+	sendTimeout  = 2 * time.Second
+	sendBackoff  = 5 * time.Millisecond
 )
 
 // Controller is the centralized network controller of §2.6. It owns the
@@ -38,15 +40,6 @@ type Controller struct {
 	xch      chan event           // non-heartbeat events, fed by the pump
 	reg      chan struct{}        // closed and re-made on each registration
 
-	// SendAttempts, SendTimeout and SendBackoff harden controller->agent
-	// RPCs: each send gets a per-write deadline of SendTimeout and is
-	// retried up to SendAttempts times with exponential backoff starting
-	// at SendBackoff. Zero values select the Default* constants. Set them
-	// before Serve; they are read without the lock.
-	SendAttempts int
-	SendTimeout  time.Duration
-	SendBackoff  time.Duration
-
 	// abortErrs records the send failures from the most recent abort
 	// broadcast. An unreachable agent may still hold a staged epoch, so
 	// these must not vanish silently; monotone epoch issuance keeps the
@@ -65,18 +58,15 @@ type agentConn struct {
 	mu   sync.Mutex // serializes writes
 }
 
-// send writes one frame, bounding the write by the given deadline window
-// (zero means no deadline).
-func (a *agentConn) send(t MsgType, payload []byte, timeout time.Duration) error {
+// send writes one frame, bounding the write by a sendTimeout deadline.
+func (a *agentConn) send(t MsgType, payload []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if timeout > 0 {
-		//flatlint:ignore clockwall write deadlines are wall-clock by definition; no simulated result depends on the value
-		if err := a.conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		defer a.conn.SetWriteDeadline(time.Time{}) // reset; failure only matters on the next write
+	//flatlint:ignore clockwall write deadlines are wall-clock by definition; no simulated result depends on the value
+	if err := a.conn.SetWriteDeadline(time.Now().Add(sendTimeout)); err != nil {
+		return err
 	}
+	defer a.conn.SetWriteDeadline(time.Time{}) // reset; failure only matters on the next write
 	return WriteFrame(a.conn, t, payload)
 }
 
@@ -297,31 +287,15 @@ func (c *Controller) AbortSendErrors() []error {
 	return append([]error(nil), c.abortErrs...)
 }
 
-// sendParams resolves the hardening knobs to effective values.
-func (c *Controller) sendParams() (attempts int, timeout, backoff time.Duration) {
-	attempts, timeout, backoff = c.SendAttempts, c.SendTimeout, c.SendBackoff
-	if attempts <= 0 {
-		attempts = DefaultSendAttempts
-	}
-	if timeout <= 0 {
-		timeout = DefaultSendTimeout
-	}
-	if backoff <= 0 {
-		backoff = DefaultSendBackoff
-	}
-	return attempts, timeout, backoff
-}
-
 // sendToPod delivers one frame to a pod's agent with per-write deadlines
 // and bounded exponential-backoff retries. The agent is looked up freshly
 // on every attempt so a reconnection mid-retry is picked up.
 func (c *Controller) sendToPod(ctx context.Context, pod uint32, t MsgType, payload []byte) error {
-	attempts, timeout, backoff := c.sendParams()
 	var last error
-	for try := 0; try < attempts; try++ {
+	for try := 0; try < sendAttempts; try++ {
 		if try > 0 {
 			select {
-			case <-time.After(backoff << (try - 1)):
+			case <-time.After(sendBackoff << (try - 1)):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -332,11 +306,11 @@ func (c *Controller) sendToPod(ctx context.Context, pod uint32, t MsgType, paylo
 		if !ok {
 			return fmt.Errorf("ctrl: no agent registered for pod %d", pod)
 		}
-		if last = a.send(t, payload, timeout); last == nil {
+		if last = a.send(t, payload); last == nil {
 			return nil
 		}
 	}
-	return fmt.Errorf("ctrl: %s to pod %d failed after %d attempts: %w", t, pod, attempts, last)
+	return fmt.Errorf("ctrl: %s to pod %d failed after %d attempts: %w", t, pod, sendAttempts, last)
 }
 
 // Plan computes the per-pod configuration diffs needed to move the model
@@ -426,14 +400,13 @@ func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]Confi
 		break
 	}
 
-	_, timeout, _ := c.sendParams()
 	abort := func() {
 		var errs []error
 		for _, pod := range pods {
 			// Best-effort, direct to the captured connection: the agent
 			// may have deregistered, but if it staged the epoch it must
 			// still be told to discard it — or the failure recorded.
-			if err := involved[pod].send(MsgAbort, MarshalCommit(Commit{Epoch: epoch}), timeout); err != nil {
+			if err := involved[pod].send(MsgAbort, MarshalCommit(Commit{Epoch: epoch})); err != nil {
 				errs = append(errs, fmt.Errorf("ctrl: abort of epoch %d to pod %d: %w", epoch, pod, err))
 			}
 		}

@@ -10,44 +10,19 @@ import (
 	"flattree/internal/core"
 )
 
-// startPlant builds a flat-tree, a controller serving on loopback, and one
-// agent per pod, all wired up and registered.
+// startPlant builds a flat-tree and a live plant over it: a controller
+// serving on loopback and one registered agent per pod.
 func startPlant(t *testing.T, k int) (*Controller, []*Agent, func()) {
 	t.Helper()
 	ft, err := core.Build(core.Params{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	p, err := StartPlant(context.Background(), ft, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go c.Serve(context.Background(), l)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	agents := make([]*Agent, k)
-	done := make(chan struct{}, k)
-	for p := 0; p < k; p++ {
-		agents[p] = NewAgent(p, ConfigsForPod(ft, p))
-		go func(a *Agent) {
-			_ = a.Run(ctx, l.Addr().String())
-			done <- struct{}{}
-		}(agents[p])
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := c.WaitForAgents(wctx, k); err != nil {
-		t.Fatal(err)
-	}
-	cleanup := func() {
-		cancel()
-		c.Close()
-		for i := 0; i < k; i++ {
-			<-done
-		}
-	}
-	return c, agents, cleanup
+	return p.c, p.agents, p.Close
 }
 
 func uniformModes(k int, m core.Mode) []core.Mode {

@@ -120,7 +120,7 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for p, a := range hp.agentOf {
+	for p, a := range hp.agents {
 		if p != 0 {
 			a.RejectStage = true
 		}

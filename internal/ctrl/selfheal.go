@@ -118,8 +118,9 @@ func newRepairPlan(out *faults.Outcome, rec faults.RecoverReport) *repairPlan {
 }
 
 // affectedPods returns the sorted union of owner pods across the plan,
-// minus any already-excluded pods: the pods whose converters must re-aim.
-func (p *repairPlan) affectedPods(excluded map[int]bool) []int {
+// minus pods already re-aimed or excluded: the pods whose converters must
+// still re-aim.
+func (p *repairPlan) affectedPods(aimed, excluded map[int]bool) []int {
 	seen := make(map[int]bool)
 	for _, o := range p.addOwners {
 		for _, pod := range o {
@@ -133,7 +134,7 @@ func (p *repairPlan) affectedPods(excluded map[int]bool) []int {
 	}
 	var pods []int
 	for pod := range seen {
-		if !excluded[pod] {
+		if !aimed[pod] && !excluded[pod] {
 			pods = append(pods, pod)
 		}
 	}
@@ -242,40 +243,6 @@ func (p *repairPlan) buildState(name string, aimed, excluded, dark map[int]bool)
 	return b.Build()
 }
 
-// analyzeWindow reports a window network's health the same way
-// core.AnalyzeTransition does: degree-0 servers are down (not
-// partitioned), the rest must be mutually reachable.
-func analyzeWindow(nw *topo.Network) core.TransitionReport {
-	var rep core.TransitionReport
-	for _, l := range nw.Links {
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
-			rep.SurvivingLinks++
-		}
-	}
-	g := nw.Graph()
-	first := -1
-	for _, sv := range nw.Servers() {
-		if g.Degree(sv) == 0 {
-			rep.DetachedServers++
-			continue
-		}
-		if first < 0 {
-			first = sv
-		}
-	}
-	rep.Connected = true
-	if first >= 0 {
-		dist := g.BFS(first)
-		for _, sv := range nw.Servers() {
-			if g.Degree(sv) > 0 && dist[sv] < 0 {
-				rep.Connected = false
-				break
-			}
-		}
-	}
-	return rep
-}
-
 // Repair is an in-flight online repair: a planned rewiring being driven
 // through the surviving pods' agents one dark window at a time. It is the
 // resumable form of SelfHeal — callers that interleave repair with other
@@ -309,9 +276,7 @@ func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repa
 	} else if retries < 0 {
 		retries = 0
 	}
-	c.mu.Lock()
-	ft := c.ft
-	c.mu.Unlock()
+	ft := c.FlatTree()
 
 	healed, rec, err := faults.Recover(out, faults.RecoverOptions{Seed: opt.Seed, Rewirable: faults.DefaultRewirable})
 	if err != nil {
@@ -337,7 +302,7 @@ func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repa
 		return r, nil
 	}
 	r.plan = newRepairPlan(out, rec)
-	r.pending = r.plan.affectedPods(r.excluded)
+	r.pending = r.plan.affectedPods(r.aimed, r.excluded)
 	if len(r.pending) == 0 {
 		// Every affected pod was pre-excluded; the plan cannot execute.
 		r.finish()
@@ -356,15 +321,8 @@ func (r *Repair) Step(ctx context.Context) (*RepairWindow, error) {
 	if r.done {
 		return nil, nil
 	}
-	batch := r.opt.BatchSize
-	if batch <= 0 {
-		batch = 1
-	}
 	for len(r.pending) > 0 {
-		n := batch
-		if n > len(r.pending) {
-			n = len(r.pending)
-		}
+		n := min(max(r.opt.BatchSize, 1), len(r.pending))
 		window := r.pending[:n]
 
 		darkSet := make(map[int]bool, len(window))
@@ -372,7 +330,7 @@ func (r *Repair) Step(ctx context.Context) (*RepairWindow, error) {
 			darkSet[p] = true
 		}
 		darkNet := r.plan.buildState(fmt.Sprintf("%s+window%d", r.out.Net.Name, len(r.rep.Windows)), r.aimed, r.excluded, darkSet)
-		wrep := analyzeWindow(darkNet)
+		wrep := core.AnalyzeNetwork(darkNet)
 		if r.opt.RequireConnected && !wrep.Connected {
 			r.rep.Partial = true
 			r.finish()
@@ -399,7 +357,7 @@ func (r *Repair) Step(ctx context.Context) (*RepairWindow, error) {
 				r.retries--
 				r.excluded[int(pe.Pod)] = true
 				r.rep.Excluded = append(r.rep.Excluded, int(pe.Pod))
-				r.pending = r.plan.affectedPods(joinSets(r.aimed, r.excluded))
+				r.pending = r.plan.affectedPods(r.aimed, r.excluded)
 				continue
 			}
 			r.rep.Partial = true
@@ -544,16 +502,6 @@ func (r *Repair) Outcome(name string) *faults.Outcome {
 	return o
 }
 
-// heal drives the repair to completion, window by window.
-func (r *Repair) heal(ctx context.Context) (*RepairReport, error) {
-	for !r.done {
-		if _, err := r.Step(ctx); err != nil {
-			return r.rep, err
-		}
-	}
-	return r.rep, nil
-}
-
 // SelfHealScenario routes the fabric around arbitrary equipment damage,
 // online: the scenario is applied to the controller's model network
 // (faults.Fail) and the resulting repair plan is driven through the
@@ -561,10 +509,7 @@ func (r *Repair) heal(ctx context.Context) (*RepairReport, error) {
 // whole dead pods. This is the online path for partial-equipment death —
 // single switches, converter blocks, pod-scoped link bursts.
 func (c *Controller) SelfHealScenario(ctx context.Context, sc faults.Scenario, opt SelfHealOptions) (*RepairReport, error) {
-	c.mu.Lock()
-	ft := c.ft
-	c.mu.Unlock()
-	out, err := faults.Fail(ft.Net(), sc)
+	out, err := faults.Fail(c.FlatTree().Net(), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +517,12 @@ func (c *Controller) SelfHealScenario(ctx context.Context, sc faults.Scenario, o
 	if err != nil {
 		return nil, err
 	}
-	return r.heal(ctx)
+	for !r.done {
+		if _, err := r.Step(ctx); err != nil {
+			return r.rep, err
+		}
+	}
+	return r.rep, nil
 }
 
 // SelfHeal routes the fabric around a set of dead pods, online: it plans a
@@ -594,9 +544,7 @@ func (c *Controller) SelfHealScenario(ctx context.Context, sc faults.Scenario, o
 // many concurrent failures to batch into one repair) stays with the
 // caller.
 func (c *Controller) SelfHeal(ctx context.Context, deadPods []int, opt SelfHealOptions) (*RepairReport, error) {
-	c.mu.Lock()
-	ft := c.ft
-	c.mu.Unlock()
+	ft := c.FlatTree()
 	k := ft.Params.K
 	seen := make(map[int]bool, len(deadPods))
 	dead := make([]int, 0, len(deadPods))
@@ -624,27 +572,9 @@ func (c *Controller) SelfHeal(ctx context.Context, deadPods []int, opt SelfHealO
 			switches = append(switches, s)
 		}
 	}
-	out, err := faults.Fail(nw, faults.Scenario{Switches: switches, Seed: opt.Seed})
-	if err != nil {
-		return nil, err
+	rep, err := c.SelfHealScenario(ctx, faults.Scenario{Switches: switches, Seed: opt.Seed}, opt)
+	if rep != nil {
+		rep.DeadPods = dead
 	}
-	r, err := c.PlanRepair(out, opt)
-	if err != nil {
-		return nil, err
-	}
-	r.rep.DeadPods = dead
-	return r.heal(ctx)
-}
-
-// joinSets unions two pod sets (used to drop both already-aimed and
-// excluded pods when re-planning after an exclusion).
-func joinSets(a, b map[int]bool) map[int]bool {
-	u := make(map[int]bool, len(a)+len(b))
-	for k := range a {
-		u[k] = true
-	}
-	for k := range b {
-		u[k] = true
-	}
-	return u
+	return rep, err
 }

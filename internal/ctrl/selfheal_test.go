@@ -2,7 +2,6 @@ package ctrl
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -10,17 +9,11 @@ import (
 	"flattree/internal/faults"
 )
 
-// healPlant is startPlant with per-agent lifecycle control: every agent can
-// be killed independently (its context cancelled, which closes its
-// connection and stops its heartbeats), and a killed pod can later rejoin
-// with a fresh agent.
+// healPlant is a plant whose test can rejoin a killed pod with a fresh
+// agent.
 type healPlant struct {
-	t       *testing.T
-	c       *Controller
-	addr    string
-	agentOf []*Agent
-	cancels []context.CancelFunc // per-pod cancel for the CURRENT agent
-	dones   []chan struct{}      // one per agent ever started
+	*Plant
+	t *testing.T
 }
 
 func startHealPlant(t *testing.T, k int) *healPlant {
@@ -29,61 +22,22 @@ func startHealPlant(t *testing.T, k int) *healPlant {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	p, err := StartPlant(context.Background(), ft, 5*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go c.Serve(context.Background(), l)
-	hp := &healPlant{
-		t: t, c: c, addr: l.Addr().String(),
-		agentOf: make([]*Agent, k),
-		cancels: make([]context.CancelFunc, k),
-	}
-	for p := 0; p < k; p++ {
-		hp.connect(p)
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := c.WaitForAgents(wctx, k); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, cancel := range hp.cancels {
-			if cancel != nil {
-				cancel()
-			}
-		}
-		c.Close()
-		for _, d := range hp.dones {
-			<-d
-		}
-	})
-	return hp
+	t.Cleanup(p.Close)
+	return &healPlant{Plant: p, t: t}
 }
 
-// connect starts a fresh heartbeating agent for pod p (replacing any prior
-// registration server-side).
+// connect starts a fresh heartbeating agent for pod p, replacing its
+// current one (server-side, the new registration replaces the old).
 func (hp *healPlant) connect(p int) *Agent {
-	hp.t.Helper()
+	hp.Kill(p)
 	a := NewAgent(p, ConfigsForPod(hp.c.FlatTree(), p))
 	a.HeartbeatInterval = 5 * time.Millisecond
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		_ = a.Run(ctx, hp.addr)
-		close(done)
-	}()
-	hp.agentOf[p] = a
-	hp.cancels[p] = cancel
-	hp.dones = append(hp.dones, done)
+	hp.run(context.Background(), a)
 	return a
-}
-
-// kill cancels pod p's current agent: connection closed, heartbeats stop.
-func (hp *healPlant) kill(p int) {
-	hp.cancels[p]()
-	hp.cancels[p] = nil
 }
 
 // waitAllAlive polls until no pod is past the heartbeat deadline.
@@ -110,8 +64,8 @@ func TestHeartbeatLivenessMonitor(t *testing.T) {
 		t.Fatalf("fresh plant has dead pods: %v", dead)
 	}
 
-	hp.kill(2)
-	hp.kill(1)
+	hp.Kill(2)
+	hp.Kill(1)
 	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer wcancel()
 	if _, err := hp.c.WaitForFailures(wctx, []int{1, 2}, testDeadline); err != nil {
@@ -152,7 +106,7 @@ func TestSelfHealRepairsDeadPod(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hp.kill(4)
+	hp.Kill(4)
 	if _, err := hp.c.WaitForFailures(ctx, []int{4}, testDeadline); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +177,7 @@ func TestSelfHealExcludesRejectingPod(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hp.kill(0)
+	hp.Kill(0)
 	if _, err := hp.c.WaitForFailures(ctx, []int{0}, testDeadline); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +193,7 @@ func TestSelfHealExcludesRejectingPod(t *testing.T) {
 		t.Fatal("plan has no windows to sabotage")
 	}
 	victim := dry.Windows[0].Pods[0]
-	hp.agentOf[victim].RejectStage = true
+	hp.agents[victim].RejectStage = true
 
 	rep, err := hp.c.SelfHeal(ctx, []int{0}, SelfHealOptions{Seed: 3, BatchSize: 2})
 	if err != nil {
@@ -274,7 +228,7 @@ func TestSelfHealExcludesRejectingPod(t *testing.T) {
 func TestStagedConvertChaosAgentDrop(t *testing.T) {
 	k := 8
 	hp := startHealPlant(t, k)
-	for _, a := range hp.agentOf {
+	for _, a := range hp.agents {
 		a.ApplyDelay = 10 * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -290,8 +244,8 @@ func TestStagedConvertChaosAgentDrop(t *testing.T) {
 		resCh <- result{reports, err}
 	}()
 	time.Sleep(25 * time.Millisecond) // let a few batches commit
-	hp.kill(3)
-	hp.kill(6)
+	hp.Kill(3)
+	hp.Kill(6)
 	res := <-resCh
 	// Either outcome is legal — the conversion may have outrun the kills —
 	// but the epoch bookkeeping must be consistent either way.
@@ -299,7 +253,7 @@ func TestStagedConvertChaosAgentDrop(t *testing.T) {
 	if n := uint64(len(res.reports)); epochMid > n {
 		t.Errorf("controller epoch %d exceeds %d analyzed batches", epochMid, n)
 	}
-	for p, a := range hp.agentOf {
+	for p, a := range hp.agents {
 		if got := a.Commits(); uint64(got) > epochMid {
 			t.Errorf("pod %d committed %d epochs, controller only issued %d", p, got, epochMid)
 		}
@@ -308,7 +262,7 @@ func TestStagedConvertChaosAgentDrop(t *testing.T) {
 	// Rejoin the dead pods and converge.
 	hp.connect(3)
 	hp.connect(6)
-	for _, a := range hp.agentOf {
+	for _, a := range hp.agents {
 		a.ApplyDelay = 0
 	}
 	hp.waitAllAlive(testDeadline)
@@ -322,7 +276,7 @@ func TestStagedConvertChaosAgentDrop(t *testing.T) {
 		t.Error("fabric did not converge to the target mode")
 	}
 	want := hp.c.FlatTree().Configs()
-	for _, a := range hp.agentOf {
+	for _, a := range hp.agents {
 		for id, cfg := range a.Configs() {
 			if want[id] != cfg {
 				t.Fatalf("pod %d converter %d: agent has %s, model has %s",

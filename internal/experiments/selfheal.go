@@ -3,26 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
+	"flattree/internal/chaos"
 	"flattree/internal/core"
 	"flattree/internal/ctrl"
 	"flattree/internal/faults"
 	"flattree/internal/graph"
-	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
-	"flattree/internal/traffic"
 )
-
-// healStage is one point of a self-heal trajectory: the effective network
-// at a named moment of the repair.
-type healStage struct {
-	name string
-	nw   *topo.Network
-}
 
 // SelfHeal measures the online self-healing loop end to end: for each
 // trial it stands up a live control plane (controller + one TCP agent per
@@ -54,7 +45,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 	trials := cfg.trials()
 	seeds := cfg.trialSeeds()
 
-	stages := make([][]healStage, trials)
+	stages := make([][]*topo.Network, trials)
 	maxWin := 0
 	for tr := 0; tr < trials; tr++ {
 		st, err := runSelfHealTrial(ctx, k, nDead, batchSize, seeds.Seed(uint64(tr)))
@@ -62,9 +53,7 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 			return nil, fmt.Errorf("selfheal trial %d: %w", tr, err)
 		}
 		stages[tr] = st
-		if w := len(st) - 3; w > maxWin {
-			maxWin = w
-		}
+		maxWin = max(maxWin, len(st)-3)
 	}
 
 	canon := []string{"pre-failure", "failed"}
@@ -72,13 +61,6 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 		canon = append(canon, fmt.Sprintf("window-%d", i))
 	}
 	canon = append(canon, "recovered")
-	netOf := make([]map[string]*topo.Network, trials)
-	for tr := range stages {
-		netOf[tr] = make(map[string]*topo.Network, len(stages[tr]))
-		for _, st := range stages[tr] {
-			netOf[tr][st.name] = st.nw
-		}
-	}
 
 	type healCell struct {
 		conn, apl, lambda  float64
@@ -86,26 +68,25 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 	}
 	results, err := parallel.MapCtx(ctx, trials, cfg.workers(), func(tr int) ([]healCell, error) {
 		cells := make([]healCell, len(canon))
+		st := stages[tr]
 		for si, name := range canon {
-			nw := netOf[tr][name]
-			if nw == nil {
-				continue // this trial's repair used fewer windows
+			nw := st[len(st)-1] // recovered
+			if si < len(canon)-1 {
+				if si >= len(st)-1 {
+					continue // this trial's repair used fewer windows
+				}
+				nw = st[si]
 			}
 			rep, err := faults.Analyze(nw)
 			if err != nil {
 				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 			}
-			c := healCell{conn: rep.LargestComponentFrac, apl: rep.APL, finite: rep.APL > 0, ok: true}
-			comms := traffic.Permutation(faults.LargestComponent(nw), seeds.Seed(1<<32|uint64(tr)))
-			if len(comms) > 0 {
-				res, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
-					Epsilon: cfg.Epsilon, SkipDualBound: true, TimeBudget: cfg.SolveBudget})
-				if err != nil {
-					return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
-				}
-				c.lambda, c.approx = res.Lambda, res.Approximate
+			_, lambda, approx, err := chaos.Score(ctx, nw, seeds.Seed(1<<32|uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
+			if err != nil {
+				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 			}
-			cells[si] = c
+			cells[si] = healCell{conn: rep.LargestComponentFrac, apl: rep.APL, lambda: lambda,
+				finite: rep.APL > 0, approx: approx, ok: true}
 		}
 		return cells, nil
 	})
@@ -149,52 +130,30 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 }
 
 // runSelfHealTrial executes one live self-heal round and returns the
-// trajectory's stage networks.
-func runSelfHealTrial(ctx context.Context, k, nDead, batchSize int, seed uint64) ([]healStage, error) {
+// trajectory's effective networks in stage order: pre-failure, failed,
+// one per dark window, recovered.
+func runSelfHealTrial(ctx context.Context, k, nDead, batchSize int, seed uint64) ([]*topo.Network, error) {
 	ft, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
 	if err != nil {
 		return nil, err
 	}
 	pre := ft.Net()
-	c := ctrl.NewController(ft)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	p, err := ctrl.StartPlant(ctx, ft, 5*time.Millisecond, 0)
 	if err != nil {
 		return nil, err
 	}
-	sctx, cancelServe := context.WithCancel(ctx)
-	defer cancelServe()
-	go c.Serve(sctx, l)
-	defer c.Close()
-
-	cancels := make([]context.CancelFunc, k)
-	defer func() {
-		for _, cancel := range cancels {
-			if cancel != nil {
-				cancel()
-			}
-		}
-	}()
-	for p := 0; p < k; p++ {
-		a := ctrl.NewAgent(p, ctrl.ConfigsForPod(ft, p))
-		a.HeartbeatInterval = 5 * time.Millisecond
-		actx, cancel := context.WithCancel(ctx)
-		cancels[p] = cancel
-		//flatlint:ignore ignorederr agent exit races trial teardown; liveness is asserted via WaitForAgents/WaitForFailures
-		go func() { _ = a.Run(actx, l.Addr().String()) }()
-	}
-	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
-	defer wcancel()
-	if err := c.WaitForAgents(wctx, k); err != nil {
-		return nil, err
-	}
+	defer p.Close()
+	c := p.Controller()
 
 	// Kill a seeded set of agents: their heartbeats stop, and the
 	// controller's deadline monitor declares the pods dead.
 	dead := append([]int(nil), graph.NewRNG(seed).Perm(k)[:nDead]...)
 	sort.Ints(dead)
-	for _, p := range dead {
-		cancels[p]()
+	for _, pod := range dead {
+		p.Kill(pod)
 	}
+	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
+	defer wcancel()
 	const deadline = 60 * time.Millisecond
 	if _, err := c.WaitForFailures(wctx, dead, deadline); err != nil {
 		return nil, err
@@ -205,10 +164,9 @@ func runSelfHealTrial(ctx context.Context, k, nDead, batchSize int, seed uint64)
 	if err != nil {
 		return nil, err
 	}
-	stages := []healStage{{"pre-failure", pre}, {"failed", rep.Degraded}}
-	for i, w := range rep.Windows {
-		stages = append(stages, healStage{fmt.Sprintf("window-%d", i+1), w.Dark})
+	stages := []*topo.Network{pre, rep.Degraded}
+	for _, w := range rep.Windows {
+		stages = append(stages, w.Dark)
 	}
-	stages = append(stages, healStage{"recovered", rep.Healed})
-	return stages, nil
+	return append(stages, rep.Healed), nil
 }

@@ -2,7 +2,9 @@
 # check.sh is the repository's tier-1 verification gate: build, go vet,
 # gofmt, the custom flatlint static-analysis pass, the unit tests, and the
 # race detector on the concurrent packages (the ctrl control plane spawns
-# per-connection goroutines; parallel is the deterministic fan-out runner;
+# per-connection goroutines, and its in-process plant runs a Serve loop
+# plus one agent and heartbeat goroutine per pod, all joined by Close;
+# parallel is the deterministic fan-out runner;
 # graph, metrics, faults, chaos, and experiments fan their sweeps out
 # through it; netsim starts no goroutine itself, but experiments runs its
 # packet simulations side by side on networks that share tables, and its
@@ -86,6 +88,13 @@ echo "== soak smoke (bounded chaos soak, fixed seed)"
 # experiments test suites above.
 go run ./cmd/flatsim -kmax 4 -eps 0.3 -rate 2 -horizon 3 -seed 1 \
     -tsv soak > /dev/null
+
+echo "== examples smoke (the in-process control-plane callers no test runs)"
+# Both control-plane examples and `flatctl demo` stand up a ctrl plant,
+# convert over it and tear it down; each must exit 0.
+go run ./examples/adaptive > /dev/null
+go run ./examples/controlplane > /dev/null
+go run ./cmd/flatctl demo -k 4 > /dev/null
 
 echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks, of the root package's
