@@ -3,12 +3,18 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"flattree/internal/faults"
 )
+
+var updateTables = flag.Bool("update-tables", false, "rewrite testdata/tables.golden from the current drivers")
+
+const tablesGolden = "testdata/tables.golden"
 
 // TestTablesByteIdenticalAcrossWorkerCounts pins the package contract from
 // the doc comment: for any seed, an experiment's table is byte-for-byte the
@@ -17,7 +23,13 @@ import (
 // must not differ by a single byte. The figures sweep k=4..6, and soak's two
 // arms (live TCP control plane with overlapping repairs, and the
 // fixed-cabling control) replay from the seed.
+//
+// The workers=1 bytes are also compared with testdata/tables.golden, so a
+// change that moves any table cell fails here rather than only in a
+// hand-built comparison against an older binary. Rewrite the golden with
+// -update-tables only when a table is meant to change.
 func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
+	var all bytes.Buffer
 	for _, seed := range []uint64{1, 2} {
 		for _, exp := range CellExperiments() {
 			var want []byte
@@ -26,6 +38,8 @@ func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
 				got := cellTSV(t, cfg, sp)
 				if workers == 1 {
 					want = got
+					fmt.Fprintf(&all, "## %s seed=%d\n", exp, seed)
+					all.Write(got)
 					continue
 				}
 				if !bytes.Equal(got, want) {
@@ -33,6 +47,33 @@ func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
 						exp, seed, workers, want, workers, got)
 				}
 			}
+		}
+	}
+	if *updateTables {
+		if err := os.WriteFile(tablesGolden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	golden, err := os.ReadFile(tablesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(golden, all.Bytes()) {
+		return
+	}
+	wantLines := strings.Split(string(golden), "\n")
+	gotLines := strings.Split(all.String(), "\n")
+	for i := 0; i < len(wantLines) || i < len(gotLines); i++ {
+		var w, g string
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if w != g {
+			t.Fatalf("tables differ from %s at line %d (rerun with -update-tables only if a table is meant to change):\n  want %q\n  got  %q", tablesGolden, i+1, w, g)
 		}
 	}
 }
