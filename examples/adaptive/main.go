@@ -91,7 +91,7 @@ func adapt(ctx context.Context, controller *ctrl.Controller, ft *core.FlatTree, 
 	for i, f := range measured.Completed {
 		obs[i] = ctrl.FlowObservation{Src: f.Src, Dst: f.Dst, Bytes: f.Size}
 	}
-	modes, _, err := ctrl.Advise(ft, obs, ctrl.AdviceThresholds{})
+	modes, _, err := ctrl.Advise(ft, obs)
 	if err != nil {
 		log.Fatal(err)
 	}

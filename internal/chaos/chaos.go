@@ -135,17 +135,19 @@ func (o *Options) validate() error {
 	if o.K < 4 || o.K%2 != 0 {
 		return fmt.Errorf("chaos: k=%d must be an even integer >= 4", o.K)
 	}
-	if o.Rate <= 0 {
-		return fmt.Errorf("chaos: rate %g must be positive", o.Rate)
+	// An infinite rate spawns episodes at one instant forever, and an
+	// infinite horizon never ends; NaN fails every comparison.
+	if !positiveFinite(o.Rate) {
+		return fmt.Errorf("chaos: rate %g must be positive and finite", o.Rate)
 	}
-	if o.Horizon <= 0 {
-		return fmt.Errorf("chaos: horizon %g must be positive", o.Horizon)
+	if !positiveFinite(o.Horizon) {
+		return fmt.Errorf("chaos: horizon %g must be positive and finite", o.Horizon)
 	}
 	if o.MaxEpisodes < 0 {
 		return fmt.Errorf("chaos: max episodes %d must be >= 0", o.MaxEpisodes)
 	}
-	if o.WindowCost <= 0 {
-		return fmt.Errorf("chaos: window cost %g must be positive", o.WindowCost)
+	if !positiveFinite(o.WindowCost) {
+		return fmt.Errorf("chaos: window cost %g must be positive and finite", o.WindowCost)
 	}
 	if o.SLOThreshold <= 0 || o.SLOThreshold > 1 {
 		return fmt.Errorf("chaos: SLO threshold %g out of (0,1]", o.SLOThreshold)
@@ -153,8 +155,8 @@ func (o *Options) validate() error {
 	if o.Mix == (Mix{}) {
 		o.Mix = DefaultMix()
 	}
-	if o.Mix.total() <= 0 {
-		return fmt.Errorf("chaos: episode mix has no positive weight")
+	if !positiveFinite(o.Mix.total()) {
+		return fmt.Errorf("chaos: episode mix needs a positive weight and no infinite one")
 	}
 	if o.Mix.BurstFraction < 0 || o.Mix.BurstFraction >= 1 {
 		return fmt.Errorf("chaos: burst fraction %g out of [0,1)", o.Mix.BurstFraction)
@@ -170,6 +172,8 @@ func (o *Options) validate() error {
 	}
 	return nil
 }
+
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Sample is one segment of the soak's piecewise-constant time series: the
 // fabric held this state for Dur virtual time starting at T.

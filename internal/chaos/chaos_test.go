@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -29,6 +30,16 @@ func TestSoakValidation(t *testing.T) {
 		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9, MaxEpisodes: -1},
 		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
 			Mix: Mix{LinkBurst: 1, BurstFraction: 1.5}},
+		// Non-finite values: an infinite rate used to spin the spawn loop
+		// without ever checking ctx, an infinite horizon never ended.
+		{K: 4, Rate: math.Inf(1), Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9},
+		{K: 4, Rate: math.NaN(), Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9},
+		{K: 4, Rate: 1, Horizon: math.Inf(1), WindowCost: 0.1, SLOThreshold: 0.9},
+		{K: 4, Rate: 1, Horizon: math.NaN(), WindowCost: 0.1, SLOThreshold: 0.9},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: math.Inf(1), SLOThreshold: 0.9},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: math.NaN(), SLOThreshold: 0.9},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
+			Mix: Mix{LinkBurst: math.Inf(1), SwitchKill: 1}},
 	}
 	for i, o := range bad {
 		if _, err := Run(ctx, o); err == nil {

@@ -87,30 +87,23 @@ func (ft *FlatTree) AnalyzeTransition(converting []int) (TransitionReport, error
 func AnalyzeNetwork(nw *topo.Network) TransitionReport {
 	var rep TransitionReport
 	for _, l := range nw.Links {
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
+		if nw.IsSwitchLink(l) {
 			rep.SurvivingLinks++
 		}
 	}
 	g := nw.Graph()
-	// Reachability over live servers.
-	first := -1
-	for _, sv := range nw.Servers() {
-		if g.Degree(sv) == 0 {
-			rep.DetachedServers++
-			continue
-		}
-		if first < 0 {
-			first = sv
-		}
-	}
+	comp, _ := g.Components()
+	// Reachability over live servers: all of them in one component.
 	rep.Connected = true
-	if first >= 0 {
-		dist := g.BFS(first)
-		for _, sv := range nw.Servers() {
-			if g.Degree(sv) > 0 && dist[sv] < 0 {
-				rep.Connected = false
-				break
-			}
+	first := int32(-1)
+	for _, sv := range nw.Servers() {
+		switch {
+		case g.Degree(sv) == 0:
+			rep.DetachedServers++
+		case first < 0:
+			first = comp[sv]
+		case comp[sv] != first:
+			rep.Connected = false
 		}
 	}
 	return rep

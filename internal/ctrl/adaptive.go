@@ -14,16 +14,16 @@ type FlowObservation struct {
 	Bytes    float64
 }
 
-// AdviceThresholds tunes Advise. Zero values select defaults.
-type AdviceThresholds struct {
-	// CrossPodFraction above which a pod's workload is classified as
-	// network-wide (global-random zone). Default 0.5.
-	CrossPodFraction float64
-	// IdleFraction of the mean per-pod traffic below which a pod is left
-	// in (or converted back to) Clos, the cheapest mode to convert away
-	// from later. Default 0.05.
-	IdleFraction float64
-}
+// Advise's classification thresholds.
+const (
+	// crossPodFraction is the share of a pod's bytes crossing pods above
+	// which its workload is network-wide (global-random zone).
+	crossPodFraction = 0.5
+	// idleFraction is the share of the mean per-pod traffic below which a
+	// pod is left in (or converted back to) Clos, the cheapest mode to
+	// convert away from later.
+	idleFraction = 0.05
+)
 
 // PodAdvice explains the recommendation for one pod.
 type PodAdvice struct {
@@ -46,13 +46,7 @@ type PodAdvice struct {
 // (ConfigFor falls back to Local there); placement software that can
 // migrate workloads should prefer packing global-zone tenants into
 // adjacent pods, e.g. with PlanZoneModes.
-func Advise(ft *core.FlatTree, obs []FlowObservation, th AdviceThresholds) ([]core.Mode, []PodAdvice, error) {
-	if th.CrossPodFraction == 0 { //flatlint:ignore floatcmp zero value means unset; exact by construction
-		th.CrossPodFraction = 0.5
-	}
-	if th.IdleFraction == 0 { //flatlint:ignore floatcmp zero value means unset; exact by construction
-		th.IdleFraction = 0.05
-	}
+func Advise(ft *core.FlatTree, obs []FlowObservation) ([]core.Mode, []PodAdvice, error) {
 	k := ft.Params.K
 	nw := ft.Net()
 	podOf := func(v int) (int, error) {
@@ -102,9 +96,9 @@ func Advise(ft *core.FlatTree, obs []FlowObservation, th AdviceThresholds) ([]co
 		}
 		switch {
 		//flatlint:ignore floatcmp mean is exactly 0 iff no traffic was observed at all
-		case mean == 0 || bytesTotal[p] < th.IdleFraction*mean:
+		case mean == 0 || bytesTotal[p] < idleFraction*mean:
 			a.Recommends = core.ModeClos
-		case a.CrossFrac > th.CrossPodFraction:
+		case a.CrossFrac > crossPodFraction:
 			a.Recommends = core.ModeGlobalRandom
 		default:
 			a.Recommends = core.ModeLocalRandom

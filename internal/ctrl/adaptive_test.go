@@ -40,7 +40,7 @@ func TestAdviseClassifiesWorkloads(t *testing.T) {
 		}
 	}
 	// Pods 5-7: idle.
-	modes, advice, err := Advise(ft, obs, AdviceThresholds{})
+	modes, advice, err := Advise(ft, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAdviseClassifiesWorkloads(t *testing.T) {
 
 func TestAdviseEmptyObservations(t *testing.T) {
 	ft := buildK8(t)
-	modes, _, err := Advise(ft, nil, AdviceThresholds{})
+	modes, _, err := Advise(ft, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +78,15 @@ func TestAdviseEmptyObservations(t *testing.T) {
 
 func TestAdviseErrors(t *testing.T) {
 	ft := buildK8(t)
-	if _, _, err := Advise(ft, []FlowObservation{{Src: -1, Dst: 0, Bytes: 1}}, AdviceThresholds{}); err == nil {
+	if _, _, err := Advise(ft, []FlowObservation{{Src: -1, Dst: 0, Bytes: 1}}); err == nil {
 		t.Error("bad node accepted")
 	}
-	if _, _, err := Advise(ft, []FlowObservation{{Src: ft.Cores[0], Dst: ft.ServerIDs[0], Bytes: 1}}, AdviceThresholds{}); err == nil {
+	if _, _, err := Advise(ft, []FlowObservation{{Src: ft.Cores[0], Dst: ft.ServerIDs[0], Bytes: 1}}); err == nil {
 		t.Error("podless node accepted")
 	}
 	if _, _, err := Advise(ft, []FlowObservation{
 		{Src: ft.ServerIDs[0], Dst: ft.ServerIDs[1], Bytes: -4},
-	}, AdviceThresholds{}); err == nil {
+	}); err == nil {
 		t.Error("negative bytes accepted")
 	}
 }
@@ -99,14 +99,14 @@ func TestAdviseStableAcrossConversion(t *testing.T) {
 		{Src: serverInPod(ft, 0, 0), Dst: serverInPod(ft, 5, 0), Bytes: 10},
 		{Src: serverInPod(ft, 1, 0), Dst: serverInPod(ft, 1, 1), Bytes: 10},
 	}
-	before, _, err := Advise(ft, obs, AdviceThresholds{})
+	before, _, err := Advise(ft, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := Advise(ft, obs, AdviceThresholds{})
+	after, _, err := Advise(ft, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

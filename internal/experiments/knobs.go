@@ -128,7 +128,10 @@ func floatKnob(name, usage string, def float64, dom domain[float64], field func(
 		return v, err
 	}
 	format := func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
-	return knobOf(name, usage, def, "a number", dom, parse, format, field)
+	// ParseFloat accepts "Inf" and "NaN"; no knob has a use for either, and
+	// an infinite rate or horizon never terminates.
+	finite := domain[float64]{func(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) && dom.ok(v) }, dom.text}
+	return knobOf(name, usage, def, "a number", finite, parse, format, field)
 }
 
 func durationKnob(name, usage string, field func(*Request) *time.Duration) Knob {
@@ -285,7 +288,7 @@ func parseMix(s string) (chaos.Mix, error) {
 	total := 0.0
 	for i, f := range fields {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || !(v >= 0) {
+		if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 			return chaos.Mix{}, errBadMix
 		}
 		w[i] = v

@@ -8,8 +8,9 @@ import (
 
 // TestKnobTable pins the table's own invariants: names are unique flag-safe
 // words, every default sits inside its knob's domain (k, whose default is
-// kmax, excepted), Set(Get()) is the identity, and the defaults are the
-// paper-scaled laptop sweep DefaultConfig has always returned.
+// kmax, excepted), Set(Get()) is the identity, no knob takes an infinite or
+// NaN value, and the defaults are the paper-scaled laptop sweep
+// DefaultConfig has always returned.
 func TestKnobTable(t *testing.T) {
 	seen := map[string]bool{}
 	def := NewRequest()
@@ -30,6 +31,13 @@ func TestKnobTable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r, def) {
 			t.Errorf("knob %s: Set(Get()) changed the request: %+v -> %+v", k.Name, def, r)
+		}
+		// ParseFloat spells these; an infinite soak rate or horizon would
+		// never terminate, so no knob may take one.
+		for _, v := range []string{"Inf", "+Inf", "-inf", "NaN", "Inf,1,1,1", "1,1,1,+Inf"} {
+			if err := k.Set(&r, v); err == nil {
+				t.Errorf("knob %s accepts %q", k.Name, v)
+			}
 		}
 	}
 	want := Config{KMin: 4, KMax: 16, KStep: 2, Seed: 1, Epsilon: 0.1, HybridK: 10, Trials: 1}

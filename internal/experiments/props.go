@@ -52,30 +52,20 @@ func Props(ctx context.Context, cfg Config) (*Table, []PropsReport, error) {
 				return nil, nil, err
 			}
 			nw := ft.Net()
-			var srv, edg, agg []int
-			srv = make([]int, len(ft.Cores))
-			edg = make([]int, len(ft.Cores))
-			agg = make([]int, len(ft.Cores))
-			coreIdx := make(map[int]int, len(ft.Cores))
+			// Neighbors of each core by kind, in ft.Cores order.
+			srv := make([]int, len(ft.Cores))
+			edg := make([]int, len(ft.Cores))
+			agg := make([]int, len(ft.Cores))
 			for i, c := range ft.Cores {
-				coreIdx[c] = i
-			}
-			for _, l := range nw.Links {
-				var c, o int
-				if nw.Nodes[l.A].Kind == topo.CoreSwitch {
-					c, o = l.A, l.B
-				} else if nw.Nodes[l.B].Kind == topo.CoreSwitch {
-					c, o = l.B, l.A
-				} else {
-					continue
-				}
-				switch nw.Nodes[o].Kind {
-				case topo.Server:
-					srv[coreIdx[c]]++
-				case topo.EdgeSwitch:
-					edg[coreIdx[c]]++
-				case topo.AggSwitch:
-					agg[coreIdx[c]]++
+				for _, h := range nw.Graph().Neighbors(c) {
+					switch nw.Nodes[h.Peer].Kind {
+					case topo.Server:
+						srv[i]++
+					case topo.EdgeSwitch:
+						edg[i]++
+					case topo.AggSwitch:
+						agg[i]++
+					}
 				}
 			}
 			rep := PropsReport{

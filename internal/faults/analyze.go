@@ -27,59 +27,14 @@ type Report struct {
 func Analyze(nw *topo.Network) (Report, error) {
 	r := Report{Servers: len(nw.Servers())}
 	for _, l := range nw.Links {
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
+		if nw.IsSwitchLink(l) {
 			r.SwitchLinks++
 		}
 	}
 	if r.Servers == 0 {
 		return r, nil
 	}
-
-	// Component analysis over the full node graph.
-	g := nw.Graph()
-	comp := make([]int32, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	queue := make([]int32, g.N())
-	numComp := int32(0)
-	for v := 0; v < g.N(); v++ {
-		if comp[v] >= 0 || g.Degree(v) == 0 {
-			continue
-		}
-		comp[v] = numComp
-		queue[0] = int32(v)
-		head, tail := 0, 1
-		for head < tail {
-			u := queue[head]
-			head++
-			for _, h := range g.Neighbors(int(u)) {
-				if comp[h.Peer] < 0 {
-					comp[h.Peer] = numComp
-					queue[tail] = h.Peer
-					tail++
-				}
-			}
-		}
-		numComp++
-	}
-	// Servers per component; a detached server is a component of its own.
-	perComp := make([]int, numComp)
-	best, bestComp := 0, int32(-1)
-	for _, sv := range nw.Servers() {
-		if c := comp[sv]; c >= 0 {
-			perComp[c]++
-		} else {
-			best = 1
-		}
-	}
-	// Ties go to the lowest component id, so the report depends on the
-	// network alone.
-	for c, cnt := range perComp {
-		if cnt > best {
-			best, bestComp = cnt, int32(c)
-		}
-	}
+	comp, bestComp, best := largest(nw)
 	r.LargestComponentFrac = float64(best) / float64(r.Servers)
 	r.Connected = best == r.Servers
 
@@ -89,6 +44,7 @@ func Analyze(nw *topo.Network) (Report, error) {
 	if best < 2 {
 		return r, nil
 	}
+	g := nw.Graph()
 	var hosts []int                // hosting switches of the largest component
 	var counts []int64             // counts[i]: servers on hosts[i]
 	hostOf := make([]int32, g.N()) // switch -> index into hosts, -1 if it hosts none there
@@ -145,25 +101,32 @@ func Analyze(nw *topo.Network) (Report, error) {
 // detach them, dead pods remove them), and the surviving majority is what
 // recovery tables and the soak's SLO score.
 func LargestComponent(nw *topo.Network) []int {
-	g := nw.Graph()
-	servers := nw.Servers()
-	seen := make([]bool, nw.N())
-	var best []int
-	for _, s := range servers {
-		if seen[s] {
-			continue
-		}
-		dist := g.BFS(s)
-		var comp []int
-		for _, sv := range servers {
-			if dist[sv] >= 0 && !seen[sv] {
-				seen[sv] = true
-				comp = append(comp, sv)
-			}
-		}
-		if len(comp) > len(best) {
-			best = comp
+	comp, best, _ := largest(nw)
+	var out []int
+	for _, sv := range nw.Servers() {
+		if comp[sv] == best {
+			out = append(out, sv)
 		}
 	}
-	return best
+	return out
+}
+
+// largest labels nw's connected components and picks the one holding the
+// most servers; of equally large components, the one holding the lowest
+// server ID, so the choice depends on the network alone. A detached server
+// is a component of its own. It returns the labels, the chosen component
+// (-1 if there are no servers) and its server count.
+func largest(nw *topo.Network) (comp []int32, best int32, size int) {
+	comp, n := nw.Graph().Components()
+	count := make([]int, n)
+	for _, sv := range nw.Servers() {
+		count[comp[sv]]++
+	}
+	best = -1
+	for _, sv := range nw.Servers() {
+		if c := count[comp[sv]]; c > size {
+			best, size = comp[sv], c
+		}
+	}
+	return comp, best, size
 }

@@ -167,7 +167,7 @@ func Compose(prev *Outcome, sc Scenario) (*Outcome, error) {
 	var ssLinks []int
 	linkPod := make(map[int]int)
 	for _, l := range nw.Links {
-		if !nw.Nodes[l.A].Kind.IsSwitch() || !nw.Nodes[l.B].Kind.IsSwitch() {
+		if !nw.IsSwitchLink(l) {
 			continue
 		}
 		ssLinks = append(ssLinks, l.ID)
@@ -296,7 +296,7 @@ func Compose(prev *Outcome, sc Scenario) (*Outcome, error) {
 			}
 			continue
 		}
-		if !nw.Nodes[l.A].Kind.IsSwitch() || !nw.Nodes[l.B].Kind.IsSwitch() {
+		if !nw.IsSwitchLink(l) {
 			continue
 		}
 		if failedLink[l.ID] && a >= 0 && bb >= 0 {

@@ -166,8 +166,8 @@ func TestFlatTreeSurvivesModerateFailures(t *testing.T) {
 // two servers each with different path lengths: one switch with both
 // servers (APL 2) and two linked switches with a server each (APL 3). The
 // largest component used to be chosen by ranging over a map, so the
-// reported APL flipped between runs; the lowest component id — the half
-// holding node 0 — must win every time. Run with -count=20.
+// reported APL flipped between runs; the half holding the lowest server ID
+// must win every time. Run with -count=20.
 func TestAnalyzeTieGoesToLowestComponent(t *testing.T) {
 	b := topo.NewBuilder("halves")
 	sw0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
@@ -189,6 +189,34 @@ func TestAnalyzeTieGoesToLowestComponent(t *testing.T) {
 	}
 	if lc, want := LargestComponent(nw), nw.Servers()[:2]; !reflect.DeepEqual(lc, want) {
 		t.Errorf("LargestComponent = %v, want the first half %v", lc, want)
+	}
+}
+
+// TestComponentRulesAgree: Analyze and LargestComponent pick the same
+// component of two equally large ones. Servers 3 and 4 sit on the linked
+// switches 1 and 2 (APL 3), servers 5 and 6 on switch 0 (APL 2). The second
+// component holds node 0, but the first holds the lowest server ID, and
+// both functions must name it — otherwise a selfheal row pairs the λ of one
+// component with the APL of the other.
+func TestComponentRulesAgree(t *testing.T) {
+	b := topo.NewBuilder("split")
+	sw0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	sw1 := b.AddNode(topo.EdgeSwitch, 1, 0, 4)
+	sw2 := b.AddNode(topo.EdgeSwitch, 1, 1, 4)
+	b.AddLink(sw1, sw2, topo.TagClos)
+	for i, sw := range []int{sw1, sw2, sw0, sw0} {
+		b.AddLink(b.AddNode(topo.Server, 0, i, 1), sw, topo.TagClos)
+	}
+	nw := b.Build()
+	r, err := Analyze(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Connected || r.LargestComponentFrac != 0.5 || r.APL != 3 {
+		t.Errorf("Analyze = %+v, want the component {3,4} (frac 0.5, APL 3)", r)
+	}
+	if lc, want := LargestComponent(nw), []int{3, 4}; !reflect.DeepEqual(lc, want) {
+		t.Errorf("LargestComponent = %v, want %v", lc, want)
 	}
 }
 

@@ -89,8 +89,7 @@ func Recover(out *Outcome, opt RecoverOptions) (*topo.Network, RecoverReport, er
 
 	canBreak := func(id int) bool {
 		l := nw.Links[id]
-		return nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() &&
-			!out.Pinned[id] && rewirable(l.Tag)
+		return nw.IsSwitchLink(l) && !out.Pinned[id] && rewirable(l.Tag)
 	}
 	// Link IDs and graph edge indices coincide (Builder.Build adds graph
 	// edges in link order), so AugmentRandom's edge bookkeeping maps

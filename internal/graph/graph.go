@@ -184,28 +184,52 @@ func (g *Graph) BFSInto(src int, dist, queue []int32) {
 	}
 }
 
-// Connected reports whether all nodes with at least one incident edge plus
-// node 0 form a single connected component. Isolated nodes are ignored so
-// that switch-only reachability checks are not confused by, e.g., spare
-// nodes with zero configured ports.
-func (g *Graph) Connected() bool {
+// Components labels every node with its connected component: label[v] is
+// v's component, numbered from 0 in order of each component's lowest node,
+// and an isolated node is a component of its own. It returns the labels and
+// the number of components.
+func (g *Graph) Components() (label []int32, count int) {
 	n := len(g.adj)
-	if n == 0 {
-		return true
+	label = make([]int32, n)
+	for i := range label {
+		label[i] = -1
 	}
-	start := -1
-	for v := 0; v < n; v++ {
-		if len(g.adj[v]) > 0 {
-			start = v
-			break
+	queue := make([]int32, n)
+	for v := range n {
+		if label[v] >= 0 {
+			continue
+		}
+		c := int32(count)
+		count++
+		label[v] = c
+		queue[0] = int32(v)
+		for head, tail := 0, 1; head < tail; head++ {
+			for _, h := range g.adj[queue[head]] {
+				if label[h.Peer] < 0 {
+					label[h.Peer] = c
+					queue[tail] = h.Peer
+					tail++
+				}
+			}
 		}
 	}
-	if start < 0 {
-		return true // no edges at all
-	}
-	dist := g.BFS(start)
-	for v := 0; v < n; v++ {
-		if len(g.adj[v]) > 0 && dist[v] < 0 {
+	return label, count
+}
+
+// Connected reports whether all nodes with at least one incident edge form
+// a single connected component. Isolated nodes are ignored so that
+// switch-only reachability checks are not confused by, e.g., spare nodes
+// with zero configured ports.
+func (g *Graph) Connected() bool {
+	label, _ := g.Components()
+	first := int32(-1)
+	for v, l := range label {
+		if len(g.adj[v]) == 0 {
+			continue
+		}
+		if first < 0 {
+			first = l
+		} else if l != first {
 			return false
 		}
 	}

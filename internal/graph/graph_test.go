@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,24 @@ func TestConnected(t *testing.T) {
 	}
 	if !New(0).Connected() || !New(3).Connected() {
 		t.Error("edgeless graphs are trivially connected")
+	}
+}
+
+// TestComponents: labels follow each component's lowest node, and an
+// isolated node (including one that sorts before any edge) is a component of
+// its own.
+func TestComponents(t *testing.T) {
+	g := New(7)
+	g.AddEdge(5, 1)
+	g.AddEdge(1, 3)
+	g.AddEdge(2, 6)
+	label, n := g.Components()
+	want := []int32{0, 1, 2, 1, 3, 1, 2}
+	if n != 4 || !reflect.DeepEqual(label, want) {
+		t.Errorf("Components() = %v, %d; want %v, 4", label, n, want)
+	}
+	if label, n := New(0).Components(); len(label) != 0 || n != 0 {
+		t.Errorf("empty graph: %v, %d", label, n)
 	}
 }
 

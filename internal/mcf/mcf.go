@@ -153,60 +153,32 @@ func (p *problem) commsOf(si int) []aggCommodity {
 // adjacent sum, so demands accumulate in input order — the same order the
 // map-based predecessor of this code used — keeping solves bit-identical.
 func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
-	sw := nw.Switches()
-	pr.node = sw
-	if cap(pr.idx) < nw.N() {
-		pr.idx = make([]int32, nw.N())
-	}
-	idx := pr.idx[:nw.N()]
-	for i := range idx {
-		idx[i] = -1
-	}
-	for i, s := range sw {
-		idx[s] = int32(i)
-	}
 	if pr.g == nil {
-		pr.g = graph.New(len(sw))
-	} else {
-		pr.g.Reset(len(sw))
+		pr.g = new(graph.Graph)
 	}
+	pr.node = nw.Switches()
+	pr.idx = nw.SwitchGraph(pr.g, pr.idx)
 	pr.cap = pr.cap[:0]
-	for _, l := range nw.Links {
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
-			pr.g.AddEdge(int(idx[l.A]), int(idx[l.B]))
-			pr.cap = append(pr.cap, 1)
-		}
-	}
-	toSwitch := func(v int) (int32, error) {
-		if v < 0 || v >= nw.N() {
-			return 0, fmt.Errorf("mcf: node %d out of range", v)
-		}
-		if nw.Nodes[v].Kind.IsSwitch() {
-			return idx[v], nil
-		}
-		h := nw.HostSwitch(v)
-		if h < 0 {
-			return 0, fmt.Errorf("mcf: server %d has no host switch", v)
-		}
-		return idx[h], nil
+	for range pr.g.M() {
+		pr.cap = append(pr.cap, 1)
 	}
 	pr.pairs = pr.pairs[:0]
-	for _, c := range commodities {
-		if c.Demand <= 0 {
-			return fmt.Errorf("mcf: non-positive demand %g", c.Demand)
+	for i, c := range commodities {
+		if !(c.Demand > 0) || math.IsInf(c.Demand, 1) {
+			return fmt.Errorf("mcf: commodity %d: demand %g must be positive and finite", i, c.Demand)
 		}
-		s, err := toSwitch(c.Src)
+		s, err := nw.EntrySwitch(c.Src)
 		if err != nil {
-			return err
+			return fmt.Errorf("mcf: commodity %d: %w", i, err)
 		}
-		t, err := toSwitch(c.Dst)
+		t, err := nw.EntrySwitch(c.Dst)
 		if err != nil {
-			return err
+			return fmt.Errorf("mcf: commodity %d: %w", i, err)
 		}
 		if s == t {
 			continue
 		}
-		pr.pairs = append(pr.pairs, spair{s: s, t: t, demand: c.Demand})
+		pr.pairs = append(pr.pairs, spair{s: pr.idx[s], t: pr.idx[t], demand: c.Demand})
 	}
 	slices.SortStableFunc(pr.pairs, func(a, b spair) int {
 		if a.s != b.s {

@@ -193,6 +193,25 @@ func TestErrors(t *testing.T) {
 	if _, err := MaxConcurrentFlow(context.Background(), nw, []Commodity{{Src: -1, Dst: servers[1], Demand: 1}}, Options{}); err == nil {
 		t.Error("bad node should error")
 	}
+	// Non-finite demands used to reach the solvers: the star path (one hot
+	// spot) returned λ = NaN with a nil error, the FPTAS path (two sources)
+	// a misleading "disconnected". Both must name the demand.
+	line := lineNetwork(3)
+	ls := line.Servers()
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		for _, tc := range []struct {
+			name  string
+			comms []Commodity
+		}{
+			{"star", []Commodity{{Src: ls[0], Dst: ls[1], Demand: d}}},
+			{"two-source", []Commodity{{Src: ls[0], Dst: ls[1], Demand: d}, {Src: ls[1], Dst: ls[0], Demand: 1}}},
+		} {
+			res, err := MaxConcurrentFlow(context.Background(), line, tc.comms, Options{})
+			if err == nil || !strings.Contains(err.Error(), "demand") {
+				t.Errorf("%s instance with demand %g: λ=%g, UpperBound=%g, error %v; want an error naming the demand", tc.name, d, res.Lambda, res.UpperBound, err)
+			}
+		}
+	}
 }
 
 // TestFatTreeBisection: all-to-all between two halves of a fat-tree has a

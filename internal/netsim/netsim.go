@@ -57,7 +57,7 @@ func newFabric(nw *topo.Network, scheme routing.Scheme) *fabric {
 		routes:  make(map[pair][][]int32),
 	}
 	for _, l := range nw.Links {
-		if !nw.Nodes[l.A].Kind.IsSwitch() || !nw.Nodes[l.B].Kind.IsSwitch() {
+		if !nw.IsSwitchLink(l) {
 			continue
 		}
 		a, b := int32(l.A), int32(l.B)
@@ -83,28 +83,12 @@ func (f *fabric) link(a, b int32) (int32, bool) {
 	return li, ok
 }
 
-// host resolves a node to the switch its traffic enters the fabric at: a
-// switch stands for itself, a server for the switch it attaches to.
-func (f *fabric) host(v int) (int, error) {
-	if v < 0 || v >= f.nw.N() {
-		return 0, fmt.Errorf("netsim: node %d out of range", v)
-	}
-	if f.nw.Nodes[v].Kind.IsSwitch() {
-		return v, nil
-	}
-	h := f.nw.HostSwitch(v)
-	if h < 0 {
-		return 0, fmt.Errorf("netsim: server %d detached", v)
-	}
-	return h, nil
-}
-
-// endpoints resolves both ends of a demand to their switches.
+// endpoints resolves both ends of a demand to their entry switches.
 func (f *fabric) endpoints(src, dst int) (s, d int, err error) {
-	if s, err = f.host(src); err != nil {
+	if s, err = f.nw.EntrySwitch(src); err != nil {
 		return 0, 0, err
 	}
-	if d, err = f.host(dst); err != nil {
+	if d, err = f.nw.EntrySwitch(dst); err != nil {
 		return 0, 0, err
 	}
 	return s, d, nil

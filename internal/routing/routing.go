@@ -26,29 +26,18 @@ type Scheme interface {
 	Name() string
 }
 
-// switchGraph extracts the switch-only graph of a network plus the
-// mappings between network node IDs and compact graph indices.
+// switchGraph is a network's switch fabric (topo.Network.SwitchGraph) with
+// the mappings between network node IDs and compact graph indices.
 type switchGraph struct {
-	g     *graph.Graph
+	g     graph.Graph
 	toIdx []int32 // network node -> graph index (-1 for servers)
 	toNet []int   // graph index -> network node
 }
 
-func newSwitchGraph(nw *topo.Network) *switchGraph {
-	sw := nw.Switches()
-	sg := &switchGraph{g: graph.New(len(sw)), toIdx: make([]int32, nw.N()), toNet: sw}
-	for i := range sg.toIdx {
-		sg.toIdx[i] = -1
-	}
-	for i, s := range sw {
-		sg.toIdx[s] = int32(i)
-	}
-	for _, l := range nw.Links {
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
-			sg.g.AddEdge(int(sg.toIdx[l.A]), int(sg.toIdx[l.B]))
-		}
-	}
-	return sg
+// fill points sg at nw's switch fabric.
+func (sg *switchGraph) fill(nw *topo.Network) {
+	sg.toNet = nw.Switches()
+	sg.toIdx = nw.SwitchGraph(&sg.g, nil)
 }
 
 func (sg *switchGraph) resolve(v int) (int, error) {
@@ -71,8 +60,7 @@ func (sg *switchGraph) translate(p graph.Path) graph.Path {
 // hashing spreads flows over in a Clos fabric. Enumeration is capped to
 // avoid combinatorial blowup on very symmetric fabrics.
 type ECMP struct {
-	nw       *topo.Network
-	sg       *switchGraph
+	sg       switchGraph
 	maxPaths int
 }
 
@@ -82,7 +70,9 @@ func NewECMP(nw *topo.Network, maxPaths int) *ECMP {
 	if maxPaths <= 0 {
 		maxPaths = 64
 	}
-	return &ECMP{nw: nw, sg: newSwitchGraph(nw), maxPaths: maxPaths}
+	e := &ECMP{maxPaths: maxPaths}
+	e.sg.fill(nw)
+	return e
 }
 
 // Name implements Scheme.
@@ -185,8 +175,7 @@ func (e *ECMP) NumShortestPaths(src, dst int) (int64, error) {
 // instance is not safe for concurrent use; the flow simulators that drive
 // it query paths from a single goroutine.
 type KSP struct {
-	nw     *topo.Network
-	sg     *switchGraph
+	sg     switchGraph
 	solver *graph.KSPSolver
 	k      int
 	len    []float64
@@ -197,8 +186,10 @@ func NewKSP(nw *topo.Network, k int) *KSP {
 	if k <= 0 {
 		k = 8
 	}
-	sg := newSwitchGraph(nw)
-	return &KSP{nw: nw, sg: sg, solver: sg.g.NewKSPSolver(), k: k, len: sg.g.UnitLengths()}
+	r := &KSP{k: k}
+	r.sg.fill(nw)
+	r.solver, r.len = r.sg.g.NewKSPSolver(), r.sg.g.UnitLengths()
+	return r
 }
 
 // Name implements Scheme.
@@ -232,8 +223,7 @@ func (r *KSP) Paths(src, dst int) ([]graph.Path, error) {
 // set of next-hop switch IDs on shortest paths. It is what the §2.6
 // controller would install into SDN switches for Clos/ECMP operation.
 type Table struct {
-	nw   *topo.Network
-	sg   *switchGraph
+	sg   switchGraph
 	next map[int64][]int32 // key: switchIdx<<32 | dstIdx
 }
 
@@ -241,8 +231,9 @@ type Table struct {
 // switches. Memory is O(switches^2) entries; intended for control-plane
 // use at experiment scale.
 func BuildTable(nw *topo.Network) *Table {
-	sg := newSwitchGraph(nw)
-	t := &Table{nw: nw, sg: sg, next: make(map[int64][]int32)}
+	t := &Table{next: make(map[int64][]int32)}
+	t.sg.fill(nw)
+	sg := &t.sg
 	n := sg.g.N()
 	dist := make([]int32, n)
 	queue := make([]int32, n)

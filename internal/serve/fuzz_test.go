@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,9 +13,9 @@ import (
 // FuzzCellQuery fuzzes the one query parser and the content address behind
 // it. For arbitrary query strings: parsing never panics; an accepted query
 // re-encoded canonically — every knob spelled out, defaults included, in
-// its Get form — is accepted again and names the same key; and the order
-// the parameters arrive in never matters. The seed corpus is
-// testdata/fuzz/FuzzCellQuery.
+// its Get form — is accepted again and names the same key; the order the
+// parameters arrive in never matters; and no accepted knob value is
+// infinite or NaN. The seed corpus is testdata/fuzz/FuzzCellQuery.
 func FuzzCellQuery(f *testing.F) {
 	defaults := experiments.DefaultConfig()
 	f.Fuzz(func(t *testing.T, raw string) {
@@ -26,6 +28,11 @@ func FuzzCellQuery(f *testing.F) {
 			return
 		}
 		key := cellKey("fuzz", req)
+		for _, k := range experiments.Knobs() {
+			if v, err := strconv.ParseFloat(k.Get(req), 64); err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
+				t.Fatalf("query %q accepted with %s=%s", raw, k.Name, k.Get(req))
+			}
+		}
 
 		canon := url.Values{"exp": {req.Spec.Experiment}, "col": {req.Spec.Column}}
 		for _, k := range experiments.Knobs() {

@@ -146,11 +146,57 @@ func (nw *Network) Servers() []int { return nw.byKind[Server] }
 func (nw *Network) Switches() []int { return nw.switches }
 
 // HostSwitch returns the switch a server attaches to, or -1 if the server is
-// detached (which ValidateConnected treats as an error).
+// detached (which Validate treats as an error).
 func (nw *Network) HostSwitch(server int) int { return int(nw.hostOf[server]) }
 
 // HostedServers returns the servers attached to the given switch.
 func (nw *Network) HostedServers(sw int) []int32 { return nw.hosted[sw] }
+
+// IsSwitchLink reports whether l joins two switches: a link of the switch
+// fabric rather than a server's access link.
+func (nw *Network) IsSwitchLink(l Link) bool {
+	return nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch()
+}
+
+// EntrySwitch resolves node v to the switch its traffic enters the fabric
+// at: a switch stands for itself, a server for the switch it attaches to.
+// An out-of-range node or a detached server is an error.
+func (nw *Network) EntrySwitch(v int) (int, error) {
+	if v < 0 || v >= len(nw.Nodes) {
+		return 0, fmt.Errorf("topo: node %d out of range", v)
+	}
+	if nw.Nodes[v].Kind.IsSwitch() {
+		return v, nil
+	}
+	if h := nw.hostOf[v]; h >= 0 {
+		return int(h), nil
+	}
+	return 0, fmt.Errorf("topo: server %d is detached", v)
+}
+
+// SwitchGraph fills g with the switch fabric — the graph the throughput
+// metric and the routing schemes run on, server links relaxed. Node i is
+// Switches()[i] and edge e is the e-th switch-switch link in Links order;
+// FPTAS and KSP tie-breaking follow that order. idx is resized to N() and
+// filled with each node's switch index (-1 for servers), and returned.
+// Both g and idx are the caller's, so a pooled caller refills them without
+// allocating once warm.
+func (nw *Network) SwitchGraph(g *graph.Graph, idx []int32) []int32 {
+	idx = slices.Grow(idx[:0], len(nw.Nodes))[:len(nw.Nodes)]
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, s := range nw.switches {
+		idx[s] = int32(i)
+	}
+	g.Reset(len(nw.switches))
+	for _, l := range nw.Links {
+		if nw.IsSwitchLink(l) {
+			g.AddEdge(int(idx[l.A]), int(idx[l.B]))
+		}
+	}
+	return idx
+}
 
 // PortsUsed returns the number of ports consumed at node v.
 func (nw *Network) PortsUsed(v int) int { return nw.portUse[v] }
@@ -378,7 +424,7 @@ func (nw *Network) Stats() Stats {
 	}
 	for _, l := range nw.Links {
 		s.LinksByTag[l.Tag]++
-		if nw.Nodes[l.A].Kind.IsSwitch() && nw.Nodes[l.B].Kind.IsSwitch() {
+		if nw.IsSwitchLink(l) {
 			s.SwitchSwitchLinks++
 		} else {
 			s.ServerLinks++

@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"flattree/internal/graph"
 )
 
 func TestBuilderBasics(t *testing.T) {
@@ -24,6 +27,50 @@ func TestBuilderBasics(t *testing.T) {
 	}
 	if nw.PortsUsed(sw) != 2 {
 		t.Error("port accounting wrong")
+	}
+}
+
+// TestFabricView pins the switch-level index every solver and router reads:
+// graph node i is Switches()[i], edge e is the e-th switch-switch link in
+// link order, a server resolves to its host switch, and refilling used
+// storage gives the same view.
+func TestFabricView(t *testing.T) {
+	b := NewBuilder("t")
+	s0 := b.AddNode(Server, 0, 0, 1)
+	c := b.AddNode(CoreSwitch, -1, 0, 4)
+	e := b.AddNode(EdgeSwitch, 0, 0, 4)
+	loose := b.AddNode(Server, 0, 1, 1)
+	a := b.AddNode(AggSwitch, 0, 0, 4)
+	access := b.AddLink(s0, e, TagClos)
+	b.AddLink(a, c, TagClos)
+	b.AddLink(e, a, TagClos)
+	b.AddLink(e, a, TagClos)
+	nw := b.Build()
+
+	if nw.IsSwitchLink(nw.Links[access]) || !nw.IsSwitchLink(nw.Links[access+1]) {
+		t.Error("IsSwitchLink misclassifies an access or a fabric link")
+	}
+	var g graph.Graph
+	idx := nw.SwitchGraph(&g, []int32{7, 7, 7, 7, 7, 7, 7, 7})
+	for pass := 0; pass < 2; pass++ {
+		if want := []int32{-1, 0, 1, -1, 2}; !reflect.DeepEqual(idx, want) {
+			t.Fatalf("pass %d: idx = %v, want %v", pass, idx, want)
+		}
+		if want := []graph.Edge{{A: 2, B: 0}, {A: 1, B: 2}, {A: 1, B: 2}}; g.N() != 3 || !reflect.DeepEqual(g.Edges(), want) {
+			t.Fatalf("pass %d: %d nodes, edges %v; want 3 nodes, edges %v", pass, g.N(), g.Edges(), want)
+		}
+		idx = nw.SwitchGraph(&g, idx)
+	}
+
+	for v, want := range map[int]int{s0: e, c: c, a: a} {
+		if got, err := nw.EntrySwitch(v); got != want || err != nil {
+			t.Errorf("EntrySwitch(%d) = %d, %v; want %d", v, got, err, want)
+		}
+	}
+	for _, v := range []int{-1, nw.N(), loose} {
+		if _, err := nw.EntrySwitch(v); err == nil {
+			t.Errorf("EntrySwitch(%d) resolved; want an error", v)
+		}
 	}
 }
 

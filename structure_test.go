@@ -218,12 +218,48 @@ func TestConstructionAllocs(t *testing.T) {
 func TestSolverDoorsHaveNoUsers(t *testing.T) {
 	warm := regexp.MustCompile(`\w*Warm\w*`)
 	door := regexp.MustCompile(`mcf\.Solver|GetSolver|WarmStarted`)
+	forEachProgramFile(t, func(path string, src []byte) {
+		switch {
+		case strings.HasPrefix(path, "benchmark"+string(filepath.Separator)):
+		case filepath.Dir(path) == filepath.Join("internal", "mcf"):
+			for _, name := range warm.FindAllString(string(src), -1) {
+				if name != "WarmStarted" {
+					t.Errorf("%s names %s; the warm-start machinery is gone and only Result.WarmStarted remains for benchmark/", path, name)
+				}
+			}
+		default:
+			if m := door.Find(src); m != nil {
+				t.Errorf("%s uses %s; call mcf.MaxConcurrentFlow instead", path, m)
+			}
+		}
+	})
+}
+
+// TestOnlyTopoClassifiesLinks keeps the switch fabric's definition in one
+// place: outside internal/topo, no non-test file reads the Kind of both
+// endpoints of a link. Ask topo instead — Network.IsSwitchLink for the
+// predicate, Network.SwitchGraph for the switch-level graph,
+// Network.EntrySwitch for where a node's traffic enters the fabric.
+func TestOnlyTopoClassifiesLinks(t *testing.T) {
+	endA := regexp.MustCompile(`\[\s*\w+\.A\s*\]\.Kind\b`)
+	endB := regexp.MustCompile(`\[\s*\w+\.B\s*\]\.Kind\b`)
+	forEachProgramFile(t, func(path string, src []byte) {
+		if filepath.Dir(path) != filepath.Join("internal", "topo") && endA.Match(src) && endB.Match(src) {
+			t.Errorf("%s reads the Kind of both endpoints of a link; use topo's Network.IsSwitchLink, SwitchGraph or EntrySwitch", path)
+		}
+	})
+}
+
+// forEachProgramFile calls fn with every non-test .go file of the module,
+// its path relative to the root, skipping testdata and hidden directories.
+func forEachProgramFile(t *testing.T, fn func(path string, src []byte)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "benchmark" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -235,15 +271,7 @@ func TestSolverDoorsHaveNoUsers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if filepath.Dir(path) == filepath.Join("internal", "mcf") {
-			for _, name := range warm.FindAllString(string(src), -1) {
-				if name != "WarmStarted" {
-					t.Errorf("%s names %s; the warm-start machinery is gone and only Result.WarmStarted remains for benchmark/", path, name)
-				}
-			}
-		} else if m := door.Find(src); m != nil {
-			t.Errorf("%s uses %s; call mcf.MaxConcurrentFlow instead", path, m)
-		}
+		fn(path, src)
 		return nil
 	})
 	if err != nil {
