@@ -182,7 +182,10 @@ func (nw *Network) EntrySwitch(v int) (int, error) {
 // Both g and idx are the caller's, so a pooled caller refills them without
 // allocating once warm.
 func (nw *Network) SwitchGraph(g *graph.Graph, idx []int32) []int32 {
-	idx = slices.Grow(idx[:0], len(nw.Nodes))[:len(nw.Nodes)]
+	if cap(idx) < len(nw.Nodes) {
+		idx = make([]int32, len(nw.Nodes))
+	}
+	idx = idx[:len(nw.Nodes)]
 	for i := range idx {
 		idx[i] = -1
 	}
