@@ -480,17 +480,12 @@ func BenchmarkAPL(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, run := range []struct {
-					name    string
-					workers int
-				}{{"seq", 1}, {"par", 0}} {
-					b.Run(run.name, func(b *testing.B) {
-						for i := 0; i < b.N; i++ {
-							if _, err := metrics.ServerPathLengthsParallel(nw, run.workers); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := metrics.ServerPathLengths(nw, nw.Servers()); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

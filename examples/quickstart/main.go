@@ -41,7 +41,7 @@ func main() {
 	}
 
 	show := func(name string, nw *topo.Network) {
-		st, err := metrics.ServerPathLengths(nw)
+		st, err := metrics.ServerPathLengths(nw, nw.Servers())
 		if err != nil {
 			log.Fatal(err)
 		}

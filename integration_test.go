@@ -65,7 +65,7 @@ func TestPacketLatencyMatchesPathLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := ft.Net()
-	st, err := metrics.ServerPathLengths(nw)
+	st, err := metrics.ServerPathLengths(nw, nw.Servers())
 	if err != nil {
 		t.Fatal(err)
 	}

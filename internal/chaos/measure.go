@@ -72,8 +72,8 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 	return res, nil
 }
 
-// Score measures a possibly damaged fabric the way the soak and self-heal
-// drivers do: λ of a seeded unit-demand permutation over the servers of
+// Score measures a possibly damaged fabric the way the soak, self-heal and
+// failure-recovery drivers do: λ of a seeded unit-demand permutation over the servers of
 // the largest connected component (servers a failure or dark window cut
 // off are down, not partitioned). It returns that component's server
 // count, λ (0 when fewer than two servers remain) and whether the solve

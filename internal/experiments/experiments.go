@@ -31,7 +31,6 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
 	"flattree/internal/parallel"
-	"flattree/internal/topo"
 	"flattree/internal/twostage"
 )
 
@@ -209,6 +208,3 @@ func buildSuites(ctx context.Context, cfg Config, mode core.Mode, withTwoStage b
 		return buildSuite(ks[i], cfg.Seed, mode, withTwoStage)
 	})
 }
-
-// serverIDsOf returns a topology's servers in index order.
-func serverIDsOf(nw *topo.Network) []int { return nw.Servers() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"flattree/internal/chaos"
 	"flattree/internal/core"
 	"flattree/internal/faults"
 	"flattree/internal/parallel"
@@ -43,32 +44,19 @@ func Faults(ctx context.Context, cfg Config, k int) (*Table, error) {
 
 	// One cell per (failure fraction, topology, trial); every Degrade +
 	// Analyze is independent, so the whole grid fans out.
-	type trialResult struct {
-		conn, apl    float64
-		finite       bool // at least one server pair had a path
-		disconnected bool // surviving servers not all mutually reachable
-	}
 	seeds := cfg.trialSeeds()
 	perFrac := len(targets) * trials
-	results, err := parallel.MapCtx(ctx, len(fracs)*perFrac, cfg.workers(), func(idx int) (trialResult, error) {
+	results, err := parallel.MapCtx(ctx, len(fracs)*perFrac, cfg.workers(), func(idx int) (damage, error) {
 		fi, rest := idx/perFrac, idx%perFrac
 		ni, tr := rest/trials, rest%trials
 		d, err := faults.Degrade(targets[ni], faults.Scenario{
 			LinkFraction: fracs[fi], Seed: seeds.Seed(uint64(tr)),
 		})
 		if err != nil {
-			return trialResult{}, err
+			return damage{}, err
 		}
 		rep, err := faults.Analyze(d)
-		if err != nil {
-			return trialResult{}, err
-		}
-		return trialResult{
-			conn:         rep.LargestComponentFrac,
-			apl:          rep.APL,
-			finite:       rep.APL > 0,
-			disconnected: !rep.Connected,
-		}, nil
+		return damage{rep: rep}, err
 	})
 	if err != nil {
 		return nil, err
@@ -77,27 +65,68 @@ func Faults(ctx context.Context, cfg Config, k int) (*Table, error) {
 	for fi, frac := range fracs {
 		row := []string{fmt.Sprintf("%.2f", frac)}
 		for ni := range targets {
-			var conn, apl float64
-			finite, disc := 0, 0
-			for tr := 0; tr < trials; tr++ {
-				r := results[fi*perFrac+ni*trials+tr]
-				conn += r.conn
-				if r.finite {
-					apl += r.apl
-					finite++
-				}
-				if r.disconnected {
-					disc++
-				}
+			var m trialMean
+			for _, d := range results[fi*perFrac+ni*trials:][:trials] {
+				m.add(d)
 			}
-			conn /= float64(trials)
-			aplCell := "-"
-			if finite > 0 {
-				aplCell = f3(apl / float64(finite))
-			}
-			row = append(row, f3(conn), aplCell, fmt.Sprint(disc))
+			row = append(row, m.connCell(), m.aplCell(), fmt.Sprint(m.disc))
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// damage is one trial's measurement of a damaged network: its
+// faults.Analyze report and, where the table scores throughput, λ.
+type damage struct {
+	rep    faults.Report
+	lambda float64
+	approx bool // the solve stopped at its time budget
+}
+
+// scoreDamage measures a damaged network for a failure table: faults.Analyze
+// plus chaos.Score's λ over the largest component. With wholeOnly set, a
+// network whose servers are not all connected scores 0 without solving:
+// pairs split by the failure ship nothing.
+func scoreDamage(ctx context.Context, cfg Config, nw *topo.Network, seed uint64, wholeOnly bool) (damage, error) {
+	rep, err := faults.Analyze(nw)
+	if err != nil || (wholeOnly && !rep.Connected) {
+		return damage{rep: rep}, err
+	}
+	_, lambda, approx, err := chaos.Score(ctx, nw, seed, cfg.Epsilon, cfg.SolveBudget)
+	return damage{rep: rep, lambda: lambda, approx: approx}, err
+}
+
+// trialMean folds the trials of one failure-table cell, in trial order.
+// Connectivity and λ average over every trial; path length only over
+// trials whose largest component held a server pair (faults.Report.APL is
+// 0 otherwise), and "-" when none did.
+type trialMean struct {
+	n, finite, disc   int // disc: trials whose servers were not all connected
+	conn, apl, lambda float64
+	approx            bool
+}
+
+func (m *trialMean) add(d damage) {
+	m.n++
+	m.conn += d.rep.LargestComponentFrac
+	m.lambda += d.lambda
+	m.approx = m.approx || d.approx
+	if d.rep.APL > 0 {
+		m.apl += d.rep.APL
+		m.finite++
+	}
+	if !d.rep.Connected {
+		m.disc++
+	}
+}
+
+func (m *trialMean) connCell() string   { return f3(m.conn / float64(m.n)) }
+func (m *trialMean) lambdaCell() string { return lambdaCell(m.lambda/float64(m.n), m.approx) }
+
+func (m *trialMean) aplCell() string {
+	if m.finite == 0 {
+		return "-"
+	}
+	return f3(m.apl / float64(m.finite))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,40 +101,35 @@ func TestFaultsRecoveryBaseScenarioStages(t *testing.T) {
 	}
 }
 
+// cancelOnSecondPoll is a context that is live for its first Err() poll
+// and cancelled from the second on, so a sweep starts its first cell and
+// then finds itself cancelled at a known point, however fast the host.
+type cancelOnSecondPoll struct{ polls atomic.Int32 }
+
+func (*cancelOnSecondPoll) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*cancelOnSecondPoll) Done() <-chan struct{}       { return nil }
+func (*cancelOnSecondPoll) Value(any) any               { return nil }
+
+func (c *cancelOnSecondPoll) Err() error {
+	if c.polls.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestSweepCancellation pins the cancellation contract for the fanned-out
-// drivers: cancelling mid-sweep returns ctx.Err() within a deadline, with
-// no table.
+// drivers: cancelling mid-sweep returns ctx.Err(), with no table.
 func TestSweepCancellation(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Trials = 3
-	cfg.Parallelism = 2
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	type result struct {
-		tab *Table
-		err error
+	cfg.Parallelism = 1
+	ctx := &cancelOnSecondPoll{}
+	tab, err := FaultsRecovery(ctx, cfg, 8, faults.Scenario{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		tab, err := FaultsRecovery(ctx, cfg, 8, faults.Scenario{})
-		done <- result{tab, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err == nil {
-			t.Skip("sweep finished before the cancel landed")
-		}
-		if !errors.Is(r.err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", r.err)
-		}
-		if r.tab != nil {
-			t.Error("cancelled sweep still returned a table")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancellation did not stop the sweep within deadline")
+	if tab != nil {
+		t.Error("cancelled sweep still returned a table")
 	}
 
 	// Pre-cancelled contexts abort every driver immediately.

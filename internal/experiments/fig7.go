@@ -15,9 +15,9 @@ import (
 // throughput runs the paper's throughput methodology on one topology: build
 // clusters under the placement policy, emit the pattern's commodities, and
 // solve maximum concurrent flow.
-func throughput(ctx context.Context, nw *topo.Network, serverIDs []int, clusterSize int, placement traffic.Placement,
+func throughput(ctx context.Context, nw *topo.Network, clusterSize int, placement traffic.Placement,
 	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64, budget time.Duration) (mcf.Result, error) {
-	clusters, err := traffic.MakeClusters(nw, serverIDs, traffic.Spec{
+	clusters, err := traffic.MakeClusters(nw, nw.Servers(), traffic.Spec{
 		ClusterSize: clusterSize,
 		Placement:   placement,
 		Seed:        seed,
@@ -77,7 +77,7 @@ func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, 
 	out := make([]figSolve, len(suites))
 	for ki := range suites {
 		nw := fs.netsOf(suites[ki])[ci/numPl]
-		res, err := throughput(ctx, nw, serverIDsOf(nw), fs.clusterSize, fs.placements[ci%numPl],
+		res, err := throughput(ctx, nw, fs.clusterSize, fs.placements[ci%numPl],
 			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
 		if err != nil {
 			return nil, fmt.Errorf("%s k=%d net=%d trial=%d: %w", fs.fig, suites[ki].k, ci/numPl, tr, err)

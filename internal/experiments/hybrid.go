@@ -165,7 +165,7 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 // under the full-network version of a workload.
 func completeRef(ctx context.Context, nw *topo.Network, clusterSize int,
 	pattern func([]traffic.Cluster) []mcf.Commodity, cfg Config) (float64, error) {
-	res, err := throughput(ctx, nw, serverIDsOf(nw), clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
+	res, err := throughput(ctx, nw, clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
 	if err != nil {
 		return 0, err
 	}

@@ -6,10 +6,8 @@ import (
 	"sort"
 	"time"
 
-	"flattree/internal/chaos"
 	"flattree/internal/core"
 	"flattree/internal/ctrl"
-	"flattree/internal/faults"
 	"flattree/internal/graph"
 	"flattree/internal/parallel"
 	"flattree/internal/topo"
@@ -62,31 +60,23 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 	}
 	canon = append(canon, "recovered")
 
-	type healCell struct {
-		conn, apl, lambda  float64
-		finite, approx, ok bool
-	}
-	results, err := parallel.MapCtx(ctx, trials, cfg.workers(), func(tr int) ([]healCell, error) {
-		cells := make([]healCell, len(canon))
+	// results[tr][si] is nil where trial tr's repair used fewer windows.
+	results, err := parallel.MapCtx(ctx, trials, cfg.workers(), func(tr int) ([]*damage, error) {
+		cells := make([]*damage, len(canon))
 		st := stages[tr]
 		for si, name := range canon {
 			nw := st[len(st)-1] // recovered
 			if si < len(canon)-1 {
 				if si >= len(st)-1 {
-					continue // this trial's repair used fewer windows
+					continue
 				}
 				nw = st[si]
 			}
-			rep, err := faults.Analyze(nw)
+			d, err := scoreDamage(ctx, cfg, nw, seeds.Seed(1<<32|uint64(tr)), false)
 			if err != nil {
 				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
 			}
-			_, lambda, approx, err := chaos.Score(ctx, nw, seeds.Seed(1<<32|uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
-			if err != nil {
-				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
-			}
-			cells[si] = healCell{conn: rep.LargestComponentFrac, apl: rep.APL, lambda: lambda,
-				finite: rep.APL > 0, approx: approx, ok: true}
+			cells[si] = &d
 		}
 		return cells, nil
 	})
@@ -100,31 +90,15 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 		Header: []string{"stage", "trials", "conn", "apl", "lambda"},
 	}
 	for si, name := range canon {
-		var conn, apl, lambda float64
-		n, fin := 0, 0
-		approx := false
-		for tr := 0; tr < trials; tr++ {
-			c := results[tr][si]
-			if !c.ok {
-				continue
-			}
-			n++
-			conn += c.conn
-			lambda += c.lambda
-			approx = approx || c.approx
-			if c.finite {
-				apl += c.apl
-				fin++
+		var m trialMean
+		for tr := range trials {
+			if d := results[tr][si]; d != nil {
+				m.add(*d)
 			}
 		}
-		if n == 0 {
-			continue
+		if m.n > 0 {
+			t.AddRow(name, fmt.Sprint(m.n), m.connCell(), m.aplCell(), m.lambdaCell())
 		}
-		aplStr := "-"
-		if fin > 0 {
-			aplStr = f3(apl / float64(fin))
-		}
-		t.AddRow(name, fmt.Sprint(n), f3(conn/float64(n)), aplStr, lambdaCell(lambda/float64(n), approx))
 	}
 	return t, nil
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -218,6 +219,67 @@ func TestComponentRulesAgree(t *testing.T) {
 	if lc, want := LargestComponent(nw), []int{3, 4}; !reflect.DeepEqual(lc, want) {
 		t.Errorf("LargestComponent = %v, want %v", lc, want)
 	}
+}
+
+// TestAnalyzeLoneServerHasZeroAPL: a largest component holding one server
+// has no pair to measure, so Report.APL is 0 (the failure tables read
+// APL > 0 as "finite"), and Analyze must not hand the path-length kernel,
+// which rejects fewer than two servers, an error to return.
+func TestAnalyzeLoneServerHasZeroAPL(t *testing.T) {
+	split := topo.NewBuilder("split")
+	sw0 := split.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	sw1 := split.AddNode(topo.EdgeSwitch, 1, 0, 4)
+	split.AddLink(split.AddNode(topo.Server, 0, 0, 1), sw0, topo.TagClos)
+	split.AddLink(split.AddNode(topo.Server, 1, 1, 1), sw1, topo.TagClos)
+	one := topo.NewBuilder("one")
+	sw := one.AddNode(topo.EdgeSwitch, 0, 0, 4)
+	one.AddLink(one.AddNode(topo.Server, 0, 0, 1), sw, topo.TagClos)
+	for _, c := range []struct {
+		nw   *topo.Network
+		want Report
+	}{
+		{split.Build(), Report{Servers: 2, LargestComponentFrac: 0.5}},
+		{one.Build(), Report{Servers: 1, Connected: true, LargestComponentFrac: 1}},
+	} {
+		got, err := Analyze(c.nw)
+		if err != nil {
+			t.Fatalf("%s: %v", c.nw.Name, err)
+		}
+		if got != c.want {
+			t.Errorf("%s: Analyze = %+v, want %+v", c.nw.Name, got, c.want)
+		}
+	}
+}
+
+// TestAnalyzeAllocs guards the cost of one Analyze on a flat-tree in
+// global-random mode at k = 8, the size the control-plane self-heal
+// episodes score a dozen times per trial. The ceilings are what Analyze
+// cost with a path-length loop of its own: measuring through the metrics
+// kernel must not cost more.
+func TestAnalyzeAllocs(t *testing.T) {
+	ft, err := core.Build(core.Params{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
+		t.Fatal(err)
+	}
+	nw := ft.Net()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := Analyze(nw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocs > 41 || bytes > 16944 {
+		t.Errorf("Analyze: %d allocs, %d B per call; want <= 41 allocs, <= 16944 B", allocs, bytes)
+	}
+	t.Logf("Analyze: %d allocs, %d B per call", allocs, bytes)
 }
 
 // TestAnalyzeMatchesPerServerBFS checks Analyze's component choice and APL

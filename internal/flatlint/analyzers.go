@@ -170,15 +170,15 @@ func runGlobalrand(pc *pkgChecker) {
 //	layer 0: parallel                         (worker pool + seed streams, std-lib only)
 //	layer 1: converter, graph, lp, flatlint, store (leaf utilities)
 //	layer 2: topo                             (labeled topology model)
-//	layer 3: core, fattree, faults, jellyfish, mcf, metrics, routing
-//	layer 4: netsim, traffic, twostage        (simulators, workloads)
+//	layer 3: core, fattree, jellyfish, mcf, metrics, routing
+//	layer 4: faults, netsim, traffic, twostage (failures, simulators, workloads)
 //	layer 5: ctrl                             (control plane)
 //	layer 6: chaos                            (soak engine; drives ctrl plants)
 //	layer 7: experiments                      (drivers; may stand up ctrl plants)
 //	layer 8: serve                            (experiment service; caches experiments in store)
 //
-// parallel sits below everything so that both the graph substrate (all-pairs
-// BFS) and the experiment drivers can fan work out through the same runner.
+// parallel sits below everything so that any layer, from the lint runner to
+// the experiment drivers, can fan work out through the same runner.
 //
 // cmd/, examples/, and the module root sit above every layer and may
 // import anything. A new internal package must be added here before it can
@@ -193,11 +193,11 @@ var layerOf = map[string]int{
 	"internal/topo":        2,
 	"internal/core":        3,
 	"internal/fattree":     3,
-	"internal/faults":      3,
 	"internal/jellyfish":   3,
 	"internal/mcf":         3,
 	"internal/metrics":     3,
 	"internal/routing":     3,
+	"internal/faults":      4,
 	"internal/netsim":      4,
 	"internal/traffic":     4,
 	"internal/twostage":    4,

@@ -15,22 +15,40 @@ type HopGraph struct {
 	off, peer []int32 // dense id v's neighbours are peer[off[v]:off[v+1]]
 	id        []int32 // node -> dense id, -1 when not kept
 	node      []int32 // dense id -> node
+	// Sweep's buffers, reused by every sweep: the seen, cur and next words
+	// of each dense id, then room for the frontier and touched lists.
+	words []uint64
+	lists []int32
 }
 
 // Induced returns the HopGraph of g induced on the nodes keep accepts.
 // Parallel edges stay parallel; an edge with a dropped endpoint is dropped.
 func (g *Graph) Induced(keep func(v int) bool) *HopGraph {
 	h := &HopGraph{id: make([]int32, len(g.adj))}
-	halves := 0
+	kept := 0
 	for v := range g.adj {
 		h.id[v] = -1
 		if keep(v) {
-			h.id[v] = int32(len(h.node))
-			h.node = append(h.node, int32(v))
-			halves += len(g.adj[v])
+			h.id[v] = int32(kept)
+			kept++
 		}
 	}
-	h.off = make([]int32, len(h.node)+1)
+	h.node = make([]int32, kept)
+	halves := 0 // kept-to-kept halves
+	for v, i := range h.id {
+		if i < 0 {
+			continue
+		}
+		h.node[i] = int32(v)
+		for _, half := range g.adj[v] {
+			if h.id[half.Peer] >= 0 {
+				halves++
+			}
+		}
+	}
+	h.words = make([]uint64, 3*kept)
+	h.lists = make([]int32, 2*kept)
+	h.off = make([]int32, kept+1)
 	h.peer = make([]int32, 0, halves)
 	for i, v := range h.node {
 		for _, half := range g.adj[v] {
@@ -51,14 +69,16 @@ func (g *Graph) Induced(keep func(v int) bool) *HopGraph {
 // is exactly level hops from node. Level 0 reports the sources themselves;
 // a pair that is never reported is disconnected. Calls come in ascending
 // level order and in no particular node order. Duplicate sources are
-// independent bits. Sweep only reads h, so sweeps may run concurrently.
+// independent bits. Sweeps reuse buffers held in h, so a HopGraph runs one
+// sweep at a time.
 func (h *HopGraph) Sweep(sources []int, visit func(level, node int, fresh uint64)) error {
 	if len(sources) > HopBatch {
 		return fmt.Errorf("graph: %d sources in one sweep, at most %d", len(sources), HopBatch)
 	}
 	n := len(h.node)
-	seen, cur, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-	front, touched := make([]int32, 0, n), make([]int32, 0, n)
+	clear(h.words)
+	seen, cur, next := h.words[:n], h.words[n:2*n], h.words[2*n:]
+	front, touched := h.lists[:0:n], h.lists[n:n]
 	for j, s := range sources {
 		if s < 0 || s >= len(h.id) || h.id[s] < 0 {
 			return fmt.Errorf("graph: sweep source %d is not a kept node", s)

@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"flattree/internal/graph"
-	"flattree/internal/parallel"
 	"flattree/internal/topo"
 )
 
@@ -32,30 +32,154 @@ type PathLengthStats struct {
 	Histogram []int64
 }
 
-// ServerPathLengths computes PathLengthStats. It returns an error if a
-// server is detached or any server pair is disconnected.
-func ServerPathLengths(nw *topo.Network) (PathLengthStats, error) {
-	return ServerPathLengthsParallel(nw, 1)
+// ServerPathLengths computes PathLengthStats over the pairs of the given
+// servers; nw.Servers() measures the whole network. It returns an error if
+// fewer than two servers are given, one is detached, or two are
+// disconnected. Hosting switches go through graph.HopGraph.Sweep on the
+// switch-only graph graph.HopBatch at a time, and each unordered server
+// pair is counted from its lower-indexed host.
+func ServerPathLengths(nw *topo.Network, servers []int) (PathLengthStats, error) {
+	if len(servers) < 2 {
+		return PathLengthStats{}, fmt.Errorf("metrics: need at least 2 servers, have %d", len(servers))
+	}
+	var hs hostTable
+	if err := hs.fill(nw, servers); err != nil {
+		return PathLengthStats{}, err
+	}
+	// Room for the diameters of the fabrics here; add grows it past them.
+	p := pairHist{all: make([]int64, 0, 8), pod: make([]int64, 0, 8)}
+	for h := range hs.sw {
+		// Two servers on one switch are 2 hops apart.
+		var samePod int64
+		for _, pc := range hs.podsOf(h) {
+			samePod += int64(pc.count) * int64(pc.count-1) / 2
+		}
+		total := hs.servers(h)
+		p.add(2, total*(total-1)/2, samePod)
+	}
+	hg := nw.Graph().Induced(func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() })
+	podBits := make([]uint64, hs.numPods)
+	for base := 0; base < len(hs.sw); base += graph.HopBatch {
+		if err := p.sweepBatch(hg, &hs, base, podBits); err != nil {
+			return PathLengthStats{}, err
+		}
+	}
+	var sum, pairs, podSum, podPairs int64
+	for d, cnt := range p.all {
+		sum += cnt * int64(d)
+		pairs += cnt
+		podSum += p.pod[d] * int64(d)
+		podPairs += p.pod[d]
+	}
+	if n := int64(len(servers)); pairs != n*(n-1)/2 {
+		return PathLengthStats{}, hs.disconnected(hg)
+	}
+	st := PathLengthStats{
+		Global:    float64(sum) / float64(pairs),
+		IntraPod:  math.NaN(),
+		Max:       len(p.all) - 1,
+		Histogram: p.all,
+	}
+	if podPairs > 0 {
+		st.IntraPod = float64(podSum) / float64(podPairs)
+	}
+	return st, nil
 }
 
-// podCount is the number of servers of one home pod on a switch; pod is a
+// podCount is the number of servers of one home pod on a host; pod is a
 // dense index over the labels in use.
 type podCount struct {
-	pod   int
-	count int64
+	pod, count int32
 }
 
-// host is a switch with servers attached.
-type host struct {
-	sw    int
-	total int64
-	pods  []podCount
+// hostTable groups a server set by hosting switch. Host h, numbered in
+// order of first appearance, is switch sw[h] with off[h+1]-off[h] of the
+// servers, counted per home pod in pods[off[h]:end[h]].
+type hostTable struct {
+	sw      []int
+	off     []int32
+	end     []int32
+	pods    []podCount
+	numPods int
+	of      []int32 // switch -> host, -1 if it hosts none of the servers
+}
+
+func (hs *hostTable) servers(h int) int64     { return int64(hs.off[h+1] - hs.off[h]) }
+func (hs *hostTable) podsOf(h int) []podCount { return hs.pods[hs.off[h]:hs.end[h]] }
+
+func (hs *hostTable) fill(nw *topo.Network, servers []int) error {
+	hs.of = make([]int32, nw.N())
+	for i := range hs.of {
+		hs.of[i] = -1
+	}
+	var labels []int // the pod labels in use, ascending
+	hosts := 0
+	for _, sv := range servers {
+		sw := nw.HostSwitch(sv)
+		if sw < 0 {
+			return fmt.Errorf("metrics: server %d detached", sv)
+		}
+		if hs.of[sw] < 0 {
+			hs.of[sw] = int32(hosts)
+			hosts++
+		}
+		if i, ok := slices.BinarySearch(labels, nw.Nodes[sv].Pod); !ok {
+			labels = slices.Insert(labels, i, nw.Nodes[sv].Pod)
+		}
+	}
+	hs.numPods = len(labels)
+	hs.sw = make([]int, hosts)
+	hs.off = make([]int32, hosts+1)
+	for _, sv := range servers {
+		sw := nw.HostSwitch(sv)
+		hs.sw[hs.of[sw]] = sw
+		hs.off[hs.of[sw]+1]++
+	}
+	// Host h has a slot per server from off[h] on, and end[h] is its fill
+	// cursor: servers sharing a pod share a slot.
+	hs.end = make([]int32, hosts)
+	for h := range hosts {
+		hs.off[h+1] += hs.off[h]
+		hs.end[h] = hs.off[h]
+	}
+	hs.pods = make([]podCount, len(servers))
+	for _, sv := range servers {
+		h := hs.of[nw.HostSwitch(sv)]
+		pod, _ := slices.BinarySearch(labels, nw.Nodes[sv].Pod)
+		i := hs.off[h]
+		for i < hs.end[h] && hs.pods[i].pod != int32(pod) {
+			i++
+		}
+		if i == hs.end[h] {
+			hs.pods[i] = podCount{pod: int32(pod)}
+			hs.end[h]++
+		}
+		hs.pods[i].count++
+	}
+	return nil
+}
+
+// disconnected names two hosts without a path between them, for a server
+// set whose sweeps counted fewer pairs than it has: host 0 and the first
+// host a sweep from it does not reach.
+func (hs *hostTable) disconnected(hg *graph.HopGraph) error {
+	reached := make([]bool, len(hs.sw))
+	err := hg.Sweep(hs.sw[:1], func(_, node int, _ uint64) {
+		if t := hs.of[node]; t >= 0 {
+			reached[t] = true
+		}
+	})
+	if err != nil {
+		return err
+	}
+	t := slices.Index(reached, false)
+	return fmt.Errorf("metrics: switches %d and %d disconnected", hs.sw[0], hs.sw[t])
 }
 
 // pairHist counts server pairs by distance: all[d] is the number of pairs d
 // hops apart, pod[d] those of them sharing a pod label. Sums, means and the
-// maximum all derive from it, and being integers, partial histograms add up
-// to the same totals in any order.
+// maximum all derive from it, in integers, so the order pairs are counted
+// in does not matter.
 type pairHist struct {
 	all, pod []int64
 }
@@ -72,149 +196,49 @@ func (p *pairHist) add(hops int, cnt, podCnt int64) {
 	p.pod[hops] += podCnt
 }
 
-// ServerPathLengthsParallel is ServerPathLengths with the sweep fanned out
-// across workers goroutines (0 means all cores, 1 means fully sequential).
-// Hosting switches go through graph.HopGraph.Sweep on the switch-only graph
-// graph.HopBatch at a time; the statistics are identical for every worker
-// count.
-func ServerPathLengthsParallel(nw *topo.Network, workers int) (PathLengthStats, error) {
-	servers := nw.Servers()
-	if len(servers) < 2 {
-		return PathLengthStats{}, fmt.Errorf("metrics: need at least 2 servers, have %d", len(servers))
-	}
-	var hosts []host
-	podIndex := map[int]int{}       // pod label -> dense index
-	hostOf := make([]int32, nw.N()) // switch -> index into hosts, -1 if it hosts nothing
-	for i := range hostOf {
-		hostOf[i] = -1
-	}
-	for _, sv := range servers {
-		sw := nw.HostSwitch(sv)
-		if sw < 0 {
-			return PathLengthStats{}, fmt.Errorf("metrics: server %d detached", sv)
-		}
-		if hostOf[sw] < 0 {
-			hostOf[sw] = int32(len(hosts))
-			hosts = append(hosts, host{sw: sw})
-		}
-		h := &hosts[hostOf[sw]]
-		h.total++
-		pod, ok := podIndex[nw.Nodes[sv].Pod]
-		if !ok {
-			pod = len(podIndex)
-			podIndex[nw.Nodes[sv].Pod] = pod
-		}
-		i := 0
-		for i < len(h.pods) && h.pods[i].pod != pod {
-			i++
-		}
-		if i == len(h.pods) {
-			h.pods = append(h.pods, podCount{pod: pod})
-		}
-		h.pods[i].count++
-	}
-
-	hg := nw.Graph().Induced(func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() })
-	batches := (len(hosts) + graph.HopBatch - 1) / graph.HopBatch
-	parts, err := parallel.Map(batches, workers, func(b int) (pairHist, error) {
-		return sweepBatch(hg, hosts, hostOf, len(podIndex), b*graph.HopBatch)
-	})
-	if err != nil {
-		return PathLengthStats{}, err
-	}
-	var sum, pairs, podSum, podPairs int64
-	var hist []int64
-	for _, p := range parts {
-		for d, cnt := range p.all {
-			for d >= len(hist) {
-				hist = append(hist, 0)
-			}
-			hist[d] += cnt
-			sum += cnt * int64(d)
-			pairs += cnt
-			podSum += p.pod[d] * int64(d)
-			podPairs += p.pod[d]
-		}
-	}
-	st := PathLengthStats{
-		Global:    float64(sum) / float64(pairs),
-		IntraPod:  math.NaN(),
-		Max:       len(hist) - 1,
-		Histogram: hist,
-	}
-	if podPairs > 0 {
-		st.IntraPod = float64(podSum) / float64(podPairs)
-	}
-	return st, nil
-}
-
 // sweepBatch counts the server pairs whose lower-indexed host is one of the
-// up to graph.HopBatch hosts starting at hosts[base], so that over all
-// batches each unordered pair is counted once.
-func sweepBatch(hg *graph.HopGraph, hosts []host, hostOf []int32, numPods, base int) (pairHist, error) {
-	batch := hosts[base:min(base+graph.HopBatch, len(hosts))]
-	var p pairHist
-	sources := make([]int, len(batch))
-	podBits := make([]uint64, numPods) // podBits[pod]: batch sources hosting a server of that pod
-	for j, h := range batch {
-		sources[j] = h.sw
-		// Two servers on one switch are 2 hops apart.
-		var samePod int64
-		for _, pc := range h.pods {
-			samePod += pc.count * (pc.count - 1) / 2
+// up to graph.HopBatch hosts starting at base, so that over all batches
+// each unordered pair is counted once. podBits is a buffer of one word per
+// pod.
+func (p *pairHist) sweepBatch(hg *graph.HopGraph, hs *hostTable, base int, podBits []uint64) error {
+	sources := hs.sw[base:min(base+graph.HopBatch, len(hs.sw))]
+	var total [graph.HopBatch]int64     // total[j]: servers on sources[j]
+	var pods [graph.HopBatch][]podCount // pods[j]: their per-pod counts
+	clear(podBits)                      // podBits[pod]: sources hosting a server of that pod
+	for j := range sources {
+		total[j], pods[j] = hs.servers(base+j), hs.podsOf(base+j)
+		for _, pc := range pods[j] {
 			podBits[pc.pod] |= 1 << uint(j)
 		}
-		p.add(2, h.total*(h.total-1)/2, samePod)
 	}
-	reached := make([]uint64, len(hosts)) // reached[t]: batch sources below t that arrived at hosts[t]
-	err := hg.Sweep(sources, func(level, node int, fresh uint64) {
-		t := int(hostOf[node])
+	return hg.Sweep(sources, func(level, node int, fresh uint64) {
+		t := int(hs.of[node])
 		if t <= base {
 			return
 		}
 		fresh &= 1<<uint(t-base) - 1 // the sources indexed below t; all of them once t-base >= 64
-		reached[t] |= fresh
-		ht := &hosts[t]
 		var cnt, podCnt int64
 		for m := fresh; m != 0; m &= m - 1 {
-			cnt += batch[bits.TrailingZeros64(m)].total
+			cnt += total[bits.TrailingZeros64(m)]
 		}
 		// Most pairs span two pods; the per-pod masks skip them a word at a time.
-		for _, pt := range ht.pods {
+		for _, pt := range hs.podsOf(t) {
 			for m := fresh & podBits[pt.pod]; m != 0; m &= m - 1 {
-				for _, ps := range batch[bits.TrailingZeros64(m)].pods {
+				for _, ps := range pods[bits.TrailingZeros64(m)] {
 					if ps.pod == pt.pod {
-						podCnt += ps.count * pt.count
+						podCnt += int64(ps.count) * int64(pt.count)
 					}
 				}
 			}
 		}
-		p.add(level+2, cnt*ht.total, podCnt)
+		p.add(level+2, cnt*hs.servers(t), podCnt)
 	})
-	if err != nil {
-		return p, err
-	}
-	whole := uint64(1)<<uint(len(batch)) - 1
-	for t := base + 1; t < len(hosts); t++ {
-		if miss := whole & (1<<uint(t-base) - 1) &^ reached[t]; miss != 0 {
-			return p, fmt.Errorf("metrics: switches %d and %d disconnected",
-				batch[bits.TrailingZeros64(miss)].sw, hosts[t].sw)
-		}
-	}
-	return p, nil
 }
 
 // AveragePathLength returns the network-wide server-pair average path
 // length in hops.
 func AveragePathLength(nw *topo.Network) (float64, error) {
-	return AveragePathLengthParallel(nw, 1)
-}
-
-// AveragePathLengthParallel is AveragePathLength with the BFS sweep spread
-// over workers goroutines (0 means all cores); the result is identical for
-// every worker count.
-func AveragePathLengthParallel(nw *topo.Network, workers int) (float64, error) {
-	st, err := ServerPathLengthsParallel(nw, workers)
+	st, err := ServerPathLengths(nw, nw.Servers())
 	if err != nil {
 		return 0, err
 	}
@@ -224,14 +248,7 @@ func AveragePathLengthParallel(nw *topo.Network, workers int) (float64, error) {
 // IntraPodAveragePathLength returns the mean distance over server pairs
 // sharing a pod label.
 func IntraPodAveragePathLength(nw *topo.Network) (float64, error) {
-	return IntraPodAveragePathLengthParallel(nw, 1)
-}
-
-// IntraPodAveragePathLengthParallel is IntraPodAveragePathLength with the
-// BFS sweep spread over workers goroutines (0 means all cores); the result
-// is identical for every worker count.
-func IntraPodAveragePathLengthParallel(nw *topo.Network, workers int) (float64, error) {
-	st, err := ServerPathLengthsParallel(nw, workers)
+	st, err := ServerPathLengths(nw, nw.Servers())
 	if err != nil {
 		return 0, err
 	}

@@ -1,4 +1,4 @@
-package metrics
+package metrics_test
 
 import (
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"flattree/internal/fattree"
 	"flattree/internal/faults"
 	"flattree/internal/jellyfish"
+	"flattree/internal/metrics"
 	"flattree/internal/topo"
 )
 
@@ -33,7 +34,7 @@ func TestFatTreeAPLMatchesClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ServerPathLengths(f.Net)
+		st, err := metrics.ServerPathLengths(f.Net, f.Net.Servers())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestHistogramSumsToAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ServerPathLengths(f.Net)
+	st, err := metrics.ServerPathLengths(f.Net, f.Net.Servers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,8 @@ func TestTwoServersOneSwitch(t *testing.T) {
 	s1 := b.AddNode(topo.Server, 0, 1, 1)
 	b.AddLink(s0, sw, topo.TagClos)
 	b.AddLink(s1, sw, topo.TagClos)
-	st, err := ServerPathLengths(b.Build())
+	nw := b.Build()
+	st, err := metrics.ServerPathLengths(nw, nw.Servers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +107,12 @@ func TestDisconnectedError(t *testing.T) {
 	b.AddLink(s0, sw0, topo.TagClos)
 	b.AddLink(s1, sw1, topo.TagClos)
 	nw := b.Build()
-	for _, workers := range []int{1, 4} {
-		_, err := ServerPathLengthsParallel(nw, workers)
-		if err == nil {
-			t.Fatalf("workers=%d: disconnected network should error", workers)
-		}
-		if want := fmt.Sprintf("switches %d and %d disconnected", sw0, sw1); !strings.Contains(err.Error(), want) {
-			t.Errorf("workers=%d: error %q does not name the pair (%q)", workers, err, want)
-		}
+	_, err := metrics.ServerPathLengths(nw, nw.Servers())
+	if err == nil {
+		t.Fatal("disconnected network should error")
+	}
+	if want := fmt.Sprintf("switches %d and %d disconnected", sw0, sw1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the pair (%q)", err, want)
 	}
 }
 
@@ -122,7 +122,8 @@ func TestDetachedServerError(t *testing.T) {
 	s0 := b.AddNode(topo.Server, 0, 0, 1)
 	b.AddNode(topo.Server, 0, 1, 1)
 	b.AddLink(s0, sw, topo.TagClos)
-	if _, err := ServerPathLengths(b.Build()); err == nil || !strings.Contains(err.Error(), "detached") {
+	nw := b.Build()
+	if _, err := metrics.ServerPathLengths(nw, nw.Servers()); err == nil || !strings.Contains(err.Error(), "detached") {
 		t.Errorf("detached server: err = %v", err)
 	}
 }
@@ -132,16 +133,18 @@ func TestSingleServerError(t *testing.T) {
 	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
 	s0 := b.AddNode(topo.Server, 0, 0, 1)
 	b.AddLink(s0, sw, topo.TagClos)
-	if _, err := ServerPathLengths(b.Build()); err == nil {
+	nw := b.Build()
+	if _, err := metrics.ServerPathLengths(nw, nw.Servers()); err == nil {
 		t.Error("single server should error")
 	}
 }
 
 // referencePathLengths is the per-source oracle the kernel is checked
-// against: one graph.BFSInto per hosting switch over the full node graph,
-// floating-point pair sums accumulated in ascending source order — the
-// body ServerPathLengths had before the bit-parallel kernel.
-func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
+// against: one graph.BFSInto per hosting switch of the given servers over
+// the full node graph, floating-point pair sums accumulated in ascending
+// source order — the body ServerPathLengths had before the bit-parallel
+// kernel.
+func referencePathLengths(nw *topo.Network, servers []int) (metrics.PathLengthStats, error) {
 	g := nw.Graph()
 	n := g.N()
 	type podCount struct {
@@ -151,10 +154,10 @@ func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
 	var hostSwitches []int
 	total := make([]int64, n)
 	byPod := make([][]podCount, n)
-	for _, sv := range nw.Servers() {
+	for _, sv := range servers {
 		sw := nw.HostSwitch(sv)
 		if sw < 0 {
-			return PathLengthStats{}, fmt.Errorf("server %d detached", sv)
+			return metrics.PathLengthStats{}, fmt.Errorf("server %d detached", sv)
 		}
 		if total[sw] == 0 {
 			hostSwitches = append(hostSwitches, sw)
@@ -197,7 +200,7 @@ func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
 		}
 		for _, t := range hostSwitches[i+1:] {
 			if dist[t] < 0 {
-				return PathLengthStats{}, fmt.Errorf("switches %d and %d disconnected", s, t)
+				return metrics.PathLengthStats{}, fmt.Errorf("switches %d and %d disconnected", s, t)
 			}
 			hops := int(dist[t]) + 2
 			cnt := cs * total[t]
@@ -215,7 +218,7 @@ func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
 			}
 		}
 	}
-	st := PathLengthStats{
+	st := metrics.PathLengthStats{
 		Global:    sumGlobal / pairsGlobal,
 		IntraPod:  math.NaN(),
 		Max:       len(hist) - 1,
@@ -229,7 +232,7 @@ func referencePathLengths(nw *topo.Network) (PathLengthStats, error) {
 
 // sameStats is reflect.DeepEqual except that two NaN IntraPod values (a
 // network without intra-pod pairs) count as equal.
-func sameStats(a, b PathLengthStats) bool {
+func sameStats(a, b metrics.PathLengthStats) bool {
 	if math.IsNaN(a.IntraPod) && math.IsNaN(b.IntraPod) {
 		a.IntraPod, b.IntraPod = 0, 0
 	}
@@ -237,11 +240,12 @@ func sameStats(a, b PathLengthStats) bool {
 }
 
 // TestKernelMatchesReference holds the bit-parallel sweep to the per-source
-// oracle, field for field and bit for bit, for every worker count: on the
-// four Figure 5/6 topologies over a k sweep (k=12 and up put more than 64
-// hosting switches through several batches), on a flat-tree with pods in
-// three different modes, and on a network degraded by link and switch
-// failures, which hosts unequal server counts per switch.
+// oracle, field for field and bit for bit: on the four Figure 5/6
+// topologies over a k sweep (k=12 and up put more than 64 hosting switches
+// through several batches), on a flat-tree with pods in three different
+// modes, on a network degraded by link and switch failures, which hosts
+// unequal server counts per switch, and on every network again restricted
+// to two of each three servers, the kind of subset faults.Analyze passes.
 func TestKernelMatchesReference(t *testing.T) {
 	nets := map[string]*topo.Network{}
 	for _, k := range []int{4, 6, 8, 10, 12, 14, 16} {
@@ -285,41 +289,24 @@ func TestKernelMatchesReference(t *testing.T) {
 	nets["degraded hybrid k=12"] = degraded
 
 	for name, nw := range nets {
-		want, err := referencePathLengths(nw)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+		var subset []int
+		for i, sv := range nw.Servers() {
+			if i%3 != 2 {
+				subset = append(subset, sv)
+			}
 		}
-		for _, workers := range []int{1, 2, 4, 13} {
-			got, err := ServerPathLengthsParallel(nw, workers)
+		for _, servers := range [][]int{nw.Servers(), subset} {
+			want, err := referencePathLengths(nw, servers)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s (%d servers): reference: %v", name, len(servers), err)
+			}
+			got, err := metrics.ServerPathLengths(nw, servers)
+			if err != nil {
+				t.Fatalf("%s (%d servers): %v", name, len(servers), err)
 			}
 			if !sameStats(got, want) {
-				t.Errorf("%s workers=%d: stats %+v differ from the reference %+v", name, workers, got, want)
+				t.Errorf("%s (%d servers): stats %+v differ from the reference %+v", name, len(servers), got, want)
 			}
-		}
-	}
-}
-
-// TestParallelBitIdentical asserts the package contract: the fanned-out
-// sweep returns exactly the sequential statistics for every worker count,
-// 0 (all cores) included.
-func TestParallelBitIdentical(t *testing.T) {
-	f, err := fattree.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ServerPathLengths(f.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 13} {
-		got, err := ServerPathLengthsParallel(f.Net, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !sameStats(got, want) {
-			t.Errorf("workers=%d: stats %+v differ from sequential %+v", workers, got, want)
 		}
 	}
 }
@@ -329,11 +316,11 @@ func TestWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := AveragePathLength(f.Net)
+	g, err := metrics.AveragePathLength(f.Net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := IntraPodAveragePathLength(f.Net)
+	p, err := metrics.IntraPodAveragePathLength(f.Net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,6 +250,23 @@ func TestOnlyTopoClassifiesLinks(t *testing.T) {
 	})
 }
 
+// TestOnePathLengthKernel keeps server-pair path length in one place: no
+// non-test file outside internal/graph and internal/metrics builds a
+// HopGraph (Graph.Induced) or sweeps one (HopGraph.Sweep). Measure through
+// metrics.ServerPathLengths, which takes the server set to measure.
+func TestOnePathLengthKernel(t *testing.T) {
+	call := regexp.MustCompile(`\.(Induced|Sweep)\(`)
+	forEachProgramFile(t, func(path string, src []byte) {
+		switch filepath.Dir(path) {
+		case filepath.Join("internal", "graph"), filepath.Join("internal", "metrics"):
+			return
+		}
+		if m := call.Find(src); m != nil {
+			t.Errorf("%s calls %s; measure path length through metrics.ServerPathLengths", path, m)
+		}
+	})
+}
+
 // forEachProgramFile calls fn with every non-test .go file of the module,
 // its path relative to the root, skipping testdata and hidden directories.
 func forEachProgramFile(t *testing.T, fn func(path string, src []byte)) {
