@@ -18,8 +18,9 @@ func sameStructure(t *testing.T, what string, a, b *topo.Network) {
 	if a.Name != b.Name || !reflect.DeepEqual(a.Nodes, b.Nodes) || !reflect.DeepEqual(a.Links, b.Links) {
 		t.Fatalf("%s: node or link tables differ", what)
 	}
+	ga, gb := a.Graph(), b.Graph()
 	for v := 0; v < a.N(); v++ {
-		if !reflect.DeepEqual(a.Graph().Neighbors(v), b.Graph().Neighbors(v)) ||
+		if !reflect.DeepEqual(ga.Neighbors(v), gb.Neighbors(v)) ||
 			!reflect.DeepEqual(a.HostedServers(v), b.HostedServers(v)) ||
 			a.PortsUsed(v) != b.PortsUsed(v) {
 			t.Fatalf("%s: node %d differs", what, v)

@@ -91,14 +91,13 @@ func AnalyzeNetwork(nw *topo.Network) TransitionReport {
 			rep.SurvivingLinks++
 		}
 	}
-	g := nw.Graph()
-	comp, _ := g.Components()
+	comp, _ := nw.Components()
 	// Reachability over live servers: all of them in one component.
 	rep.Connected = true
 	first := int32(-1)
 	for _, sv := range nw.Servers() {
 		switch {
-		case g.Degree(sv) == 0:
+		case nw.PortsUsed(sv) == 0:
 			rep.DetachedServers++
 		case first < 0:
 			first = comp[sv]

@@ -52,13 +52,22 @@ func Props(ctx context.Context, cfg Config) (*Table, []PropsReport, error) {
 				return nil, nil, err
 			}
 			nw := ft.Net()
-			// Neighbors of each core by kind, in ft.Cores order.
+			// Neighbors of each core by kind, in ft.Cores order, counted
+			// from both ends of every link.
+			at := make([]int, nw.N()) // node -> 1 + its index in ft.Cores, 0 if not a core
+			for i, c := range ft.Cores {
+				at[c] = i + 1
+			}
 			srv := make([]int, len(ft.Cores))
 			edg := make([]int, len(ft.Cores))
 			agg := make([]int, len(ft.Cores))
-			for i, c := range ft.Cores {
-				for _, h := range nw.Graph().Neighbors(c) {
-					switch nw.Nodes[h.Peer].Kind {
+			for _, l := range nw.Links {
+				for _, end := range [2][2]int{{l.A, l.B}, {l.B, l.A}} {
+					i := at[end[0]] - 1
+					if i < 0 {
+						continue
+					}
+					switch nw.Nodes[end[1]].Kind {
 					case topo.Server:
 						srv[i]++
 					case topo.EdgeSwitch:

@@ -52,7 +52,7 @@ func Analyze(nw *topo.Network) (Report, error) {
 // servers (dark windows detach them, dead pods remove them), and the
 // surviving majority is what recovery tables and the soak's SLO score.
 func LargestComponent(nw *topo.Network) []int {
-	comp, n := nw.Graph().Components()
+	comp, n := nw.Components()
 	count := make([]int, n)
 	for _, sv := range nw.Servers() {
 		count[comp[sv]]++

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
+	"flattree/internal/fattree"
 	"flattree/internal/topo"
 )
 
@@ -201,5 +203,48 @@ func TestComposeDeterministic(t *testing.T) {
 		if la.A != lb.A || la.B != lb.B || la.Tag != lb.Tag {
 			t.Fatalf("link %d differs: %+v vs %+v", i, la, lb)
 		}
+	}
+}
+
+// TestComposedDamageComponents: on networks damaged by a chain of composed
+// episodes — links, switches and pod bursts, until they split and shed
+// servers — the link-list labelling behind LargestComponent equals the
+// node-level graph's, labels and count.
+func TestComposedDamageComponents(t *testing.T) {
+	episodes := []Scenario{
+		{LinkFraction: 0.2, Seed: 1},
+		{SwitchFraction: 0.15, Seed: 2},
+		{BurstPods: 1, BurstLinkFraction: 0.6, Seed: 3},
+		{LinkFraction: 0.4, SwitchFraction: 0.1, Seed: 4},
+	}
+	split := 0
+	for k := 4; k <= 8; k += 2 {
+		f, err := fattree.New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			nw   *topo.Network
+		}{{"fat-tree", f.Net}, {"flat-tree", globalRandomFlatTree(t, k)}} {
+			out := &Outcome{Net: c.nw}
+			for i, sc := range episodes {
+				if out, err = Compose(out, sc); err != nil {
+					t.Fatal(err)
+				}
+				label, count := out.Net.Components()
+				wantLabel, wantCount := out.Net.Graph().Components()
+				if count != wantCount || !reflect.DeepEqual(label, wantLabel) {
+					t.Errorf("%s k=%d after episode %d: %d components, the node graph has %d (or labels differ)",
+						c.name, k, i+1, count, wantCount)
+				}
+				if count > 1 {
+					split++
+				}
+			}
+		}
+	}
+	if split == 0 {
+		t.Error("no composed network split; the chain needs more damage")
 	}
 }

@@ -91,10 +91,10 @@ func Recover(out *Outcome, opt RecoverOptions) (*topo.Network, RecoverReport, er
 		l := nw.Links[id]
 		return nw.IsSwitchLink(l) && !out.Pinned[id] && rewirable(l.Tag)
 	}
-	// Link IDs and graph edge indices coincide (Builder.Build adds graph
-	// edges in link order), so AugmentRandom's edge bookkeeping maps
-	// straight back to links.
-	g := nw.Graph().Clone()
+	// Link IDs and graph edge indices coincide (Graph adds edges in link
+	// order), so AugmentRandom's edge bookkeeping maps straight back to
+	// links. Graph builds a fresh graph, so AugmentRandom may rewire it.
+	g := nw.Graph()
 	res, err := graph.AugmentRandom(g, free, canBreak, graph.NewRNG(opt.Seed))
 	if err != nil {
 		return nil, rep, err

@@ -31,6 +31,7 @@ var analyzers = []analyzer{
 	{name: "clockwall", internalOnly: true, run: runClockwall},
 	{name: "randflow", internalOnly: true, run: runRandflow},
 	{name: "httptimeout", run: runHttptimeout},
+	{name: "testskip", run: runTestskip},
 }
 
 var knownAnalyzers = func() map[string]bool {

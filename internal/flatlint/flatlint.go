@@ -66,9 +66,12 @@ type Pkg struct {
 	RelPath string // path relative to the module ("internal/graph"; "" for root)
 	Dir     string
 	Files   []*ast.File
-	Fset    *token.FileSet
-	Types   *types.Package
-	Info    *types.Info
+	// TestFiles are the package's _test.go files, parsed but not
+	// type-checked: analyzers of test code read their syntax alone.
+	TestFiles []*ast.File
+	Fset      *token.FileSet
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // Runner loads and checks the packages of a single module.
@@ -336,34 +339,47 @@ const ignorePrefix = "//flatlint:ignore"
 // collectDirectives parses every //flatlint:ignore comment in the package.
 // Malformed directives (missing analyzer, unknown analyzer, or missing
 // reason) are reported as findings of the "directive" pseudo-analyzer so a
-// suppression can never silently fail to apply.
+// suppression can never silently fail to apply. Test files are read by
+// testskip alone, so there only its directives count; one naming another
+// analyzer is a comment about code no pass reads.
 func (pc *pkgChecker) collectDirectives() {
 	for _, f := range pc.pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, ignorePrefix)
-				fields := strings.Fields(rest)
-				file, line := pc.relFile(c.Pos())
-				if len(fields) == 0 || !knownAnalyzers[fields[0]] {
-					pc.reportf("directive", c.Pos(),
-						"ignore directive needs a known analyzer (one of %s)", analyzerNames())
-					continue
-				}
-				if len(fields) < 2 {
-					pc.reportf("directive", c.Pos(),
-						"ignore directive for %q needs a reason", fields[0])
-					continue
-				}
-				pc.directives = append(pc.directives, &directive{
-					file:     file,
-					line:     line,
-					analyzer: fields[0],
-					reason:   strings.Join(fields[1:], " "),
-				})
+		pc.collectFileDirectives(f, false)
+	}
+	for _, f := range pc.pkg.TestFiles {
+		pc.collectFileDirectives(f, true)
+	}
+}
+
+// collectFileDirectives parses the directives of one file; in a test file
+// it skips those naming an analyzer other than testskip.
+func (pc *pkgChecker) collectFileDirectives(f *ast.File, test bool) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if !strings.HasPrefix(c.Text, ignorePrefix) {
+				continue
 			}
+			fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
+			if test && len(fields) > 0 && fields[0] != "testskip" {
+				continue
+			}
+			file, line := pc.relFile(c.Pos())
+			if len(fields) == 0 || !knownAnalyzers[fields[0]] {
+				pc.reportf("directive", c.Pos(),
+					"ignore directive needs a known analyzer (one of %s)", analyzerNames())
+				continue
+			}
+			if len(fields) < 2 {
+				pc.reportf("directive", c.Pos(),
+					"ignore directive for %q needs a reason", fields[0])
+				continue
+			}
+			pc.directives = append(pc.directives, &directive{
+				file:     file,
+				line:     line,
+				analyzer: fields[0],
+				reason:   strings.Join(fields[1:], " "),
+			})
 		}
 	}
 }

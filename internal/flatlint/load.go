@@ -35,12 +35,12 @@ func (r *Runner) loadAll() error {
 
 	// Phase 1a: parse every package concurrently.
 	type parsedPkg struct {
-		files []*ast.File
-		deps  []int // indices of module-local imports, deduplicated
+		files, tests []*ast.File
+		deps         []int // indices of module-local imports, deduplicated
 	}
 	parsedPkgs := make([]parsedPkg, len(paths))
 	err := parallel.ForEach(len(paths), 0, func(i int) error {
-		files, err := r.parseDir(r.pkgDirs[paths[i]])
+		files, tests, err := r.parseDir(r.pkgDirs[paths[i]])
 		if err != nil {
 			return err
 		}
@@ -58,7 +58,7 @@ func (r *Runner) loadAll() error {
 			}
 		}
 		sort.Ints(deps)
-		parsedPkgs[i] = parsedPkg{files: files, deps: deps}
+		parsedPkgs[i] = parsedPkg{files: files, tests: tests, deps: deps}
 		return nil
 	})
 	if err != nil {
@@ -90,6 +90,7 @@ func (r *Runner) loadAll() error {
 			if err != nil {
 				return err
 			}
+			pkg.TestFiles = parsedPkgs[cur[i]].tests
 			slots[i] = pkg
 			return nil
 		})
@@ -126,28 +127,33 @@ func (r *Runner) loadAll() error {
 	return nil
 }
 
-// parseDir parses every non-test .go file in dir, in sorted file order.
-func (r *Runner) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses every .go file in dir, in sorted file order, and returns
+// the package's files and its _test.go files apart: only the former are
+// type-checked, the latter are read for their syntax alone.
+func (r *Runner) parseDir(dir string) (files, tests []*ast.File, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		f, err := parser.ParseFile(r.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		files = append(files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, f)
+		} else {
+			files = append(files, f)
+		}
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("flatlint: no buildable Go files in %s", dir)
+		return nil, nil, fmt.Errorf("flatlint: no buildable Go files in %s", dir)
 	}
-	return files, nil
+	return files, tests, nil
 }
 
 // typeCheck type-checks one parsed package. All module-local imports must

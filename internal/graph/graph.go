@@ -141,18 +141,6 @@ func (g *Graph) HasEdge(a, b int) bool {
 	return false
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		adj:   make([][]Half, len(g.adj)),
-		edges: append([]Edge(nil), g.edges...),
-	}
-	for i, l := range g.adj {
-		c.adj[i] = append([]Half(nil), l...)
-	}
-	return c
-}
-
 // BFS computes hop distances from src to every node. Unreachable nodes get
 // distance -1. The result slice has length N().
 func (g *Graph) BFS(src int) []int32 {
@@ -189,28 +177,47 @@ func (g *Graph) BFSInto(src int, dist, queue []int32) {
 // and an isolated node is a component of its own. It returns the labels and
 // the number of components.
 func (g *Graph) Components() (label []int32, count int) {
-	n := len(g.adj)
-	label = make([]int32, n)
-	for i := range label {
-		label[i] = -1
+	return LabelComponents(len(g.adj), len(g.edges), func(i int) (int, int) {
+		return int(g.edges[i].A), int(g.edges[i].B)
+	})
+}
+
+// LabelComponents labels the connected components of the graph on nodes
+// [0, n) whose m edges edge(i) returns, with the numbering of
+// Graph.Components: from 0 in order of each component's lowest node, an
+// isolated node a component of its own. It needs no adjacency lists, so a
+// caller holding only an edge list (a network's links) labels it directly.
+// The labels are built in place over a union-find forest in which every
+// component's root is its lowest node.
+func LabelComponents(n, m int, edge func(i int) (a, b int)) (label []int32, count int) {
+	label = make([]int32, n) // parent pointers, then labels
+	for v := range label {
+		label[v] = int32(v)
 	}
-	queue := make([]int32, n)
-	for v := range n {
-		if label[v] >= 0 {
-			continue
+	root := func(v int32) int32 {
+		for label[v] != v {
+			label[v] = label[label[v]] // path halving keeps label[v] <= v
+			v = label[v]
 		}
-		c := int32(count)
-		count++
-		label[v] = c
-		queue[0] = int32(v)
-		for head, tail := 0, 1; head < tail; head++ {
-			for _, h := range g.adj[queue[head]] {
-				if label[h.Peer] < 0 {
-					label[h.Peer] = c
-					queue[tail] = h.Peer
-					tail++
-				}
-			}
+		return v
+	}
+	for i := range m {
+		a, b := edge(i)
+		ra, rb := root(int32(a)), root(int32(b))
+		if ra > rb {
+			ra, rb = rb, ra
+		}
+		label[rb] = ra
+	}
+	// Every parent sorts before its child, so one ascending pass meets each
+	// root before its descendants: a root opens the next label, and any
+	// other node takes its parent's, which is final by then.
+	for v := range label {
+		if p := label[v]; p == int32(v) {
+			label[v] = int32(count)
+			count++
+		} else {
+			label[v] = label[p]
 		}
 	}
 	return label, count

@@ -75,6 +75,47 @@ func TestComponents(t *testing.T) {
 	}
 }
 
+// TestLabelComponentsMatchesBFS holds the union-find labeller to the
+// labelling it replaced — a BFS from each unlabelled node in ascending
+// order — on sparse random multigraphs with many components, isolated
+// nodes and parallel edges, fed in random edge order.
+func TestLabelComponentsMatchesBFS(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed)
+		n := 1 + rng.Intn(120)
+		g := New(n)
+		for range rng.Intn(n + 1) {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				g.AddEdge(a, b)
+			}
+		}
+		want := make([]int32, n)
+		for v := range want {
+			want[v] = -1
+		}
+		wantCount := 0
+		for v := range want {
+			if want[v] >= 0 {
+				continue
+			}
+			for u, d := range g.BFS(v) {
+				if d >= 0 {
+					want[u] = int32(wantCount)
+				}
+			}
+			wantCount++
+		}
+		order := rng.Perm(g.M())
+		label, count := LabelComponents(n, g.M(), func(i int) (int, int) {
+			e := g.Edge(order[i])
+			return int(e.B), int(e.A)
+		})
+		if count != wantCount || !reflect.DeepEqual(label, want) {
+			t.Fatalf("seed %d: labels %v (%d), BFS says %v (%d)", seed, label, count, want, wantCount)
+		}
+	}
+}
+
 func TestDiameter(t *testing.T) {
 	if d := ring(10).Diameter(); d != 5 {
 		t.Errorf("ring(10) diameter = %d, want 5", d)
@@ -266,15 +307,6 @@ func TestDegreeHistogram(t *testing.T) {
 	h := g.DegreeHistogram()
 	if h[2] != 5 || len(h) != 1 {
 		t.Errorf("histogram = %v", h)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := ring(4)
-	c := g.Clone()
-	c.AddEdge(0, 2)
-	if g.M() != 4 || c.M() != 5 {
-		t.Errorf("clone not independent: %d, %d", g.M(), c.M())
 	}
 }
 

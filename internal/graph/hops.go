@@ -21,12 +21,16 @@ type HopGraph struct {
 	lists []int32
 }
 
-// Induced returns the HopGraph of g induced on the nodes keep accepts.
-// Parallel edges stay parallel; an edge with a dropped endpoint is dropped.
-func (g *Graph) Induced(keep func(v int) bool) *HopGraph {
-	h := &HopGraph{id: make([]int32, len(g.adj))}
+// NewHopGraph builds the HopGraph of the n-node graph whose m edges edge(i)
+// returns, induced on the nodes keep accepts. Parallel edges stay parallel;
+// an edge with a dropped endpoint is dropped. The edge list is read twice,
+// once to count each kept node's neighbours and once to fill them in, so a
+// caller holding only an edge list (a network's links) needs no adjacency
+// lists of its own. A node's neighbours come in edge-list order.
+func NewHopGraph(n int, keep func(v int) bool, m int, edge func(i int) (a, b int)) *HopGraph {
+	h := &HopGraph{id: make([]int32, n)}
 	kept := 0
-	for v := range g.adj {
+	for v := range h.id {
 		h.id[v] = -1
 		if keep(v) {
 			h.id[v] = int32(kept)
@@ -34,30 +38,38 @@ func (g *Graph) Induced(keep func(v int) bool) *HopGraph {
 		}
 	}
 	h.node = make([]int32, kept)
-	halves := 0 // kept-to-kept halves
 	for v, i := range h.id {
-		if i < 0 {
-			continue
-		}
-		h.node[i] = int32(v)
-		for _, half := range g.adj[v] {
-			if h.id[half.Peer] >= 0 {
-				halves++
-			}
+		if i >= 0 {
+			h.node[i] = int32(v)
 		}
 	}
+	// Dense id i's neighbours are counted in off[i+2]; after the prefix sum
+	// off[i+1] is where they start, and the fill advances it to where they
+	// end, which is where i+1's start.
+	off := make([]int32, kept+2)
+	for e := range m {
+		a, b := edge(e)
+		if ia, ib := h.id[a], h.id[b]; ia >= 0 && ib >= 0 {
+			off[ia+2]++
+			off[ib+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	h.peer = make([]int32, off[kept+1])
+	for e := range m {
+		a, b := edge(e)
+		if ia, ib := h.id[a], h.id[b]; ia >= 0 && ib >= 0 {
+			h.peer[off[ia+1]] = ib
+			off[ia+1]++
+			h.peer[off[ib+1]] = ia
+			off[ib+1]++
+		}
+	}
+	h.off = off[:kept+1]
 	h.words = make([]uint64, 3*kept)
 	h.lists = make([]int32, 2*kept)
-	h.off = make([]int32, kept+1)
-	h.peer = make([]int32, 0, halves)
-	for i, v := range h.node {
-		for _, half := range g.adj[v] {
-			if p := h.id[half.Peer]; p >= 0 {
-				h.peer = append(h.peer, p)
-			}
-		}
-		h.off[i+1] = int32(len(h.peer))
-	}
 	return h
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flattree/internal/fattree"
+	"flattree/internal/topo"
 )
 
 // TestPhaseBudgetDegradesGracefully cross-checks the budget semantics
@@ -103,27 +104,40 @@ func TestPhasesCountsCompletedOnly(t *testing.T) {
 	}
 }
 
-func TestTimeBudgetStopsSolve(t *testing.T) {
-	// A larger instance so one phase cannot finish everything instantly.
-	ft, err := fattree.New(8)
+// edgeAllToAll is an instance no budget below seconds can see converge:
+// one server on every edge switch of fat-tree(k), all ordered pairs. At
+// k = 16 (128 switches, 16 256 commodities) and ε = 0.02 the FPTAS needs
+// 19 130 phases, 3 min 43 s on a 2-core host, where a 150 ms budget
+// completes 13 phases and a 1 ms one none.
+func edgeAllToAll(t *testing.T, k int) (*topo.Network, []Commodity) {
+	t.Helper()
+	ft, err := fattree.New(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := ft.Net.Servers()
+	var picks []int
+	for _, sw := range ft.Net.NodesOf(topo.EdgeSwitch) {
+		picks = append(picks, int(ft.Net.HostedServers(sw)[0]))
+	}
 	var comms []Commodity
-	for i := 0; i < 32; i++ {
-		for j := 0; j < 32; j++ {
-			if i != j {
-				comms = append(comms, Commodity{Src: servers[i], Dst: servers[j], Demand: 1})
+	for _, a := range picks {
+		for _, b := range picks {
+			if a != b {
+				comms = append(comms, Commodity{Src: a, Dst: b, Demand: 1})
 			}
 		}
 	}
-	res, err := MaxConcurrentFlow(context.Background(), ft.Net, comms, Options{Epsilon: 0.02, TimeBudget: time.Millisecond})
+	return ft.Net, comms
+}
+
+func TestTimeBudgetStopsSolve(t *testing.T) {
+	nw, comms := edgeAllToAll(t, 16)
+	res, err := MaxConcurrentFlow(context.Background(), nw, comms, Options{Epsilon: 0.02, TimeBudget: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Approximate {
-		t.Skip("solve finished inside 1ms; nothing to assert")
+		t.Fatalf("a 1ms budget converged an instance that needs ~19 000 phases (%d phases reported)", res.Phases)
 	}
 	if res.Lambda < 0 {
 		t.Errorf("degraded lambda %g negative", res.Lambda)
@@ -135,29 +149,17 @@ func TestTimeBudgetStopsSolve(t *testing.T) {
 // approximate λ rather than surfacing context.DeadlineExceeded — that is
 // what lets a serving path turn client timeouts into `~` cells.
 func TestCtxDeadlineDerivesBudget(t *testing.T) {
-	ft, err := fattree.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers := ft.Net.Servers()
-	var comms []Commodity
-	for i := 0; i < 32; i++ {
-		for j := 0; j < 32; j++ {
-			if i != j {
-				comms = append(comms, Commodity{Src: servers[i], Dst: servers[j], Demand: 1})
-			}
-		}
-	}
+	nw, comms := edgeAllToAll(t, 16)
 	// Generous enough for the demand-scaling probe (which is unbudgeted),
-	// far too short for the eps=0.02 solve.
+	// three orders of magnitude short of the eps=0.02 solve.
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	res, err := MaxConcurrentFlow(ctx, ft.Net, comms, Options{Epsilon: 0.02})
+	res, err := MaxConcurrentFlow(ctx, nw, comms, Options{Epsilon: 0.02})
 	if err != nil {
 		t.Fatalf("deadline-bounded solve errored instead of degrading: %v", err)
 	}
 	if !res.Approximate {
-		t.Skip("solve converged inside the deadline; nothing to assert")
+		t.Fatalf("a 150ms deadline converged an instance that needs ~19 000 phases (%d phases reported)", res.Phases)
 	}
 	if res.Lambda < 0 {
 		t.Errorf("degraded lambda %g negative", res.Lambda)

@@ -57,7 +57,8 @@ func ServerPathLengths(nw *topo.Network, servers []int) (PathLengthStats, error)
 		total := hs.servers(h)
 		p.add(2, total*(total-1)/2, samePod)
 	}
-	hg := nw.Graph().Induced(func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() })
+	isSwitch := func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() }
+	hg := graph.NewHopGraph(nw.N(), isSwitch, len(nw.Links), nw.LinkEnds)
 	podBits := make([]uint64, hs.numPods)
 	for base := 0; base < len(hs.sw); base += graph.HopBatch {
 		if err := p.sweepBatch(hg, &hs, base, podBits); err != nil {

@@ -234,10 +234,12 @@ func TestOverloadSheds429(t *testing.T) {
 // `~`-suffixed approximate cell — not an error — and the truncated result
 // is never cached. The cell is a many-source one (fig8's all-to-all): a
 // single-hot-spot fig7 cell is solved exactly in milliseconds and has no
-// approximate answer to degrade to.
+// approximate answer to degrade to. At k = 12 and ε = 0.01 the cell takes
+// 81 s unbounded on a 2-core host, 270× the timeout, so it cannot converge
+// in time.
 func TestDeadlineDegradesToApproximate(t *testing.T) {
 	s := testServer(t, Config{
-		Defaults: experiments.Config{KMin: 10, KMax: 10, KStep: 2, Seed: 1, Epsilon: 0.01, HybridK: 6},
+		Defaults: experiments.Config{KMin: 12, KMax: 12, KStep: 2, Seed: 1, Epsilon: 0.01, HybridK: 6},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -248,7 +250,7 @@ func TestDeadlineDegradesToApproximate(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("X-Flatsim-Approximate") != "true" {
-		t.Skipf("solve converged inside the deadline on this machine; body:\n%s", body)
+		t.Fatalf("a cell that needs ~80 s converged inside a 300ms timeout; body:\n%s", body)
 	}
 	if !strings.Contains(string(body), "~") {
 		t.Errorf("approximate cell missing ~ marker:\n%s", body)

@@ -116,16 +116,43 @@ type Network struct {
 	Nodes []Node
 	Links []Link
 
-	g        *graph.Graph
 	byKind   [numKinds][]int
 	switches []int   // every switch ID, ascending
 	hostOf   []int32 // server ID -> attachment switch ID (-1 if detached)
-	hosted   [][]int32
-	portUse  []int
+	// Switch sw hosts the servers hosted[hostedOff[sw]:hostedOff[sw+1]],
+	// in link order.
+	hostedOff []int32
+	hosted    []int32
+	portUse   []int
 }
 
-// Graph returns the node-level graph (servers included) backing the network.
-func (nw *Network) Graph() *graph.Graph { return nw.g }
+// Graph builds the node-level graph, servers included: node v is Nodes[v],
+// edge i is Links[i], and every adjacency list is sorted by (peer, edge).
+// The network keeps no graph, so each call allocates a fresh one, sized
+// by the node count plus twice the link count. Metrics and solvers read
+// what they need from Links instead: Components, SwitchGraph, EntrySwitch.
+func (nw *Network) Graph() *graph.Graph {
+	g := graph.NewWithDegrees(nw.portUse)
+	for _, l := range nw.Links {
+		g.AddEdge(l.A, l.B)
+	}
+	g.SortAdjacency()
+	return g
+}
+
+// LinkEnds returns the endpoints of link i. It presents Links as the edge
+// list graph.LabelComponents and graph.NewHopGraph read.
+func (nw *Network) LinkEnds(i int) (a, b int) { return nw.Links[i].A, nw.Links[i].B }
+
+// Components labels every node with its connected component over Links:
+// label[v] is v's component, numbered from 0 in order of each component's
+// lowest node, and a node with no link (a detached server, an unused
+// switch) is a component of its own. It returns the labels and the number
+// of components, the same as Graph().Components() without building the
+// graph.
+func (nw *Network) Components() (label []int32, count int) {
+	return graph.LabelComponents(len(nw.Nodes), len(nw.Links), nw.LinkEnds)
+}
 
 // N returns the total node count.
 func (nw *Network) N() int { return len(nw.Nodes) }
@@ -149,8 +176,12 @@ func (nw *Network) Switches() []int { return nw.switches }
 // detached (which Validate treats as an error).
 func (nw *Network) HostSwitch(server int) int { return int(nw.hostOf[server]) }
 
-// HostedServers returns the servers attached to the given switch.
-func (nw *Network) HostedServers(sw int) []int32 { return nw.hosted[sw] }
+// HostedServers returns the servers attached to the given switch, in link
+// order. The caller must not modify the slice.
+func (nw *Network) HostedServers(sw int) []int32 {
+	lo, hi := nw.hostedOff[sw], nw.hostedOff[sw+1]
+	return nw.hosted[lo:hi:hi]
+}
 
 // IsSwitchLink reports whether l joins two switches: a link of the switch
 // fabric rather than a server's access link.
@@ -356,40 +387,32 @@ func (b *Builder) Build() *Network {
 		}
 	}
 
-	nw.g = graph.NewWithDegrees(nw.portUse)
-	for _, l := range nw.Links {
-		nw.g.AddEdge(l.A, l.B)
-	}
-	nw.g.SortAdjacency()
-
-	// Server attachment, both directions; hosted lists keep link order.
+	// Server attachment, both directions. Switch sw's hosted servers are
+	// counted in off[sw+2]; after the prefix sum off[sw+1] is where they
+	// start, and the fill advances it to where they end, which is where
+	// sw+1's start.
 	nw.hostOf = make([]int32, n)
 	for i := range nw.hostOf {
 		nw.hostOf[i] = -1
 	}
-	hostedAt := make([]int32, n)
-	attached := 0
+	off := make([]int32, n+2)
 	for _, l := range nw.Links {
 		if sv, sw := nw.accessLink(l); sv >= 0 {
 			nw.hostOf[sv] = int32(sw)
-			hostedAt[sw]++
-			attached++
+			off[sw+2]++
 		}
 	}
-	nw.hosted = make([][]int32, n)
-	slab := make([]int32, attached)
-	at = 0
-	for sw, c := range hostedAt {
-		if c > 0 {
-			nw.hosted[sw] = slab[at : at : at+int(c)]
-			at += int(c)
-		}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
+	nw.hosted = make([]int32, off[n+1])
 	for _, l := range nw.Links {
 		if sv, sw := nw.accessLink(l); sv >= 0 {
-			nw.hosted[sw] = append(nw.hosted[sw], int32(sv))
+			nw.hosted[off[sw+1]] = int32(sv)
+			off[sw+1]++
 		}
 	}
+	nw.hostedOff = off[:n+1]
 	return nw
 }
 
@@ -437,13 +460,13 @@ func (nw *Network) Stats() Stats {
 }
 
 // Validate checks structural invariants: every server has exactly one
-// attachment, no port budget is exceeded (guaranteed by the builder but
-// re-checked), and the switch fabric is connected.
+// link, to a switch; no port budget is exceeded (guaranteed by the builder
+// but re-checked); and every node with a used port lies in one connected
+// component. A node with no used port (a spare switch) is ignored.
 func (nw *Network) Validate() error {
 	for _, sv := range nw.byKind[Server] {
-		deg := nw.g.Degree(sv)
-		if deg != 1 {
-			return fmt.Errorf("topo: server %d has %d links, want 1", sv, deg)
+		if use := nw.portUse[sv]; use != 1 {
+			return fmt.Errorf("topo: server %d has %d links, want 1", sv, use)
 		}
 		if nw.hostOf[sv] < 0 {
 			return fmt.Errorf("topo: server %d attached to a non-switch", sv)
@@ -454,8 +477,16 @@ func (nw *Network) Validate() error {
 			return fmt.Errorf("topo: node %d exceeds port budget (%d > %d)", n.ID, nw.portUse[n.ID], n.Ports)
 		}
 	}
-	if !nw.g.Connected() {
-		return fmt.Errorf("topo: network %q is not connected", nw.Name)
+	label, _ := nw.Components()
+	first := int32(-1)
+	for v, l := range label {
+		switch {
+		case nw.portUse[v] == 0:
+		case first < 0:
+			first = l
+		case l != first:
+			return fmt.Errorf("topo: network %q is not connected", nw.Name)
+		}
 	}
 	return nil
 }

@@ -120,6 +120,50 @@ func TestValidateServerToServer(t *testing.T) {
 	}
 }
 
+// TestValidateConnectivity: Validate reads connectivity off the link
+// list. Every node with a used port must share one component — a switch
+// that hosts servers but has no switch link is cut off — while a node with
+// no used port (a spare switch) is ignored.
+func TestValidateConnectivity(t *testing.T) {
+	// Two linked edge switches with a server each; extra adds more.
+	build := func(extra func(b *Builder)) *Network {
+		b := NewBuilder("t")
+		sw0 := b.AddNode(EdgeSwitch, 0, 0, 4)
+		sw1 := b.AddNode(EdgeSwitch, 0, 1, 4)
+		b.AddLink(sw0, sw1, TagClos)
+		b.AddLink(b.AddNode(Server, 0, 0, 1), sw0, TagClos)
+		b.AddLink(b.AddNode(Server, 0, 1, 1), sw1, TagClos)
+		extra(b)
+		return b.Build()
+	}
+	for _, c := range []struct {
+		name  string
+		extra func(b *Builder)
+		valid bool
+	}{
+		{"two linked switches", func(*Builder) {}, true},
+		{"spare switch with no used port", func(b *Builder) { b.AddNode(CoreSwitch, -1, 0, 4) }, true},
+		{"switch hosting servers with no switch link", func(b *Builder) {
+			sw := b.AddNode(EdgeSwitch, 1, 0, 4)
+			b.AddLink(b.AddNode(Server, 1, 2, 1), sw, TagClos)
+			b.AddLink(b.AddNode(Server, 1, 3, 1), sw, TagClos)
+		}, false},
+		{"switch pair cut off from the rest", func(b *Builder) {
+			b.AddLink(b.AddNode(AggSwitch, 1, 0, 4), b.AddNode(AggSwitch, 1, 1, 4), TagClos)
+		}, false},
+	} {
+		nw := build(c.extra)
+		if err := nw.Validate(); (err == nil) != c.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%t", c.name, err, c.valid)
+		}
+		label, count := nw.Components()
+		wantLabel, wantCount := nw.Graph().Components()
+		if count != wantCount || !reflect.DeepEqual(label, wantLabel) {
+			t.Errorf("%s: Components() = %v, %d; the node graph says %v, %d", c.name, label, count, wantLabel, wantCount)
+		}
+	}
+}
+
 func TestStatsAndKinds(t *testing.T) {
 	b := NewBuilder("t")
 	core := b.AddNode(CoreSwitch, -1, 0, 4)

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,9 +77,18 @@ func structureDigest(nw *topo.Network) string {
 func structureCases(t *testing.T) []string {
 	t.Helper()
 	var lines []string
-	add := func(name string, nw *topo.Network) {
+	structureNetworks(t, []int{4, 8, 16}, func(name string, nw *topo.Network) {
 		lines = append(lines, name+" "+structureDigest(nw))
-	}
+	})
+	return lines
+}
+
+// structureNetworks builds, at each k, every builder's network, every
+// uniform flat-tree mode, a hybrid assignment, dark windows (which detach
+// servers) and a non-default plant, and hands each to add with a case name,
+// in a fixed order.
+func structureNetworks(t *testing.T, ks []int, add func(name string, nw *topo.Network)) {
+	t.Helper()
 	flat := func(p core.Params) *core.FlatTree {
 		ft, err := core.Build(p)
 		if err != nil {
@@ -86,7 +97,7 @@ func structureCases(t *testing.T) []string {
 		return ft
 	}
 	uniform := []core.Mode{core.ModeClos, core.ModeGlobalRandom, core.ModeLocalRandom}
-	for _, k := range []int{4, 8, 16} {
+	for _, k := range ks {
 		fat, err := fattree.New(k)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +158,40 @@ func structureCases(t *testing.T) []string {
 			add(fmt.Sprintf("twostage/k=%d/n=%d/seed=%d", k, n, seed), two.Net)
 		}
 	}
-	return lines
+}
+
+// TestComponentsMatchNodeGraph: Network.Components, which labels the link
+// list without building a graph, equals the node-level graph's labelling —
+// labels and count — on every structure case at k = 4..8, dark windows
+// with detached servers among them, and Validate's verdict is the node
+// graph's rule: one server link each, and every linked node connected.
+func TestComponentsMatchNodeGraph(t *testing.T) {
+	detached := 0
+	structureNetworks(t, []int{4, 6, 8}, func(name string, nw *topo.Network) {
+		g := nw.Graph()
+		label, count := nw.Components()
+		wantLabel, wantCount := g.Components()
+		if count != wantCount || !slices.Equal(label, wantLabel) {
+			t.Errorf("%s: Components() gives %d components, the node graph %d (or labels differ)", name, count, wantCount)
+		}
+		oneLink := true
+		for _, sv := range nw.Servers() {
+			switch g.Degree(sv) {
+			case 0:
+				detached++
+				oneLink = false
+			case 1:
+			default:
+				oneLink = false
+			}
+		}
+		if want := oneLink && g.Connected(); (nw.Validate() == nil) != want {
+			t.Errorf("%s: Validate() = %v, the node graph says valid=%t", name, nw.Validate(), want)
+		}
+	})
+	if detached == 0 {
+		t.Error("no case detaches a server; the dark windows should")
+	}
 }
 
 // TestStructureGolden pins node IDs, link IDs, tags and adjacency order of
@@ -184,30 +228,54 @@ func TestStructureGolden(t *testing.T) {
 // TestConstructionAllocs guards allocation-exact construction: builders
 // reserve their tables from k and Build carves every derived table from a
 // counted slab, so a topology costs tens of allocations, not one per node
-// or adjacency list (thousands at k=16 before). Ceilings leave ~2x slack.
+// or adjacency list (thousands at k=16 before). Allocation ceilings leave
+// ~2x slack. The byte ceilings (KB = 1024 B) sit between a build that
+// still filled a node-level graph over every node, servers included (338,
+// 409 and 559 KB on these cases), and one that keeps no graph (203, 273
+// and 418 KB).
 func TestConstructionAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		ceiling float64
+		maxKB   float64
 		build   func() error
 	}{
-		{"fattree.New(16)", 40, func() error { _, err := fattree.New(16); return err }},
-		{"jellyfish.New(16, 1)", 60, func() error { _, err := jellyfish.New(16, 1); return err }},
-		{"core.BuildIn(k=16, global-random)", 70, func() error {
+		{"fattree.New(16)", 40, 280, func() error { _, err := fattree.New(16); return err }},
+		{"jellyfish.New(16, 1)", 60, 350, func() error { _, err := jellyfish.New(16, 1); return err }},
+		{"core.BuildIn(k=16, global-random)", 70, 500, func() error {
 			_, err := core.BuildIn(core.Params{K: 16}, core.ModeGlobalRandom)
 			return err
 		}},
 	} {
-		got := testing.AllocsPerRun(5, func() {
+		build := func() {
 			if err := c.build(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		got := testing.AllocsPerRun(5, build)
+		kb := bytesPerRun(5, build) / 1024
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs, want <= %.0f", c.name, got, c.ceiling)
 		}
-		t.Logf("%s: %.0f allocs", c.name, got)
+		if kb > c.maxKB {
+			t.Errorf("%s: %.0f KB, want <= %.0f KB", c.name, kb, c.maxKB)
+		}
+		t.Logf("%s: %.0f allocs, %.0f KB", c.name, got, kb)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestSolverDoorsHaveNoUsers keeps the solver's compatibility doors from
@@ -252,10 +320,10 @@ func TestOnlyTopoClassifiesLinks(t *testing.T) {
 
 // TestOnePathLengthKernel keeps server-pair path length in one place: no
 // non-test file outside internal/graph and internal/metrics builds a
-// HopGraph (Graph.Induced) or sweeps one (HopGraph.Sweep). Measure through
-// metrics.ServerPathLengths, which takes the server set to measure.
+// HopGraph (graph.NewHopGraph) or sweeps one (HopGraph.Sweep). Measure
+// through metrics.ServerPathLengths, which takes the server set to measure.
 func TestOnePathLengthKernel(t *testing.T) {
-	call := regexp.MustCompile(`\.(Induced|Sweep)\(`)
+	call := regexp.MustCompile(`\bNewHopGraph\(|\.Sweep\(`)
 	forEachProgramFile(t, func(path string, src []byte) {
 		switch filepath.Dir(path) {
 		case filepath.Join("internal", "graph"), filepath.Join("internal", "metrics"):
@@ -263,6 +331,26 @@ func TestOnePathLengthKernel(t *testing.T) {
 		}
 		if m := call.Find(src); m != nil {
 			t.Errorf("%s calls %s; measure path length through metrics.ServerPathLengths", path, m)
+		}
+	})
+}
+
+// TestNoNodeGraphCallers: a Network keeps no node-level graph, and
+// Network.Graph builds one, servers included, on every call. Outside
+// internal/topo, only faults' recovery (which rewires a graph of its own)
+// and benchmark/ may call it; everything else reads what it needs from
+// Links — Network.Components, SwitchGraph, EntrySwitch, metrics.
+func TestNoNodeGraphCallers(t *testing.T) {
+	call := regexp.MustCompile(`\.Graph\(\)`)
+	forEachProgramFile(t, func(path string, src []byte) {
+		switch {
+		case filepath.Dir(path) == filepath.Join("internal", "topo"),
+			path == filepath.Join("internal", "faults", "recover.go"),
+			strings.HasPrefix(path, "benchmark"+string(filepath.Separator)):
+			return
+		}
+		if call.Match(src) {
+			t.Errorf("%s calls Network.Graph, which builds a node-level graph per call; use Network.Components, SwitchGraph or metrics", path)
 		}
 	})
 }
