@@ -14,6 +14,7 @@
 //	clockwall   wall-clock reads confined and banned transitively from
 //	            the deterministic packages
 //	randflow    RNGs are injected, never built from hard-coded seeds
+//	testonly    exported library code has a caller outside tests
 //
 // The engine is interprocedural: packages load and type-check
 // concurrently, per-function summaries are propagated over the call

@@ -149,7 +149,7 @@ func (o *Options) validate() error {
 	if !positiveFinite(o.WindowCost) {
 		return fmt.Errorf("chaos: window cost %g must be positive and finite", o.WindowCost)
 	}
-	if o.SLOThreshold <= 0 || o.SLOThreshold > 1 {
+	if !(0 < o.SLOThreshold && o.SLOThreshold <= 1) {
 		return fmt.Errorf("chaos: SLO threshold %g out of (0,1]", o.SLOThreshold)
 	}
 	if o.Mix == (Mix{}) {
@@ -158,13 +158,13 @@ func (o *Options) validate() error {
 	if !positiveFinite(o.Mix.total()) {
 		return fmt.Errorf("chaos: episode mix needs a positive weight and no infinite one")
 	}
-	if o.Mix.BurstFraction < 0 || o.Mix.BurstFraction >= 1 {
+	if !(0 <= o.Mix.BurstFraction && o.Mix.BurstFraction < 1) {
 		return fmt.Errorf("chaos: burst fraction %g out of [0,1)", o.Mix.BurstFraction)
 	}
-	if o.Mix.ConverterFraction < 0 || o.Mix.ConverterFraction > 1 {
+	if !(0 <= o.Mix.ConverterFraction && o.Mix.ConverterFraction <= 1) {
 		return fmt.Errorf("chaos: converter fraction %g out of [0,1]", o.Mix.ConverterFraction)
 	}
-	if o.Mix.Aftershock < 0 || o.Mix.Aftershock > 1 {
+	if !(0 <= o.Mix.Aftershock && o.Mix.Aftershock <= 1) {
 		return fmt.Errorf("chaos: aftershock probability %g out of [0,1]", o.Mix.Aftershock)
 	}
 	if o.BatchSize <= 0 {

@@ -40,6 +40,14 @@ func TestSoakValidation(t *testing.T) {
 		{K: 4, Rate: 1, Horizon: 1, WindowCost: math.NaN(), SLOThreshold: 0.9},
 		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
 			Mix: Mix{LinkBurst: math.Inf(1), SwitchKill: 1}},
+		// NaN compares false both ways, so only an in-range test rejects it.
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: math.NaN()},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
+			Mix: Mix{LinkBurst: 1, BurstFraction: math.NaN()}},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
+			Mix: Mix{LinkBurst: 1, ConverterFraction: math.NaN()}},
+		{K: 4, Rate: 1, Horizon: 1, WindowCost: 0.1, SLOThreshold: 0.9,
+			Mix: Mix{LinkBurst: 1, Aftershock: math.NaN()}},
 	}
 	for i, o := range bad {
 		if _, err := Run(ctx, o); err == nil {

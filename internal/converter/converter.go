@@ -142,17 +142,6 @@ func tableFor(ports int, cfg Config) (*matchTable, error) {
 	return nil, err
 }
 
-// ValidConfigs lists the configurations a converter with the given port
-// count supports. 4-port converters deliberately exclude Side/Cross — and
-// also any server-to-core relocation, per §2.1 of the paper: with only four
-// ports, pairing server with core would force a redundant edge-agg link.
-func ValidConfigs(ports int) []Config {
-	if ports == 4 {
-		return []Config{Default, Local}
-	}
-	return []Config{Default, Local, Side, Cross}
-}
-
 // Endpoint is what a converter port's external cable attaches to: a device
 // (network node), a peer converter port, or nothing.
 type Endpoint struct {
@@ -184,16 +173,9 @@ type Converter struct {
 	Config Config
 }
 
-// Validate checks that the configuration is legal for the port count, that
+// validate checks that cfg is legal for the port count, that
 // device-facing ports are cabled, and that side ports are only used on
-// 6-port converters.
-func (c *Converter) Validate() error {
-	_, err := c.validate(c.Config)
-	return err
-}
-
-// validate is Validate under cfg in place of c.Config; it returns cfg's
-// matching.
+// 6-port converters. It returns cfg's matching.
 func (c *Converter) validate(cfg Config) (*matchTable, error) {
 	if c.Ports != 4 && c.Ports != 6 {
 		return nil, fmt.Errorf("converter %d: bad port count %d", c.ID, c.Ports)

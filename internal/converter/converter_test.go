@@ -148,22 +148,27 @@ func TestFourPortValidation(t *testing.T) {
 	c.Attach[PortEdge] = Endpoint{Node: 1, Conv: -1}
 	c.Attach[PortAgg] = Endpoint{Node: 2, Conv: -1}
 	c.Attach[PortCore] = Endpoint{Node: 3, Conv: -1}
-	if err := c.Validate(); err == nil {
+	if _, err := c.validate(c.Config); err == nil {
 		t.Error("4-port Side must be invalid")
 	}
 	c.Config = Local
-	if err := c.Validate(); err != nil {
+	if _, err := c.validate(c.Config); err != nil {
 		t.Errorf("4-port Local should validate: %v", err)
 	}
 	c.Attach[PortSide1] = Endpoint{Node: 9, Conv: -1}
-	if err := c.Validate(); err == nil {
+	if _, err := c.validate(c.Config); err == nil {
 		t.Error("4-port with side cable must be invalid")
 	}
 }
 
 func TestMatchingCoversConfiguredPorts(t *testing.T) {
 	for _, ports := range []int{4, 6} {
-		for _, cfg := range ValidConfigs(ports) {
+		// 4-port converters support neither Side nor Cross (§2.1).
+		configs := []Config{Default, Local, Side, Cross}
+		if ports == 4 {
+			configs = configs[:2]
+		}
+		for _, cfg := range configs {
 			pairs, err := Matching(ports, cfg)
 			if err != nil {
 				t.Fatalf("Matching(%d,%s): %v", ports, cfg, err)

@@ -20,10 +20,13 @@ func sameStructure(t *testing.T, what string, a, b *topo.Network) {
 	}
 	ga, gb := a.Graph(), b.Graph()
 	for v := 0; v < a.N(); v++ {
-		if !reflect.DeepEqual(ga.Neighbors(v), gb.Neighbors(v)) ||
-			!reflect.DeepEqual(a.HostedServers(v), b.HostedServers(v)) ||
-			a.PortsUsed(v) != b.PortsUsed(v) {
+		if !reflect.DeepEqual(ga.Neighbors(v), gb.Neighbors(v)) || a.PortsUsed(v) != b.PortsUsed(v) {
 			t.Fatalf("%s: node %d differs", what, v)
+		}
+	}
+	for _, sv := range a.Servers() {
+		if a.HostSwitch(sv) != b.HostSwitch(sv) {
+			t.Fatalf("%s: server %d attaches differently", what, sv)
 		}
 	}
 }
@@ -121,7 +124,7 @@ func TestSharedPlantIsReadOnlyUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDark := make([]*topo.Network, ft.NumPods())
+	wantDark := make([]*topo.Network, ft.Params.K)
 	for p := range wantDark {
 		if wantDark[p], err = ft.TransitionNetwork([]int{p}); err != nil {
 			t.Fatal(err)

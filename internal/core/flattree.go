@@ -623,6 +623,3 @@ func (ft *FlatTree) kindOf(id int) int {
 
 // NumServers returns k^3/4.
 func (ft *FlatTree) NumServers() int { return len(ft.ServerIDs) }
-
-// NumPods returns k.
-func (ft *FlatTree) NumPods() int { return ft.Params.K }

@@ -106,11 +106,13 @@ func TestModesValidNetworks(t *testing.T) {
 // serverCountPerCore returns how many servers each core switch hosts.
 func serverCountPerCore(ft *FlatTree) []int {
 	nw := ft.Net()
+	hosts := make(map[int]int)
+	for _, sv := range nw.Servers() {
+		hosts[nw.HostSwitch(sv)]++
+	}
 	counts := make([]int, len(ft.Cores))
 	for i, c := range ft.Cores {
-		for range nw.HostedServers(c) {
-			counts[i]++
-		}
+		counts[i] = hosts[c]
 	}
 	return counts
 }

@@ -131,7 +131,7 @@ func TestModesAccessors(t *testing.T) {
 	if ft.Mode(0) != ModeClos {
 		t.Error("Modes() aliases internal state")
 	}
-	if ft.NumPods() != 4 || ft.NumServers() != 16 {
+	if ft.Params.K != 4 || ft.NumServers() != 16 {
 		t.Error("accessors wrong")
 	}
 	if got := len(ft.Configs()); got != len(ft.Convs) {

@@ -44,8 +44,8 @@ type PodAdvice struct {
 // changes, so advice remains stable across reconfigurations. Note that a
 // fragmented global zone loses side links at fragment boundaries
 // (ConfigFor falls back to Local there); placement software that can
-// migrate workloads should prefer packing global-zone tenants into
-// adjacent pods, e.g. with PlanZoneModes.
+// migrate workloads should prefer packing global-zone tenants into one
+// contiguous run of pods.
 func Advise(ft *core.FlatTree, obs []FlowObservation) ([]core.Mode, []PodAdvice, error) {
 	k := ft.Params.K
 	nw := ft.Net()

@@ -57,24 +57,6 @@ func NewAgent(pod int, initial []ConfigEntry) *Agent {
 // Pod returns the agent's pod index.
 func (a *Agent) Pod() int { return int(a.pod) }
 
-// Configs snapshots the active converter configurations.
-func (a *Agent) Configs() map[uint32]converter.Config {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[uint32]converter.Config, len(a.active))
-	for k, v := range a.active {
-		out[k] = v
-	}
-	return out
-}
-
-// Commits returns how many epochs this agent has committed.
-func (a *Agent) Commits() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.commits
-}
-
 // write sends one frame under the agent's write lock so heartbeats and
 // protocol replies never interleave on the wire.
 func (a *Agent) write(conn net.Conn, t MsgType, payload []byte) error {

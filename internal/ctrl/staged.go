@@ -21,6 +21,8 @@ import (
 // valid hybrid state, so stopping mid-way is safe).
 //
 // The per-batch transition reports are returned for operator visibility.
+//
+//flatlint:ignore testonly the §2.7 staged-conversion mechanism behind DESIGN §5's k = 8 partition finding
 func (c *Controller) StagedConvert(ctx context.Context, modes []core.Mode, batchSize int, requireConnected bool) ([]core.TransitionReport, error) {
 	if batchSize <= 0 {
 		batchSize = 1

@@ -27,12 +27,6 @@ type FatTree struct {
 	ServerIDs []int
 }
 
-// NumPods returns k.
-func (f *FatTree) NumPods() int { return f.K }
-
-// NumServers returns k^3/4.
-func (f *FatTree) NumServers() int { return f.K * f.K * f.K / 4 }
-
 // New constructs a fat-tree with parameter k (even, >= 4).
 func New(k int) (*FatTree, error) {
 	if k < 4 || k%2 != 0 {

@@ -66,7 +66,7 @@ func (sc Scenario) validate() error {
 		{"link", sc.LinkFraction}, {"switch", sc.SwitchFraction},
 		{"burst link", sc.BurstLinkFraction}, {"converter", sc.ConverterFraction},
 	} {
-		if fr.f < 0 || fr.f >= 1 {
+		if !(0 <= fr.f && fr.f < 1) {
 			return fmt.Errorf("faults: %s fraction %g out of [0,1)", fr.name, fr.f)
 		}
 	}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"flattree/internal/core"
@@ -46,6 +47,11 @@ func TestScenarioFractionValidation(t *testing.T) {
 		{BurstPods: 1, BurstLinkFraction: 1.5},
 		{BurstPods: -1},
 		{ConverterFraction: -2},
+		// NaN compares false both ways, so only an in-range test rejects it.
+		{LinkFraction: math.NaN()},
+		{SwitchFraction: math.NaN()},
+		{BurstPods: 1, BurstLinkFraction: math.NaN()},
+		{ConverterFraction: math.NaN()},
 	}
 	for i, sc := range bad {
 		if _, err := Degrade(f.Net, sc); err == nil {

@@ -32,6 +32,7 @@ var analyzers = []analyzer{
 	{name: "randflow", internalOnly: true, run: runRandflow},
 	{name: "httptimeout", run: runHttptimeout},
 	{name: "testskip", run: runTestskip},
+	{name: "testonly", internalOnly: true, run: runTestonly},
 }
 
 var knownAnalyzers = func() map[string]bool {

@@ -6,7 +6,8 @@
 // float equality in the numerics, no package-global randomness, a strict
 // package layering DAG, no silently discarded errors, no panics in
 // library code, deterministic map iteration, lifecycle-tied goroutines,
-// and wall-clock / RNG hygiene.
+// wall-clock / RNG hygiene, and no exported library code that only tests
+// reach.
 //
 // The engine is two-phase and interprocedural. Phase 1 parses and
 // type-checks the module's packages concurrently (fan-out bounded by

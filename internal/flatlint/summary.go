@@ -67,6 +67,9 @@ type program struct {
 	clock  map[*types.Func]*reach
 	randc  map[*types.Func]*reach
 	exits  map[*types.Func]*reach
+
+	refs   map[*types.Func]bool          // referenced from a non-test file outside their own body
+	ifaces map[string][]*types.Interface // interfaces the module mentions, by method name
 }
 
 // clockTrusted are the packages allowed to own wall-clock reads — ctrl
@@ -121,6 +124,7 @@ func buildProgram(r *Runner) (*program, error) {
 		func(s *funcSummary) bool { return clockTrusted[s.pkg.RelPath] })
 	p.randc = propagate(order, func(s *funcSummary) token.Pos { return s.randPos }, nil)
 	p.exits = propagate(order, func(s *funcSummary) token.Pos { return s.exitPos }, nil)
+	p.indexRefs(r)
 	return p, nil
 }
 

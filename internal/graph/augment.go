@@ -19,12 +19,11 @@ type AugmentResult struct {
 	Leftover int
 }
 
-// AugmentRandom wires the free ports of an existing graph together using
-// the same randomized procedure as RandomDegree: join random non-adjacent
-// port-owning pairs, and when stuck, break an existing edge and splice a
-// free-port node into it (the Jellyfish edge swap). free[v] is the number
-// of additional edges node v may receive; g is modified in place, so pass
-// a Clone to keep the original.
+// AugmentRandom wires the free ports of an existing graph together with
+// the loop RandomDegree builds its graphs with: join random non-adjacent port-owning
+// pairs, and when stuck, break an existing edge and splice a free-port node
+// into it (the Jellyfish edge swap). free[v] is the number of additional
+// edges node v may receive; g is modified in place.
 //
 // canBreak, if non-nil, restricts which pre-existing edges swap moves may
 // remove; it is called with an edge index in the pre-augmentation
@@ -36,175 +35,66 @@ type AugmentResult struct {
 // ports freed by failed peers are rewired into the surviving fabric the
 // same way the random (Jellyfish) topology was built in the first place.
 func AugmentRandom(g *Graph, free []int, canBreak func(edgeID int) bool, rng *RNG) (AugmentResult, error) {
-	var res AugmentResult
 	n := g.N()
 	if len(free) != n {
-		return res, fmt.Errorf("graph: AugmentRandom: len(free)=%d, graph has %d nodes", len(free), n)
+		return AugmentResult{}, fmt.Errorf("graph: AugmentRandom: len(free)=%d, graph has %d nodes", len(free), n)
 	}
 	for v, f := range free {
 		if f < 0 {
-			return res, fmt.Errorf("graph: AugmentRandom: negative free port count %d at node %d", f, v)
+			return AugmentResult{}, fmt.Errorf("graph: AugmentRandom: negative free port count %d at node %d", f, v)
 		}
+	}
+	o := origins{orig: make([]int32, g.M()), canBreak: canBreak}
+	for i := range o.orig {
+		o.orig[i] = int32(i)
 	}
 	fr := append([]int(nil), free...)
+	wire(g, fr, &o, rng)
 
-	// orig maps the current edge index to the caller's pre-augmentation
-	// edge index, or -1 for edges we added. removeEdgeAt swaps the last
-	// edge into the vacated slot, so the mapping mirrors that move.
-	orig := make([]int32, g.M())
-	for i := range orig {
-		orig[i] = int32(i)
-	}
-	addEdge := func(a, b int) {
-		g.AddEdge(a, b)
-		orig = append(orig, -1)
-	}
-	removeAt := func(idx int) {
-		if o := orig[idx]; o >= 0 {
-			res.Broken = append(res.Broken, int(o))
-		}
-		last := len(orig) - 1
-		orig[idx] = orig[last]
-		orig = orig[:last]
-		g.removeEdgeAt(int32(idx))
-	}
-	breakable := func(idx int) bool {
-		o := orig[idx]
-		return o < 0 || canBreak == nil || canBreak(int(o))
-	}
-
-	active := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if fr[v] > 0 {
-			active = append(active, v)
-		}
-	}
-	removeInactive := func() {
-		w := 0
-		for _, v := range active {
-			if fr[v] > 0 {
-				active[w] = v
-				w++
-			}
-		}
-		active = active[:w]
-	}
-
-	stuck := 0
-	for len(active) >= 2 || (len(active) == 1 && fr[active[0]] >= 2) {
-		paired := false
-		for try := 0; try < 32 && len(active) >= 2; try++ {
-			i := rng.Intn(len(active))
-			j := rng.Intn(len(active))
-			if i == j {
-				continue
-			}
-			a, b := active[i], active[j]
-			if fr[a] == 0 || fr[b] == 0 {
-				removeInactive()
-				continue
-			}
-			if g.HasEdge(a, b) {
-				continue
-			}
-			addEdge(a, b)
-			fr[a]--
-			fr[b]--
-			paired = true
-			break
-		}
-		if paired {
-			stuck = 0
-			removeInactive()
-			continue
-		}
-		removeInactive()
-		if len(active) == 0 {
-			break
-		}
-		x := -1
-		for _, v := range active {
-			if fr[v] >= 2 {
-				x = v
-				break
-			}
-		}
-		if g.M() == 0 {
-			break
-		}
-		swapped := false
-		if x >= 0 {
-			// Swap type 1: x has two free ports; splice it into a random
-			// breakable edge (u,w) not touching x.
-			for try := 0; try < 256; try++ {
-				idx := rng.Intn(g.M())
-				e := g.Edge(idx)
-				u, w := int(e.A), int(e.B)
-				if u == x || w == x || g.HasEdge(x, u) || g.HasEdge(x, w) || !breakable(idx) {
-					continue
-				}
-				removeAt(idx)
-				addEdge(x, u)
-				addEdge(x, w)
-				fr[x] -= 2
-				swapped = true
-				break
-			}
-		} else if len(active) >= 2 {
-			// Swap type 2: the remaining free ports sit one-per-node on
-			// mutually adjacent nodes; break a breakable edge (u,w)
-			// disjoint from two of them (x, y) and reconnect x-u, y-w.
-			y := -1
-			x = active[0]
-			for _, v := range active[1:] {
-				if v != x {
-					y = v
-					break
-				}
-			}
-			if y >= 0 {
-				for try := 0; try < 256 && !swapped; try++ {
-					idx := rng.Intn(g.M())
-					e := g.Edge(idx)
-					if !breakable(idx) {
-						continue
-					}
-					for _, or := range [2][2]int{{int(e.A), int(e.B)}, {int(e.B), int(e.A)}} {
-						u, w := or[0], or[1]
-						if u == x || u == y || w == x || w == y ||
-							g.HasEdge(x, u) || g.HasEdge(y, w) {
-							continue
-						}
-						removeAt(idx)
-						addEdge(x, u)
-						addEdge(y, w)
-						fr[x]--
-						fr[y]--
-						swapped = true
-						break
-					}
-				}
-			}
-		}
-		if !swapped {
-			stuck++
-			if stuck > 8 {
-				break // give up; leftover free ports stay unused
-			}
-			continue
-		}
-		stuck = 0
-		removeInactive()
-	}
-
+	res := AugmentResult{Broken: o.broken}
 	for _, f := range fr {
 		res.Leftover += f
 	}
-	for idx, o := range orig {
-		if o < 0 {
+	for idx := range g.M() {
+		if o.added(idx) {
 			res.Added = append(res.Added, g.Edge(idx))
 		}
 	}
 	g.SortAdjacency()
 	return res, nil
+}
+
+// origins maps AugmentRandom's current edge indices back to the caller's
+// pre-augmentation numbering while the wiring loop rewires the graph.
+// orig[i] is the original index of edge i, or -1 once an added edge has
+// moved into slot i; every index at or past len(orig) holds an added edge.
+// A nil *origins (RandomDegree) breaks any edge and records nothing.
+type origins struct {
+	orig     []int32
+	canBreak func(edgeID int) bool
+	broken   []int // original indices of removed edges, in removal order
+}
+
+func (o *origins) added(idx int) bool { return idx >= len(o.orig) || o.orig[idx] < 0 }
+
+// breakable reports whether a swap may remove edge idx.
+func (o *origins) breakable(idx int) bool {
+	return o == nil || o.canBreak == nil || o.added(idx) || o.canBreak(int(o.orig[idx]))
+}
+
+// remove deletes edge idx from g. removeEdgeAt moves the last edge into
+// the vacated slot, so the mapping mirrors that move.
+func (o *origins) remove(g *Graph, idx int) {
+	if o != nil {
+		if !o.added(idx) {
+			o.broken = append(o.broken, int(o.orig[idx]))
+		}
+		if last := g.M() - 1; last < len(o.orig) {
+			o.orig[idx] = o.orig[last]
+			o.orig = o.orig[:last]
+		} else if idx < len(o.orig) {
+			o.orig[idx] = -1
+		}
+	}
+	g.removeEdgeAt(int32(idx))
 }

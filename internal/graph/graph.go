@@ -33,16 +33,11 @@ func (e Edge) Other(x int32) int32 {
 	return e.A
 }
 
-// Graph is an undirected multigraph with dense node IDs.
-// The zero value is an empty graph; use New or AddNodes to size it.
+// Graph is an undirected multigraph with dense node IDs, sized by
+// NewWithDegrees or Reset.
 type Graph struct {
 	adj   [][]Half
 	edges []Edge
-}
-
-// New returns a graph with n isolated nodes.
-func New(n int) *Graph {
-	return &Graph{adj: make([][]Half, n)}
 }
 
 // NewWithDegrees returns a graph with len(degree) isolated nodes whose
@@ -93,13 +88,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Edge returns edge i.
 func (g *Graph) Edge(i int) Edge { return g.edges[i] }
 
-// AddNodes appends k isolated nodes and returns the ID of the first.
-func (g *Graph) AddNodes(k int) int {
-	first := len(g.adj)
-	g.adj = append(g.adj, make([][]Half, k)...)
-	return first
-}
-
 // AddEdge inserts an undirected edge between a and b and returns its index.
 // It panics on self loops or out-of-range nodes; topology builders are
 // expected to be correct by construction and a silent error return would
@@ -123,9 +111,6 @@ func (g *Graph) AddEdge(a, b int) int {
 // Neighbors returns the adjacency list of node v (peers with edge indices).
 // The caller must not modify it.
 func (g *Graph) Neighbors(v int) []Half { return g.adj[v] }
-
-// Degree returns the degree of node v, counting parallel edges.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // HasEdge reports whether at least one edge connects a and b.
 func (g *Graph) HasEdge(a, b int) bool {
@@ -241,39 +226,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// Diameter returns the longest shortest-path distance over all reachable
-// node pairs, or -1 for an empty graph.
-func (g *Graph) Diameter() int {
-	n := len(g.adj)
-	if n == 0 {
-		return -1
-	}
-	dist := make([]int32, n)
-	queue := make([]int32, n)
-	best := 0
-	for v := 0; v < n; v++ {
-		if len(g.adj[v]) == 0 {
-			continue
-		}
-		g.BFSInto(v, dist, queue)
-		for _, d := range dist {
-			if int(d) > best {
-				best = int(d)
-			}
-		}
-	}
-	return best
-}
-
-// DegreeHistogram returns a map from degree to node count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := range g.adj {
-		h[len(g.adj[v])]++
-	}
-	return h
 }
 
 // SortAdjacency orders every adjacency list by (peer, edge). Builders call

@@ -13,29 +13,6 @@ type Path struct {
 // Len returns the hop count of the path (edges, not nodes).
 func (p Path) Len() int { return len(p.Nodes) - 1 }
 
-// Dijkstra computes shortest distances from src under per-edge lengths
-// length[e] (which must be non-negative). It fills dist (len N, +Inf when
-// unreachable) and prev (len N, -1 at roots/unreachable; otherwise the edge
-// index used to reach the node). Passing nil for prev skips predecessor
-// tracking.
-//
-// This is the convenience entry point: it allocates a fresh Workspace per
-// call. Hot loops (the FPTAS oracle, Yen's spur solves) should hold a
-// Workspace and call its methods instead, which is allocation-free.
-func (g *Graph) Dijkstra(src int, length []float64, dist []float64, prev []int32) {
-	w := g.NewWorkspace()
-	if prev == nil {
-		prev = w.Prev
-	}
-	w.run(int32(src), length, dist, prev, nil, nil, nil)
-}
-
-// ShortestPath returns one shortest path from src to dst under the given
-// edge lengths, or ok=false if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int, length []float64) (Path, bool) {
-	return g.NewWorkspace().ShortestPath(src, dst, length)
-}
-
 func (g *Graph) extractPath(src, dst int, cost float64, prev []int32) Path {
 	hops := 0
 	for v := int32(dst); v != int32(src); hops++ {
@@ -48,16 +25,6 @@ func (g *Graph) extractPath(src, dst int, cost float64, prev []int32) Path {
 		v = g.edges[prev[v]].Other(v)
 	}
 	return Path{Nodes: nodes, Cost: cost}
-}
-
-// KShortestPaths returns up to k loopless shortest paths from src to dst in
-// non-decreasing cost order using Yen's algorithm over Dijkstra. Parallel
-// edges are handled by banning edge indices rather than node pairs.
-//
-// This is the convenience entry point; repeated pair queries should reuse a
-// KSPSolver.
-func (g *Graph) KShortestPaths(src, dst, k int, length []float64) []Path {
-	return g.NewKSPSolver().KShortestPaths(src, dst, k, length)
 }
 
 // candidate is a Yen spur path awaiting selection. seq is the insertion

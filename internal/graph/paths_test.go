@@ -18,10 +18,10 @@ func TestDijkstraMatchesBFSOnUnitLengths(t *testing.T) {
 			return false
 		}
 		bfs := g.BFS(0)
-		dist := make([]float64, n)
-		g.Dijkstra(0, g.UnitLengths(), dist, nil)
+		ws := g.NewWorkspace()
+		ws.Dijkstra(0, g.UnitLengths())
 		for v := 0; v < n; v++ {
-			if int32(dist[v]) != bfs[v] {
+			if int32(ws.Dist[v]) != bfs[v] {
 				return false
 			}
 		}
@@ -44,7 +44,7 @@ func TestShortestPathWeighted(t *testing.T) {
 	length[e01], length[e13] = 1, 1
 	length[e02], length[e23] = 5, 1
 	length[e03] = 10
-	p, ok := g.ShortestPath(0, 3, length)
+	p, ok := g.NewWorkspace().ShortestPath(0, 3, length)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -56,7 +56,7 @@ func TestShortestPathWeighted(t *testing.T) {
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
-	if _, ok := g.ShortestPath(0, 2, g.UnitLengths()); ok {
+	if _, ok := g.NewWorkspace().ShortestPath(0, 2, g.UnitLengths()); ok {
 		t.Error("found path to isolated node")
 	}
 }
@@ -69,7 +69,7 @@ func TestKShortestPathsSimple(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(1, 2)
-	paths := g.KShortestPaths(0, 3, 4, g.UnitLengths())
+	paths := g.NewKSPSolver().KShortestPaths(0, 3, 4, g.UnitLengths())
 	if len(paths) != 4 {
 		t.Fatalf("got %d paths, want 4", len(paths))
 	}
@@ -105,7 +105,7 @@ func TestKShortestPathsProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		paths := g.KShortestPaths(0, n-1, 6, g.UnitLengths())
+		paths := g.NewKSPSolver().KShortestPaths(0, n-1, 6, g.UnitLengths())
 		if len(paths) == 0 {
 			return false
 		}
@@ -141,7 +141,7 @@ func TestKShortestPathsParallelEdges(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	paths := g.KShortestPaths(0, 1, 3, g.UnitLengths())
+	paths := g.NewKSPSolver().KShortestPaths(0, 1, 3, g.UnitLengths())
 	// Loopless node sequences are identical for parallel edges, so only
 	// one distinct path exists.
 	if len(paths) != 1 {

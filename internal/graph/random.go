@@ -19,7 +19,6 @@ import (
 // connectivity should check Connected() and retry with a different seed
 // (BuildConnected does this).
 func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
-	n := len(degrees)
 	for v, d := range degrees {
 		if d < 0 {
 			return nil, fmt.Errorf("graph: negative degree %d at node %d", d, v)
@@ -27,7 +26,20 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 	}
 	// No node ever exceeds its degree, so the carved lists never move.
 	g := NewWithDegrees(degrees)
-	free := slices.Clone(degrees)
+	wire(g, slices.Clone(degrees), nil, rng)
+	g.SortAdjacency()
+	return g, nil
+}
+
+// wire is the Jellyfish pair-and-swap loop that RandomDegree and
+// AugmentRandom share: it joins random non-adjacent pairs of nodes with
+// free ports and, when stuck, breaks an edge to splice the free ports into
+// it. free[v] is the number of edges node v may still receive; wire
+// consumes it, so on return it holds the ports left unused. o, if
+// non-nil, vetoes breaking pre-existing edges and records the ones broken;
+// RandomDegree passes nil, so its loop does no bookkeeping.
+func wire(g *Graph, free []int, o *origins, rng *RNG) {
+	n := g.N()
 	// Active list: the nodes with free ports, ascending. A node leaves the
 	// moment its last port is consumed, so the list never holds a spent
 	// node and is touched only then — not rescanned after every edge.
@@ -81,7 +93,7 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 		}
 		// Stuck: every remaining free-port pair is already adjacent (or a
 		// single node remains). Do a Jellyfish edge swap: pick x with
-		// free[x] >= 2, a random existing edge (u,w) with u,w not adjacent
+		// free[x] >= 2, a random breakable edge (u,w) with u,w not adjacent
 		// to x, replace it with (x,u) and (x,w).
 		x := -1
 		for _, v := range active {
@@ -96,14 +108,15 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 		swapped := false
 		if x >= 0 {
 			// Swap type 1: x has two free ports; splice it into a random
-			// existing edge (u,w) not touching x.
+			// breakable edge (u,w) not touching x.
 			for try := 0; try < 256; try++ {
-				e := g.Edge(rng.Intn(g.M()))
+				idx := rng.Intn(g.M())
+				e := g.Edge(idx)
 				u, w := int(e.A), int(e.B)
-				if u == x || w == x || g.HasEdge(x, u) || g.HasEdge(x, w) {
+				if u == x || w == x || g.HasEdge(x, u) || g.HasEdge(x, w) || !o.breakable(idx) {
 					continue
 				}
-				g.removeEdgeBetween(u, w)
+				o.remove(g, idx)
 				g.AddEdge(x, u)
 				g.AddEdge(x, w)
 				free[x] -= 2
@@ -112,18 +125,22 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 			}
 		} else if len(active) >= 2 {
 			// Swap type 2: the remaining free ports sit one-per-node on
-			// mutually adjacent nodes; break an edge (u,w) disjoint from
-			// two of them (x, y) and reconnect x-u, y-w.
+			// mutually adjacent nodes; break a breakable edge (u,w)
+			// disjoint from two of them (x, y) and reconnect x-u, y-w.
 			x, y := active[0], active[1]
 			for try := 0; try < 256 && !swapped; try++ {
-				e := g.Edge(rng.Intn(g.M()))
+				idx := rng.Intn(g.M())
+				e := g.Edge(idx)
+				if !o.breakable(idx) {
+					continue
+				}
 				for _, or := range [2][2]int{{int(e.A), int(e.B)}, {int(e.B), int(e.A)}} {
 					u, w := or[0], or[1]
 					if u == x || u == y || w == x || w == y ||
 						g.HasEdge(x, u) || g.HasEdge(y, w) {
 						continue
 					}
-					g.removeEdgeBetween(u, w)
+					o.remove(g, idx)
 					g.AddEdge(x, u)
 					g.AddEdge(y, w)
 					free[x]--
@@ -143,8 +160,6 @@ func RandomDegree(degrees []int, rng *RNG) (*Graph, error) {
 		stuck = 0
 		compact() // swaps are rare: a rescan here is off the per-edge path
 	}
-	g.SortAdjacency()
-	return g, nil
 }
 
 // BuildConnected calls RandomDegree with successive seeds derived from rng
@@ -160,24 +175,6 @@ func BuildConnected(degrees []int, rng *RNG) (*Graph, error) {
 		}
 	}
 	return nil, fmt.Errorf("graph: could not build a connected random graph in 32 attempts")
-}
-
-// removeEdgeBetween deletes one edge between u and w. Edge indices of other
-// edges are preserved by swapping the last edge into the vacated slot, so
-// callers must not hold edge indices across a removal.
-func (g *Graph) removeEdgeBetween(u, w int) {
-	var id int32 = -1
-	for _, h := range g.adj[u] {
-		if h.Peer == int32(w) {
-			id = h.Edge
-			break
-		}
-	}
-	if id < 0 {
-		//flatlint:ignore nopanic internal invariant: callers pass endpoints read from the adjacency lists
-		panic(fmt.Sprintf("graph: removeEdgeBetween(%d,%d): no such edge", u, w))
-	}
-	g.removeEdgeAt(id)
 }
 
 // removeEdgeAt deletes the edge at index id. Edge indices of other edges

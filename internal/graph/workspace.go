@@ -108,6 +108,8 @@ func (w *Workspace) Dijkstra(src int, length []float64) {
 // the full run's pop sequence (same heap, same deterministic tie-break),
 // results for targets are bit-identical to Dijkstra's — callers trade no
 // reproducibility for the saved work.
+//
+//flatlint:ignore testonly FuzzSSSPKernelsAgree checks the workspace state an early exit leaves, which no full run can
 func (w *Workspace) DijkstraTargets(src int, length []float64, targets []int32) {
 	w.run(int32(src), length, w.Dist, w.Prev, nil, nil, targets)
 }

@@ -230,17 +230,17 @@ func TestWorkspaceDijkstraTargetsUnreachable(t *testing.T) {
 	}
 }
 
-// TestWorkspaceShortestPathMatchesGraphAPI pins the convenience wrappers to
-// the workspace kernel.
+// TestWorkspaceShortestPathMatchesGraphAPI pins a reused workspace to the
+// one-shot call on a fresh one: no state leaks from one query to the next.
 func TestWorkspaceShortestPathMatchesGraphAPI(t *testing.T) {
 	rng := NewRNG(7)
 	g, length := randomMultigraph(rng)
 	ws := g.NewWorkspace()
 	for dst := 1; dst < g.N(); dst++ {
-		p1, ok1 := g.ShortestPath(0, dst, length)
+		p1, ok1 := g.NewWorkspace().ShortestPath(0, dst, length)
 		p2, ok2 := ws.ShortestPath(0, dst, length)
 		if ok1 != ok2 || !sameNodes(p1.Nodes, p2.Nodes) || p1.Cost != p2.Cost { //flatlint:ignore floatcmp both paths come from the same deterministic kernel
-			t.Fatalf("dst %d: wrapper %v/%v, workspace %v/%v", dst, p1, ok1, p2, ok2)
+			t.Fatalf("dst %d: fresh %v/%v, reused %v/%v", dst, p1, ok1, p2, ok2)
 		}
 	}
 }

@@ -45,9 +45,13 @@ func TestServerSpreadUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hosts := make(map[int]int)
+	for _, sv := range j.Net.Servers() {
+		hosts[j.Net.HostSwitch(sv)]++
+	}
 	min, max := 1<<30, 0
 	for _, sw := range j.Switches {
-		c := len(j.Net.HostedServers(sw))
+		c := hosts[sw]
 		if c < min {
 			min = c
 		}

@@ -74,9 +74,6 @@ func NewProblem(numVars int) *Problem {
 	return &Problem{numVars: numVars, objective: make([]float64, numVars)}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // SetObjectiveCoef sets the objective coefficient of variable v.
 func (p *Problem) SetObjectiveCoef(v int, c float64) { p.objective[v] = c }
 

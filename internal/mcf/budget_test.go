@@ -115,9 +115,24 @@ func edgeAllToAll(t *testing.T, k int) (*topo.Network, []Commodity) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One server per edge switch, ascending by switch: the first its
+	// links attach.
+	first := make(map[int]int)
+	for _, l := range ft.Net.Links {
+		for _, sv := range [2]int{l.A, l.B} {
+			if ft.Net.Nodes[sv].Kind != topo.Server {
+				continue
+			}
+			if _, ok := first[ft.Net.HostSwitch(sv)]; !ok {
+				first[ft.Net.HostSwitch(sv)] = sv
+			}
+		}
+	}
 	var picks []int
-	for _, sw := range ft.Net.NodesOf(topo.EdgeSwitch) {
-		picks = append(picks, int(ft.Net.HostedServers(sw)[0]))
+	for _, sw := range ft.Net.Switches() {
+		if ft.Net.Nodes[sw].Kind == topo.EdgeSwitch {
+			picks = append(picks, first[sw])
+		}
 	}
 	var comms []Commodity
 	for _, a := range picks {

@@ -323,8 +323,8 @@ func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities [
 	if opt.Epsilon <= 0 {
 		opt.Epsilon = 0.08
 	}
-	if opt.Epsilon >= 0.5 {
-		return Result{}, fmt.Errorf("mcf: epsilon %g too large (need < 0.5)", opt.Epsilon)
+	if !(0 < opt.Epsilon && opt.Epsilon < 0.5) {
+		return Result{}, fmt.Errorf("mcf: epsilon %g out of (0, 0.5)", opt.Epsilon)
 	}
 	if opt.MaxPhases <= 0 {
 		opt.MaxPhases = 1 << 20
@@ -662,6 +662,8 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 // MaxConcurrentFlowExact solves the instance exactly with the edge-based LP
 // formulation. Intended for small instances (the variable count is
 // 2·edges·commodities + 1); tests use it to validate MaxConcurrentFlow.
+//
+//flatlint:ignore testonly the exact LP reference oracle every solver path is checked against
 func MaxConcurrentFlowExact(nw *topo.Network, commodities []Commodity) (float64, error) {
 	pr := &problem{}
 	if err := aggregate(nw, commodities, pr); err != nil {

@@ -190,6 +190,11 @@ func TestErrors(t *testing.T) {
 	if _, err := MaxConcurrentFlow(context.Background(), nw, []Commodity{{Src: servers[0], Dst: servers[1], Demand: 1}}, Options{Epsilon: 0.7}); err == nil {
 		t.Error("epsilon >= 0.5 should error")
 	}
+	// NaN fails every comparison, so a range check that only rejects
+	// what compares out of range lets it through into the solve.
+	if _, err := MaxConcurrentFlow(context.Background(), nw, []Commodity{{Src: servers[0], Dst: servers[1], Demand: 1}}, Options{Epsilon: math.NaN()}); err == nil || !strings.Contains(err.Error(), "epsilon") {
+		t.Errorf("NaN epsilon: got %v, want an epsilon error", err)
+	}
 	if _, err := MaxConcurrentFlow(context.Background(), nw, []Commodity{{Src: -1, Dst: servers[1], Demand: 1}}, Options{}); err == nil {
 		t.Error("bad node should error")
 	}
@@ -346,7 +351,7 @@ func TestSolveIsHistoryFree(t *testing.T) {
 	k6, comms6 := mirrored(6)
 	var aggUplink int // an edge-agg link of k6: its loss moves λ
 	for _, l := range k6.Links {
-		if ka, kb := k6.LinkEndpointKinds(l); ka.IsSwitch() && kb.IsSwitch() {
+		if k6.IsSwitchLink(l) {
 			aggUplink = l.ID
 			break
 		}

@@ -118,57 +118,6 @@ func (e *ECMP) Paths(src, dst int) ([]graph.Path, error) {
 	return out, nil
 }
 
-// NumShortestPaths counts all shortest paths between two switches exactly
-// (no cap) by DAG path counting — the paper's "rich equal-cost redundant
-// links" property of Clos operation, quantified.
-func (e *ECMP) NumShortestPaths(src, dst int) (int64, error) {
-	s, err := e.sg.resolve(src)
-	if err != nil {
-		return 0, err
-	}
-	d, err := e.sg.resolve(dst)
-	if err != nil {
-		return 0, err
-	}
-	if s == d {
-		return 1, nil
-	}
-	dist := e.sg.g.BFS(s)
-	if dist[d] < 0 {
-		return 0, fmt.Errorf("routing: %d and %d disconnected", src, dst)
-	}
-	// Count paths in BFS-layer order.
-	order := make([]int32, 0, e.sg.g.N())
-	for v := 0; v < e.sg.g.N(); v++ {
-		if dist[v] >= 0 {
-			order = append(order, int32(v))
-		}
-	}
-	// Sort by distance layer (counting sort).
-	maxD := int32(0)
-	for _, v := range order {
-		if dist[v] > maxD {
-			maxD = dist[v]
-		}
-	}
-	buckets := make([][]int32, maxD+1)
-	for _, v := range order {
-		buckets[dist[v]] = append(buckets[dist[v]], v)
-	}
-	count := make([]int64, e.sg.g.N())
-	count[s] = 1
-	for dd := int32(1); dd <= maxD; dd++ {
-		for _, v := range buckets[dd] {
-			for _, h := range e.sg.g.Neighbors(int(v)) {
-				if dist[h.Peer] == dd-1 {
-					count[v] += count[h.Peer]
-				}
-			}
-		}
-	}
-	return count[d], nil
-}
-
 // KSP computes k loopless shortest paths per pair, the paper's routing for
 // approximated random graphs (citing Jellyfish). It keeps a reusable Yen
 // solver (Dijkstra workspace, candidate heap, signature set), so a KSP

@@ -6,6 +6,7 @@ import (
 	"flattree/internal/core"
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
+	"flattree/internal/topo"
 )
 
 func TestECMPFatTreeCrossPod(t *testing.T) {
@@ -33,13 +34,24 @@ func TestECMPFatTreeCrossPod(t *testing.T) {
 			t.Errorf("path endpoints wrong: %v", p.Nodes)
 		}
 	}
-	n, err := e.NumShortestPaths(src, dst)
+	if n := numShortestPaths(t, f.Net, src, dst); n != 4 {
+		t.Errorf("%d shortest paths, want 4", n)
+	}
+}
+
+// numShortestPaths counts every shortest path between two switches: ECMP
+// with a cap far above any count these tests reach.
+func numShortestPaths(t *testing.T, nw *topo.Network, src, dst int) int {
+	t.Helper()
+	const limit = 1024
+	paths, err := NewECMP(nw, limit).Paths(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Errorf("NumShortestPaths = %d, want 4", n)
+	if len(paths) == limit {
+		t.Fatalf("%d->%d: %d paths reach the cap; the count is not exact", src, dst, limit)
 	}
+	return len(paths)
 }
 
 func TestECMPIntraPod(t *testing.T) {
@@ -47,13 +59,8 @@ func TestECMPIntraPod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewECMP(f.Net, 0)
 	// Two edges in the same pod: 2 hops via any of the k/2=3 aggs.
-	n, err := e.NumShortestPaths(f.Edges[0][0], f.Edges[0][1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
+	if n := numShortestPaths(t, f.Net, f.Edges[0][0], f.Edges[0][1]); n != 3 {
 		t.Errorf("intra-pod paths = %d, want 3", n)
 	}
 }
@@ -119,17 +126,11 @@ func TestFlatTreeECMPRichness(t *testing.T) {
 	}
 	src, dst := ft.Edges[0][0], ft.Edges[4][0]
 
-	closPaths, err := NewECMP(ft.Net(), 0).NumShortestPaths(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	closPaths := numShortestPaths(t, ft.Net(), src, dst)
 	if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
 		t.Fatal(err)
 	}
-	grPaths, err := NewECMP(ft.Net(), 0).NumShortestPaths(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grPaths := numShortestPaths(t, ft.Net(), src, dst)
 	if closPaths <= grPaths {
 		t.Errorf("Clos should have more equal-cost paths: clos=%d global=%d", closPaths, grPaths)
 	}

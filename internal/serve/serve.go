@@ -127,9 +127,6 @@ func New(cfg Config) (*Server, error) {
 // Store exposes the underlying result store (tests and drain logging).
 func (s *Server) Store() *store.Store { return s.st }
 
-// Counters snapshots the service counters.
-func (s *Server) Counters() metrics.ServiceStats { return s.counters.Read() }
-
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

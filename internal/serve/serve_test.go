@@ -89,14 +89,14 @@ func TestColdWarmByteIdentical(t *testing.T) {
 		t.Errorf("served cell differs from direct computation:\n--- direct\n%s--- served\n%s", want.Bytes(), coldBody)
 	}
 
-	st := s.Counters()
+	st := s.counters.Read()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("counters = %+v; want 1 hit, 1 miss", st)
 	}
 
 	// A fresh server over the same store directory serves the same bytes
 	// — persistence across restart is the point of the store.
-	s2 := testServer(t, Config{StoreDir: s.Store().Dir()})
+	s2 := testServer(t, Config{StoreDir: s.cfg.StoreDir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	restarted, restartedBody := get(t, ts2.Client(), ts2.URL+"/v1/cell?exp=fig5&col=fat-tree")
@@ -161,7 +161,7 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 	if counts["miss"] != 1 || counts["shared"] != n-1 {
 		t.Errorf("cache outcomes = %v; want 1 miss, %d shared", counts, n-1)
 	}
-	st := s.Counters()
+	st := s.counters.Read()
 	if st.Misses != 1 || st.Shared != n-1 {
 		t.Errorf("counters = %+v; want exactly one solve, %d shared", st, n-1)
 	}
@@ -223,7 +223,7 @@ func TestOverloadSheds429(t *testing.T) {
 			t.Errorf("admitted request finished with %d; want 200", code)
 		}
 	}
-	st := s.Counters()
+	st := s.counters.Read()
 	if st.Sheds != 1 || st.Misses != 2 {
 		t.Errorf("counters = %+v; want 1 shed, 2 misses", st)
 	}
@@ -260,7 +260,7 @@ func TestDeadlineDegradesToApproximate(t *testing.T) {
 	if st := s.Store().Stats(); st.Entries != 0 {
 		t.Errorf("store has %d entries after an approximate-only run; want 0", st.Entries)
 	}
-	if st := s.Counters(); st.DeadlineDegrades != 1 {
+	if st := s.counters.Read(); st.DeadlineDegrades != 1 {
 		t.Errorf("counters = %+v; want 1 deadline degrade", st)
 	}
 }

@@ -132,9 +132,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // errCorrupt marks an entry whose bytes do not verify; it never escapes
 // the package — corrupt entries surface as misses after quarantine.
 var errCorrupt = errors.New("store: entry failed verification")

@@ -39,7 +39,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 
 	// A fresh Open of the same directory serves the same bytes.
-	s2, err := Open(s.Dir())
+	s2, err := Open(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,39 +86,3 @@ func (nw *Network) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
-
-// ReadJSON reconstructs a Network serialized by WriteJSON.
-func ReadJSON(r io.Reader) (*Network, error) {
-	var in jsonNetwork
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("topo: decode: %w", err)
-	}
-	kinds := map[string]Kind{
-		"server": Server, "edge": EdgeSwitch, "agg": AggSwitch, "core": CoreSwitch,
-	}
-	tags := map[string]LinkTag{
-		"clos": TagClos, "conv": TagConverter, "side": TagSide, "rand": TagRandom,
-	}
-	b := NewBuilder(in.Name)
-	for i, n := range in.Nodes {
-		k, ok := kinds[n.Kind]
-		if !ok {
-			return nil, fmt.Errorf("topo: node %d has unknown kind %q", n.ID, n.Kind)
-		}
-		if n.ID != i {
-			return nil, fmt.Errorf("topo: node IDs must be dense and ordered (got %d at %d)", n.ID, i)
-		}
-		b.AddNode(k, n.Pod, n.Index, n.Ports)
-	}
-	for _, l := range in.Links {
-		tag, ok := tags[l.Tag]
-		if !ok {
-			return nil, fmt.Errorf("topo: link %d-%d has unknown tag %q", l.A, l.B, l.Tag)
-		}
-		if l.A < 0 || l.A >= len(in.Nodes) || l.B < 0 || l.B >= len(in.Nodes) {
-			return nil, fmt.Errorf("topo: link %d-%d out of range", l.A, l.B)
-		}
-		b.AddLink(l.A, l.B, tag)
-	}
-	return b.Build(), nil
-}

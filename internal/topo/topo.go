@@ -116,14 +116,10 @@ type Network struct {
 	Nodes []Node
 	Links []Link
 
-	byKind   [numKinds][]int
+	servers  []int   // every server ID, ascending
 	switches []int   // every switch ID, ascending
 	hostOf   []int32 // server ID -> attachment switch ID (-1 if detached)
-	// Switch sw hosts the servers hosted[hostedOff[sw]:hostedOff[sw+1]],
-	// in link order.
-	hostedOff []int32
-	hosted    []int32
-	portUse   []int
+	portUse  []int
 }
 
 // Graph builds the node-level graph, servers included: node v is Nodes[v],
@@ -157,16 +153,8 @@ func (nw *Network) Components() (label []int32, count int) {
 // N returns the total node count.
 func (nw *Network) N() int { return len(nw.Nodes) }
 
-// NodesOf returns the IDs of all nodes of the given kind, ascending.
-func (nw *Network) NodesOf(k Kind) []int {
-	if k >= numKinds {
-		return nil
-	}
-	return nw.byKind[k]
-}
-
 // Servers returns all server IDs, ascending.
-func (nw *Network) Servers() []int { return nw.byKind[Server] }
+func (nw *Network) Servers() []int { return nw.servers }
 
 // Switches returns all switch IDs (edge, agg, core), ascending. The caller
 // must not modify the slice.
@@ -175,13 +163,6 @@ func (nw *Network) Switches() []int { return nw.switches }
 // HostSwitch returns the switch a server attaches to, or -1 if the server is
 // detached (which Validate treats as an error).
 func (nw *Network) HostSwitch(server int) int { return int(nw.hostOf[server]) }
-
-// HostedServers returns the servers attached to the given switch, in link
-// order. The caller must not modify the slice.
-func (nw *Network) HostedServers(sw int) []int32 {
-	lo, hi := nw.hostedOff[sw], nw.hostedOff[sw+1]
-	return nw.hosted[lo:hi:hi]
-}
 
 // IsSwitchLink reports whether l joins two switches: a link of the switch
 // fabric rather than a server's access link.
@@ -234,28 +215,6 @@ func (nw *Network) SwitchGraph(g *graph.Graph, idx []int32) []int32 {
 
 // PortsUsed returns the number of ports consumed at node v.
 func (nw *Network) PortsUsed(v int) int { return nw.portUse[v] }
-
-// LinkEndpointKinds returns the endpoint kinds of link l ordered so the
-// "higher" layer comes first (core > agg > edge > server).
-func (nw *Network) LinkEndpointKinds(l Link) (Kind, Kind) {
-	ka, kb := nw.Nodes[l.A].Kind, nw.Nodes[l.B].Kind
-	if rank(ka) < rank(kb) {
-		ka, kb = kb, ka
-	}
-	return ka, kb
-}
-
-func rank(k Kind) int {
-	switch k {
-	case CoreSwitch:
-		return 3
-	case AggSwitch:
-		return 2
-	case EdgeSwitch:
-		return 1
-	}
-	return 0
-}
 
 // Builder assembles a Network with strict port accounting. Build consumes
 // it: the Network takes over the builder's tables, so any later call on the
@@ -349,14 +308,8 @@ func (b *Builder) AddLink(a, bb int, tag LinkTag) int {
 	return id
 }
 
-// FreePorts returns the remaining port budget at node v.
-func (b *Builder) FreePorts(v int) int { return b.nodes[v].Ports - b.used[v] }
-
 // NumNodes returns the number of nodes added so far.
 func (b *Builder) NumNodes() int { return len(b.nodes) }
-
-// Node returns a copy of node v's current record.
-func (b *Builder) Node(v int) Node { return b.nodes[v] }
 
 // Build freezes the builder into a Network and consumes the builder. Every
 // derived table is counted first and carved from one allocation, so a build
@@ -367,52 +320,32 @@ func (b *Builder) Build() *Network {
 	*b = Builder{built: true}
 	n := len(nw.Nodes)
 
-	// Nodes by kind and the switch list, ascending because node IDs are.
-	var count [numKinds]int
+	// The server and switch lists, ascending because node IDs are.
+	servers := 0
 	for i := range nw.Nodes {
-		count[nw.Nodes[i].Kind]++
+		if nw.Nodes[i].Kind == Server {
+			servers++
+		}
 	}
-	ids := make([]int, n+n-count[Server])
-	at := 0
-	for k := range nw.byKind {
-		nw.byKind[k] = ids[at : at : at+count[k]]
-		at += count[k]
-	}
-	nw.switches = ids[n:n]
+	ids := make([]int, n)
+	nw.servers, nw.switches = ids[:0:servers], ids[servers:servers]
 	for i := range nw.Nodes {
-		k := nw.Nodes[i].Kind
-		nw.byKind[k] = append(nw.byKind[k], i)
-		if k.IsSwitch() {
+		if nw.Nodes[i].Kind == Server {
+			nw.servers = append(nw.servers, i)
+		} else {
 			nw.switches = append(nw.switches, i)
 		}
 	}
 
-	// Server attachment, both directions. Switch sw's hosted servers are
-	// counted in off[sw+2]; after the prefix sum off[sw+1] is where they
-	// start, and the fill advances it to where they end, which is where
-	// sw+1's start.
 	nw.hostOf = make([]int32, n)
 	for i := range nw.hostOf {
 		nw.hostOf[i] = -1
 	}
-	off := make([]int32, n+2)
 	for _, l := range nw.Links {
 		if sv, sw := nw.accessLink(l); sv >= 0 {
 			nw.hostOf[sv] = int32(sw)
-			off[sw+2]++
 		}
 	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	nw.hosted = make([]int32, off[n+1])
-	for _, l := range nw.Links {
-		if sv, sw := nw.accessLink(l); sv >= 0 {
-			nw.hosted[off[sw+1]] = int32(sv)
-			off[sw+1]++
-		}
-	}
-	nw.hostedOff = off[:n+1]
 	return nw
 }
 
@@ -440,13 +373,16 @@ type Stats struct {
 
 // Stats computes summary statistics.
 func (nw *Network) Stats() Stats {
-	s := Stats{
-		Servers:      len(nw.byKind[Server]),
-		EdgeSwitches: len(nw.byKind[EdgeSwitch]),
-		AggSwitches:  len(nw.byKind[AggSwitch]),
-		CoreSwitches: len(nw.byKind[CoreSwitch]),
-		Links:        len(nw.Links),
-		LinksByTag:   make(map[LinkTag]int),
+	s := Stats{Servers: len(nw.servers), Links: len(nw.Links), LinksByTag: make(map[LinkTag]int)}
+	for i := range nw.Nodes {
+		switch nw.Nodes[i].Kind {
+		case EdgeSwitch:
+			s.EdgeSwitches++
+		case AggSwitch:
+			s.AggSwitches++
+		case CoreSwitch:
+			s.CoreSwitches++
+		}
 	}
 	for _, l := range nw.Links {
 		s.LinksByTag[l.Tag]++
@@ -464,7 +400,7 @@ func (nw *Network) Stats() Stats {
 // but re-checked); and every node with a used port lies in one connected
 // component. A node with no used port (a spare switch) is ignored.
 func (nw *Network) Validate() error {
-	for _, sv := range nw.byKind[Server] {
+	for _, sv := range nw.servers {
 		if use := nw.portUse[sv]; use != 1 {
 			return fmt.Errorf("topo: server %d has %d links, want 1", sv, use)
 		}

@@ -19,8 +19,8 @@ func TestBuilderBasics(t *testing.T) {
 	if nw.HostSwitch(s0) != sw || nw.HostSwitch(s1) != sw {
 		t.Error("host switches wrong")
 	}
-	if len(nw.HostedServers(sw)) != 2 {
-		t.Error("hosted servers wrong")
+	if got := nw.Servers(); !reflect.DeepEqual(got, []int{s0, s1}) {
+		t.Errorf("servers = %v, want [%d %d]", got, s0, s1)
 	}
 	if err := nw.Validate(); err != nil {
 		t.Error(err)
@@ -178,46 +178,35 @@ func TestStatsAndKinds(t *testing.T) {
 	if st.Links != 3 || st.SwitchSwitchLinks != 2 || st.ServerLinks != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	ka, kb := nw.LinkEndpointKinds(nw.Links[0])
-	if ka != CoreSwitch || kb != AggSwitch {
-		t.Errorf("endpoint kinds = %s,%s", ka, kb)
-	}
-	ka, kb = nw.LinkEndpointKinds(nw.Links[2])
-	if ka != EdgeSwitch || kb != Server {
-		t.Errorf("endpoint kinds = %s,%s", ka, kb)
+	if st.Servers != 1 || st.EdgeSwitches != 1 || st.AggSwitches != 1 || st.CoreSwitches != 1 {
+		t.Errorf("kind counts = %+v", st)
 	}
 	if !CoreSwitch.IsSwitch() || Server.IsSwitch() {
 		t.Error("IsSwitch wrong")
 	}
 }
 
+// TestNodesOfOrdering: the per-kind node lists, Servers and Switches, hold
+// exactly the nodes of their kind, in ascending ID order.
 func TestNodesOfOrdering(t *testing.T) {
 	err := quick.Check(func(seed uint8) bool {
 		b := NewBuilder("q")
-		// Interleave node kinds; NodesOf must return ascending IDs.
+		// Interleave node kinds; both lists must come out ascending.
 		kinds := []Kind{Server, EdgeSwitch, AggSwitch, CoreSwitch}
 		for i := 0; i < 20; i++ {
 			b.AddNode(kinds[(int(seed)+i)%4], 0, i, 8)
 		}
 		nw := b.Build()
-		for _, k := range kinds {
+		for _, list := range [][]int{nw.Servers(), nw.Switches()} {
 			prev := -1
-			for _, id := range nw.NodesOf(k) {
-				if id <= prev {
+			for _, id := range list {
+				if id <= prev || nw.Nodes[id].Kind.IsSwitch() != nw.Nodes[list[0]].Kind.IsSwitch() {
 					return false
 				}
 				prev = id
 			}
 		}
-		sw := nw.Switches()
-		prev := -1
-		for _, id := range sw {
-			if id <= prev || nw.Nodes[id].Kind == Server {
-				return false
-			}
-			prev = id
-		}
-		return true
+		return len(nw.Servers())+len(nw.Switches()) == nw.N()
 	}, nil)
 	if err != nil {
 		t.Error(err)
@@ -303,8 +292,8 @@ func TestForkIsIndependent(t *testing.T) {
 	if n1.Links[0] != n2.Links[0] {
 		t.Error("template link moved between forks")
 	}
-	if base.FreePorts(sw0) != 1 || base.FreePorts(sw2) != 2 {
-		t.Errorf("fork consumed the template's ports: %d, %d", base.FreePorts(sw0), base.FreePorts(sw2))
+	if base.used[sw0] != 1 || base.used[sw2] != 0 {
+		t.Errorf("fork consumed the template's ports: %d, %d used", base.used[sw0], base.used[sw2])
 	}
 	if n1.PortsUsed(sw2) != 1 || n2.PortsUsed(sw1) != 1 {
 		t.Error("forks share port accounting")

@@ -46,26 +46,40 @@ func structureDigest(nw *topo.Network) string {
 	for _, l := range nw.Links {
 		put(l.ID, l.A, l.B, int(l.Tag))
 	}
+	// The per-switch hosted-server lists in link order and the per-kind ID
+	// lists, read off the link and node tables.
+	hosted := make([][]int, len(nw.Nodes))
+	for _, l := range nw.Links {
+		ka, kb := nw.Nodes[l.A].Kind, nw.Nodes[l.B].Kind
+		switch {
+		case ka == topo.Server && kb.IsSwitch():
+			hosted[l.B] = append(hosted[l.B], l.A)
+		case kb == topo.Server && ka.IsSwitch():
+			hosted[l.A] = append(hosted[l.A], l.B)
+		}
+	}
+	byKind := make(map[topo.Kind][]int)
+	for _, n := range nw.Nodes {
+		byKind[n.Kind] = append(byKind[n.Kind], n.ID)
+	}
 	g := nw.Graph()
 	put(g.N(), g.M())
 	for _, e := range g.Edges() {
 		put(int(e.A), int(e.B))
 	}
 	for v := 0; v < g.N(); v++ {
-		put(g.Degree(v), nw.PortsUsed(v))
+		put(len(g.Neighbors(v)), nw.PortsUsed(v))
 		for _, half := range g.Neighbors(v) {
 			put(int(half.Peer), int(half.Edge))
 		}
-		for _, sv := range nw.HostedServers(v) {
-			put(int(sv))
-		}
+		put(hosted[v]...)
 		put(-1)
 	}
 	for _, sv := range nw.Servers() {
 		put(sv, nw.HostSwitch(sv))
 	}
 	for _, kind := range []topo.Kind{topo.EdgeSwitch, topo.AggSwitch, topo.CoreSwitch} {
-		put(nw.NodesOf(kind)...)
+		put(byKind[kind]...)
 		put(-1)
 	}
 	put(nw.Switches()...)
@@ -176,7 +190,7 @@ func TestComponentsMatchNodeGraph(t *testing.T) {
 		}
 		oneLink := true
 		for _, sv := range nw.Servers() {
-			switch g.Degree(sv) {
+			switch len(g.Neighbors(sv)) {
 			case 0:
 				detached++
 				oneLink = false
