@@ -409,6 +409,20 @@ func BenchmarkFaults(b *testing.B) {
 	}
 }
 
+// BenchmarkSelfHeal runs the self-heal trajectory on the perf ledger's
+// ctrl-heal scenario: k = 8, a quarter of the pod agents killed, one pod
+// re-aimed per dark window, two trials scored on two workers.
+func BenchmarkSelfHeal(b *testing.B) {
+	cfg := cfgUpTo(8, 0.1)
+	cfg.Trials = 2
+	cfg.Parallelism = 2
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.SelfHeal(context.Background(), cfg, 8, 0.25, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDynsimFCT measures the fluid simulator on the adaptive-loop
 // workload, reporting mean FCT in Clos vs global-random mode.
 func BenchmarkDynsimFCT(b *testing.B) {

@@ -27,8 +27,8 @@ const (
 // two-phase stage/commit exchange so that a conversion is all-or-nothing.
 //
 // Agents send periodic heartbeats (MsgHeartbeat); the controller records a
-// last-seen timestamp per pod, and DeadPods/WaitForFailures turn those
-// timestamps into a deadline-based liveness verdict that SelfHeal consumes.
+// last-seen timestamp per pod, and WaitForFailures turns those timestamps
+// into a deadline-based liveness verdict that SelfHeal consumes.
 type Controller struct {
 	mu       sync.Mutex
 	ft       *core.FlatTree

@@ -539,7 +539,7 @@ func (c *Controller) SelfHealScenario(ctx context.Context, sc faults.Scenario, o
 // degrades to a partial result with Partial set, rather than failing.
 // Only plan-level errors and context cancellation are returned as errors.
 //
-// The dead pods are typically discovered via DeadPods/WaitForFailures;
+// The dead pods are typically confirmed via WaitForFailures;
 // SelfHeal itself takes them as input so policy (how long to wait, how
 // many concurrent failures to batch into one repair) stays with the
 // caller.

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -38,6 +39,23 @@ func (hp *healPlant) connect(p int) *Agent {
 	a.HeartbeatInterval = 5 * time.Millisecond
 	hp.run(context.Background(), a)
 	return a
+}
+
+// DeadPods returns the sorted pods that ever registered and whose last
+// received message is older than deadline — the verdict WaitForFailures
+// waits for, over every pod at once.
+func (c *Controller) DeadPods(deadline time.Duration) []int {
+	cutoff := time.Now().Add(-deadline)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var dead []int
+	for pod, seen := range c.lastSeen {
+		if seen.Before(cutoff) {
+			dead = append(dead, int(pod))
+		}
+	}
+	sort.Ints(dead)
+	return dead
 }
 
 // waitAllAlive polls until no pod is past the heartbeat deadline.
@@ -89,6 +107,24 @@ func TestWaitForFailuresTimeout(t *testing.T) {
 	}
 	if len(live) != 1 || live[0] != 0 {
 		t.Fatalf("still-live pods = %v, want [0]", live)
+	}
+}
+
+// TestWaitForFailuresPromptDetection: a killed pod is seen dead soon after
+// it crosses the deadline, not at the next step of a backed-off poll
+// schedule (which at D = 200 ms answered at ≈ 1.9·D).
+func TestWaitForFailuresPromptDetection(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	hp := startHealPlant(t, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	killed := time.Now()
+	hp.Kill(3)
+	if _, err := hp.c.WaitForFailures(ctx, []int{3}, deadline); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(killed); took >= deadline*3/2 {
+		t.Errorf("death seen %v after the kill, want < %v (1.5 × the %v deadline)", took, deadline*3/2, deadline)
 	}
 }
 

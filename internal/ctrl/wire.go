@@ -196,8 +196,10 @@ func UnmarshalStage(b []byte) (Stage, error) {
 		return Stage{}, fmt.Errorf("ctrl: stage payload %d bytes, want >= 12", len(b))
 	}
 	s := Stage{Epoch: binary.BigEndian.Uint64(b[0:8])}
+	// Compare in 64 bits: 5*n wraps in uint32, and a wrapped count would
+	// pass the check and size the entry slice from the forged n.
 	n := binary.BigEndian.Uint32(b[8:12])
-	if uint32(len(b)-12) != 5*n {
+	if uint64(len(b)-12) != 5*uint64(n) {
 		return Stage{}, fmt.Errorf("ctrl: stage payload %d bytes for %d entries", len(b), n)
 	}
 	s.Entries = make([]ConfigEntry, n)

@@ -151,3 +151,50 @@ func TestMsgTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// FuzzWireFrame feeds arbitrary bytes to the decoders: ReadFrame and every
+// Unmarshal* must return an error rather than panic, and whatever they
+// accept must re-encode to exactly the bytes they read.
+func FuzzWireFrame(f *testing.F) {
+	frame := func(t MsgType, payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, t, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(frame(MsgHello, MarshalHello(Hello{Pod: 3, NumConverters: 8})))
+	f.Add(frame(MsgStage, MarshalStage(Stage{Epoch: 7, Entries: []ConfigEntry{{Converter: 1, Config: 2}, {Converter: 5}}})))
+	f.Add(frame(MsgStaged, MarshalAck(Ack{Epoch: 7, Pod: 2})))
+	f.Add(frame(MsgCommit, MarshalCommit(Commit{Epoch: 7})))
+	f.Add(frame(MsgError, MarshalError(ErrorMsg{Epoch: 7, Pod: 1, Text: "converter 4 stuck"})))
+	f.Add(frame(MsgHeartbeat, nil))
+	// A stage whose entry count wraps 5*n in 32 bits to the 4 bytes present.
+	f.Add(frame(MsgStage, []byte{0, 0, 0, 0, 0, 0, 0, 1, 0x33, 0x33, 0x33, 0x34, 1, 2, 3, 4}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if mt, payload, err := ReadFrame(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, mt, payload); err != nil {
+				t.Fatalf("accepted %s frame does not re-encode: %v", mt, err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+				t.Fatalf("%s frame re-encodes to %x, read from %x", mt, buf.Bytes(), data[:buf.Len()])
+			}
+		}
+		codecs := []struct {
+			name   string
+			recode func([]byte) ([]byte, error)
+		}{
+			{"hello", func(b []byte) ([]byte, error) { m, err := UnmarshalHello(b); return MarshalHello(m), err }},
+			{"stage", func(b []byte) ([]byte, error) { m, err := UnmarshalStage(b); return MarshalStage(m), err }},
+			{"ack", func(b []byte) ([]byte, error) { m, err := UnmarshalAck(b); return MarshalAck(m), err }},
+			{"commit", func(b []byte) ([]byte, error) { m, err := UnmarshalCommit(b); return MarshalCommit(m), err }},
+			{"error", func(b []byte) ([]byte, error) { m, err := UnmarshalError(b); return MarshalError(m), err }},
+		}
+		for _, c := range codecs {
+			if got, err := c.recode(data); err == nil && !bytes.Equal(got, data) {
+				t.Errorf("%s payload %x re-encodes to %x", c.name, data, got)
+			}
+		}
+	})
+}

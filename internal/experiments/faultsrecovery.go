@@ -27,8 +27,10 @@ import (
 // Throughput is chaos.Score's max concurrent flow of a seeded random
 // server permutation (each surviving server sends unit demand to one
 // peer), solved with SkipDualBound; a disconnected network scores 0
-// without solving. Cells fan out over cfg.Parallelism workers and reduce
-// in index order, so the table is byte-identical at every worker count.
+// without solving. When recovery rewired nothing (faults.Recover returned
+// the degraded network itself) the recovered cell reuses the failed one.
+// Cells fan out over cfg.Parallelism workers and reduce in index order, so
+// the table is byte-identical at every worker count.
 func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario) (*Table, error) {
 	trials := cfg.trials()
 	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
@@ -82,6 +84,12 @@ func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario
 		})
 		if err != nil {
 			return c, err
+		}
+		if rec == out.Net {
+			// Nothing was rewired (fixed cabling, or no failure): the
+			// recovered cell is the failed one.
+			c[1] = c[0]
+			return c, nil
 		}
 		c[1], err = scoreDamage(ctx, cfg, rec, sc.Seed, true)
 		return c, err

@@ -21,14 +21,19 @@ import (
 // throughput trajectory: pre-failure → failed → each §2.7 dark window →
 // recovered, with connectivity and path length alongside λ.
 //
-// The live phase runs trials sequentially (its outcome is a deterministic
-// function of the seed; TCP timing only affects wall-clock), and the
-// measurement fans out one work item per trial over cfg.Parallelism
-// workers, reducing in index order — so the table is byte-identical at
-// every worker count. λ is the max concurrent flow of a seeded permutation
-// workload over the largest connected component's servers (dark windows
-// detach some servers; they are down, not partitioned, and the surviving
-// fabric's throughput is the quantity of interest).
+// The run has two steps. First every trial's live phase runs at once, one
+// worker per trial: those phases wait on heartbeat deadlines and TCP round
+// trips, not on the CPU, and their outcome is a deterministic function of
+// the seed (TCP timing only affects wall-clock). No scoring runs beside
+// them, so no solve can starve a heartbeat past its deadline. Then every
+// (stage, trial) cell that exists fans out over cfg.Parallelism workers in
+// stage-major order, so the costliest solves (the intact pre-failure
+// fabrics) start first. Each stage's cells fold in trial order, so the
+// table is byte-identical at every worker count, however ragged the
+// trials' window counts. λ is the max concurrent flow of a seeded
+// permutation workload over the largest connected component's servers
+// (dark windows detach some servers; they are down, not partitioned, and
+// the surviving fabric's throughput is the quantity of interest).
 func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSize int) (*Table, error) {
 	if failFrac <= 0 || failFrac >= 1 {
 		return nil, fmt.Errorf("selfheal: fail fraction %g out of (0,1)", failFrac)
@@ -43,14 +48,18 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 	trials := cfg.trials()
 	seeds := cfg.trialSeeds()
 
-	stages := make([][]*topo.Network, trials)
-	maxWin := 0
-	for tr := 0; tr < trials; tr++ {
+	stages, err := parallel.MapCtx(ctx, trials, trials, func(tr int) ([]*topo.Network, error) {
 		st, err := runSelfHealTrial(ctx, k, nDead, batchSize, seeds.Seed(uint64(tr)))
 		if err != nil {
 			return nil, fmt.Errorf("selfheal trial %d: %w", tr, err)
 		}
-		stages[tr] = st
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	maxWin := 0
+	for _, st := range stages {
 		maxWin = max(maxWin, len(st)-3)
 	}
 
@@ -60,25 +69,30 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 	}
 	canon = append(canon, "recovered")
 
-	// results[tr][si] is nil where trial tr's repair used fewer windows.
-	results, err := parallel.MapCtx(ctx, trials, cfg.workers(), func(tr int) ([]*damage, error) {
-		cells := make([]*damage, len(canon))
-		st := stages[tr]
-		for si, name := range canon {
-			nw := st[len(st)-1] // recovered
-			if si < len(canon)-1 {
-				if si >= len(st)-1 {
-					continue
-				}
-				nw = st[si]
+	// The work list holds every (stage, trial) cell that exists, stage by
+	// stage; a trial whose repair used fewer windows skips the rest.
+	type cell struct {
+		si, tr int
+		nw     *topo.Network
+	}
+	var cells []cell
+	for si := range canon {
+		for tr, st := range stages {
+			switch {
+			case si == len(canon)-1:
+				cells = append(cells, cell{si, tr, st[len(st)-1]})
+			case si < len(st)-1:
+				cells = append(cells, cell{si, tr, st[si]})
 			}
-			d, err := scoreDamage(ctx, cfg, nw, seeds.Seed(1<<32|uint64(tr)), false)
-			if err != nil {
-				return nil, fmt.Errorf("selfheal %s trial=%d: %w", name, tr, err)
-			}
-			cells[si] = &d
 		}
-		return cells, nil
+	}
+	scores, err := parallel.MapCtx(ctx, len(cells), cfg.workers(), func(i int) (damage, error) {
+		c := cells[i]
+		d, err := scoreDamage(ctx, cfg, c.nw, seeds.Seed(1<<32|uint64(c.tr)), false)
+		if err != nil {
+			return d, fmt.Errorf("selfheal %s trial=%d: %w", canon[c.si], c.tr, err)
+		}
+		return d, nil
 	})
 	if err != nil {
 		return nil, err
@@ -89,16 +103,15 @@ func SelfHeal(ctx context.Context, cfg Config, k int, failFrac float64, batchSiz
 			k, nDead, k, batchSize, trials),
 		Header: []string{"stage", "trials", "conn", "apl", "lambda"},
 	}
-	for si, name := range canon {
+	// Each stage's cells are contiguous and in trial order, so one pass
+	// folds every row's trials in trial order.
+	for i := 0; i < len(cells); {
+		si := cells[i].si
 		var m trialMean
-		for tr := range trials {
-			if d := results[tr][si]; d != nil {
-				m.add(*d)
-			}
+		for ; i < len(cells) && cells[i].si == si; i++ {
+			m.add(scores[i])
 		}
-		if m.n > 0 {
-			t.AddRow(name, fmt.Sprint(m.n), m.connCell(), m.aplCell(), m.lambdaCell())
-		}
+		t.AddRow(canon[si], fmt.Sprint(m.n), m.connCell(), m.aplCell(), m.lambdaCell())
 	}
 	return t, nil
 }

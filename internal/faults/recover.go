@@ -56,8 +56,11 @@ type RecoverReport struct {
 // graphs (graph.AugmentRandom): freed rewirable ports are joined pairwise,
 // and when the process gets stuck an existing rewirable, unpinned
 // switch-switch link is broken to splice a stranded port in. New links are
-// tagged TagRandom. The input Outcome is not modified; the returned
-// network is a rebuilt copy with identical node IDs.
+// tagged TagRandom. The input Outcome is not modified. When fewer than two
+// rewirable ports were freed there is nothing to join, and the returned
+// network is out.Net itself, so a caller may reuse what it measured on
+// the degraded network; otherwise it is a rebuilt copy with identical
+// node IDs.
 //
 // This models §5 of the flat-tree paper: after equipment failure the
 // converter fabric re-aims its surviving ports to patch the topology,

@@ -244,3 +244,39 @@ func TestRecoverRewirableNoneIsNoOp(t *testing.T) {
 		t.Errorf("default policy rewired a fat-tree: %+v", rep2)
 	}
 }
+
+// TestRecoverReturnsInputWhenNothingFreed pins the identity contract that
+// lets a caller reuse the degraded network's measurements: with fewer than
+// two rewirable ports freed, Recover returns out.Net itself; otherwise it
+// returns a rebuilt copy.
+func TestRecoverReturnsInputWhenNothingFreed(t *testing.T) {
+	f, err := fattree.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := globalRandomFlatTree(t, 8)
+	cases := []struct {
+		name      string
+		nw        *topo.Network
+		frac      float64
+		rewirable func(topo.LinkTag) bool
+		same      bool
+	}{
+		{"fat-tree, fixed cabling", f.Net, 0.2, RewirableNone, true},
+		{"flat-tree, no failure", flat, 0, DefaultRewirable, true},
+		{"flat-tree, failed links", flat, 0.2, DefaultRewirable, false},
+	}
+	for _, c := range cases {
+		out, err := Fail(c.nw, Scenario{LinkFraction: c.frac, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, rep, err := Recover(out, RecoverOptions{Seed: 22, Rewirable: c.rewirable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := rec == out.Net; same != c.same {
+			t.Errorf("%s: Recover returned the input = %v, want %v (%+v)", c.name, same, c.same, rep)
+		}
+	}
+}

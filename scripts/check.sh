@@ -18,8 +18,9 @@
 # the flatlint leg archives its -json findings as FLATLINT.json at the
 # repository root, and a short fuzz leg exercises the /v1/cell query parser,
 # the two SSSP kernels' agreement, the path-length kernel against BFS, the
-# max-flow kernel against the simplex LP and the solver's certificate (FPTAS
-# bracket, exact star path) against the exact LP.
+# max-flow kernel against the simplex LP, the solver's certificate (FPTAS
+# bracket, exact star path) against the exact LP, and the control plane's
+# wire decoders.
 # CI and local development both run exactly this script:
 #
 #	./scripts/check.sh
@@ -112,7 +113,7 @@ go test -run '^$' \
 go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkStar' \
     -benchtime 1x ./internal/mcf > /dev/null
 
-echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate)"
+echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec)"
 # The one knob parser behind both flatsim's flags and /v1/cell: no panic on
 # arbitrary queries, canonical re-encoding keeps the content address, and
 # parameter order never matters. Then the radix-heap kernel against the
@@ -126,13 +127,17 @@ echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-leng
 # k=4 flat-tree instances (mode, commodities, demand scale, ε) against the
 # exact LP: λ ≤ λ_LP ≤ UpperBound and λ ≥ (1−3ε)·λ_LP from the FPTAS,
 # λ = λ_LP to 1e-9 with a closed certificate when the instance is a star,
-# and a re-solve on used scratch bit-identical to the fresh one. The checked-in seed corpora
-# (internal/{serve,graph,mcf}/testdata/fuzz) already ran in the unit-test
-# leg; this leg mutates from them.
+# and a re-solve on used scratch bit-identical to the fresh one. Last, the
+# control plane's frame reader and payload decoders on arbitrary bytes: an
+# error rather than a panic, and whatever they accept re-encodes to the same
+# bytes. The checked-in seed corpora
+# (internal/{serve,graph,mcf}/testdata/fuzz) and the wire target's in-code
+# seeds already ran in the unit-test leg; this leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzSSSPKernelsAgree' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzHopKernelAgrees' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzMaxFlowMatchesLP' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzSolverCertificate' -fuzztime 10s ./internal/mcf
+go test -run '^$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/ctrl
 
 echo "ok: all checks passed"
