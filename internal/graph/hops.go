@@ -12,13 +12,10 @@ const HopBatch = 64
 // densely and stored as one CSR, so a search touches two flat int32 arrays
 // instead of chasing a [][]Half and skipping an edge id per entry.
 type HopGraph struct {
-	off, peer []int32 // dense id v's neighbours are peer[off[v]:off[v+1]]
-	id        []int32 // node -> dense id, -1 when not kept
-	node      []int32 // dense id -> node
-	// Sweep's buffers, reused by every sweep: the seen, cur and next words
-	// of each dense id, then room for the frontier and touched lists.
-	words []uint64
-	lists []int32
+	off, peer []int32  // dense id v's neighbours are peer[off[v]:off[v+1]]
+	id        []int32  // node -> dense id, -1 when not kept
+	node      []int32  // dense id -> node
+	words     []uint64 // Sweep's seen, cur and next words of each dense id
 }
 
 // NewHopGraph builds the HopGraph of the n-node graph whose m edges edge(i)
@@ -69,20 +66,20 @@ func NewHopGraph(n int, keep func(v int) bool, m int, edge func(i int) (a, b int
 	}
 	h.off = off[:kept+1]
 	h.words = make([]uint64, 3*kept)
-	h.lists = make([]int32, 2*kept)
 	return h
 }
 
 // Sweep runs one level-synchronous breadth-first search from up to HopBatch
-// sources at once, source j travelling as bit j of a word per node, so one
-// pass over an adjacency list advances every source whose frontier holds
-// that node. It calls visit(level, node, fresh) once for each (level, node)
-// at which some sources first arrive: fresh has bit j set when sources[j]
-// is exactly level hops from node. Level 0 reports the sources themselves;
-// a pair that is never reported is disconnected. Calls come in ascending
-// level order and in no particular node order. Duplicate sources are
-// independent bits. Sweeps reuse buffers held in h, so a HopGraph runs one
-// sweep at a time.
+// sources at once, source j travelling as bit j of a word per node. At each
+// level every node pulls: it ORs its neighbours' words of the level before,
+// so one pass over an adjacency list advances every source, and a node every
+// source has reached is skipped. It calls visit(level, node, fresh) once for
+// each (level, node) at which some sources first arrive: fresh has bit j set
+// when sources[j] is exactly level hops from node. Level 0 reports the
+// sources themselves; a pair that is never reported is disconnected. Calls
+// come in ascending level order and, within a level, in no particular node
+// order. Duplicate sources are independent bits. Sweeps reuse buffers held
+// in h, so a HopGraph runs one sweep at a time.
 func (h *HopGraph) Sweep(sources []int, visit func(level, node int, fresh uint64)) error {
 	if len(sources) > HopBatch {
 		return fmt.Errorf("graph: %d sources in one sweep, at most %d", len(sources), HopBatch)
@@ -90,44 +87,38 @@ func (h *HopGraph) Sweep(sources []int, visit func(level, node int, fresh uint64
 	n := len(h.node)
 	clear(h.words)
 	seen, cur, next := h.words[:n], h.words[n:2*n], h.words[2*n:]
-	front, touched := h.lists[:0:n], h.lists[n:n]
 	for j, s := range sources {
 		if s < 0 || s >= len(h.id) || h.id[s] < 0 {
 			return fmt.Errorf("graph: sweep source %d is not a kept node", s)
 		}
-		v := h.id[s]
-		if cur[v] == 0 {
-			front = append(front, v)
-		}
-		cur[v] |= 1 << uint(j)
+		cur[h.id[s]] |= 1 << uint(j)
 	}
-	for _, v := range front {
-		seen[v] = cur[v]
-		visit(0, int(h.node[v]), cur[v])
-	}
-	for level := 1; len(front) > 0; level++ {
-		touched = touched[:0]
-		for _, v := range front {
-			m := cur[v]
-			for _, u := range h.peer[h.off[v]:h.off[v+1]] {
-				if next[u] == 0 {
-					touched = append(touched, u)
-				}
-				next[u] |= m
-			}
+	all := uint64(1)<<uint(len(sources)) - 1 // every source; all ones at HopBatch
+	for v, m := range cur {
+		if m != 0 {
+			seen[v] = m
+			visit(0, int(h.node[v]), m)
 		}
-		front = front[:0]
-		for _, u := range touched {
-			fresh := next[u] &^ seen[u]
-			next[u] = 0
-			if fresh == 0 {
+	}
+	for level, fresh := 1, true; fresh; level++ {
+		fresh = false
+		for v := range next {
+			next[v] = 0
+			if seen[v] == all {
 				continue
 			}
-			seen[u] |= fresh
-			cur[u] = fresh
-			front = append(front, u)
-			visit(level, int(h.node[u]), fresh)
+			var m uint64
+			for _, u := range h.peer[h.off[v]:h.off[v+1]] {
+				m |= cur[u]
+			}
+			if m &^= seen[v]; m != 0 {
+				seen[v] |= m
+				next[v] = m
+				fresh = true
+				visit(level, int(h.node[v]), m)
+			}
 		}
+		cur, next = next, cur
 	}
 	return nil
 }

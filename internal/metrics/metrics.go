@@ -34,10 +34,11 @@ type PathLengthStats struct {
 
 // ServerPathLengths computes PathLengthStats over the pairs of the given
 // servers; nw.Servers() measures the whole network. It returns an error if
-// fewer than two servers are given, one is detached, or two are
-// disconnected. Hosting switches go through graph.HopGraph.Sweep on the
-// switch-only graph graph.HopBatch at a time, and each unordered server
-// pair is counted from its lower-indexed host.
+// fewer than two servers are given, an ID is out of range, not a server or
+// listed twice, a server is detached, or two are disconnected. Hosting
+// switches go through graph.HopGraph.Sweep on the switch-only graph
+// graph.HopBatch at a time, and each unordered server pair is counted from
+// its lower-indexed host.
 func ServerPathLengths(nw *topo.Network, servers []int) (PathLengthStats, error) {
 	if len(servers) < 2 {
 		return PathLengthStats{}, fmt.Errorf("metrics: need at least 2 servers, have %d", len(servers))
@@ -46,8 +47,7 @@ func ServerPathLengths(nw *topo.Network, servers []int) (PathLengthStats, error)
 	if err := hs.fill(nw, servers); err != nil {
 		return PathLengthStats{}, err
 	}
-	// Room for the diameters of the fabrics here; add grows it past them.
-	p := pairHist{all: make([]int64, 0, 8), pod: make([]int64, 0, 8)}
+	p := newPairHist(&hs)
 	for h := range hs.sw {
 		// Two servers on one switch are 2 hops apart.
 		var samePod int64
@@ -59,9 +59,8 @@ func ServerPathLengths(nw *topo.Network, servers []int) (PathLengthStats, error)
 	}
 	isSwitch := func(v int) bool { return nw.Nodes[v].Kind.IsSwitch() }
 	hg := graph.NewHopGraph(nw.N(), isSwitch, len(nw.Links), nw.LinkEnds)
-	podBits := make([]uint64, hs.numPods)
 	for base := 0; base < len(hs.sw); base += graph.HopBatch {
-		if err := p.sweepBatch(hg, &hs, base, podBits); err != nil {
+		if err := p.sweepBatch(hg, &hs, base); err != nil {
 			return PathLengthStats{}, err
 		}
 	}
@@ -102,8 +101,12 @@ type hostTable struct {
 	end     []int32
 	pods    []podCount
 	numPods int
-	of      []int32 // switch -> host, -1 if it hosts none of the servers
+	// of maps a switch to its host, -1 if it hosts none of the servers, and
+	// marks each server already read from the list with listed.
+	of []int32
 }
+
+const listed = -2
 
 func (hs *hostTable) servers(h int) int64     { return int64(hs.off[h+1] - hs.off[h]) }
 func (hs *hostTable) podsOf(h int) []podCount { return hs.pods[hs.off[h]:hs.end[h]] }
@@ -113,9 +116,19 @@ func (hs *hostTable) fill(nw *topo.Network, servers []int) error {
 	for i := range hs.of {
 		hs.of[i] = -1
 	}
-	var labels []int // the pod labels in use, ascending
+	// The pod labels in use, ascending, with room for a fabric's k <= 64 pods.
+	labels := make([]int, 0, 64)
 	hosts := 0
 	for _, sv := range servers {
+		switch {
+		case sv < 0 || sv >= nw.N():
+			return fmt.Errorf("metrics: server %d out of range [0, %d)", sv, nw.N())
+		case nw.Nodes[sv].Kind != topo.Server:
+			return fmt.Errorf("metrics: node %d is not a server", sv)
+		case hs.of[sv] == listed:
+			return fmt.Errorf("metrics: server %d listed twice", sv)
+		}
+		hs.of[sv] = listed
 		sw := nw.HostSwitch(sv)
 		if sw < 0 {
 			return fmt.Errorf("metrics: server %d detached", sv)
@@ -183,6 +196,43 @@ func (hs *hostTable) disconnected(hg *graph.HopGraph) error {
 // in does not matter.
 type pairHist struct {
 	all, pod []int64
+	// The current batch's sources by server count: groups[:numGroups] holds
+	// one mask per distinct count, and podGroups[podOff[q]:podEnd[q]] one per
+	// distinct count of pod q's servers. A report then costs one popcount
+	// per group.
+	groups         [graph.HopBatch]countGroup
+	numGroups      int
+	podGroups      []countGroup
+	podOff, podEnd []int32
+}
+
+// countGroup is the set of a batch's sources, bit j for source j, that each
+// hold count servers.
+type countGroup struct {
+	count int64
+	mask  uint64
+}
+
+// newPairHist returns an empty pairHist whose group buffers fit every batch
+// of hs, so the batches allocate nothing.
+func newPairHist(hs *hostTable) pairHist {
+	entries := 0 // the most (host, pod) counts in one batch
+	for base := 0; base < len(hs.sw); base += graph.HopBatch {
+		n := 0
+		for h := base; h < min(base+graph.HopBatch, len(hs.sw)); h++ {
+			n += len(hs.podsOf(h))
+		}
+		entries = max(entries, n)
+	}
+	pods := make([]int32, 2*hs.numPods+1)
+	return pairHist{
+		// Room for the diameters of the fabrics here; add grows it past them.
+		all:       make([]int64, 0, 8),
+		pod:       make([]int64, 0, 8),
+		podGroups: make([]countGroup, entries),
+		podOff:    pods[:hs.numPods+1],
+		podEnd:    pods[hs.numPods+1:],
+	}
 }
 
 func (p *pairHist) add(hops int, cnt, podCnt int64) {
@@ -197,21 +247,48 @@ func (p *pairHist) add(hops int, cnt, podCnt int64) {
 	p.pod[hops] += podCnt
 }
 
-// sweepBatch counts the server pairs whose lower-indexed host is one of the
-// up to graph.HopBatch hosts starting at base, so that over all batches
-// each unordered pair is counted once. podBits is a buffer of one word per
-// pod.
-func (p *pairHist) sweepBatch(hg *graph.HopGraph, hs *hostTable, base int, podBits []uint64) error {
-	sources := hs.sw[base:min(base+graph.HopBatch, len(hs.sw))]
-	var total [graph.HopBatch]int64     // total[j]: servers on sources[j]
-	var pods [graph.HopBatch][]podCount // pods[j]: their per-pod counts
-	clear(podBits)                      // podBits[pod]: sources hosting a server of that pod
-	for j := range sources {
-		total[j], pods[j] = hs.servers(base+j), hs.podsOf(base+j)
-		for _, pc := range pods[j] {
-			podBits[pc.pod] |= 1 << uint(j)
+// join adds source j to the group of gs holding count servers, or to a new
+// group appended to gs, and returns gs.
+func join(gs []countGroup, count int64, j int) []countGroup {
+	for i := range gs {
+		if gs[i].count == count {
+			gs[i].mask |= 1 << uint(j)
+			return gs
 		}
 	}
+	return append(gs, countGroup{count, 1 << uint(j)})
+}
+
+// group fills the group buffers for the n sources from host base on. The
+// per-pod groups are laid out by counting sort: pod q gets room for every
+// source with a server of q, and each source joins q's group of its count.
+func (p *pairHist) group(hs *hostTable, base, n int) {
+	p.numGroups = 0
+	clear(p.podOff)
+	for j := range n {
+		p.numGroups = len(join(p.groups[:p.numGroups], hs.servers(base+j), j))
+		for _, pc := range hs.podsOf(base + j) {
+			p.podOff[pc.pod+1]++
+		}
+	}
+	for q := range hs.numPods {
+		p.podOff[q+1] += p.podOff[q]
+		p.podEnd[q] = p.podOff[q]
+	}
+	for j := range n {
+		for _, pc := range hs.podsOf(base + j) {
+			gs := join(p.podGroups[p.podOff[pc.pod]:p.podEnd[pc.pod]], int64(pc.count), j)
+			p.podEnd[pc.pod] = p.podOff[pc.pod] + int32(len(gs))
+		}
+	}
+}
+
+// sweepBatch counts the server pairs whose lower-indexed host is one of the
+// up to graph.HopBatch hosts starting at base, so that over all batches
+// each unordered pair is counted once.
+func (p *pairHist) sweepBatch(hg *graph.HopGraph, hs *hostTable, base int) error {
+	sources := hs.sw[base:min(base+graph.HopBatch, len(hs.sw))]
+	p.group(hs, base, len(sources))
 	return hg.Sweep(sources, func(level, node int, fresh uint64) {
 		t := int(hs.of[node])
 		if t <= base {
@@ -219,18 +296,15 @@ func (p *pairHist) sweepBatch(hg *graph.HopGraph, hs *hostTable, base int, podBi
 		}
 		fresh &= 1<<uint(t-base) - 1 // the sources indexed below t; all of them once t-base >= 64
 		var cnt, podCnt int64
-		for m := fresh; m != 0; m &= m - 1 {
-			cnt += total[bits.TrailingZeros64(m)]
+		for _, g := range p.groups[:p.numGroups] {
+			cnt += g.count * int64(bits.OnesCount64(fresh&g.mask))
 		}
-		// Most pairs span two pods; the per-pod masks skip them a word at a time.
 		for _, pt := range hs.podsOf(t) {
-			for m := fresh & podBits[pt.pod]; m != 0; m &= m - 1 {
-				for _, ps := range pods[bits.TrailingZeros64(m)] {
-					if ps.pod == pt.pod {
-						podCnt += int64(ps.count) * int64(pt.count)
-					}
-				}
+			var c int64
+			for _, g := range p.podGroups[p.podOff[pt.pod]:p.podEnd[pt.pod]] {
+				c += g.count * int64(bits.OnesCount64(fresh&g.mask))
 			}
+			podCnt += c * int64(pt.count)
 		}
 		p.add(level+2, cnt*hs.servers(t), podCnt)
 	})

@@ -128,6 +128,31 @@ func TestDetachedServerError(t *testing.T) {
 	}
 }
 
+// TestServerListErrors: an ID out of range, a switch and a server listed
+// twice are each an error naming the ID, not a panic or a silent miscount.
+func TestServerListErrors(t *testing.T) {
+	f, err := fattree.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv, sw := f.Net.Servers(), f.Net.Switches()[0]
+	for _, tc := range []struct {
+		name    string
+		servers []int
+		want    string
+	}{
+		{"past the end", []int{sv[0], 100000}, "server 100000 out of range"},
+		{"negative", []int{-1, sv[0]}, "server -1 out of range"},
+		{"switch", []int{sw, sv[0]}, fmt.Sprintf("node %d is not a server", sw)},
+		{"listed twice", []int{sv[0], sv[1], sv[0]}, fmt.Sprintf("server %d listed twice", sv[0])},
+	} {
+		_, err := metrics.ServerPathLengths(f.Net, tc.servers)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSingleServerError(t *testing.T) {
 	b := topo.NewBuilder("one")
 	sw := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
@@ -239,13 +264,88 @@ func sameStats(a, b metrics.PathLengthStats) bool {
 	return reflect.DeepEqual(a, b)
 }
 
+// handBuilt builds a network of n switches joined by the given
+// switch-switch links, where switch i hosts one server per entry of pods(i),
+// with that entry as its home pod.
+func handBuilt(name string, n int, links [][2]int, pods func(i int) []int) *topo.Network {
+	b := topo.NewBuilder(name)
+	ports := make([]int, n)
+	for _, l := range links {
+		ports[l[0]]++
+		ports[l[1]]++
+	}
+	for i := range ports {
+		b.AddNode(topo.EdgeSwitch, -1, i, ports[i]+len(pods(i)))
+	}
+	for i := range n {
+		for _, pod := range pods(i) {
+			b.AddLink(b.AddNode(topo.Server, pod, b.NumNodes()-n, 1), i, topo.TagClos)
+		}
+	}
+	for _, l := range links {
+		b.AddLink(l[0], l[1], topo.TagClos)
+	}
+	return b.Build()
+}
+
+// distinctCountFabric is the kernel's worst case for grouping sources by
+// server count: 70 hosting switches, switch i with i+1 servers from two or
+// three home pods, so every source of a batch is a group of its own. The
+// switches form a ring with chords.
+func distinctCountFabric() *topo.Network {
+	const n = 70
+	var links [][2]int
+	for i := range n {
+		links = append(links, [2]int{i, (i + 1) % n})
+		if i%3 == 0 {
+			links = append(links, [2]int{i, (i + 23) % n})
+		}
+	}
+	return handBuilt("distinct counts", n, links, func(i int) []int {
+		pods := make([]int, i+1)
+		for s := range pods {
+			pods[s] = (i + s%(2+i%2)) % 5
+		}
+		return pods
+	})
+}
+
+// ringAndLine are the pull sweep's worst case: a ring of 40 switches and a
+// line of 100, so a sweep runs 20 and 99 levels with a few fresh switches
+// each. Every fifth (fourth) switch only relays; the others host one or two
+// servers of a pod per run of ten switches, and the line's 75 hosts need two
+// batches.
+func ringAndLine() (ring, line *topo.Network) {
+	pods := func(relay int) func(i int) []int {
+		return func(i int) []int {
+			switch {
+			case i%relay == relay-1:
+				return nil
+			case i%2 == 1:
+				return []int{i / 10, i / 10}
+			}
+			return []int{i / 10}
+		}
+	}
+	var ringLinks, lineLinks [][2]int
+	for i := range 40 {
+		ringLinks = append(ringLinks, [2]int{i, (i + 1) % 40})
+	}
+	for i := range 99 {
+		lineLinks = append(lineLinks, [2]int{i, i + 1})
+	}
+	return handBuilt("ring", 40, ringLinks, pods(5)), handBuilt("line", 100, lineLinks, pods(4))
+}
+
 // TestKernelMatchesReference holds the bit-parallel sweep to the per-source
 // oracle, field for field and bit for bit: on the four Figure 5/6
 // topologies over a k sweep (k=12 and up put more than 64 hosting switches
 // through several batches), on a flat-tree with pods in three different
 // modes, on a network degraded by link and switch failures, which hosts
-// unequal server counts per switch, and on every network again restricted
-// to two of each three servers, the kind of subset faults.Analyze passes.
+// unequal server counts per switch, on the hand-built worst cases for
+// grouping (distinctCountFabric) and for the pull sweep (ringAndLine), and
+// on every network again restricted to two of each three servers, the kind
+// of subset faults.Analyze passes.
 func TestKernelMatchesReference(t *testing.T) {
 	nets := map[string]*topo.Network{}
 	for _, k := range []int{4, 6, 8, 10, 12, 14, 16} {
@@ -287,6 +387,9 @@ func TestKernelMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets["degraded hybrid k=12"] = degraded
+	nets["distinct counts"] = distinctCountFabric()
+	ring, line := ringAndLine()
+	nets["ring"], nets["line"] = ring, line
 
 	for name, nw := range nets {
 		var subset []int
@@ -326,5 +429,55 @@ func TestWrappers(t *testing.T) {
 	}
 	if g <= p {
 		t.Errorf("global APL %g should exceed intra-pod %g in a fat-tree", g, p)
+	}
+}
+
+// TestServerPathLengthsAllocs: a call allocates the same number of times
+// whatever its batch count — the group buffers are sized once per call —
+// on fat-tree, Jellyfish and global flat-tree at k = 8, 16 and 32, which
+// run 1, 2 and 8 batches of hosting switches.
+func TestServerPathLengthsAllocs(t *testing.T) {
+	builds := map[string]func(k int) (*topo.Network, error){
+		"fat-tree": func(k int) (*topo.Network, error) {
+			f, err := fattree.New(k)
+			if err != nil {
+				return nil, err
+			}
+			return f.Net, nil
+		},
+		"jellyfish": func(k int) (*topo.Network, error) {
+			j, err := jellyfish.New(k, 1)
+			if err != nil {
+				return nil, err
+			}
+			return j.Net, nil
+		},
+		"flat-tree": func(k int) (*topo.Network, error) {
+			ft, err := core.Build(core.Params{K: k})
+			if err != nil {
+				return nil, err
+			}
+			if err := ft.SetUniformMode(core.ModeGlobalRandom); err != nil {
+				return nil, err
+			}
+			return ft.Net(), nil
+		},
+	}
+	for name, build := range builds {
+		var counts []float64
+		for _, k := range []int{8, 16, 32} {
+			nw, err := build(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, testing.AllocsPerRun(3, func() {
+				if _, err := metrics.ServerPathLengths(nw, nw.Servers()); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if counts[0] != counts[1] || counts[1] != counts[2] {
+			t.Errorf("%s: %v allocs per call at k = 8, 16, 32; want them equal", name, counts)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,7 +18,10 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/fattree"
+	"flattree/internal/faults"
+	"flattree/internal/graph"
 	"flattree/internal/jellyfish"
+	"flattree/internal/metrics"
 	"flattree/internal/topo"
 	"flattree/internal/twostage"
 )
@@ -206,6 +210,82 @@ func TestComponentsMatchNodeGraph(t *testing.T) {
 	if detached == 0 {
 		t.Error("no case detaches a server; the dark windows should")
 	}
+}
+
+// relabel rebuilds nw with node v renumbered perm[v], link order[i] added
+// as the i-th link, and link i's ends swapped when swap[i] is set.
+func relabel(nw *topo.Network, perm, order []int, swap []bool) *topo.Network {
+	old := make([]int, len(perm))
+	for v, p := range perm {
+		old[p] = v
+	}
+	b := topo.NewBuilder(nw.Name)
+	for _, v := range old {
+		nd := nw.Nodes[v]
+		b.AddNode(nd.Kind, nd.Pod, nd.Index, nd.Ports)
+	}
+	for _, i := range order {
+		l := nw.Links[i]
+		a, c := perm[l.A], perm[l.B]
+		if swap[i] {
+			a, c = c, a
+		}
+		b.AddLink(a, c, l.Tag)
+	}
+	return b.Build()
+}
+
+// TestPathLengthIgnoresNumbering: server-pair path length is a property of
+// the network, not of how it is numbered. Every structure case at k = 4
+// and 8 is rebuilt three ways — node IDs permuted, links shuffled, link
+// ends swapped — and ServerPathLengths over its largest component's
+// servers, mapped into the rebuilt network, gives the same histogram,
+// means and diameter, bit for bit.
+func TestPathLengthIgnoresNumbering(t *testing.T) {
+	rng := graph.NewRNG(1)
+	structureNetworks(t, []int{4, 8}, func(name string, nw *topo.Network) {
+		servers := faults.LargestComponent(nw)
+		want, err := metrics.ServerPathLengths(nw, servers)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ident := func(n int) []int {
+			p := make([]int, n)
+			for i := range p {
+				p[i] = i
+			}
+			return p
+		}
+		noSwap := make([]bool, len(nw.Links))
+		swap := make([]bool, len(nw.Links))
+		for i := range swap {
+			swap[i] = rng.Intn(2) == 1
+		}
+		for _, way := range []struct {
+			name        string
+			perm, order []int
+			swap        []bool
+		}{
+			{"ids permuted", rng.Perm(nw.N()), ident(len(nw.Links)), noSwap},
+			{"links shuffled", ident(nw.N()), rng.Perm(len(nw.Links)), noSwap},
+			{"ends swapped", ident(nw.N()), ident(len(nw.Links)), swap},
+		} {
+			mapped := make([]int, len(servers))
+			for i, sv := range servers {
+				mapped[i] = way.perm[sv]
+			}
+			slices.Sort(mapped)
+			got, err := metrics.ServerPathLengths(relabel(nw, way.perm, way.order, way.swap), mapped)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, way.name, err)
+			}
+			if !slices.Equal(got.Histogram, want.Histogram) || got.Max != want.Max ||
+				math.Float64bits(got.Global) != math.Float64bits(want.Global) ||
+				math.Float64bits(got.IntraPod) != math.Float64bits(want.IntraPod) {
+				t.Errorf("%s, %s: %+v, want %+v", name, way.name, got, want)
+			}
+		}
+	})
 }
 
 // TestStructureGolden pins node IDs, link IDs, tags and adjacency order of
