@@ -118,25 +118,29 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 		return strings.TrimSpace(strings.TrimPrefix(string(body), "bad request: "))
 	}
 
-	outOfDomain := map[string]string{
-		"kmin": "four", "kmax": "8.0", "kstep": "0", "seed": "-1", "eps": "0.5",
-		"hybridk": "0", "trials": "0", "profilek": "7", "failfrac": "1", "batch": "0",
-		"switchfrac": "1", "burstpods": "-1", "burstfrac": "-0.1", "convfrac": "NaN",
-		"rate": "0", "horizon": "-3", "episodes": "-1", "windowcost": "0", "slo": "1.01",
-		"timeout": "-1s",
+	// An odd kmin or kstep is out of domain too: the sweep would skip
+	// every k it lands on and print an empty or thinned table.
+	outOfDomain := map[string][]string{
+		"kmin": {"four", "5", "-2"}, "kmax": {"8.0"}, "kstep": {"0", "3"}, "seed": {"-1"}, "eps": {"0.5"},
+		"hybridk": {"0"}, "trials": {"0"}, "profilek": {"7"}, "failfrac": {"1"}, "batch": {"0"},
+		"switchfrac": {"1"}, "burstpods": {"-1"}, "burstfrac": {"-0.1"}, "convfrac": {"NaN"},
+		"rate": {"0"}, "horizon": {"-3"}, "episodes": {"-1"}, "windowcost": {"0"}, "slo": {"1.01"},
+		"timeout": {"-1s"},
 	}
 	for _, k := range experiments.Knobs() {
 		if !k.Flag() || !k.Query() {
 			continue
 		}
-		bad, ok := outOfDomain[k.Name]
+		bads, ok := outOfDomain[k.Name]
 		if !ok {
 			t.Errorf("knob %s has no out-of-domain value in this test", k.Name)
 			continue
 		}
-		flagMsg, queryMsg := flagMessage("fig5", k.Name, bad), queryMessage("fig5", k.Name, bad)
-		if flagMsg != queryMsg || !strings.Contains(flagMsg, k.Name+"=") {
-			t.Errorf("%s=%s: flag path says %q, query path says %q", k.Name, bad, flagMsg, queryMsg)
+		for _, bad := range bads {
+			flagMsg, queryMsg := flagMessage("fig5", k.Name, bad), queryMessage("fig5", k.Name, bad)
+			if flagMsg != queryMsg || !strings.Contains(flagMsg, k.Name+"=") {
+				t.Errorf("%s=%s: flag path says %q, query path says %q", k.Name, bad, flagMsg, queryMsg)
+			}
 		}
 	}
 
@@ -147,6 +151,8 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 	}{
 		{"fig5", []string{"kmin", "8", "kmax", "4"}, "kmin=8 > kmax=4"},
 		{"faults", []string{"kmax", "7"}, `k="7" must be an integer >= 4 and even`},
+		{"fig5", []string{"kmin", "5", "kmax", "9"}, `kmin="5" must be an integer >= 0 and even`},
+		{"fig5", []string{"kmin", "4", "kstep", "3", "kmax", "10"}, `kstep="3" must be an integer > 0 and even`},
 		{"nope", nil, `unknown experiment "nope"`},
 	} {
 		flagMsg, queryMsg := flagMessage(c.exp, c.pairs...), queryMessage(c.exp, c.pairs...)

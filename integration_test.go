@@ -75,7 +75,7 @@ func TestPacketLatencyMatchesPathLength(t *testing.T) {
 	servers := nw.Servers()
 	// One packet at a time (rate so low nothing queues), uniform pairs.
 	pkts := netsim.PoissonPackets(servers, 0.01, 3000, 1, rng)
-	res, err := netsim.Packets(context.Background(), nw, routing.BuildTable(nw), pkts, netsim.PacketConfig{PropDelay: 0.25})
+	res, err := netsim.Packets(context.Background(), nw, routing.BuildTable(nw), pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,9 @@ func TestPacketLatencyMatchesPathLength(t *testing.T) {
 	if math.Abs(res.MeanHops-wantHops) > 0.1 {
 		t.Errorf("packet-run mean hops %.3f vs metrics %.3f", res.MeanHops, wantHops)
 	}
-	// Latency per hop = 1 (transmission) + 0.25 (propagation).
-	if math.Abs(res.MeanLatency-res.MeanHops*1.25) > 1e-6 {
-		t.Errorf("latency %.4f != hops %.4f x 1.25", res.MeanLatency, res.MeanHops)
+	// Latency per hop = 1 (transmission) + 0.05 (propagation).
+	if math.Abs(res.MeanLatency-res.MeanHops*1.05) > 1e-6 {
+		t.Errorf("latency %.4f != hops %.4f x 1.05", res.MeanLatency, res.MeanHops)
 	}
 }
 

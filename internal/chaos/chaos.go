@@ -67,31 +67,31 @@ func (k EpisodeKind) String() string {
 	return fmt.Sprintf("kind-%d", uint8(k))
 }
 
-// Mix weights the episode kinds and shapes their severity. Weights are
-// relative (they need not sum to 1); a zero weight disables the kind.
+// Mix weights the episode kinds. Weights are relative (they need not sum
+// to 1); a zero weight disables the kind.
 type Mix struct {
 	LinkBurst, SwitchKill, ConverterKill, PodKill float64
-	// BurstFraction is the fraction of a burst pod's links that fail.
-	BurstFraction float64
-	// ConverterFraction is the fraction of converter blocks a
-	// ConverterKill episode takes down.
-	ConverterFraction float64
-	// Aftershock is the probability that the next inter-arrival is drawn
-	// at aftershockRate times the base rate — failures cluster in time
-	// (correlated aftershocks), as production fault streams do.
-	Aftershock float64
 }
 
-// aftershockRate is the rate multiplier for aftershock inter-arrivals.
-const aftershockRate = 8.0
+// Episode severities, the same for every mix.
+const (
+	// burstFraction is the fraction of a burst pod's links that fail.
+	burstFraction = 0.3
+	// converterFraction is the fraction of converter blocks a
+	// ConverterKill episode takes down.
+	converterFraction = 0.25
+	// aftershock is the probability that the next inter-arrival is drawn
+	// at aftershockRate times the base rate — failures cluster in time
+	// (correlated aftershocks), as production fault streams do.
+	aftershock = 0.25
+	// aftershockRate is the rate multiplier for aftershock inter-arrivals.
+	aftershockRate = 8.0
+)
 
 // DefaultMix weights small correlated damage over catastrophic loss,
 // roughly how production fault streams skew.
 func DefaultMix() Mix {
-	return Mix{
-		LinkBurst: 5, SwitchKill: 3, ConverterKill: 1, PodKill: 1,
-		BurstFraction: 0.3, ConverterFraction: 0.25, Aftershock: 0.25,
-	}
+	return Mix{LinkBurst: 5, SwitchKill: 3, ConverterKill: 1, PodKill: 1}
 }
 
 func (m Mix) total() float64 {
@@ -118,9 +118,8 @@ type Options struct {
 	// SLOThreshold is the served-capacity fraction the availability
 	// verdict is judged against, in (0,1].
 	SLOThreshold float64
-	// Epsilon and SolveBudget configure the λ measurement solves.
-	Epsilon     float64
-	SolveBudget time.Duration
+	// Epsilon is the accuracy of the λ measurement solves.
+	Epsilon float64
 	// Seed derives every random choice of the run via parallel.SeedStream.
 	Seed uint64
 	// Parallelism fans the measurement phase out (0 = all cores).
@@ -158,15 +157,6 @@ func (o *Options) validate() error {
 	if !positiveFinite(o.Mix.total()) {
 		return fmt.Errorf("chaos: episode mix needs a positive weight and no infinite one")
 	}
-	if !(0 <= o.Mix.BurstFraction && o.Mix.BurstFraction < 1) {
-		return fmt.Errorf("chaos: burst fraction %g out of [0,1)", o.Mix.BurstFraction)
-	}
-	if !(0 <= o.Mix.ConverterFraction && o.Mix.ConverterFraction <= 1) {
-		return fmt.Errorf("chaos: converter fraction %g out of [0,1]", o.Mix.ConverterFraction)
-	}
-	if !(0 <= o.Mix.Aftershock && o.Mix.Aftershock <= 1) {
-		return fmt.Errorf("chaos: aftershock probability %g out of [0,1]", o.Mix.Aftershock)
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 1
 	}
@@ -194,7 +184,7 @@ type Sample struct {
 	ServerFrac float64
 	Lambda     float64
 	Served     float64
-	// Approx marks a λ from a solve that stopped at its time budget.
+	// Approx marks a λ from a solve that stopped at the context's deadline.
 	Approx bool
 }
 
@@ -269,10 +259,10 @@ type engine struct {
 }
 
 // interarrival draws the next episode gap: exponential at the base rate,
-// compressed by aftershockRate with probability Mix.Aftershock.
+// compressed by aftershockRate with probability aftershock.
 func (e *engine) interarrival() float64 {
 	rate := e.opt.Rate
-	if e.arrivalRNG.Float64() < e.opt.Mix.Aftershock {
+	if e.arrivalRNG.Float64() < aftershock {
 		rate *= aftershockRate
 	}
 	// The RNG has no exponential variate; invert the CDF. 1-U is in
@@ -331,7 +321,7 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 		}
 		return faults.Scenario{Switches: []int{switches[rng.Intn(len(switches))]}, Seed: rng.Uint64()}, kind, nil
 	case ConverterKill:
-		return faults.Scenario{ConverterFraction: m.ConverterFraction, Seed: rng.Uint64()}, kind, nil
+		return faults.Scenario{ConverterFraction: converterFraction, Seed: rng.Uint64()}, kind, nil
 	case PodKill:
 		// A pod is killable while it still has switches (a killed pod's
 		// agent died with all of them); otherwise fall through to a link
@@ -375,7 +365,7 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 	// the stream keeps its schedule, there is just nothing left to break.
 	for _, s := range base.Net.Switches() {
 		if base.Net.Nodes[s].Pod >= 0 {
-			return faults.Scenario{BurstPods: 1, BurstLinkFraction: m.BurstFraction, Seed: rng.Uint64()}, LinkBurst, nil
+			return faults.Scenario{BurstPods: 1, BurstLinkFraction: burstFraction, Seed: rng.Uint64()}, LinkBurst, nil
 		}
 	}
 	return faults.Scenario{Seed: rng.Uint64()}, LinkBurst, nil

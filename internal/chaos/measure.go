@@ -3,7 +3,6 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"flattree/internal/faults"
 	"flattree/internal/mcf"
@@ -33,7 +32,7 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 
 	samples, err := parallel.MapCtx(ctx, len(e.spans), e.opt.Parallelism, func(i int) (Sample, error) {
 		sp := e.spans[i]
-		servers, lambda, approx, err := Score(ctx, sp.nw, commSeed, e.opt.Epsilon, e.opt.SolveBudget)
+		servers, lambda, approx, err := Score(ctx, sp.nw, commSeed, e.opt.Epsilon)
 		if err != nil {
 			return Sample{}, fmt.Errorf("chaos: measure t=%g (%s): %w", sp.t, sp.label, err)
 		}
@@ -77,15 +76,14 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 // the largest connected component (servers a failure or dark window cut
 // off are down, not partitioned). It returns that component's server
 // count, λ (0 when fewer than two servers remain) and whether the solve
-// stopped at its time budget.
-func Score(ctx context.Context, nw *topo.Network, seed uint64, eps float64, budget time.Duration) (servers int, lambda float64, approx bool, err error) {
+// stopped at the context's deadline.
+func Score(ctx context.Context, nw *topo.Network, seed uint64, eps float64) (servers int, lambda float64, approx bool, err error) {
 	comp := faults.LargestComponent(nw)
 	comms := traffic.Permutation(comp, seed)
 	if len(comms) == 0 {
 		return len(comp), 0, false, nil
 	}
-	r, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{
-		Epsilon: eps, SkipDualBound: true, TimeBudget: budget})
+	r, err := mcf.MaxConcurrentFlow(ctx, nw, comms, mcf.Options{Epsilon: eps, SkipDualBound: true})
 	if err != nil {
 		return 0, 0, false, err
 	}

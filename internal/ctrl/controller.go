@@ -40,13 +40,6 @@ type Controller struct {
 	xch      chan event           // non-heartbeat events, fed by the pump
 	reg      chan struct{}        // closed and re-made on each registration
 
-	// abortErrs records the send failures from the most recent abort
-	// broadcast. An unreachable agent may still hold a staged epoch, so
-	// these must not vanish silently; monotone epoch issuance keeps the
-	// stale stage from ever committing, but operators (and tests) can see
-	// which pods missed the abort.
-	abortErrs []error
-
 	wg       sync.WaitGroup
 	listener net.Listener
 	closed   bool
@@ -277,18 +270,6 @@ func (c *Controller) WaitForAgents(ctx context.Context, n int) error {
 	}
 }
 
-// AbortSendErrors returns the send failures recorded during the most
-// recent abort broadcast, or nil if that abort reached every involved
-// agent (or no abort has run). Each entry names the pod whose agent could
-// not be told to discard its staged epoch.
-//
-//flatlint:ignore testonly the only reader of the recorded abort-delivery failures; without it they are written and never seen
-func (c *Controller) AbortSendErrors() []error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]error(nil), c.abortErrs...)
-}
-
 // sendToPod delivers one frame to a pod's agent with per-write deadlines
 // and bounded exponential-backoff retries. The agent is looked up freshly
 // on every attempt so a reconnection mid-retry is picked up.
@@ -362,14 +343,18 @@ func (c *Controller) Convert(ctx context.Context, modes []core.Mode) error {
 // An empty plan just burns an epoch (mode labels may still change).
 //
 // Failures attributable to one pod are returned as *PodError so callers
-// with a repair budget can exclude that pod and re-plan.
+// with a repair budget can exclude that pod and re-plan. A failed stage is
+// aborted everywhere, and every abort that could not be delivered is joined
+// into the returned error: that pod's agent may still hold the staged
+// epoch (monotone epochs keep it from ever committing), and the caller
+// sees which pods missed the abort.
 func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]ConfigEntry) (uint64, error) {
 	c.mu.Lock()
 	c.issued++
 	epoch := c.issued
 	// Pods are visited in sorted order everywhere below — registration
 	// check, stage, commit, abort — so which pod a *PodError blames, and
-	// the order of recorded abort errors, is a function of the plan alone.
+	// the order of joined abort errors, is a function of the plan alone.
 	pods := make([]uint32, 0, len(plan))
 	for pod := range plan {
 		pods = append(pods, pod)
@@ -402,31 +387,29 @@ func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]Confi
 		break
 	}
 
-	abort := func() {
-		var errs []error
+	// abort broadcasts the abort of this epoch and returns cause joined
+	// with every abort it could not deliver.
+	abort := func(cause error) error {
+		errs := []error{cause}
 		for _, pod := range pods {
 			// Best-effort, direct to the captured connection: the agent
 			// may have deregistered, but if it staged the epoch it must
-			// still be told to discard it — or the failure recorded.
+			// still be told to discard it — or the failure reported.
 			if err := involved[pod].send(MsgAbort, MarshalCommit(Commit{Epoch: epoch})); err != nil {
 				errs = append(errs, fmt.Errorf("ctrl: abort of epoch %d to pod %d: %w", epoch, pod, err))
 			}
 		}
-		c.mu.Lock()
-		c.abortErrs = errs
-		c.mu.Unlock()
+		return errors.Join(errs...)
 	}
 
 	// Phase 1: stage.
 	for _, pod := range pods {
 		if err := c.sendToPod(ctx, pod, MsgStage, MarshalStage(Stage{Epoch: epoch, Entries: plan[pod]})); err != nil {
-			abort()
-			return 0, &PodError{Pod: pod, Err: fmt.Errorf("ctrl: stage to pod %d: %w", pod, err)}
+			return 0, &PodError{Pod: pod, Err: abort(fmt.Errorf("ctrl: stage to pod %d: %w", pod, err))}
 		}
 	}
 	if err := c.collectAcks(ctx, involved, epoch, MsgStaged); err != nil {
-		abort()
-		return 0, wrapPhase("stage", err)
+		return 0, wrapPhase("stage", abort(err))
 	}
 
 	// Phase 2: commit.

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -252,8 +253,8 @@ func listenerAddr(c *Controller) string {
 }
 
 // TestAbortSendErrorsRecorded: when an abort broadcast cannot reach an
-// agent, the failure is recorded on the controller instead of being
-// silently discarded — that agent may still hold a staged epoch, and
+// agent, the failure is joined into the error Convert returns instead of
+// being silently discarded — that agent may still hold a staged epoch, and
 // operators need to see which pods missed the abort. (The stale stage can
 // never commit because epochs are issued monotonically.)
 func TestAbortSendErrorsRecorded(t *testing.T) {
@@ -261,30 +262,25 @@ func TestAbortSendErrorsRecorded(t *testing.T) {
 	c, _, cleanup := startPlant(t, k)
 	defer cleanup()
 
-	if errs := c.AbortSendErrors(); errs != nil {
-		t.Fatalf("fresh controller has abort errors: %v", errs)
-	}
-
 	// Sever pod 1's controller-side connection. The stage send to pod 1
 	// then fails, triggering the abort broadcast, whose own send to pod 1
-	// also fails and must be recorded.
+	// also fails and must be reported.
 	c.mu.Lock()
 	c.agents[1].conn.Close()
 	c.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := c.Convert(ctx, uniformModes(k, core.ModeGlobalRandom)); err == nil {
+	err := c.Convert(ctx, uniformModes(k, core.ModeGlobalRandom))
+	if err == nil {
 		t.Fatal("conversion over a severed connection should fail")
 	}
-	errs := c.AbortSendErrors()
-	if len(errs) == 0 {
-		t.Fatal("abort-send failure was not recorded")
+	if !strings.Contains(err.Error(), "abort of epoch 1 to pod 1") {
+		t.Errorf("error does not report the abort pod 1 missed: %v", err)
 	}
-	for _, err := range errs {
-		if !strings.Contains(err.Error(), "pod 1") {
-			t.Errorf("abort error does not name the unreachable pod: %v", err)
-		}
+	var pe *PodError
+	if !errors.As(err, &pe) || pe.Pod != 1 {
+		t.Errorf("error %v does not attribute the failure to pod 1 (*PodError %+v)", err, pe)
 	}
 	if c.Epoch() != 0 {
 		t.Errorf("epoch advanced to %d on failed conversion", c.Epoch())

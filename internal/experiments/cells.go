@@ -17,8 +17,8 @@ import (
 // finished table.
 //
 // The spec carries only result-identity inputs; execution knobs
-// (parallelism, solve budgets) live on Config and never change the bytes a
-// cell prints. A zero numeric field is unset and takes its knob's default
+// (parallelism, the timeout) live outside it and never change the bytes a
+// converged cell prints. A zero numeric field is unset and takes its knob's default
 // (see Knobs).
 type CellSpec struct {
 	// Experiment is one of CellExperiments().
@@ -163,7 +163,7 @@ func ProjectColumn(t *Table, col string) (*Table, error) {
 }
 
 // Approximate reports whether any cell carries the trailing "~" marking a
-// budget-truncated (valid but not ε-converged) solve. Serving layers use it
+// deadline-truncated (valid but not ε-converged) solve. Serving layers use it
 // to keep approximate results out of permanent caches.
 func (t *Table) Approximate() bool {
 	for _, r := range t.Rows {

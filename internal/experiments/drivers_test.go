@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"flattree/internal/chaos"
@@ -92,6 +93,28 @@ func TestSoakDriver(t *testing.T) {
 	}
 	if tab == nil {
 		t.Fatal("cancelled soak returned no table")
+	}
+}
+
+// TestSoakRowMarksApprox: lambda0 is the first sample's λ, but the
+// availability and served-capacity cells fold every sample, so a later
+// deadline-stopped sample marks them and leaves lambda0 unmarked.
+func TestSoakRowMarksApprox(t *testing.T) {
+	res := &chaos.Result{
+		Lambda0: 1,
+		Samples: []chaos.Sample{{Dur: 1, Lambda: 1}, {T: 1, Dur: 1, Lambda: 0.5, Approx: true}},
+	}
+	row := soakRow("arm", res)
+	for c, want := range map[int]bool{4: true, 5: true, 6: true, 7: true, 8: false} {
+		if strings.HasSuffix(row[c], "~") != want {
+			t.Errorf("cell %d = %q: want marked=%t", c, row[c], want)
+		}
+	}
+	res.Samples[1].Approx = false
+	for c, cell := range soakRow("arm", res) {
+		if strings.HasSuffix(cell, "~") {
+			t.Errorf("converged samples: cell %d = %q is marked", c, cell)
+		}
 	}
 }
 

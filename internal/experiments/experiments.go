@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"flattree/internal/core"
 	"flattree/internal/fattree"
@@ -54,14 +53,6 @@ type Config struct {
 	// output is byte-identical for every setting — the knob only trades
 	// wall-clock time for CPU.
 	Parallelism int
-	// SolveBudget bounds each individual MCF solve's wall-clock time (see
-	// mcf.Options.TimeBudget); zero means unbounded. Cells whose solver
-	// stopped early carry a trailing "~" (the solve is a valid lower bound,
-	// just not converged to Epsilon). Note a nonzero budget trades the
-	// byte-identical-tables guarantee for bounded latency: whether a solve
-	// hits the budget depends on machine speed, so "~" markers — and the
-	// slightly lower λ of a truncated solve — can differ between runs.
-	SolveBudget time.Duration
 }
 
 // trials returns the effective number of randomized runs: Trials when
@@ -160,13 +151,18 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
 // lambdaCell formats an averaged throughput; a trailing "~" marks an
-// average with at least one contributing solve that stopped at its budget
-// (mcf.Result.Approximate) — a valid lower bound, not converged to Epsilon.
-func lambdaCell(v float64, approx bool) string {
+// average with at least one contributing solve that stopped at the run's
+// deadline (mcf.Result.Approximate) — a valid lower bound, not converged to
+// Epsilon.
+func lambdaCell(v float64, approx bool) string { return marked(f4(v), approx) }
+
+// marked appends the "~" that flags a cell built from at least one solve
+// that stopped at the run's deadline.
+func marked(cell string, approx bool) string {
 	if approx {
-		return f4(v) + "~"
+		return cell + "~"
 	}
-	return f4(v)
+	return cell
 }
 
 // suite bundles the four comparable topologies for one k.

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func smallCfg() Config {
@@ -117,6 +118,34 @@ func TestFig8Shape(t *testing.T) {
 		flat := cell(t, tab, i, 3)
 		if flat <= fat {
 			t.Errorf("row %d: flat-tree %g should beat fat-tree %g", i, flat, fat)
+		}
+	}
+}
+
+// pastDeadline is a context whose deadline has passed while its Err is
+// still nil: every FPTAS solve under it runs its probe and then takes the
+// deadline's degrade path, with no race against a timer.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestHybridMarksDeadlineStop: a hybrid cell built from a solve that stopped
+// at the deadline carries the "~", so serve never persists it. The local
+// zone's all-to-all and the joint solve run the FPTAS and stop; the global
+// zone's broadcast is a single hot spot, solved exactly, and stays unmarked.
+func TestHybridMarksDeadlineStop(t *testing.T) {
+	tab, _, err := Hybrid(pastDeadline{context.Background()}, smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tab.Approximate() {
+		t.Fatalf("deadline-stopped hybrid table carries no ~:\n%s", tab)
+	}
+	for i, row := range tab.Rows {
+		for c, want := range map[int]bool{2: false, 3: false, 4: true, 5: true, 6: true} {
+			if strings.HasSuffix(row[c], "~") != want {
+				t.Errorf("row %d %s = %q: want marked=%t", i, tab.Header[c], row[c], want)
+			}
 		}
 	}
 }

@@ -81,7 +81,7 @@ func Faults(ctx context.Context, cfg Config, k int) (*Table, error) {
 type damage struct {
 	rep    faults.Report
 	lambda float64
-	approx bool // the solve stopped at its time budget
+	approx bool // the solve stopped at the run's deadline
 }
 
 // scoreDamage measures a damaged network for a failure table: faults.Analyze
@@ -93,7 +93,7 @@ func scoreDamage(ctx context.Context, cfg Config, nw *topo.Network, seed uint64,
 	if err != nil || (wholeOnly && !rep.Connected) {
 		return damage{rep: rep}, err
 	}
-	_, lambda, approx, err := chaos.Score(ctx, nw, seed, cfg.Epsilon, cfg.SolveBudget)
+	_, lambda, approx, err := chaos.Score(ctx, nw, seed, cfg.Epsilon)
 	return damage{rep: rep, lambda: lambda, approx: approx}, err
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"flattree/internal/core"
 	"flattree/internal/mcf"
@@ -16,7 +15,7 @@ import (
 // clusters under the placement policy, emit the pattern's commodities, and
 // solve maximum concurrent flow.
 func throughput(ctx context.Context, nw *topo.Network, clusterSize int, placement traffic.Placement,
-	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64, budget time.Duration) (mcf.Result, error) {
+	pattern func([]traffic.Cluster) []mcf.Commodity, seed uint64, epsilon float64) (mcf.Result, error) {
 	clusters, err := traffic.MakeClusters(nw, nw.Servers(), traffic.Spec{
 		ClusterSize: clusterSize,
 		Placement:   placement,
@@ -25,7 +24,7 @@ func throughput(ctx context.Context, nw *topo.Network, clusterSize int, placemen
 	if err != nil {
 		return mcf.Result{}, err
 	}
-	return mcf.MaxConcurrentFlow(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon, TimeBudget: budget})
+	return mcf.MaxConcurrentFlow(ctx, nw, pattern(clusters), mcf.Options{Epsilon: epsilon})
 }
 
 // BroadcastClusterSize is the paper's hot-spot cluster size (§3.3).
@@ -78,7 +77,7 @@ func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, 
 	for ki := range suites {
 		nw := fs.netsOf(suites[ki])[ci/numPl]
 		res, err := throughput(ctx, nw, fs.clusterSize, fs.placements[ci%numPl],
-			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon, cfg.SolveBudget)
+			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon)
 		if err != nil {
 			return nil, fmt.Errorf("%s k=%d net=%d trial=%d: %w", fs.fig, suites[ki].k, ci/numPl, tr, err)
 		}

@@ -25,6 +25,9 @@ type HybridRow struct {
 	// pre-scaled by their standalone λ. 1.0 means the zones share the
 	// core without hurting each other — the paper's headline claim.
 	Interference float64
+	// approxG, approxL and approxJ mark a zone or joint solve that stopped
+	// at the run's deadline; the zone cells and interference carry a "~".
+	approxG, approxL, approxJ bool
 }
 
 // Hybrid regenerates the §3.4 experiment: a flat-tree with two zones —
@@ -128,24 +131,35 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 		// Joint solve with each zone's demands scaled to its standalone
 		// achievable rates (demand × standalone λ): an interference factor
 		// of 1 then means both zones sustain their standalone throughput
-		// simultaneously.
+		// simultaneously. A zone whose standalone solve stopped at the
+		// deadline before routing anything (λ = 0) has no rate to hold and
+		// sits out; with both out the (marked) factor reads 0.
 		var joint []mcf.Commodity
-		for _, c := range gComms {
-			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resG.Lambda})
+		if resG.Lambda > 0 {
+			for _, c := range gComms {
+				joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resG.Lambda})
+			}
 		}
-		for _, c := range lComms {
-			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
+		if resL.Lambda > 0 {
+			for _, c := range lComms {
+				joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
+			}
 		}
-		resJ, err := mcf.MaxConcurrentFlow(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon})
-		if err != nil {
-			return HybridRow{}, err
+		var resJ mcf.Result
+		if len(joint) > 0 {
+			if resJ, err = mcf.MaxConcurrentFlow(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon}); err != nil {
+				return HybridRow{}, err
+			}
 		}
 
 		return HybridRow{
 			GlobalPods: zg, LocalPods: k - zg,
 			LambdaGlobal: resG.Lambda, LambdaLocal: resL.Lambda,
-			RefGlobal: refGlobal, RefLocal: refLocal,
+			RefGlobal: refGlobal.Lambda, RefLocal: refLocal.Lambda,
 			Interference: resJ.Lambda,
+
+			approxG: resG.Approximate, approxL: resL.Approximate,
+			approxJ: resJ.Approximate || resG.Approximate || resL.Approximate,
 		}, nil
 	})
 	if err != nil {
@@ -154,9 +168,11 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 
 	for _, row := range rows {
 		t.AddRow(fmt.Sprint(row.GlobalPods), fmt.Sprint(row.LocalPods),
-			f4(row.LambdaGlobal), f3(row.LambdaGlobal/refGlobal),
-			f4(row.LambdaLocal), f3(row.LambdaLocal/refLocal),
-			f3(row.Interference))
+			lambdaCell(row.LambdaGlobal, row.approxG),
+			marked(f3(row.LambdaGlobal/row.RefGlobal), row.approxG || refGlobal.Approximate),
+			lambdaCell(row.LambdaLocal, row.approxL),
+			marked(f3(row.LambdaLocal/row.RefLocal), row.approxL || refLocal.Approximate),
+			marked(f3(row.Interference), row.approxJ))
 	}
 	return t, rows, nil
 }
@@ -164,10 +180,6 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 // completeRef computes the throughput of a complete (single-mode) network
 // under the full-network version of a workload.
 func completeRef(ctx context.Context, nw *topo.Network, clusterSize int,
-	pattern func([]traffic.Cluster) []mcf.Commodity, cfg Config) (float64, error) {
-	res, err := throughput(ctx, nw, clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon, cfg.SolveBudget)
-	if err != nil {
-		return 0, err
-	}
-	return res.Lambda, nil
+	pattern func([]traffic.Cluster) []mcf.Commodity, cfg Config) (mcf.Result, error) {
+	return throughput(ctx, nw, clusterSize, traffic.Locality, pattern, cfg.Seed, cfg.Epsilon)
 }

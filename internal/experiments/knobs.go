@@ -45,8 +45,8 @@ type Knob struct {
 	Name  string
 	Usage string
 	// Identity knobs change the bytes a cell prints and are hashed into the
-	// content address; execution knobs (parallelism, budgets, timeouts)
-	// only change how fast the bytes arrive and never are.
+	// content address; execution knobs (parallelism, the timeout) only
+	// change how fast the bytes arrive and never are.
 	Identity bool
 
 	surface      surface
@@ -82,9 +82,13 @@ var (
 	posInt    = domain[int]{func(v int) bool { return v > 0 }, "> 0"}
 	nonNegInt = domain[int]{func(v int) bool { return v >= 0 }, ">= 0"}
 	evenK     = domain[int]{func(v int) bool { return v >= 4 && v%2 == 0 }, ">= 4 and even"}
-	posFloat  = domain[float64]{func(v float64) bool { return v > 0 }, "> 0"}
-	frac01    = domain[float64]{func(v float64) bool { return v >= 0 && v < 1 }, "in [0,1)"}
-	fracOpen  = domain[float64]{func(v float64) bool { return v > 0 && v < 1 }, "in (0,1)"}
+	// The sweep's start and step are even so that it visits only the even k
+	// a fat-tree takes: an odd kmin or kstep would skip every k it lands on.
+	nonNegEven = domain[int]{func(v int) bool { return v >= 0 && v%2 == 0 }, ">= 0 and even"}
+	posEven    = domain[int]{func(v int) bool { return v > 0 && v%2 == 0 }, "> 0 and even"}
+	posFloat   = domain[float64]{func(v float64) bool { return v > 0 }, "> 0"}
+	frac01     = domain[float64]{func(v float64) bool { return v >= 0 && v < 1 }, "in [0,1)"}
+	fracOpen   = domain[float64]{func(v float64) bool { return v > 0 && v < 1 }, "in (0,1)"}
 )
 
 // knobOf builds a Knob over one Request field. kind is the noun phrase of
@@ -151,11 +155,11 @@ var kKnob = intKnob("k", "network size of the single-k scenario experiments (def
 // knobs is the knob table, in content-address order: identity knobs first
 // (sweep, then scenario), execution knobs last.
 var knobs = []Knob{
-	intKnob("kmin", "smallest fat-tree parameter k (even)", 4, anyInt,
+	intKnob("kmin", "smallest fat-tree parameter k (even)", 4, nonNegEven,
 		func(r *Request) *int { return &r.Config.KMin }).identity(),
 	intKnob("kmax", "largest fat-tree parameter k; the network size of the single-k scenario experiments", 16, anyInt,
 		func(r *Request) *int { return &r.Config.KMax }).identity(),
-	intKnob("kstep", "k sweep step", 2, posInt,
+	intKnob("kstep", "k sweep step (even)", 2, posEven,
 		func(r *Request) *int { return &r.Config.KStep }).identity(),
 	knobOf("seed", "seed for random constructions and placements", 1, "a uint64", domain[uint64]{func(uint64) bool { return true }, ""},
 		func(s string) (uint64, error) { return strconv.ParseUint(s, 10, 64) },
@@ -204,8 +208,6 @@ var knobs = []Knob{
 
 	intKnob("parallel", "worker goroutines per experiment sweep (0 = all cores); output is identical for every setting", 0, anyInt,
 		func(r *Request) *int { return &r.Config.Parallelism }).on(flagOnly),
-	durationKnob("solvebudget", "wall-clock budget per MCF solve; budget-limited cells carry a trailing ~ (0 = unbounded)",
-		func(r *Request) *time.Duration { return &r.Config.SolveBudget }).on(flagOnly),
 	durationKnob("timeout", "abort the run after this duration (0 = no limit)",
 		func(r *Request) *time.Duration { return &r.Timeout }),
 }
@@ -273,9 +275,8 @@ func Resolve(r *Request) error {
 // errBadMix is all parseMix reports; the mix knob's message states the format.
 var errBadMix = errors.New("malformed mix")
 
-// parseMix reads "link,switch,conv,pod" relative weights into a chaos.Mix
-// that keeps DefaultMix's severity settings; empty selects the default mix
-// entirely.
+// parseMix reads "link,switch,conv,pod" relative weights into a chaos.Mix;
+// empty selects the default mix.
 func parseMix(s string) (chaos.Mix, error) {
 	if s == "" {
 		return chaos.Mix{}, nil
@@ -297,9 +298,7 @@ func parseMix(s string) (chaos.Mix, error) {
 	if !(total > 0) {
 		return chaos.Mix{}, errBadMix
 	}
-	m := chaos.DefaultMix()
-	m.LinkBurst, m.SwitchKill, m.ConverterKill, m.PodKill = w[0], w[1], w[2], w[3]
-	return m, nil
+	return chaos.Mix{LinkBurst: w[0], SwitchKill: w[1], ConverterKill: w[2], PodKill: w[3]}, nil
 }
 
 // formatMix is parseMix's inverse.

@@ -54,7 +54,7 @@ func Latency(ctx context.Context, cfg Config, k int, load float64) (*Table, erro
 		count := 40 * len(servers)
 		rng := graph.NewRNG(cfg.Seed)
 		pkts := netsim.PoissonPackets(servers, rate, count, 8, rng)
-		res, err := netsim.Packets(ctx, tg.nw, routing.BuildTable(tg.nw), pkts, netsim.PacketConfig{})
+		res, err := netsim.Packets(ctx, tg.nw, routing.BuildTable(tg.nw), pkts)
 		if err != nil {
 			return nil, fmt.Errorf("latency %s: %w", tg.name, err)
 		}

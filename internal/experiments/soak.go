@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"flattree/internal/chaos"
 )
@@ -22,7 +23,6 @@ func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, er
 	opt.K = k
 	opt.Seed = cfg.Seed
 	opt.Epsilon = cfg.Epsilon
-	opt.SolveBudget = cfg.SolveBudget
 	opt.Parallelism = cfg.Parallelism
 
 	t := &Table{
@@ -52,7 +52,9 @@ func Soak(ctx context.Context, cfg Config, k int, opt chaos.Options) (*Table, er
 	return t, nil
 }
 
-// soakRow folds one arm's Result into its table row.
+// soakRow folds one arm's Result into its table row. lambda0 is the first
+// sample's λ; the availability and served-capacity cells fold every sample,
+// so one deadline-stopped sample anywhere marks them.
 func soakRow(name string, res *chaos.Result) []string {
 	latSum, repaired, unrepaired := 0.0, 0, 0
 	for _, ep := range res.Episodes {
@@ -68,15 +70,16 @@ func soakRow(name string, res *chaos.Result) []string {
 		meanLat = f3(latSum / float64(repaired))
 	}
 	approx0 := len(res.Samples) > 0 && res.Samples[0].Approx
+	approx := slices.ContainsFunc(res.Samples, func(s chaos.Sample) bool { return s.Approx })
 	return []string{
 		name,
 		fmt.Sprint(len(res.Episodes)),
 		fmt.Sprint(res.Windows),
 		fmt.Sprint(res.Replans),
-		f3(res.SLO.Availability),
-		fmt.Sprint(res.SLO.Breaches),
-		f3(res.SLO.Mean),
-		f3(res.SLO.Min),
+		marked(f3(res.SLO.Availability), approx),
+		marked(fmt.Sprint(res.SLO.Breaches), approx),
+		marked(f3(res.SLO.Mean), approx),
+		marked(f3(res.SLO.Min), approx),
 		lambdaCell(res.Lambda0, approx0),
 		meanLat,
 		fmt.Sprint(unrepaired),

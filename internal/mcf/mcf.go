@@ -40,29 +40,19 @@ type Commodity struct {
 	Demand   float64
 }
 
-// Options tunes the approximation.
+// Options tunes the approximation. The caller's context is the only thing
+// that cuts a solve short: its deadline degrades a FPTAS solve to the best
+// feasible λ found so far (flagged Approximate), and its cancellation aborts
+// any solve with ctx.Err().
 type Options struct {
 	// Epsilon is the FPTAS accuracy parameter (default 0.08). Smaller is
 	// more accurate and slower; the reported DualGap tells the truth
 	// regardless.
 	Epsilon float64
-	// MaxPhases bounds the outer loop as a safety valve (default 1<<20).
-	MaxPhases int
 	// SkipDualBound disables the FPTAS's once-per-phase dual bound
 	// computation and its final dual sweep (UpperBound is then +Inf). The
 	// exact path ignores it: its min cut is the bound, at no extra cost.
 	SkipDualBound bool
-	// TimeBudget bounds the solver's wall-clock time (0 means unbounded).
-	// On exhaustion the solver degrades gracefully: the flow accumulated
-	// so far is scaled down to feasibility and returned as a valid — but
-	// possibly well-below-optimal — Lambda, with Approximate set. This is
-	// a budget, not a cancellation: use the context to abort outright.
-	// A context deadline additionally caps the budget (minus a small
-	// safety margin), so a client timeout degrades to an approximate λ
-	// rather than erroring — deadline propagation for serving paths. The
-	// exact path takes milliseconds and has no partial answer to degrade
-	// to: it ignores the budget, and an expired context is an error there.
-	TimeBudget time.Duration
 }
 
 // Result reports a solve.
@@ -73,7 +63,7 @@ type Result struct {
 	// UpperBound is an LP-dual certificate: no feasible solution exceeds
 	// it. +Inf when not computed. A converged FPTAS solve reports the
 	// smaller of the best per-phase bound and the exact dual value
-	// D(l)/α(l) of its final length function; a budget-stopped
+	// D(l)/α(l) of its final length function; a deadline-stopped
 	// (Approximate) solve has no time for that last sweep and reports the
 	// per-phase bound alone. An exact (star) solve reports the ratio of its
 	// minimum cut, which Lambda meets up to rounding.
@@ -81,19 +71,18 @@ type Result struct {
 	// Phases counts *completed* phases: full passes over every source in
 	// which each commodity shipped one round of its demand — the demand as
 	// normalized at that point, which the in-flight renormalization only
-	// ever raises, so later phases ship more. A solve cut short by
-	// TimeBudget or a mid-phase convergence break does not count the
+	// ever raises, so later phases ship more. A solve cut short by its
+	// context deadline or a mid-phase convergence break does not count the
 	// partial phase, and the final dual sweep is not a phase. Dijkstras
 	// counts every shortest-path pass the solve ran, including the
 	// demand-scaling probe's and the final dual sweep's. Both are 0 for an
 	// exact (star) solve, which runs neither phases nor shortest paths.
 	Phases    int
 	Dijkstras int
-	// Approximate reports that the solver stopped on a budget (TimeBudget
-	// or MaxPhases) before reaching its ε guarantee. Lambda is still
-	// feasible, and DualGap still tells the truth about how far off it
-	// might be; the flag only says the usual (1-ε)-optimality promise no
-	// longer applies.
+	// Approximate reports that the FPTAS stopped at its context deadline
+	// before reaching its ε guarantee. Lambda is still feasible, and
+	// DualGap still tells the truth about how far off it might be; the flag
+	// only says the usual (1-ε)-optimality promise no longer applies.
 	Approximate bool
 	// WarmStarted is always false: no solve is seeded from another. The
 	// field stays only because benchmark/ reads it, and goes with that read
@@ -303,9 +292,10 @@ func resized(s []float64, n int) []float64 {
 //
 // The context is checked between shortest-path iterations (including the
 // demand-scaling probe's) and between max-flow rounds: cancellation aborts
-// the solve and returns ctx.Err(). Options.TimeBudget instead ends the
+// the solve and returns ctx.Err(). A context deadline instead ends the
 // FPTAS's phase loop early with the best feasible λ found so far (flagged
-// Approximate); an exact solve has nothing to cut short and ignores it.
+// Approximate); an exact solve has nothing to cut short, and an expired
+// context is an error there.
 func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options) (Result, error) {
 	st := getState()
 	defer putState(st)
@@ -326,9 +316,6 @@ func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities [
 	if !(0 < opt.Epsilon && opt.Epsilon < 0.5) {
 		return Result{}, fmt.Errorf("mcf: epsilon %g out of (0, 0.5)", opt.Epsilon)
 	}
-	if opt.MaxPhases <= 0 {
-		opt.MaxPhases = 1 << 20
-	}
 	if err := aggregate(nw, commodities, &st.pr); err != nil {
 		return Result{}, err
 	}
@@ -338,13 +325,14 @@ func (st *solveState) solve(ctx context.Context, nw *topo.Network, commodities [
 	if st.stageStar() {
 		return st.solveStar(ctx)
 	}
-	return st.fptas(ctx, opt)
+	return st.fptas(ctx, opt, math.MaxInt)
 }
 
 // fptas runs the Garg-Könemann/Fleischer scheme on the aggregated problem in
-// st.pr, whose demands it rescales in place. opt must carry a valid Epsilon
-// and a positive MaxPhases (solve fills in the defaults).
-func (st *solveState) fptas(ctx context.Context, opt Options) (Result, error) {
+// st.pr, whose demands it rescales in place, for at most maxPhases phases (a
+// solve passes no cap; a test truncates). opt must carry a valid Epsilon
+// (solve fills in the default).
+func (st *solveState) fptas(ctx context.Context, opt Options, maxPhases int) (Result, error) {
 	pr := &st.pr
 	ar := &st.ar
 	ar.bind(pr)
@@ -381,19 +369,15 @@ func (st *solveState) fptas(ctx context.Context, opt Options) (Result, error) {
 
 	routed, flow := ar.routed, ar.flow
 	congestion := 0.0 // max_e flow_e, kept as flow accumulates
+	// The context deadline is the solve's budget: past it the phase loop
+	// degrades to a valid approximate λ instead of tearing the solve down
+	// mid-phase with a hard error. A margin is reserved ahead of the
+	// deadline so the degrade path wins the race against the ctx.Err()
+	// check — shrinking with the remaining time so chained solves under one
+	// request deadline each still get a positive budget. (The
+	// demand-scaling probe above is context-checked but unbudgeted: a
+	// deadline shorter than the probe still surfaces as a context error.)
 	var deadline time.Time
-	if opt.TimeBudget > 0 {
-		deadline = time.Now().Add(opt.TimeBudget) //flatlint:ignore clockwall TimeBudget is an explicit wall-clock cap; it bounds work, never the answer for a converged run
-	}
-	// Deadline propagation: a context deadline also arms (or tightens) the
-	// budget deadline, so a client timeout degrades the solve to a valid
-	// approximate λ instead of tearing it down mid-phase with a hard
-	// error. A margin is reserved ahead of the context deadline so the
-	// degrade path wins the race against the ctx.Err() check — shrinking
-	// with the remaining time so chained solves under one request deadline
-	// each still get a positive budget. (The demand-scaling probe above is
-	// context-checked but unbudgeted: a deadline shorter than the probe
-	// still surfaces as a context error.)
 	if d, ok := ctx.Deadline(); ok {
 		//flatlint:ignore clockwall converting the context's wall-clock deadline into a budget deadline; bounds work, never the answer for a converged run
 		remaining := time.Until(d)
@@ -404,14 +388,12 @@ func (st *solveState) fptas(ctx context.Context, opt Options) (Result, error) {
 		if margin < 200*time.Microsecond {
 			margin = 200 * time.Microsecond
 		}
-		if cd := d.Add(-margin); deadline.IsZero() || cd.Before(deadline) {
-			deadline = cd
-		}
+		deadline = d.Add(-margin)
 	}
 	converged := false
 
 phases:
-	for phase := 1; phase <= opt.MaxPhases; phase++ {
+	for phase := 1; phase <= maxPhases; phase++ {
 		dualAlpha, dualD := 0.0, 0.0
 		for si, src := range pr.srcs {
 			comms := pr.commsOf(si)
@@ -426,9 +408,9 @@ phases:
 				if err := ctx.Err(); err != nil {
 					return Result{}, err
 				}
-				//flatlint:ignore clockwall checking the explicit TimeBudget deadline; degrades to best-so-far, never changes a converged result
+				//flatlint:ignore clockwall checking the context-derived deadline; degrades to best-so-far, never changes a converged result
 				if !deadline.IsZero() && time.Now().After(deadline) {
-					break phases // budget spent: degrade to best-so-far λ
+					break phases // deadline reached: degrade to best-so-far λ
 				}
 				if sumLC >= 1 {
 					converged = true
@@ -502,7 +484,7 @@ phases:
 				}
 			}
 		}
-		// Count the phase only now that every source completed it: a budget
+		// Count the phase only now that every source completed it: a deadline
 		// or convergence break above leaves the partial phase uncounted.
 		res.Phases = phase
 		shipped := minRouted(pr, routed)
@@ -554,7 +536,7 @@ phases:
 	// (its alpha terms predate most of a phase of length growth), so a
 	// converged solve measures D(l)/alpha(l) once under its final lengths:
 	// one distance-only pass per source, context-checked but unbudgeted
-	// like the probe. Budget-stopped solves skip it — they have no time
+	// like the probe. Deadline-stopped solves skip it — they have no time
 	// left — and keep the running bound.
 	if converged && !opt.SkipDualBound {
 		d, alpha := 0.0, 0.0

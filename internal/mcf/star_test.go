@@ -148,7 +148,7 @@ func fptasOnly(tb testing.TB, nw *topo.Network, comms []Commodity, eps float64) 
 	if err := aggregate(nw, comms, &st.pr); err != nil {
 		tb.Fatal(err)
 	}
-	return st.fptas(context.Background(), Options{Epsilon: eps, MaxPhases: 1 << 20})
+	return st.fptas(context.Background(), Options{Epsilon: eps}, math.MaxInt)
 }
 
 // TestStarBracketsFPTAS uses the exact path as the oracle where the LP
@@ -272,7 +272,7 @@ func TestStarChecksContextBetweenRounds(t *testing.T) {
 }
 
 // TestStarIgnoresBudgets: there is nothing to cut short on the exact path,
-// so neither a spent TimeBudget nor a context deadline produces an
+// so neither a context deadline — pending or already passed — produces an
 // Approximate result (an expired context is an error, as everywhere), and
 // SkipDualBound still gets the cut certificate, which costs nothing.
 func TestStarIgnoresBudgets(t *testing.T) {
@@ -284,9 +284,8 @@ func TestStarIgnoresBudgets(t *testing.T) {
 		ctx  context.Context
 		opt  Options
 	}{
-		{"spent TimeBudget", context.Background(), Options{TimeBudget: time.Nanosecond}},
 		{"context deadline", withDeadline, Options{}},
-		{"one phase allowed", context.Background(), Options{MaxPhases: 1}},
+		{"deadline passed", pastDeadline{context.Background()}, Options{}},
 		{"SkipDualBound", context.Background(), Options{SkipDualBound: true}},
 	} {
 		res, err := MaxConcurrentFlow(tc.ctx, nw, comms, tc.opt)

@@ -280,7 +280,7 @@ func TestBadInputIsAnError(t *testing.T) {
 		_, err = Fluid(context.Background(), nw, routing.NewKSP(nw, 1), []Arrival{{Src: tc.src, Dst: tc.dst, Size: tc.amount}})
 		check("Fluid", err)
 		if tc.want != "non-positive" { // a packet has no amount to get wrong
-			_, err = Packets(context.Background(), nw, routing.BuildTable(nw), []Packet{{Src: tc.src, Dst: tc.dst}}, PacketConfig{})
+			_, err = Packets(context.Background(), nw, routing.BuildTable(nw), []Packet{{Src: tc.src, Dst: tc.dst}})
 			check("Packets", err)
 		}
 	}

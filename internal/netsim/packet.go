@@ -19,18 +19,18 @@ type Packet struct {
 	Flow     uint64
 }
 
-// PacketConfig tunes the packet run.
-type PacketConfig struct {
-	// QueueLimit is the per-directed-link FIFO capacity in packets
-	// (default 64). Arrivals to a full queue are dropped.
-	QueueLimit int
-	// PropDelay is the per-hop propagation delay added after the unit
-	// transmission time (default 0.05).
-	PropDelay float64
-	// HopLimit drops packets that exceed it (default 32), guarding
-	// against routing loops.
-	HopLimit int
-}
+// The packet model's constants.
+const (
+	// queueLimit is the per-directed-link FIFO capacity in packets.
+	// Arrivals to a full queue are dropped.
+	queueLimit = 64
+	// propDelay is the per-hop propagation delay added after the unit
+	// transmission time.
+	propDelay = 0.05
+	// hopLimit drops packets that exceed it, guarding against routing
+	// loops.
+	hopLimit = 32
+)
 
 // PacketResult summarizes a packet run.
 type PacketResult struct {
@@ -95,25 +95,13 @@ const ctxBatch = 1024
 // Packets runs the packet-level simulation over the injected packets:
 // they are routed hop by hop using the forwarding table's ECMP next hops,
 // hashed per flow, and each direction of a pooled link is a unit-rate
-// store-and-forward server with a finite FIFO queue.
+// store-and-forward server with a FIFO queue of queueLimit packets. Each hop
+// adds propDelay after its transmission; a packet past hopLimit hops drops.
 //
 // Cancelling ctx ends the run between event batches; it then returns the
 // context's error together with the result summarized over the packets
 // delivered so far.
-func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packets []Packet, cfg PacketConfig) (PacketResult, error) {
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = 64
-	}
-	if cfg.PropDelay < 0 {
-		return PacketResult{}, fmt.Errorf("netsim: negative propagation delay")
-	}
-	if cfg.PropDelay == 0 { //flatlint:ignore floatcmp zero value means unset; exact by construction
-		cfg.PropDelay = 0.05
-	}
-	if cfg.HopLimit <= 0 {
-		cfg.HopLimit = 32
-	}
-
+func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packets []Packet) (PacketResult, error) {
 	f := newFabric(nw, nil)
 	// Pooled link li carries two directed queues: 2·li toward its
 	// higher-numbered switch, 2·li+1 toward the lower.
@@ -155,7 +143,7 @@ func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packet
 			lastDel = now
 			return true
 		}
-		if p.hops >= cfg.HopLimit {
+		if p.hops >= hopLimit {
 			return false
 		}
 		hops := table.NextHops(int(sw), int(p.dstSwitch))
@@ -172,7 +160,7 @@ func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packet
 			li++
 		}
 		l := &links[li]
-		if len(l.queue) >= cfg.QueueLimit {
+		if len(l.queue) >= queueLimit {
 			return false
 		}
 		l.queue = append(l.queue, p)
@@ -225,7 +213,7 @@ func Packets(ctx context.Context, nw *topo.Network, table *routing.Table, packet
 				l.busy = false
 			}
 			// The packet reaches the peer switch after propagation.
-			push(&event{time: now + cfg.PropDelay, kind: 2, at: e.at, pkt: p})
+			push(&event{time: now + propDelay, kind: 2, at: e.at, pkt: p})
 		case 2: // hop arrival at a switch
 			e.pkt.hops++
 			if !forward(e.pkt, e.at) {

@@ -17,16 +17,16 @@ func TestSinglePacketLatency(t *testing.T) {
 	table := routing.BuildTable(nw)
 	res, err := Packets(context.Background(), nw, table, []Packet{
 		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 1},
-	}, PacketConfig{PropDelay: 0.5})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered != 1 || res.Dropped != 0 {
 		t.Fatalf("res = %+v", res)
 	}
-	// Two switch hops: 2 transmissions (1 each) + 2 propagations (0.5).
-	if math.Abs(res.MeanLatency-3.0) > 1e-9 {
-		t.Errorf("latency = %g, want 3.0", res.MeanLatency)
+	// Two switch hops: 2 transmissions (1 each) + 2 propagations (0.05).
+	if math.Abs(res.MeanLatency-2.1) > 1e-9 {
+		t.Errorf("latency = %g, want 2.1", res.MeanLatency)
 	}
 	if res.MeanHops != 2 {
 		t.Errorf("hops = %g, want 2", res.MeanHops)
@@ -41,17 +41,17 @@ func TestQueueingDelay(t *testing.T) {
 	res, err := Packets(context.Background(), nw, table, []Packet{
 		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 1},
 		{Time: 0, Src: servers[0], Dst: servers[2], Flow: 2},
-	}, PacketConfig{PropDelay: 0.5})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered != 2 {
 		t.Fatalf("delivered %d", res.Delivered)
 	}
-	// Latencies 3.0 and 4.0 -> mean 3.5 (pipelining hides nothing at the
-	// bottleneck first link; the second link is idle when pkt2 arrives).
-	if math.Abs(res.MeanLatency-3.5) > 1e-9 {
-		t.Errorf("mean latency = %g, want 3.5", res.MeanLatency)
+	// Latencies 2.1 and 3.1 -> mean 2.6 (pipelining hides nothing at the
+	// bottleneck first link; the second link is free when pkt2 arrives).
+	if math.Abs(res.MeanLatency-2.6) > 1e-9 {
+		t.Errorf("mean latency = %g, want 2.6", res.MeanLatency)
 	}
 	if res.MaxQueue != 2 {
 		t.Errorf("max queue = %d, want 2", res.MaxQueue)
@@ -61,18 +61,19 @@ func TestQueueingDelay(t *testing.T) {
 func TestQueueOverflowDrops(t *testing.T) {
 	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
+	// Three more simultaneous packets than the first link's queue holds.
 	var pkts []Packet
-	for i := 0; i < 5; i++ {
+	for i := 0; i < queueLimit+3; i++ {
 		pkts = append(pkts, Packet{Time: 0, Src: servers[0], Dst: servers[2], Flow: uint64(i)})
 	}
-	res, err := Packets(context.Background(), nw, table, pkts, PacketConfig{QueueLimit: 2})
+	res, err := Packets(context.Background(), nw, table, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped != 3 || res.Delivered != 2 {
-		t.Errorf("res = %+v, want 2 delivered / 3 dropped", res)
+	if res.Dropped != 3 || res.Delivered != queueLimit {
+		t.Errorf("res = %+v, want %d delivered / 3 dropped", res, queueLimit)
 	}
-	if res.Sent != 5 || res.Delivered+res.Dropped != res.Sent {
+	if res.Sent != queueLimit+3 || res.Delivered+res.Dropped != res.Sent {
 		t.Errorf("conservation violated: %+v", res)
 	}
 }
@@ -81,7 +82,7 @@ func TestSameSwitchDeliveryInstant(t *testing.T) {
 	nw, s0, s1 := sameSwitchNet()
 	res, err := Packets(context.Background(), nw, routing.BuildTable(nw), []Packet{
 		{Time: 1, Src: s0, Dst: s1, Flow: 9},
-	}, PacketConfig{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestECMPFlowConsistency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pkts = append(pkts, Packet{Time: float64(i) * 0.1, Src: f.ServerIDs[0], Dst: f.ServerIDs[12], Flow: 7})
 	}
-	res, err := Packets(context.Background(), f.Net, table, pkts, PacketConfig{})
+	res, err := Packets(context.Background(), f.Net, table, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFatTreeUniformTraffic(t *testing.T) {
 	}
 	rng := graph.NewRNG(3)
 	pkts := PoissonPackets(f.ServerIDs, 5.0, 400, 4, rng)
-	res, err := Packets(context.Background(), f.Net, routing.BuildTable(f.Net), pkts, PacketConfig{})
+	res, err := Packets(context.Background(), f.Net, routing.BuildTable(f.Net), pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestGlobalRandomLowerLatency(t *testing.T) {
 		nw := ft.Net()
 		rng := graph.NewRNG(17)
 		pkts := PoissonPackets(nw.Servers(), 10.0, 1500, 4, rng)
-		res, err := Packets(context.Background(), nw, routing.BuildTable(nw), pkts, PacketConfig{})
+		res, err := Packets(context.Background(), nw, routing.BuildTable(nw), pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +180,8 @@ func TestGlobalRandomLowerLatency(t *testing.T) {
 func TestPacketErrors(t *testing.T) {
 	nw, servers := lineNet(3)
 	table := routing.BuildTable(nw)
-	if _, err := Packets(context.Background(), nw, table, []Packet{{Src: -1, Dst: servers[0]}}, PacketConfig{}); err == nil {
+	if _, err := Packets(context.Background(), nw, table, []Packet{{Src: -1, Dst: servers[0]}}); err == nil {
 		t.Error("bad src accepted")
-	}
-	if _, err := Packets(context.Background(), nw, table, nil, PacketConfig{PropDelay: -1}); err == nil {
-		t.Error("negative delay accepted")
 	}
 }
 
@@ -195,7 +193,7 @@ func TestPacketsCancelled(t *testing.T) {
 	cancel()
 	res, err := Packets(ctx, nw, routing.BuildTable(nw), []Packet{
 		{Time: 1, Src: servers[0], Dst: servers[2], Flow: 1},
-	}, PacketConfig{})
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}

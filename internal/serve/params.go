@@ -63,7 +63,7 @@ const addressFormat = 2
 // cellKey is the content address of a resolved request under one code
 // version: the SHA-256 of the format version, the code version, the cell,
 // and every identity knob's canonical value in declaration order. Execution
-// knobs (parallelism, timeouts, solve budgets) are deliberately absent —
+// knobs (parallelism, the timeout) are deliberately absent —
 // they shape when a solve stops, never what a converged one prints, and
 // approximate results are never cached.
 func cellKey(code string, req *experiments.Request) string {

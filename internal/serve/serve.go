@@ -14,7 +14,7 @@
 //     cells compute concurrently, at most QueueDepth more may wait, and
 //     everything beyond that is shed with 429 + Retry-After.
 //   - Client deadlines propagate: the timeout parameter bounds the request
-//     context, mcf turns the context deadline into a solve budget, and the
+//     context, mcf stops the phase loop at the context deadline, and the
 //     response degrades to a `~`-suffixed approximate λ — served, flagged,
 //     and never cached.
 //   - Concurrent identical requests share one computation (singleflight),

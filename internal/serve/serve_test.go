@@ -344,6 +344,8 @@ func TestBadRequests(t *testing.T) {
 		{"exp=soak&slo=2", "in (0,1]"},
 		{"exp=fig5&timeout=-1s", "non-negative"},
 		{"exp=fig5&kmin=8&kmax=4", "kmin=8 > kmax=4"},
+		{"exp=fig5&kmin=5", `kmin="5" must be an integer >= 0 and even`},
+		{"exp=fig5&kmin=4&kstep=3&kmax=10", `kstep="3" must be an integer > 0 and even`},
 		{"exp=faultsrecovery&k=7", ">= 4 and even"},
 	}
 	for _, c := range cases {
@@ -436,9 +438,8 @@ func TestAddressSeparatesIdentities(t *testing.T) {
 	}
 	req := base()
 	req.Config.Parallelism = 7
-	req.Config.SolveBudget = time.Second
 	if cellKey("v1", req) != cellKey("v1", base()) {
-		t.Error("parallelism/budget leaked into the content address")
+		t.Error("parallelism leaked into the content address")
 	}
 
 	// Equal identities ⇒ equal address: a default spelled out, in any

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -210,4 +211,50 @@ func TestConcurrentPutGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// FuzzStoreEntry writes arbitrary bytes as a committed entry and opens the
+// store over it. Neither Open nor Get may panic or fail; a hit must return
+// exactly the bytes after the header line, whose SHA-256 and length the
+// header states; a miss must leave the entry in quarantine/, counted. The
+// seed corpus holds a valid entry, a truncated one, one whose header states
+// the wrong length, one with an uppercase hash and one with no newline.
+func FuzzStoreEntry(f *testing.F) {
+	key := testKey("fuzz")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, key+entrySuffix), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		payload, ok, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		st := s.Stats()
+		if ok {
+			header, body, _ := bytes.Cut(raw, []byte("\n"))
+			fields := strings.Fields(string(header))
+			if len(fields) != 3 || !bytes.Equal(payload, body) {
+				t.Fatalf("hit returned %q under header %q", payload, header)
+			}
+			sum := sha256.Sum256(payload)
+			if n, err := strconv.Atoi(fields[2]); err != nil || n != len(payload) || fields[1] != hex.EncodeToString(sum[:]) {
+				t.Fatalf("hit returned %d bytes hashing to %x under header %q", len(payload), sum, header)
+			}
+			if st.Entries != 1 || st.Hits != 1 || st.Quarantined != 0 {
+				t.Fatalf("hit: stats %+v", st)
+			}
+			return
+		}
+		if _, err := os.Stat(filepath.Join(dir, quarantineDir, key+entrySuffix)); err != nil {
+			t.Fatalf("missed entry not in quarantine: %v", err)
+		}
+		if st.Entries != 0 || st.Quarantined != 1 || st.Misses != 1 {
+			t.Fatalf("miss: stats %+v", st)
+		}
+	})
 }

@@ -113,7 +113,7 @@ go test -run '^$' \
 go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkStar' \
     -benchtime 1x ./internal/mcf > /dev/null
 
-echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec)"
+echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec, store entry reader)"
 # The one knob parser behind both flatsim's flags and /v1/cell: no panic on
 # arbitrary queries, canonical re-encoding keeps the content address, and
 # parameter order never matters. Then the radix-heap kernel against the
@@ -127,17 +127,21 @@ echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-leng
 # k=4 flat-tree instances (mode, commodities, demand scale, ε) against the
 # exact LP: λ ≤ λ_LP ≤ UpperBound and λ ≥ (1−3ε)·λ_LP from the FPTAS,
 # λ = λ_LP to 1e-9 with a closed certificate when the instance is a star,
-# and a re-solve on used scratch bit-identical to the fresh one. Last, the
+# and a re-solve on used scratch bit-identical to the fresh one. Then the
 # control plane's frame reader and payload decoders on arbitrary bytes: an
 # error rather than a panic, and whatever they accept re-encodes to the same
-# bytes. The checked-in seed corpora
-# (internal/{serve,graph,mcf}/testdata/fuzz) and the wire target's in-code
-# seeds already ran in the unit-test leg; this leg mutates from them.
+# bytes. Last, the result store's entry reader on arbitrary entry bytes: Open
+# and Get never panic or fail, a hit is exactly the payload its header's
+# SHA-256 and length describe, and a miss is quarantined and counted. The
+# checked-in seed corpora (internal/{serve,graph,mcf,store}/testdata/fuzz)
+# and the wire target's in-code seeds already ran in the unit-test leg; this
+# leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzSSSPKernelsAgree' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzHopKernelAgrees' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzMaxFlowMatchesLP' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzSolverCertificate' -fuzztime 10s ./internal/mcf
 go test -run '^$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/ctrl
+go test -run '^$' -fuzz 'FuzzStoreEntry' -fuzztime 10s ./internal/store
 
 echo "ok: all checks passed"

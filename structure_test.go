@@ -2,6 +2,7 @@ package flattree_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -21,6 +22,7 @@ import (
 	"flattree/internal/faults"
 	"flattree/internal/graph"
 	"flattree/internal/jellyfish"
+	"flattree/internal/mcf"
 	"flattree/internal/metrics"
 	"flattree/internal/topo"
 	"flattree/internal/twostage"
@@ -212,11 +214,42 @@ func TestComponentsMatchNodeGraph(t *testing.T) {
 	}
 }
 
-// relabel rebuilds nw with node v renumbered perm[v], link order[i] added
-// as the i-th link, and link i's ends swapped when swap[i] is set.
-func relabel(nw *topo.Network, perm, order []int, swap []bool) *topo.Network {
-	old := make([]int, len(perm))
-	for v, p := range perm {
+// renumbering is one way to rebuild a network: node v becomes perm[v], link
+// order[i] is added as the i-th link, and link i's ends swap when swap[i] is
+// set.
+type renumbering struct {
+	name        string
+	perm, order []int
+	swap        []bool
+}
+
+// renumberings returns the three rebuilds of nw the numbering tests run:
+// node IDs permuted, links shuffled, link ends swapped.
+func renumberings(rng *graph.RNG, nw *topo.Network) []renumbering {
+	noSwap := make([]bool, len(nw.Links))
+	swap := make([]bool, len(nw.Links))
+	for i := range swap {
+		swap[i] = rng.Intn(2) == 1
+	}
+	return []renumbering{
+		{"ids permuted", rng.Perm(nw.N()), identity(len(nw.Links)), noSwap},
+		{"links shuffled", identity(nw.N()), rng.Perm(len(nw.Links)), noSwap},
+		{"ends swapped", identity(nw.N()), identity(len(nw.Links)), swap},
+	}
+}
+
+func identity(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
+// relabel rebuilds nw the way r says.
+func relabel(nw *topo.Network, r renumbering) *topo.Network {
+	old := make([]int, len(r.perm))
+	for v, p := range r.perm {
 		old[p] = v
 	}
 	b := topo.NewBuilder(nw.Name)
@@ -224,10 +257,10 @@ func relabel(nw *topo.Network, perm, order []int, swap []bool) *topo.Network {
 		nd := nw.Nodes[v]
 		b.AddNode(nd.Kind, nd.Pod, nd.Index, nd.Ports)
 	}
-	for _, i := range order {
+	for _, i := range r.order {
 		l := nw.Links[i]
-		a, c := perm[l.A], perm[l.B]
-		if swap[i] {
+		a, c := r.perm[l.A], r.perm[l.B]
+		if r.swap[i] {
 			a, c = c, a
 		}
 		b.AddLink(a, c, l.Tag)
@@ -249,33 +282,13 @@ func TestPathLengthIgnoresNumbering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ident := func(n int) []int {
-			p := make([]int, n)
-			for i := range p {
-				p[i] = i
-			}
-			return p
-		}
-		noSwap := make([]bool, len(nw.Links))
-		swap := make([]bool, len(nw.Links))
-		for i := range swap {
-			swap[i] = rng.Intn(2) == 1
-		}
-		for _, way := range []struct {
-			name        string
-			perm, order []int
-			swap        []bool
-		}{
-			{"ids permuted", rng.Perm(nw.N()), ident(len(nw.Links)), noSwap},
-			{"links shuffled", ident(nw.N()), rng.Perm(len(nw.Links)), noSwap},
-			{"ends swapped", ident(nw.N()), ident(len(nw.Links)), swap},
-		} {
+		for _, way := range renumberings(rng, nw) {
 			mapped := make([]int, len(servers))
 			for i, sv := range servers {
 				mapped[i] = way.perm[sv]
 			}
 			slices.Sort(mapped)
-			got, err := metrics.ServerPathLengths(relabel(nw, way.perm, way.order, way.swap), mapped)
+			got, err := metrics.ServerPathLengths(relabel(nw, way), mapped)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, way.name, err)
 			}
@@ -283,6 +296,39 @@ func TestPathLengthIgnoresNumbering(t *testing.T) {
 				math.Float64bits(got.Global) != math.Float64bits(want.Global) ||
 				math.Float64bits(got.IntraPod) != math.Float64bits(want.IntraPod) {
 				t.Errorf("%s, %s: %+v, want %+v", name, way.name, got, want)
+			}
+		}
+	})
+}
+
+// TestStarLambdaIgnoresNumbering: the exact path's λ is a property of the
+// network too. On every structure case at k = 4 and 8, rebuilt the three
+// ways above, a one-hot-spot broadcast — the largest component's first
+// server to each of its others — solves on the exact path to the original's
+// λ within a relative 1e-9 (the max-flow sums in another order).
+func TestStarLambdaIgnoresNumbering(t *testing.T) {
+	rng := graph.NewRNG(1)
+	structureNetworks(t, []int{4, 8}, func(name string, nw *topo.Network) {
+		servers := faults.LargestComponent(nw)
+		solve := func(way string, nw *topo.Network, perm []int) float64 {
+			comms := make([]mcf.Commodity, 0, len(servers)-1)
+			for _, sv := range servers[1:] {
+				comms = append(comms, mcf.Commodity{Src: perm[servers[0]], Dst: perm[sv], Demand: 1})
+			}
+			res, err := mcf.MaxConcurrentFlow(context.Background(), nw, comms, mcf.Options{})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, way, err)
+			}
+			if res.Phases != 0 || res.Dijkstras != 0 || math.IsInf(res.Lambda, 0) {
+				t.Fatalf("%s, %s: λ %g after %d phases, %d shortest paths; want a finite exact solve",
+					name, way, res.Lambda, res.Phases, res.Dijkstras)
+			}
+			return res.Lambda
+		}
+		want := solve("original", nw, identity(nw.N()))
+		for _, way := range renumberings(rng, nw) {
+			if got := solve(way.name, relabel(nw, way), way.perm); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%s, %s: λ %.17g, want %.17g", name, way.name, got, want)
 			}
 		}
 	})
