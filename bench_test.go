@@ -119,9 +119,8 @@ func BenchmarkFig8(b *testing.B) {
 // worst interference factor across proportions.
 func BenchmarkHybrid(b *testing.B) {
 	cfg := cfgUpTo(8, 0.12)
-	cfg.HybridK = 8
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Hybrid(context.Background(), cfg)
+		_, rows, err := experiments.Hybrid(context.Background(), cfg, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

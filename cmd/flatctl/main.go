@@ -135,15 +135,7 @@ func demo(args []string) {
 
 func parseModes(mode string, k int) ([]core.Mode, error) {
 	modes := make([]core.Mode, k)
-	var m core.Mode
-	switch mode {
-	case "clos":
-		m = core.ModeClos
-	case "global-random":
-		m = core.ModeGlobalRandom
-	case "local-random":
-		m = core.ModeLocalRandom
-	case "hybrid":
+	if mode == "hybrid" {
 		for p := range modes {
 			if p < k/2 {
 				modes[p] = core.ModeGlobalRandom
@@ -152,8 +144,10 @@ func parseModes(mode string, k int) ([]core.Mode, error) {
 			}
 		}
 		return modes, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
+	}
+	m, err := core.ParseMode(mode)
+	if err != nil {
+		return nil, err
 	}
 	for p := range modes {
 		modes[p] = m

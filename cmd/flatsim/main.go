@@ -11,7 +11,7 @@
 //
 //	flatsim -kmax 32 fig5            # the paper's full sweep
 //	flatsim -kmax 12 -eps 0.1 fig8   # throughput sweep, laptop scale
-//	flatsim -hybridk 30 hybrid       # the paper's 30-pod hybrid study
+//	flatsim -k 30 hybrid             # the paper's 30-pod hybrid study
 //	flatsim -tsv all > results.tsv
 //	flatsim -kmax 8 -trials 5 faultsrecovery   # §5 failure -> recovery table
 //	flatsim -kmax 8 -failfrac 0.25 selfheal    # live self-healing trajectory
@@ -20,9 +20,10 @@
 //
 // The subcommands are the registry of internal/experiments (plus the
 // CLI-only stats, export and all), and the experiment flags are its knob
-// table, experiments.Knobs(): each flag's spelling, default and domain is
-// the /v1/cell query parameter's, and both reject the same values with the
-// same message.
+// table, experiments.Knobs(): every knob is a flag and a /v1/cell query
+// parameter with one spelling, default and domain, and both reject the same
+// values with the same message. -k sizes every experiment that builds a
+// single network, export's included.
 //
 // Long sweeps respond to Ctrl-C / SIGTERM and to -timeout by stopping
 // promptly with a partial-result message; already-printed tables remain
@@ -30,6 +31,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -51,7 +53,7 @@ import (
 )
 
 func main() {
-	// The serve subcommand has its own flag surface (service knobs, not
+	// The serve subcommand has its own flags (service knobs, not
 	// experiment parameters), so it dispatches before the experiment
 	// FlagSet sees the arguments.
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
@@ -104,10 +106,13 @@ type cli struct {
 	name string // the subcommand
 
 	tsv                    bool
-	exportK                int
-	exportMode, exportFmt  string
+	exportMode             core.Mode
+	exportFmt              string
 	cpuProfile, memProfile string
 }
+
+// exportK is export's network size when -k is unset.
+const exportK = 4
 
 // knobFlag adapts one experiments.Knob to flag.Value: the flag's spelling,
 // help text, default, parse and domain check all come from the knob.
@@ -133,13 +138,11 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 	fs := flag.NewFlagSet("flatsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	for _, k := range experiments.Knobs() {
-		if k.Flag() {
-			fs.Var(knobFlag{k, &c.req}, k.Name, k.Usage)
-		}
+		fs.Var(knobFlag{k, &c.req}, k.Name, k.Usage)
 	}
+	fs.IntVar(&c.req.Config.Parallelism, "parallel", 0, "worker goroutines per experiment sweep (0 = all cores); output is identical for every setting")
 	fs.BoolVar(&c.tsv, "tsv", false, "emit tab-separated values instead of aligned tables")
-	fs.IntVar(&c.exportK, "exportk", 4, "network size for the export subcommand")
-	fs.StringVar(&c.exportMode, "exportmode", "global-random", "flat-tree mode for the export subcommand")
+	exportMode := fs.String("exportmode", "global-random", "flat-tree mode for the export subcommand: clos, global-random or local-random")
 	fs.StringVar(&c.exportFmt, "format", "dot", "export format: dot or json")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
@@ -156,10 +159,20 @@ func parseArgs(args []string, stderr io.Writer) (*cli, error) {
 		return nil, errors.New("want exactly one subcommand")
 	}
 	c.name = fs.Arg(0)
+	report := func(err error) (*cli, error) {
+		fmt.Fprintln(stderr, "flatsim:", err)
+		return nil, err
+	}
+	var err error
+	if c.exportMode, err = core.ParseMode(*exportMode); err != nil {
+		return report(err)
+	}
+	if c.exportFmt != "dot" && c.exportFmt != "json" {
+		return report(fmt.Errorf("unknown export format %q (want dot or json)", c.exportFmt))
+	}
 	for _, name := range c.experiments(c.name) {
 		if _, err := c.request(name); err != nil {
-			fmt.Fprintln(stderr, "flatsim:", err)
-			return nil, err
+			return report(err)
 		}
 	}
 	return c, nil
@@ -186,9 +199,8 @@ func (c *cli) request(name string) (experiments.Request, error) {
 
 // run executes one subcommand. Every registered experiment is one
 // experiments.Cell call on the parsed knobs; only stats, export and all are
-// CLI-only, and profile and soak call their drivers directly: profile for
-// the line it prints after its table, soak to print a cancelled run's partial
-// table.
+// CLI-only, and profile calls its driver directly for the line it prints
+// after its table.
 func (c *cli) run(ctx context.Context, name string, stdout io.Writer) error {
 	emit := func(t *experiments.Table) error {
 		if c.tsv {
@@ -209,7 +221,7 @@ func (c *cli) run(ctx context.Context, name string, stdout io.Writer) error {
 		}
 		return emit(t)
 	case "export":
-		return exportNetwork(stdout, c.exportK, c.exportMode, c.exportFmt)
+		return exportNetwork(stdout, cmp.Or(c.req.Spec.K, exportK), c.exportMode, c.exportFmt)
 	case "all":
 		for _, n := range append([]string{"stats"}, c.experiments(name)...) {
 			if err := c.run(ctx, n, stdout); err != nil {
@@ -223,9 +235,8 @@ func (c *cli) run(ctx context.Context, name string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch name {
-	case "profile":
-		t, res, err := experiments.Profile(ctx, req.Config, req.Spec.ProfileK)
+	if name == "profile" {
+		t, res, err := experiments.Profile(ctx, req.Config, req.Spec.K)
 		if err != nil {
 			return err
 		}
@@ -235,22 +246,16 @@ func (c *cli) run(ctx context.Context, name string, stdout io.Writer) error {
 		_, err = fmt.Fprintf(stdout, "best: m=%d n=%d apl=%.3f (paper's default: m=%d n=%d)\n",
 			res.BestM, res.BestN, res.BestAPL, res.K/8, 2*res.K/8)
 		return err
-	case "soak":
-		t, err := experiments.Soak(ctx, req.Config, req.Spec.K, req.Spec.Soak)
-		// The partial table is still valid on cancellation; print what
-		// finished before reporting the interruption.
-		if len(t.Rows) > 0 {
-			if err := emit(t); err != nil {
-				return err
-			}
-		}
-		return err
 	}
 	t, err := experiments.Cell(ctx, req.Config, req.Spec)
-	if err != nil {
-		return err
+	// A table returned beside an error is a cancelled run's finished rows
+	// (soak's), still valid: print them before reporting the interruption.
+	if t != nil && (err == nil || len(t.Rows) > 0) {
+		if err := emit(t); err != nil {
+			return err
+		}
 	}
-	return emit(t)
+	return err
 }
 
 // statsTable summarizes the constructed topologies per k: equipment counts
@@ -305,30 +310,16 @@ func statsTable(cfg experiments.Config) (*experiments.Table, error) {
 }
 
 // exportNetwork writes a flat-tree's effective network to w as DOT or JSON
-// for external visualization and tooling.
-func exportNetwork(w io.Writer, k int, mode, format string) error {
-	var m core.Mode
-	switch mode {
-	case "clos":
-		m = core.ModeClos
-	case "global-random":
-		m = core.ModeGlobalRandom
-	case "local-random":
-		m = core.ModeLocalRandom
-	default:
-		return fmt.Errorf("unknown export mode %q", mode)
-	}
-	ft, err := core.BuildIn(core.Params{K: k}, m)
+// (parseArgs has checked format) for external visualization and tooling.
+func exportNetwork(w io.Writer, k int, mode core.Mode, format string) error {
+	ft, err := core.BuildIn(core.Params{K: k}, mode)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "dot":
-		return ft.Net().WriteDOT(w)
-	case "json":
+	if format == "json" {
 		return ft.Net().WriteJSON(w)
 	}
-	return fmt.Errorf("unknown export format %q", format)
+	return ft.Net().WriteDOT(w)
 }
 
 func check(err error) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"flattree/internal/core"
 	"flattree/internal/experiments"
 	"flattree/internal/serve"
 )
@@ -20,8 +21,7 @@ import (
 // the determinism suite and /v1/cell run the same cell. profile's extra
 // "best:" line is the one footer on stdout.
 func TestCLIMatchesCell(t *testing.T) {
-	flags := []string{"-tsv", "-kmax", "4", "-hybridk", "4", "-profilek", "4",
-		"-eps", "0.3", "-rate", "2", "-horizon", "3"}
+	flags := []string{"-tsv", "-kmax", "4", "-k", "4", "-eps", "0.3", "-rate", "2", "-horizon", "3"}
 	for _, exp := range experiments.CellExperiments() {
 		var diag bytes.Buffer
 		c, err := parseArgs(append(flags[:len(flags):len(flags)], exp), &diag)
@@ -75,8 +75,8 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// flagMessage and queryMessage strip each surface's framing from a
-	// rejection, leaving the knob's own message.
+	// flagMessage and queryMessage strip the flag package's or the HTTP
+	// response's framing from a rejection, leaving the knob's own message.
 	flagMessage := func(exp string, pairs ...string) string {
 		t.Helper()
 		var args []string
@@ -122,15 +122,12 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 	// every k it lands on and print an empty or thinned table.
 	outOfDomain := map[string][]string{
 		"kmin": {"four", "5", "-2"}, "kmax": {"8.0"}, "kstep": {"0", "3"}, "seed": {"-1"}, "eps": {"0.5"},
-		"hybridk": {"0"}, "trials": {"0"}, "profilek": {"7"}, "failfrac": {"1"}, "batch": {"0"},
+		"trials": {"0"}, "k": {"5", "0"}, "failfrac": {"1"}, "batch": {"0"}, "load": {"0", "Inf"},
 		"switchfrac": {"1"}, "burstpods": {"-1"}, "burstfrac": {"-0.1"}, "convfrac": {"NaN"},
 		"rate": {"0"}, "horizon": {"-3"}, "episodes": {"-1"}, "windowcost": {"0"}, "slo": {"1.01"},
-		"timeout": {"-1s"},
+		"mix": {"1,2,3", "0,0,0,0"}, "timeout": {"-1s"},
 	}
 	for _, k := range experiments.Knobs() {
-		if !k.Flag() || !k.Query() {
-			continue
-		}
 		bads, ok := outOfDomain[k.Name]
 		if !ok {
 			t.Errorf("knob %s has no out-of-domain value in this test", k.Name)
@@ -151,6 +148,7 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 	}{
 		{"fig5", []string{"kmin", "8", "kmax", "4"}, "kmin=8 > kmax=4"},
 		{"faults", []string{"kmax", "7"}, `k="7" must be an integer >= 4 and even`},
+		{"hybrid", []string{"k", "5"}, `k="5" must be an integer >= 4 and even`},
 		{"fig5", []string{"kmin", "5", "kmax", "9"}, `kmin="5" must be an integer >= 0 and even`},
 		{"fig5", []string{"kmin", "4", "kstep", "3", "kmax", "10"}, `kstep="3" must be an integer > 0 and even`},
 		{"nope", nil, `unknown experiment "nope"`},
@@ -159,6 +157,46 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 		if flagMsg != queryMsg || !strings.Contains(flagMsg, c.want) {
 			t.Errorf("%s %v: flag path says %q, query path says %q; want both to say %q",
 				c.exp, c.pairs, flagMsg, queryMsg, c.want)
+		}
+	}
+}
+
+// TestExport: export writes the global-random flat-tree at -k, k = 4 when
+// -k is unset, and a bad -exportmode or -format is rejected by parseArgs
+// (exit 2) before anything is built.
+func TestExport(t *testing.T) {
+	ft, err := core.BuildIn(core.Params{K: 4}, core.ModeGlobalRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ft.Net().WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-k", "4", "-format", "json", "export"}, {"-format", "json", "export"}} {
+		var diag bytes.Buffer
+		c, err := parseArgs(args, &diag)
+		if err != nil {
+			t.Fatalf("%v: parseArgs: %v\n%s", args, err, diag.String())
+		}
+		var got bytes.Buffer
+		if err := c.run(context.Background(), "export", &got); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("flatsim %v differs from core.BuildIn(k=4, global-random)'s WriteJSON", args)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exportmode", "hybrid", "export"}, `unknown mode "hybrid"`},
+		{[]string{"-format", "svg", "export"}, `unknown export format "svg"`},
+	} {
+		var diag bytes.Buffer
+		if _, err := parseArgs(c.args, &diag); err == nil || !strings.Contains(diag.String(), c.want) {
+			t.Errorf("flatsim %v: err %v, stderr %q; want a rejection mentioning %q", c.args, err, diag.String(), c.want)
 		}
 	}
 }

@@ -69,6 +69,17 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
+// ParseMode is String's inverse: it maps "clos", "global-random" and
+// "local-random" to their modes.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{ModeClos, ModeGlobalRandom, ModeLocalRandom} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want clos, global-random or local-random)", s)
+}
+
 // Pattern selects the pod-core wiring pattern of §2.3.
 type Pattern uint8
 

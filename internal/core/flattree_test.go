@@ -464,3 +464,18 @@ func TestBuildRejectsBadParams(t *testing.T) {
 		}
 	}
 }
+
+// TestParseModeInvertsString: ParseMode(m.String()) is m for every mode,
+// and any other name is an error.
+func TestParseModeInvertsString(t *testing.T) {
+	for _, m := range []Mode{ModeClos, ModeGlobalRandom, ModeLocalRandom} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, s := range []string{"hybrid", "", "Clos", "mode(3)"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) accepted", s)
+		}
+	}
+}

@@ -36,8 +36,7 @@ type Controller struct {
 	issued   uint64 // last issued epoch (monotone across failed attempts)
 	agents   map[uint32]*agentConn
 	lastSeen map[uint32]time.Time // pod -> last message receipt
-	inbox    chan event           // raw events from connection readers
-	xch      chan event           // non-heartbeat events, fed by the pump
+	xch      chan event           // non-heartbeat events, fed by the connection readers
 	reg      chan struct{}        // closed and re-made on each registration
 
 	wg       sync.WaitGroup
@@ -86,7 +85,6 @@ func NewController(ft *core.FlatTree) *Controller {
 		ft:       ft,
 		agents:   make(map[uint32]*agentConn),
 		lastSeen: make(map[uint32]time.Time),
-		inbox:    make(chan event, 256),
 		xch:      make(chan event, 256),
 		reg:      make(chan struct{}),
 	}
@@ -117,10 +115,10 @@ func (c *Controller) NumAgents() int {
 }
 
 // Serve accepts agent connections on l until the listener is closed or ctx
-// is canceled. It also runs the event pump that drains agent messages and
-// maintains per-pod liveness, so conversions and the liveness monitor only
-// work while Serve is running. On a controller that is already closed it
-// closes l and returns.
+// is canceled. Each connection's reader stamps its pod's liveness and
+// forwards protocol events to the exchanges, so conversions and the
+// liveness monitor only work while Serve is running. On a controller that
+// is already closed it closes l and returns.
 func (c *Controller) Serve(ctx context.Context, l net.Listener) {
 	c.mu.Lock()
 	if c.closed {
@@ -130,18 +128,13 @@ func (c *Controller) Serve(ctx context.Context, l net.Listener) {
 	}
 	c.listener = l
 	// Counted under mu, so a concurrent Close either sees closed unset here
-	// and waits for the pump, or set it first and Serve never starts: the
+	// and waits for Serve, or set it first and Serve never starts: the
 	// WaitGroup never goes 0 -> 1 beside Close's Wait. Connection handlers
-	// are added while the pump still holds its count.
+	// are added while Serve still holds its count.
 	c.wg.Add(1)
 	c.mu.Unlock()
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	defer c.wg.Done()
 	defer context.AfterFunc(ctx, func() { l.Close() })()
-	go func() {
-		defer c.wg.Done()
-		c.pump(ictx)
-	}()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -150,7 +143,7 @@ func (c *Controller) Serve(ctx context.Context, l net.Listener) {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			c.handle(ictx, conn)
+			c.handle(conn)
 		}()
 	}
 }
@@ -170,43 +163,14 @@ func (c *Controller) Close() {
 	c.wg.Wait()
 }
 
-// pump is the always-on event loop: it drains the inbox so heartbeats can
-// never clog it, stamps per-pod liveness, and forwards protocol events to
-// the exchange channel that collectAcks reads. The exchange channel is
-// bounded and lossy under pathological backlog (drop-oldest), which is
-// safe: epochs are monotone, so a dropped stale ack can only delay — never
-// corrupt — an exchange, and a live exchange drains the channel promptly.
-func (c *Controller) pump(ctx context.Context) {
-	for {
-		select {
-		case ev := <-c.inbox:
-			if ev.err == nil {
-				c.mu.Lock()
-				c.lastSeen[ev.pod] = time.Now() //flatlint:ignore clockwall liveness stamps track real agents on a real network
-				c.mu.Unlock()
-			}
-			if ev.msgType == MsgHeartbeat && ev.err == nil {
-				continue
-			}
-			select {
-			case c.xch <- ev:
-			default:
-				select {
-				case <-c.xch:
-				default:
-				}
-				select {
-				case c.xch <- ev:
-				default:
-				}
-			}
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-func (c *Controller) handle(ctx context.Context, conn net.Conn) {
+// handle registers one agent connection and reads its frames until the
+// connection fails. Every frame stamps the pod's liveness; every event but a
+// good heartbeat goes to the exchange channel that collectAcks reads. That
+// channel is bounded and lossy under pathological backlog (drop-oldest),
+// which is safe: epochs are monotone, so a dropped stale ack can only delay
+// — never corrupt — an exchange, and a live exchange drains the channel
+// promptly.
+func (c *Controller) handle(conn net.Conn) {
 	t, payload, err := ReadFrame(conn)
 	if err != nil || t != MsgHello {
 		conn.Close()
@@ -235,12 +199,28 @@ func (c *Controller) handle(ctx context.Context, conn net.Conn) {
 
 	for {
 		t, payload, err := ReadFrame(conn)
+		if err == nil {
+			c.mu.Lock()
+			c.lastSeen[hello.Pod] = time.Now() //flatlint:ignore clockwall liveness stamps track real agents on a real network
+			c.mu.Unlock()
+			if t == MsgHeartbeat {
+				continue
+			}
+		}
+		// Never block the reader: on a full channel drop the oldest event
+		// to make room, and drop this one if another reader took it first.
 		ev := event{pod: hello.Pod, msgType: t, payload: payload, err: err}
 		select {
-		case c.inbox <- ev:
-		case <-ctx.Done():
-			conn.Close()
-			return
+		case c.xch <- ev:
+		default:
+			select {
+			case <-c.xch:
+			default:
+			}
+			select {
+			case c.xch <- ev:
+			default:
+			}
 		}
 		if err != nil {
 			// The registration stays: liveness is decided by the

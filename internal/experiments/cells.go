@@ -16,22 +16,21 @@ import (
 // independent columns — and an optional Column selects a projection of the
 // finished table.
 //
-// The spec carries only result-identity inputs; execution knobs
-// (parallelism, the timeout) live outside it and never change the bytes a
-// converged cell prints. A zero numeric field is unset and takes its knob's default
-// (see Knobs).
+// The spec carries only result-identity inputs; the worker count and the
+// timeout live outside it and never change the bytes a converged cell
+// prints. A zero numeric field is unset and takes its knob's default (see
+// Knobs).
 type CellSpec struct {
 	// Experiment is one of CellExperiments().
 	Experiment string
 	// Column selects a data column by header name; empty means the whole
 	// table.
 	Column string
-	// K is the network size for the single-k scenario experiments
-	// (faults, faultsrecovery, selfheal, soak, latency); unset means
-	// cfg.KMax. Ignored by the k-sweep figures.
+	// K is the network size of the experiments that build a single
+	// network (faults, faultsrecovery, selfheal, soak, latency, hybrid,
+	// profile); unset means the experiment's own default size (hybrid 10,
+	// profile 16) or else cfg.KMax. Ignored by the k-sweep figures.
 	K int
-	// ProfileK is the profile experiment's network size.
-	ProfileK int
 	// FailFrac and Batch parameterize selfheal; Batch is also soak's
 	// repair batch.
 	FailFrac float64
@@ -57,6 +56,8 @@ type experiment struct {
 	// singleK marks the experiments that run at the one network size
 	// CellSpec.K instead of sweeping Config.Ks().
 	singleK bool
+	// defaultK is an unset CellSpec.K's value; 0 means Config.KMax.
+	defaultK int
 	// run computes the table restricted to the data columns cols (indices
 	// into header[1:]; nil means all). Scenario experiments ignore cols.
 	run func(ctx context.Context, cfg Config, sp CellSpec, cols []int) (*Table, error)
@@ -78,12 +79,12 @@ var registry = []experiment{
 	}},
 	fig7Spec.experiment(),
 	fig8Spec.experiment(),
-	{name: "hybrid", run: func(ctx context.Context, cfg Config, _ CellSpec, _ []int) (*Table, error) {
-		t, _, err := Hybrid(ctx, cfg)
+	{name: "hybrid", singleK: true, defaultK: 10, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		t, _, err := Hybrid(ctx, cfg, sp.K)
 		return t, err
 	}},
-	{name: "profile", run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
-		t, _, err := Profile(ctx, cfg, sp.ProfileK)
+	{name: "profile", singleK: true, defaultK: 16, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
+		t, _, err := Profile(ctx, cfg, sp.K)
 		return t, err
 	}},
 	{name: "faults", singleK: true, run: func(ctx context.Context, cfg Config, sp CellSpec, _ []int) (*Table, error) {
@@ -187,7 +188,7 @@ func Cell(ctx context.Context, cfg Config, sp CellSpec) (*Table, error) {
 		return nil, err
 	}
 	r := Request{Config: cfg, Spec: sp}
-	r.applyDefaults()
+	r.applyDefaults(e)
 	sp = r.Spec
 	if sp.Column == "" {
 		return e.run(ctx, cfg, sp, nil)

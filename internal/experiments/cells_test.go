@@ -22,12 +22,16 @@ func cellTSV(t *testing.T, cfg Config, sp CellSpec) []byte {
 }
 
 // smallCell is a cheap instance of any registered experiment: a k=4..6
-// sweep for the figures, k=6 for the single-k scenarios, coarse epsilon, a
+// sweep for the figures, k=6 for the single-network experiments (k=8 for
+// profile, whose (m, n) grid has six settings there), coarse epsilon, a
 // short soak. Registry-driven tests run every CellExperiments() entry on it,
 // so a newly registered experiment is covered without editing a test.
 func smallCell(exp string, seed uint64, workers int) (Config, CellSpec) {
-	cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: seed, Epsilon: 0.3, Trials: 2, HybridK: 6, Parallelism: workers}
-	sp := CellSpec{Experiment: exp, ProfileK: 8, Batch: 2, Load: 0.05}
+	cfg := Config{KMin: 4, KMax: 6, KStep: 2, Seed: seed, Epsilon: 0.3, Trials: 2, Parallelism: workers}
+	sp := CellSpec{Experiment: exp, K: 6, Batch: 2, Load: 0.05}
+	if exp == "profile" {
+		sp.K = 8
+	}
 	sp.Soak.Rate, sp.Soak.Horizon = 2, 4
 	return cfg, sp
 }

@@ -42,9 +42,6 @@ type Config struct {
 	Seed uint64
 	// Epsilon is the MCF approximation accuracy (throughput experiments).
 	Epsilon float64
-	// HybridK is the network size for the hybrid-mode experiment
-	// (paper: 30).
-	HybridK int
 	// Trials averages randomized experiments (throughput placements,
 	// failure injection) over this many seeds; 0 or 1 means a single run.
 	Trials int

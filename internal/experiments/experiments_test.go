@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func smallCfg() Config {
-	return Config{KMin: 4, KMax: 8, KStep: 2, Seed: 1, Epsilon: 0.12, HybridK: 6}
+	return Config{KMin: 4, KMax: 8, KStep: 2, Seed: 1, Epsilon: 0.12}
 }
 
 func cell(t *testing.T, tab *Table, row, col int) float64 {
@@ -133,8 +134,10 @@ func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.S
 // at the deadline carries the "~", so serve never persists it. The local
 // zone's all-to-all and the joint solve run the FPTAS and stop; the global
 // zone's broadcast is a single hot spot, solved exactly, and stays unmarked.
+// A stopped solve still reports its probe's feasible λ, so no ratio cell
+// divides by a zero reference.
 func TestHybridMarksDeadlineStop(t *testing.T) {
-	tab, _, err := Hybrid(pastDeadline{context.Background()}, smallCfg())
+	tab, _, err := Hybrid(pastDeadline{context.Background()}, smallCfg(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +149,9 @@ func TestHybridMarksDeadlineStop(t *testing.T) {
 			if strings.HasSuffix(row[c], "~") != want {
 				t.Errorf("row %d %s = %q: want marked=%t", i, tab.Header[c], row[c], want)
 			}
+			if v, err := strconv.ParseFloat(strings.TrimSuffix(row[c], "~"), 64); err != nil || !(v > 0) || math.IsInf(v, 0) {
+				t.Errorf("row %d %s = %q: want a positive, finite value", i, tab.Header[c], row[c])
+			}
 		}
 	}
 }
@@ -155,7 +161,7 @@ func TestHybridMarksDeadlineStop(t *testing.T) {
 // tolerance, and the joint interference factor stays near 1.
 func TestHybridNoInterference(t *testing.T) {
 	cfg := smallCfg()
-	tab, rows, err := Hybrid(context.Background(), cfg)
+	tab, rows, err := Hybrid(context.Background(), cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,19 +30,19 @@ type HybridRow struct {
 	approxG, approxL, approxJ bool
 }
 
-// Hybrid regenerates the §3.4 experiment: a flat-tree with two zones —
-// approximated global random graph in one, per-pod local random graphs in
-// the other — at proportions 10%..90%. Each zone receives the same traffic
-// pattern as the corresponding complete network: broadcast/incast in
-// 1000-server clusters (global zone), all-to-all in 20-server clusters
-// (local zone), both placed with locality inside their zone.
+// Hybrid regenerates the §3.4 experiment (paper: k = 30) on a k-pod
+// flat-tree with two zones — approximated global random graph in one,
+// per-pod local random graphs in the other — at proportions 10%..90%. Each
+// zone receives the same traffic pattern as the corresponding complete
+// network: broadcast/incast in 1000-server clusters (global zone),
+// all-to-all in 20-server clusters (local zone), both placed with locality
+// inside their zone.
 //
 // Mode flips mutate the shared flat-tree, so the reference solves and the
 // per-proportion network snapshots are prepared sequentially; the nine
 // proportions' cluster builds and MCF solves (three each) then fan out
 // through the worker pool and are merged back in proportion order.
-func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
-	k := cfg.HybridK
+func Hybrid(ctx context.Context, cfg Config, k int) (*Table, []HybridRow, error) {
 	ft, err := core.BuildIn(core.Params{K: k}, core.ModeGlobalRandom)
 	if err != nil {
 		return nil, nil, err
@@ -131,25 +131,17 @@ func Hybrid(ctx context.Context, cfg Config) (*Table, []HybridRow, error) {
 		// Joint solve with each zone's demands scaled to its standalone
 		// achievable rates (demand × standalone λ): an interference factor
 		// of 1 then means both zones sustain their standalone throughput
-		// simultaneously. A zone whose standalone solve stopped at the
-		// deadline before routing anything (λ = 0) has no rate to hold and
-		// sits out; with both out the (marked) factor reads 0.
-		var joint []mcf.Commodity
-		if resG.Lambda > 0 {
-			for _, c := range gComms {
-				joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resG.Lambda})
-			}
+		// simultaneously.
+		joint := make([]mcf.Commodity, 0, len(gComms)+len(lComms))
+		for _, c := range gComms {
+			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resG.Lambda})
 		}
-		if resL.Lambda > 0 {
-			for _, c := range lComms {
-				joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
-			}
+		for _, c := range lComms {
+			joint = append(joint, mcf.Commodity{Src: c.Src, Dst: c.Dst, Demand: c.Demand * resL.Lambda})
 		}
-		var resJ mcf.Result
-		if len(joint) > 0 {
-			if resJ, err = mcf.MaxConcurrentFlow(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon}); err != nil {
-				return HybridRow{}, err
-			}
+		resJ, err := mcf.MaxConcurrentFlow(ctx, nw, joint, mcf.Options{Epsilon: cfg.Epsilon})
+		if err != nil {
+			return HybridRow{}, err
 		}
 
 		return HybridRow{

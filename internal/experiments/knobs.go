@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -14,55 +15,38 @@ import (
 // Request is one fully parameterized experiment run: the sweep and solver
 // Config, the cell to compute, and the wall-clock Timeout the caller
 // allows it. Every field a user can set is reached through exactly one
-// Knob, whichever surface (flatsim flag or /v1/cell query parameter) the
-// value arrives on.
+// Knob, and every knob is both a flatsim flag and a /v1/cell query
+// parameter. The worker count (Config.Parallelism) is not a knob: flatsim
+// sets it with -parallel and the service with -jobparallel, so a client
+// never picks one.
 type Request struct {
 	Config  Config
 	Spec    CellSpec
 	Timeout time.Duration
 }
 
-// surface says where a knob is settable. The flag spelling, the query
-// spelling and the content-address field of a knob are all its Name.
-type surface int
-
-const (
-	// flagAndQuery knobs are flatsim flags and /v1/cell parameters.
-	flagAndQuery surface = iota
-	// flagOnly knobs exist on the flatsim command line only.
-	flagOnly
-	// queryOnly knobs exist on /v1/cell only; the CLI derives them (k is
-	// -kmax there) or runs the default.
-	queryOnly
-)
-
 // Knob is the single declaration of one experiment parameter: its name,
 // help text, default, domain, whether it is part of a result's identity,
 // and how it lands in a Request. cmd/flatsim registers its flags, and
 // internal/serve parses its query and builds its content address, by
-// ranging over Knobs().
+// ranging over Knobs(); the flag spelling, the query spelling and the
+// content-address field of a knob are all its Name.
 type Knob struct {
 	Name  string
 	Usage string
 	// Identity knobs change the bytes a cell prints and are hashed into the
-	// content address; execution knobs (parallelism, the timeout) only
-	// change how fast the bytes arrive and never are.
+	// content address; the execution knob (the timeout) only changes how
+	// fast the bytes arrive and never is.
 	Identity bool
 
-	surface      surface
 	set          func(r *Request, s string) error
 	appendValue  func(b []byte, r *Request) []byte
 	applyDefault func(r *Request, onlyIfUnset bool)
 }
 
-// Flag reports whether the knob is a flatsim flag; Query, whether it is a
-// /v1/cell parameter.
-func (k Knob) Flag() bool  { return k.surface != queryOnly }
-func (k Knob) Query() bool { return k.surface != flagOnly }
-
 // Set parses s, checks it against the knob's domain and stores it in r.
 // The error names the knob, the offending text and the domain, and is the
-// same on every surface.
+// same for a flag and a query parameter.
 func (k Knob) Set(r *Request, s string) error { return k.set(r, s) }
 
 // Get renders the knob's current value in r canonically: Set(Get()) is the
@@ -144,20 +128,20 @@ func durationKnob(name, usage string, field func(*Request) *time.Duration) Knob 
 	return knobOf(name, usage, 0, "a non-negative Go duration", dom, time.ParseDuration, format, field)
 }
 
-func (k Knob) identity() Knob    { k.Identity = true; return k }
-func (k Knob) on(s surface) Knob { k.surface = s; return k }
+func (k Knob) identity() Knob { k.Identity = true; return k }
 
-// kKnob has no fixed default: unset, applyDefaults gives it kmax, and Resolve
-// re-checks the inherited value for the experiments that read it.
-var kKnob = intKnob("k", "network size of the single-k scenario experiments (default kmax)", 0, evenK,
-	func(r *Request) *int { return &r.Spec.K }).identity().on(queryOnly)
+// kKnob has no fixed default: unset, applyDefaults gives it the experiment's
+// own size or kmax, and Resolve re-checks the inherited value for the
+// experiments that read it.
+var kKnob = intKnob("k", "network size of the single-network experiments and export (unset: kmax; hybrid 10, profile 16, export 4)", 0, evenK,
+	func(r *Request) *int { return &r.Spec.K }).identity()
 
 // knobs is the knob table, in content-address order: identity knobs first
-// (sweep, then scenario), execution knobs last.
+// (sweep, then scenario), the execution knob last.
 var knobs = []Knob{
 	intKnob("kmin", "smallest fat-tree parameter k (even)", 4, nonNegEven,
 		func(r *Request) *int { return &r.Config.KMin }).identity(),
-	intKnob("kmax", "largest fat-tree parameter k; the network size of the single-k scenario experiments", 16, anyInt,
+	intKnob("kmax", "largest fat-tree parameter k; the network size of the single-network experiments when k is unset", 16, anyInt,
 		func(r *Request) *int { return &r.Config.KMax }).identity(),
 	intKnob("kstep", "k sweep step (even)", 2, posEven,
 		func(r *Request) *int { return &r.Config.KStep }).identity(),
@@ -168,20 +152,16 @@ var knobs = []Knob{
 	floatKnob("eps", "max-concurrent-flow approximation epsilon", 0.1,
 		domain[float64]{func(v float64) bool { return v > 0 && v < 0.5 }, "in (0,0.5)"},
 		func(r *Request) *float64 { return &r.Config.Epsilon }).identity(),
-	intKnob("hybridk", "network size for the hybrid experiment (paper: 30)", 10, posInt,
-		func(r *Request) *int { return &r.Config.HybridK }).identity(),
 	intKnob("trials", "average randomized experiments over this many seeds", 1, posInt,
 		func(r *Request) *int { return &r.Config.Trials }).identity(),
 
 	kKnob,
-	intKnob("profilek", "network size for the profiling experiment", 16, evenK,
-		func(r *Request) *int { return &r.Spec.ProfileK }).identity(),
 	floatKnob("failfrac", "selfheal: fraction of pod agents killed mid-run", 0.25, fracOpen,
 		func(r *Request) *float64 { return &r.Spec.FailFrac }).identity(),
 	intKnob("batch", "selfheal/soak: pods re-aimed per dark window", 1, posInt,
 		func(r *Request) *int { return &r.Spec.Batch }).identity(),
 	floatKnob("load", "latency: packets per server per unit time", 0.1, posFloat,
-		func(r *Request) *float64 { return &r.Spec.Load }).identity().on(queryOnly),
+		func(r *Request) *float64 { return &r.Spec.Load }).identity(),
 	floatKnob("switchfrac", "faultsrecovery: fraction of switches failed per trial", 0, frac01,
 		func(r *Request) *float64 { return &r.Spec.Scenario.SwitchFraction }).identity(),
 	intKnob("burstpods", "faultsrecovery: pods hit by a correlated link burst", 0, nonNegInt,
@@ -204,10 +184,8 @@ var knobs = []Knob{
 	knobOf("mix", "soak: episode mix weights link,switch,conv,pod (empty = 5,3,1,1)", chaos.Mix{},
 		"four comma-separated weights link,switch,conv,pod, each >= 0 and not all 0",
 		domain[chaos.Mix]{func(chaos.Mix) bool { return true }, ""}, parseMix, formatMix,
-		func(r *Request) *chaos.Mix { return &r.Spec.Soak.Mix }).identity().on(flagOnly),
+		func(r *Request) *chaos.Mix { return &r.Spec.Soak.Mix }).identity(),
 
-	intKnob("parallel", "worker goroutines per experiment sweep (0 = all cores); output is identical for every setting", 0, anyInt,
-		func(r *Request) *int { return &r.Config.Parallelism }).on(flagOnly),
 	durationKnob("timeout", "abort the run after this duration (0 = no limit)",
 		func(r *Request) *time.Duration { return &r.Timeout }),
 }
@@ -230,14 +208,14 @@ func NewRequest() Request {
 func DefaultConfig() Config { return NewRequest().Config }
 
 // applyDefaults replaces every unset field — zero, where zero is outside the
-// knob's domain — with the knob's default, an unset K with KMax, and an
-// unset soak batch with Batch.
-func (r *Request) applyDefaults() {
+// knob's domain — with the knob's default, an unset K with e's own size or
+// else KMax, and an unset soak batch with Batch.
+func (r *Request) applyDefaults(e experiment) {
 	for _, k := range knobs {
 		k.applyDefault(r, true)
 	}
 	if r.Spec.K == 0 {
-		r.Spec.K = r.Config.KMax
+		r.Spec.K = cmp.Or(e.defaultK, r.Config.KMax)
 	}
 	if r.Spec.Soak.BatchSize == 0 {
 		r.Spec.Soak.BatchSize = r.Spec.Batch
@@ -246,16 +224,17 @@ func (r *Request) applyDefaults() {
 
 // Resolve completes a request whose knobs have been Set: it fills the unset
 // fields from the knob defaults and applies the checks no single knob can —
-// the experiment and column exist, kmin <= kmax, and a single-k experiment's
-// k (possibly inherited from kmax) is in k's domain. Two requests that
-// compute the same cell resolve to equal values, so the content address is
-// taken after Resolve. Every error is the caller's (exit 2, http 400).
+// the experiment and column exist, kmin <= kmax, and a single-network
+// experiment's k (possibly inherited from kmax) is in k's domain. Two
+// requests that compute the same cell resolve to equal values, so the
+// content address is taken after Resolve. Every error is the caller's (exit
+// 2, http 400).
 func Resolve(r *Request) error {
 	e, err := lookup(r.Spec.Experiment)
 	if err != nil {
 		return err
 	}
-	r.applyDefaults()
+	r.applyDefaults(e)
 	if r.Config.KMin > r.Config.KMax {
 		return fmt.Errorf("kmin=%d > kmax=%d", r.Config.KMin, r.Config.KMax)
 	}
@@ -276,7 +255,8 @@ func Resolve(r *Request) error {
 var errBadMix = errors.New("malformed mix")
 
 // parseMix reads "link,switch,conv,pod" relative weights into a chaos.Mix;
-// empty selects the default mix.
+// empty selects the default mix, and so does the default spelled out, so
+// that both address one cell.
 func parseMix(s string) (chaos.Mix, error) {
 	if s == "" {
 		return chaos.Mix{}, nil
@@ -298,7 +278,11 @@ func parseMix(s string) (chaos.Mix, error) {
 	if !(total > 0) {
 		return chaos.Mix{}, errBadMix
 	}
-	return chaos.Mix{LinkBurst: w[0], SwitchKill: w[1], ConverterKill: w[2], PodKill: w[3]}, nil
+	m := chaos.Mix{LinkBurst: w[0], SwitchKill: w[1], ConverterKill: w[2], PodKill: w[3]}
+	if m == chaos.DefaultMix() {
+		return chaos.Mix{}, nil
+	}
+	return m, nil
 }
 
 // formatMix is parseMix's inverse.

@@ -40,15 +40,16 @@ func TestKnobTable(t *testing.T) {
 			}
 		}
 	}
-	want := Config{KMin: 4, KMax: 16, KStep: 2, Seed: 1, Epsilon: 0.1, HybridK: 10, Trials: 1}
+	want := Config{KMin: 4, KMax: 16, KStep: 2, Seed: 1, Epsilon: 0.1, Trials: 1}
 	if got := DefaultConfig(); got != want {
 		t.Errorf("DefaultConfig() = %+v; want %+v", got, want)
 	}
 }
 
 // TestResolve covers the rules no single knob can state: unset fields take
-// defaults (a zero that is a legal value stays), k inherits kmax and is
-// checked only where it is read, and kmin may not pass kmax.
+// defaults (a zero that is a legal value stays), k inherits the experiment's
+// own size or kmax and is checked only where it is read, and kmin may not
+// pass kmax.
 func TestResolve(t *testing.T) {
 	r := Request{Config: Config{KMax: 8}, Spec: CellSpec{Experiment: "soak", Batch: 3}}
 	if err := Resolve(&r); err != nil {
@@ -60,6 +61,12 @@ func TestResolve(t *testing.T) {
 	if r.Config.Seed != 0 || r.Config.KMin != 0 {
 		t.Errorf("a legal zero was overwritten: seed=%d kmin=%d", r.Config.Seed, r.Config.KMin)
 	}
+	for exp, want := range map[string]int{"hybrid": 10, "profile": 16, "latency": 8, "fig5": 8} {
+		r := Request{Config: Config{KMax: 8}, Spec: CellSpec{Experiment: exp}}
+		if err := Resolve(&r); err != nil || r.Spec.K != want {
+			t.Errorf("%s: unset k resolves to %d (err %v); want %d", exp, r.Spec.K, err, want)
+		}
+	}
 	for _, c := range []struct {
 		req  Request
 		want string
@@ -67,6 +74,8 @@ func TestResolve(t *testing.T) {
 		{Request{Config: Config{KMin: 4, KMax: 7}, Spec: CellSpec{Experiment: "fig5"}}, ""},
 		{Request{Config: Config{KMin: 4, KMax: 7}, Spec: CellSpec{Experiment: "faults"}}, ">= 4 and even"},
 		{Request{Config: Config{KMin: 4, KMax: 7}, Spec: CellSpec{Experiment: "faults", K: 6}}, ""},
+		{Request{Config: Config{KMin: 4, KMax: 7}, Spec: CellSpec{Experiment: "hybrid"}}, ""},
+		{Request{Config: Config{KMin: 4, KMax: 8}, Spec: CellSpec{Experiment: "hybrid", K: 5}}, ">= 4 and even"},
 		{Request{Config: Config{KMin: 8, KMax: 4}, Spec: CellSpec{Experiment: "fig5"}}, "kmin=8 > kmax=4"},
 		{Request{Config: Config{KMin: 4, KMax: 8}, Spec: CellSpec{Experiment: "fig5", Column: "zzz"}}, "no column"},
 		{Request{Spec: CellSpec{Experiment: "nope"}}, "unknown experiment"},

@@ -83,6 +83,7 @@ func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.S
 // TestPhasesCountsCompletedOnly is the regression test for the
 // over-reporting bug: a solve whose deadline passes before the first phase
 // completes must report Phases == 0 (and only the probe's Dijkstra passes).
+// Its λ is the probe's feasible one: positive and at most the optimum.
 // TestPhaseBudgetDegradesGracefully holds the phase-cap side.
 func TestPhasesCountsCompletedOnly(t *testing.T) {
 	ft, err := fattree.New(4)
@@ -105,6 +106,13 @@ func TestPhasesCountsCompletedOnly(t *testing.T) {
 	}
 	if !res.Approximate {
 		t.Error("deadline-stopped solve not flagged Approximate")
+	}
+	exact, err := MaxConcurrentFlowExact(ft.Net, comms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(res.Lambda > 0 && res.Lambda <= exact*(1+1e-9)) {
+		t.Errorf("deadline-stopped λ = %g, want in (0, %g]", res.Lambda, exact)
 	}
 	// Exactly one probe pass per distinct source switch ran — this pins the
 	// probe-accounting fix too (it used to report 0).
@@ -177,6 +185,49 @@ func TestCtxDeadlineDerivesBudget(t *testing.T) {
 	}
 	if res.Lambda < 0 {
 		t.Errorf("degraded lambda %g negative", res.Lambda)
+	}
+}
+
+// lateDeadline is a context whose deadline lies an hour ahead while its Err
+// reports DeadlineExceeded from its n-th call on: the deadline passed,
+// margin and all, while the solver was descheduled between two checks.
+type lateDeadline struct {
+	context.Context
+	n *int
+}
+
+func (lateDeadline) Deadline() (time.Time, bool) { return time.Now().Add(time.Hour), true }
+
+func (c lateDeadline) Err() error {
+	if *c.n--; *c.n < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDeadlineBetweenChecksDegrades: a deadline the phase loop first sees as
+// ctx.Err() rather than through its margin still degrades the solve to the
+// best feasible λ; only cancellation aborts it (TestCancellationAbortsSolve).
+func TestDeadlineBetweenChecksDegrades(t *testing.T) {
+	ring := ringNetwork(6)
+	servers := ring.Servers()
+	comms := []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+		{Src: servers[2], Dst: servers[5], Demand: 1},
+	}
+	exact, err := MaxConcurrentFlowExact(ring, comms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three probe passes check Err once each; the phase loop gets five more.
+	n := 8
+	res, err := MaxConcurrentFlow(lateDeadline{context.Background(), &n}, ring, comms, Options{Epsilon: 0.05})
+	if err != nil {
+		t.Fatalf("deadline seen through ctx.Err() errored instead of degrading: %v", err)
+	}
+	if !res.Approximate || !(res.Lambda > 0 && res.Lambda <= exact*(1+1e-9)) {
+		t.Errorf("λ %g (approximate %t); want an approximate λ in (0, %g]", res.Lambda, res.Approximate, exact)
 	}
 }
 

@@ -22,6 +22,7 @@ package mcf
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -80,9 +81,11 @@ type Result struct {
 	Phases    int
 	Dijkstras int
 	// Approximate reports that the FPTAS stopped at its context deadline
-	// before reaching its ε guarantee. Lambda is still feasible, and
-	// DualGap still tells the truth about how far off it might be; the flag
-	// only says the usual (1-ε)-optimality promise no longer applies.
+	// before reaching its ε guarantee. Lambda is still feasible and never
+	// below the demand-scaling probe's λ (every demand on one shortest
+	// path, scaled by the worst edge), and DualGap still tells the truth
+	// about how far off it might be; the flag only says the usual
+	// (1-ε)-optimality promise no longer applies.
 	Approximate bool
 	// WarmStarted is always false: no solve is seeded from another. The
 	// field stays only because benchmark/ reads it, and goes with that read
@@ -350,10 +353,13 @@ func (st *solveState) fptas(ctx context.Context, opt Options, maxPhases int) (Re
 	// so this affects work and λ quantization granularity, never
 	// correctness — and it is only the starting guess: the phase loop below
 	// renormalizes upward whenever the flow it holds proves the guess low.
-	lambdaHat, err := pr.probeScale(ctx, ar, &res)
+	// The probe's own routing, scaled by its worst edge, is feasible, so its
+	// λ is also the floor a deadline-stopped solve reports.
+	lambdaProbe, err := pr.probeScale(ctx, ar, &res)
 	if err != nil {
 		return Result{}, err
 	}
+	lambdaHat := lambdaProbe
 	for i := range pr.comms {
 		pr.comms[i].demand *= lambdaHat
 	}
@@ -372,11 +378,11 @@ func (st *solveState) fptas(ctx context.Context, opt Options, maxPhases int) (Re
 	// The context deadline is the solve's budget: past it the phase loop
 	// degrades to a valid approximate λ instead of tearing the solve down
 	// mid-phase with a hard error. A margin is reserved ahead of the
-	// deadline so the degrade path wins the race against the ctx.Err()
-	// check — shrinking with the remaining time so chained solves under one
-	// request deadline each still get a positive budget. (The
-	// demand-scaling probe above is context-checked but unbudgeted: a
-	// deadline shorter than the probe still surfaces as a context error.)
+	// deadline so the caller still has time to use the answer — shrinking
+	// with the remaining time so chained solves under one request deadline
+	// each still get a positive budget. (The demand-scaling probe above is
+	// context-checked but unbudgeted: a deadline shorter than the probe
+	// still ends in a context error.)
 	var deadline time.Time
 	if d, ok := ctx.Deadline(); ok {
 		//flatlint:ignore clockwall converting the context's wall-clock deadline into a budget deadline; bounds work, never the answer for a converged run
@@ -406,6 +412,11 @@ phases:
 			firstIteration := true
 			for len(ar.active) > 0 {
 				if err := ctx.Err(); err != nil {
+					if errors.Is(err, context.DeadlineExceeded) {
+						// The deadline passed between two checks, margin
+						// and all (a descheduled host): it only degrades.
+						break phases
+					}
 					return Result{}, err
 				}
 				//flatlint:ignore clockwall checking the context-derived deadline; degrades to best-so-far, never changes a converged result
@@ -440,10 +451,6 @@ phases:
 				// was not).
 				ar.touched = ar.touched[:0]
 				for _, dst := range ar.active {
-					if math.IsInf(dist[dst], 1) {
-						return Result{}, fmt.Errorf("mcf: commodity %d->%d disconnected",
-							pr.node[src], pr.node[dst])
-					}
 					rem := ar.rem[dst]
 					for v := dst; v != src; {
 						e := prev[v]
@@ -531,6 +538,11 @@ phases:
 	}
 	res.Approximate = !converged
 	res.Lambda = minRouted(pr, routed) / scale * lambdaHat
+	if !converged {
+		// A deadline can land before the phase loop has routed every
+		// commodity once; the probe's feasible λ is never worse than that.
+		res.Lambda = max(res.Lambda, lambdaProbe)
+	}
 
 	// Exact final dual. Bigger late phases loosen the per-phase bound above
 	// (its alpha terms predate most of a phase of length growth), so a
@@ -593,13 +605,17 @@ func minRouted(pr *problem, routed []float64) float64 {
 
 // probeScale routes every demand once along unit-hop shortest paths and
 // returns 1/(max edge load): a constant-factor estimate of the optimal
-// concurrent throughput used only for demand normalization, never for
-// results. It borrows the solve arena's workspace and per-edge scratch:
-// ar.req doubles as the load accumulator and is handed back zeroed (on
-// success; an aborted probe leaves it dirty, which is safe because bind
-// re-zeroes it before the next solve), ar.length holds the unit lengths —
-// the caller reinitializes it to the FPTAS length function right after the
-// probe — and ar.active stages each source's target list.
+// concurrent throughput that normalizes the demands, and a feasible λ — the
+// probe's routing scaled by its worst edge — that a deadline-stopped solve
+// falls back on. A disconnected commodity is an error here, before any λ
+// can be reported for an instance whose optimum is 0.
+//
+// It borrows the solve arena's workspace and per-edge scratch: ar.req
+// doubles as the load accumulator and is handed back zeroed (on success; an
+// aborted probe leaves it dirty, which is safe because bind re-zeroes it
+// before the next solve), ar.length holds the unit lengths — the caller
+// reinitializes it to the FPTAS length function right after the probe —
+// and ar.active stages each source's target list.
 //
 // The context is checked once per source so cancellation stays responsive
 // on large instances, and every pass is counted in res.Dijkstras: the probe
@@ -619,7 +635,7 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 		dist, prev := ar.ws.Dist, ar.ws.Prev
 		for _, c := range p.commsOf(si) {
 			if math.IsInf(dist[c.dst], 1) {
-				continue // surfaced as an error during the main run
+				return 0, fmt.Errorf("mcf: commodity %d->%d disconnected", p.node[src], p.node[c.dst])
 			}
 			for v := c.dst; v != src; {
 				e := prev[v]
@@ -635,9 +651,8 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 		}
 		load[e] = 0
 	}
-	if maxLoad == 0 { //flatlint:ignore floatcmp exactly 0 iff no edge carries any flow; guards the division below
-		return 1, nil
-	}
+	// Every aggregated commodity joins two distinct switches, so some edge
+	// carries load and maxLoad > 0.
 	return 1 / maxLoad, nil
 }
 

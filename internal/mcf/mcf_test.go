@@ -291,8 +291,10 @@ func TestProbeScaleTinyOPT(t *testing.T) {
 	}
 }
 
-// TestProbeDisconnectedCommodity: the probe must skip a disconnected
-// commodity without crashing, and the main run must surface it as an error.
+// TestProbeDisconnectedCommodity: a disconnected commodity is an error on
+// both paths — the exact star path (one commodity) and the FPTAS, whose
+// probe reports it — also under a passed deadline, which must never turn an
+// instance whose optimum is 0 into a positive approximate λ.
 func TestProbeDisconnectedCommodity(t *testing.T) {
 	b := topo.NewBuilder("islands")
 	a0 := b.AddNode(topo.EdgeSwitch, 0, 0, 4)
@@ -301,15 +303,25 @@ func TestProbeDisconnectedCommodity(t *testing.T) {
 	c0 := b.AddNode(topo.EdgeSwitch, 1, 0, 4)
 	c1 := b.AddNode(topo.EdgeSwitch, 1, 1, 4)
 	b.AddLink(c0, c1, topo.TagClos)
-	sa := b.AddNode(topo.Server, 0, 0, 1)
+	sa0 := b.AddNode(topo.Server, 0, 0, 1)
+	sa1 := b.AddNode(topo.Server, 0, 1, 1)
 	sc := b.AddNode(topo.Server, 1, 0, 1)
-	b.AddLink(sa, a0, topo.TagClos)
+	b.AddLink(sa0, a0, topo.TagClos)
+	b.AddLink(sa1, a1, topo.TagClos)
 	b.AddLink(sc, c0, topo.TagClos)
 	nw := b.Build()
-	_, err := MaxConcurrentFlow(context.Background(), nw,
-		[]Commodity{{Src: sa, Dst: sc, Demand: 1}}, Options{})
-	if err == nil || !strings.Contains(err.Error(), "disconnected") {
-		t.Fatalf("err = %v, want disconnected-commodity error", err)
+	star := []Commodity{{Src: sa0, Dst: sc, Demand: 1}}
+	// Two source and two destination switches: not star-shaped, so the
+	// FPTAS runs and its probe meets the island.
+	multi := []Commodity{{Src: sa0, Dst: sa1, Demand: 1}, {Src: sa1, Dst: sc, Demand: 1}}
+	for _, ctx := range []context.Context{context.Background(), pastDeadline{context.Background()}} {
+		for _, comms := range [][]Commodity{star, multi} {
+			res, err := MaxConcurrentFlow(ctx, nw, comms, Options{})
+			if err == nil || !strings.Contains(err.Error(), "disconnected") {
+				t.Errorf("%d commodities, deadline passed %t: λ %g, err %v; want a disconnected-commodity error",
+					len(comms), ctx != context.Background(), res.Lambda, err)
+			}
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // parseCellRequest builds a /v1/cell request from the server's default
 // Config and the query: exp and col select the cell, and every other
-// parameter is a Query knob of experiments.Knobs(), parsed and
-// domain-checked by that knob. Anything else is rejected, so client typos
+// parameter is a knob of experiments.Knobs(), parsed and domain-checked by
+// that knob. Anything else is rejected, so client typos
 // ("kMax", "epsilon") fail loudly instead of silently computing the default
 // cell. The result is Resolved — defaults filled in — which is what makes
 // equal cells hash to equal addresses. Every error is a client error
@@ -32,7 +32,7 @@ func parseCellRequest(defaults experiments.Config, q url.Values) (*experiments.R
 	req := &experiments.Request{Config: defaults}
 	req.Spec.Experiment, req.Spec.Column = q.Get("exp"), q.Get("col")
 	for _, k := range experiments.Knobs() {
-		if k.Query() && q.Has(k.Name) {
+		if q.Has(k.Name) {
 			if err := k.Set(req, q.Get(k.Name)); err != nil {
 				return nil, err
 			}
@@ -45,13 +45,11 @@ func parseCellRequest(defaults experiments.Config, q url.Values) (*experiments.R
 }
 
 // queryParams is the accepted /v1/cell parameter set: the cell selectors plus
-// every Query knob.
+// every knob.
 var queryParams = func() map[string]bool {
 	m := map[string]bool{"exp": true, "col": true}
 	for _, k := range experiments.Knobs() {
-		if k.Query() {
-			m[k.Name] = true
-		}
+		m[k.Name] = true
 	}
 	return m
 }()
@@ -62,10 +60,10 @@ const addressFormat = 2
 
 // cellKey is the content address of a resolved request under one code
 // version: the SHA-256 of the format version, the code version, the cell,
-// and every identity knob's canonical value in declaration order. Execution
-// knobs (parallelism, the timeout) are deliberately absent —
-// they shape when a solve stops, never what a converged one prints, and
-// approximate results are never cached.
+// and every identity knob's canonical value in declaration order. The
+// timeout and the worker count are deliberately absent — they shape when a
+// solve stops, never what a converged one prints, and approximate results
+// are never cached.
 func cellKey(code string, req *experiments.Request) string {
 	b := make([]byte, 0, 512)
 	b = fmt.Appendf(b, "v=%d\ncode=%q\nexp=%q\ncol=%q\n", addressFormat, code, req.Spec.Experiment, req.Spec.Column)

@@ -331,7 +331,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	err := hs.Shutdown(shutCtx)
 	wg.Wait()
 	if err != nil {
-		_ = hs.Close() //flatlint:ignore ignorederr forced close after a failed drain; the error to surface is Shutdown's
+		_ = hs.Close() //flatlint:ignore ignorederr forced close after a failed drain; the error to report is Shutdown's
 		return fmt.Errorf("serve: drain: %w", err)
 	}
 	return nil

@@ -22,7 +22,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 		cfg.StoreDir = t.TempDir()
 	}
 	if cfg.Defaults.KMax == 0 {
-		cfg.Defaults = experiments.Config{KMin: 4, KMax: 6, KStep: 2, Seed: 1, Epsilon: 0.3, HybridK: 6}
+		cfg.Defaults = experiments.Config{KMin: 4, KMax: 6, KStep: 2, Seed: 1, Epsilon: 0.3}
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestOverloadSheds429(t *testing.T) {
 // in time.
 func TestDeadlineDegradesToApproximate(t *testing.T) {
 	s := testServer(t, Config{
-		Defaults: experiments.Config{KMin: 12, KMax: 12, KStep: 2, Seed: 1, Epsilon: 0.01, HybridK: 6},
+		Defaults: experiments.Config{KMin: 12, KMax: 12, KStep: 2, Seed: 1, Epsilon: 0.01},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -325,7 +325,7 @@ func TestDrainFinishesInflightAndPersists(t *testing.T) {
 	}
 }
 
-// TestBadRequests pins the 400 surface: unknown and invalid parameters
+// TestBadRequests pins the 400 responses: unknown and invalid parameters
 // fail loudly instead of silently computing a default cell.
 func TestBadRequests(t *testing.T) {
 	s := testServer(t, Config{})
@@ -347,6 +347,7 @@ func TestBadRequests(t *testing.T) {
 		{"exp=fig5&kmin=5", `kmin="5" must be an integer >= 0 and even`},
 		{"exp=fig5&kmin=4&kstep=3&kmax=10", `kstep="3" must be an integer > 0 and even`},
 		{"exp=faultsrecovery&k=7", ">= 4 and even"},
+		{"exp=soak&mix=1,1", "four comma-separated weights"},
 	}
 	for _, c := range cases {
 		resp, body := get(t, ts.Client(), ts.URL+"/v1/cell?"+c.query)
@@ -384,8 +385,9 @@ func TestColumnsAndMetricsEndpoints(t *testing.T) {
 }
 
 // TestAddressSeparatesIdentities pins the content address: every identity
-// knob lands in a distinct key, execution knobs do not split it, and two
-// spellings of one cell — a default left out or written down — share it.
+// knob lands in a distinct key, the timeout and the worker count do not
+// split it, and two spellings of one cell — a default left out or written
+// down — share it.
 func TestAddressSeparatesIdentities(t *testing.T) {
 	defaults := experiments.Config{KMin: 4, KMax: 8, KStep: 2, Seed: 1, Epsilon: 0.1}
 	parse := func(query string) *experiments.Request {
@@ -432,7 +434,7 @@ func TestAddressSeparatesIdentities(t *testing.T) {
 		}
 	}
 
-	// Execution knobs must NOT split the address.
+	// The timeout and the worker count must NOT split the address.
 	if cellKey("v1", parse(baseQuery+"&timeout=1s")) != cellKey("v1", base()) {
 		t.Error("timeout leaked into the content address")
 	}
@@ -449,7 +451,9 @@ func TestAddressSeparatesIdentities(t *testing.T) {
 		{"exp=fig7", "exp=fig7&trials=1"},
 		{"exp=faults&kmax=8", "exp=faults&kmax=8&k=8"},
 		{"exp=soak", "exp=soak&rate=1&horizon=20&windowcost=0.25&slo=0.9&episodes=0"},
-		{"exp=profile", "exp=profile&profilek=16"},
+		{"exp=profile", "exp=profile&k=16"},
+		{"exp=hybrid", "exp=hybrid&k=10"},
+		{"exp=soak", "exp=soak&mix=5,3,1.0,1"},
 		{"exp=latency", "exp=latency&load=0.1"},
 		{"exp=faultsrecovery", "exp=faultsrecovery&switchfrac=-0&burstfrac=0.0&convfrac=0e0"},
 		{"exp=fig7&eps=0.1", "exp=fig7&eps=1e-1&kstep=02"},

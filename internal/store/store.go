@@ -133,7 +133,7 @@ func Open(dir string) (*Store, error) {
 }
 
 // errCorrupt marks an entry whose bytes do not verify; it never escapes
-// the package — corrupt entries surface as misses after quarantine.
+// the package — corrupt entries show up as misses after quarantine.
 var errCorrupt = errors.New("store: entry failed verification")
 
 // readVerified loads an entry and checks its header and payload hash. It

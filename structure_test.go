@@ -334,6 +334,57 @@ func TestStarLambdaIgnoresNumbering(t *testing.T) {
 	})
 }
 
+// TestFPTASBracketIgnoresNumbering: the FPTAS's certificate is a property
+// of the network too. A multi-source instance over the largest component —
+// each server to the servers a half and a third of the way around it —
+// runs the FPTAS (not the exact star path) on every structure case at
+// k = 4 and on fat-tree and global flat-tree at k = 8, each rebuilt the
+// three ways above. Both brackets [λ, UpperBound] hold the optimum, so
+// every rebuilt network's bracket must intersect the original's.
+func TestFPTASBracketIgnoresNumbering(t *testing.T) {
+	rng := graph.NewRNG(1)
+	check := func(name string, nw *topo.Network) {
+		servers := faults.LargestComponent(nw)
+		n := len(servers)
+		solve := func(way string, nw *topo.Network, perm []int) mcf.Result {
+			var comms []mcf.Commodity
+			for i, sv := range servers {
+				for _, shift := range []int{n / 2, n / 3} {
+					comms = append(comms, mcf.Commodity{Src: perm[sv], Dst: perm[servers[(i+shift)%n]], Demand: 1})
+				}
+			}
+			res, err := mcf.MaxConcurrentFlow(context.Background(), nw, comms, mcf.Options{Epsilon: 0.1})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, way, err)
+			}
+			if res.Phases == 0 || res.Approximate || !(res.Lambda > 0) || math.IsInf(res.UpperBound, 0) {
+				t.Fatalf("%s, %s: λ %g ≤ %g after %d phases (approximate %t); want a converged FPTAS solve",
+					name, way, res.Lambda, res.UpperBound, res.Phases, res.Approximate)
+			}
+			return res
+		}
+		want := solve("original", nw, identity(nw.N()))
+		for _, way := range renumberings(rng, nw) {
+			got := solve(way.name, relabel(nw, way), way.perm)
+			if got.Lambda > want.UpperBound*(1+1e-9) || want.Lambda > got.UpperBound*(1+1e-9) {
+				t.Errorf("%s, %s: bracket [%g, %g] misses the original's [%g, %g]",
+					name, way.name, got.Lambda, got.UpperBound, want.Lambda, want.UpperBound)
+			}
+		}
+	}
+	structureNetworks(t, []int{4}, check)
+	fat, err := fattree.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fattree/k=8", fat.Net)
+	ft, err := core.BuildIn(core.Params{K: 8}, core.ModeGlobalRandom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("flattree/k=8/global-random", ft.Net())
+}
+
 // TestStructureGolden pins node IDs, link IDs, tags and adjacency order of
 // every builder against digests recorded before construction was made
 // single-pass: a construction change that moves any of them fails here, not
