@@ -5,7 +5,8 @@
 // Usage:
 //
 //	flatctl serve -k 8 -listen 127.0.0.1:7447
-//	    Run the centralized controller for a flat-tree(k).
+//	    Run the centralized controller for a flat-tree(k); once every
+//	    agent has registered, convert to -mode in staged epochs.
 //
 //	flatctl agent -k 8 -pod 3 -connect 127.0.0.1:7447
 //	    Run the converter agent for one pod.
@@ -13,6 +14,11 @@
 //	flatctl demo -k 8 [-mode global-random|local-random|clos|hybrid]
 //	    Run controller and all k agents in-process, perform the
 //	    conversion, and print the resulting topology statistics.
+//
+// Both serve and demo convert through ctrl.StagedConvert: converters are
+// dark while they switch (§2.7), so the controller splits the conversion
+// into as few epochs as keep the live servers connected in every switching
+// window, and reports how many it took.
 package main
 
 import (
@@ -78,8 +84,9 @@ func serve(args []string) {
 	modes, err := parseModes(*mode, *k)
 	check(err)
 	start := time.Now()
-	check(c.Convert(ctx, modes))
-	fmt.Printf("flatctl: conversion committed at epoch %d in %v\n", c.Epoch(), time.Since(start))
+	reports, err := c.StagedConvert(ctx, modes)
+	check(err)
+	fmt.Printf("flatctl: conversion committed in %d epoch(s) (epoch %d) in %v\n", len(reports), c.Epoch(), time.Since(start))
 	printStats(c.FlatTree())
 }
 
@@ -128,8 +135,9 @@ func demo(args []string) {
 	modes, err := parseModes(*mode, *k)
 	check(err)
 	start := time.Now()
-	check(c.Convert(ctx, modes))
-	fmt.Printf("conversion to %q committed at epoch %d in %v\n", *mode, c.Epoch(), time.Since(start))
+	reports, err := c.StagedConvert(ctx, modes)
+	check(err)
+	fmt.Printf("conversion to %q committed in %d epoch(s) (epoch %d) in %v\n", *mode, len(reports), c.Epoch(), time.Since(start))
 	printStats(c.FlatTree())
 }
 

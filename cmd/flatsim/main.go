@@ -123,11 +123,19 @@ type knobFlag struct {
 
 func (f knobFlag) Set(s string) error { return f.knob.Set(f.req, s) }
 
+// String renders the knob's value, or "" — no default in -h — when the
+// value is one the knob's own Set rejects: that is the unset marker of a
+// knob whose default is decided later (k's 0: kmax or the experiment's
+// own size), not a value a user could give.
 func (f knobFlag) String() string {
 	if f.req == nil { // the zero value flag.PrintDefaults compares defaults against
 		return ""
 	}
-	return f.knob.Get(f.req)
+	v := f.knob.Get(f.req)
+	if f.knob.Set(new(experiments.Request), v) != nil {
+		return ""
+	}
+	return v
 }
 
 // parseArgs parses and validates a flatsim command line, reporting any

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,6 +159,33 @@ func TestDomainsAgreeAcrossSurfaces(t *testing.T) {
 		if flagMsg != queryMsg || !strings.Contains(flagMsg, c.want) {
 			t.Errorf("%s %v: flag path says %q, query path says %q; want both to say %q",
 				c.exp, c.pairs, flagMsg, queryMsg, c.want)
+		}
+	}
+}
+
+// TestHelpShowsOnlyRealDefaults: -h prints a knob's default only when it
+// is a value the knob accepts. k's unset 0 means kmax or the experiment's
+// own size, so no default is printed for it; kmax's 16 and burstfrac's 0
+// are real values and are printed.
+func TestHelpShowsOnlyRealDefaults(t *testing.T) {
+	var diag bytes.Buffer
+	if _, err := parseArgs([]string{"-h"}, &diag); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("parseArgs(-h) = %v, want flag.ErrHelp", err)
+	}
+	entry := func(name string) string {
+		_, rest, ok := strings.Cut(diag.String(), "\n  -"+name+" ")
+		if !ok {
+			t.Fatalf("-h lists no -%s:\n%s", name, diag.String())
+		}
+		text, _, _ := strings.Cut(rest, "\n  -")
+		return text
+	}
+	if e := entry("k"); strings.Contains(e, "(default") {
+		t.Errorf("-k shows a default it does not have: %q", e)
+	}
+	for name, def := range map[string]string{"kmax": "16", "burstfrac": "0"} {
+		if e := entry(name); !strings.Contains(e, "(default "+def+")") {
+			t.Errorf("-%s: %q, want (default %s)", name, e, def)
 		}
 	}
 }

@@ -242,11 +242,11 @@ type engine struct {
 	// live-arm plant (nil on the control arm)
 	plant *ctrl.Plant
 
-	cur      *faults.Outcome // damage state when no repair is in flight
-	rep      *ctrl.Repair
-	excluded []int
-	retries  int // carried retry budget; -1 before any repair
-	planIdx  int
+	cur *faults.Outcome // damage state when no repair is in flight
+	// rep is the latest repair, in flight or settled (nil before the
+	// first): its successor inherits its excluded pods and retry budget.
+	rep     *ctrl.Repair
+	planIdx int
 
 	t        float64
 	nextT    float64
@@ -371,15 +371,6 @@ func (e *engine) drawScenario(ctx context.Context, rng *graph.RNG, base *faults.
 	return faults.Scenario{Seed: rng.Uint64()}, LinkBurst, nil
 }
 
-// carriedRetries maps a remaining budget onto SelfHealOptions.MaxRetries
-// (where zero means "default", so an exhausted budget must pass negative).
-func carriedRetries(left int) int {
-	if left <= 0 {
-		return -1
-	}
-	return left
-}
-
 const heartbeatDeadline = 60 * time.Millisecond
 
 // spawn delivers one episode: compose the new damage
@@ -393,8 +384,6 @@ func (e *engine) spawn(ctx context.Context) error {
 	midRepair := e.rep != nil && !e.rep.Done()
 	if midRepair {
 		base = e.rep.Outcome(fmt.Sprintf("soak-ep%d-base", i))
-		e.excluded = e.rep.Excluded()
-		e.retries = e.rep.RetriesLeft()
 		e.replans++
 	}
 	sc, kind, err := e.drawScenario(ctx, rng, base)
@@ -412,18 +401,18 @@ func (e *engine) spawn(ctx context.Context) error {
 	})
 	e.windowsAt = append(e.windowsAt, e.windows)
 	e.cur = out
-	e.rep = nil
 	if e.plant != nil {
 		opt := ctrl.SelfHealOptions{
 			Seed:      e.stream.Seed(1<<32 | uint64(e.planIdx)),
 			BatchSize: e.opt.BatchSize,
-			Exclude:   e.excluded,
-		}
-		if e.retries >= 0 {
-			opt.MaxRetries = carriedRetries(e.retries)
 		}
 		e.planIdx++
-		r, err := e.plant.Controller().PlanRepair(out, opt)
+		var r *ctrl.Repair
+		if e.rep == nil {
+			r, err = e.plant.Controller().PlanRepair(out, opt)
+		} else {
+			r, err = e.rep.Replan(out, opt)
+		}
 		if err != nil {
 			return fmt.Errorf("chaos: episode %d (%s): plan: %w", i, kind, err)
 		}
@@ -439,8 +428,6 @@ func (e *engine) spawn(ctx context.Context) error {
 // closes the episodes it covered (unless it degraded to Partial).
 func (e *engine) settleRepair(now float64) {
 	rep := e.rep.Report()
-	e.excluded = e.rep.Excluded()
-	e.retries = e.rep.RetriesLeft()
 	e.cur = e.rep.Outcome(fmt.Sprintf("soak-healed-%d", e.planIdx))
 	if !rep.Partial {
 		for i := range e.episodes {
@@ -450,7 +437,6 @@ func (e *engine) settleRepair(now float64) {
 			}
 		}
 	}
-	e.rep = nil
 }
 
 // Run executes one soak: the live event loop on the virtual clock, then
@@ -465,7 +451,6 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		opt:        opt,
 		stream:     parallel.NewSeedStream(opt.Seed),
 		arrivalRNG: graph.NewRNG(parallel.NewSeedStream(opt.Seed).Seed(1 << 48)),
-		retries:    -1,
 	}
 
 	var baseline *topo.Network

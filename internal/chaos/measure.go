@@ -21,8 +21,10 @@ func (e *engine) measure(ctx context.Context, baseline *topo.Network) (*Result, 
 		Episodes: e.episodes,
 		Windows:  e.windows,
 		Replans:  e.replans,
-		Excluded: append([]int(nil), e.excluded...),
 		Horizon:  e.opt.Horizon,
+	}
+	if e.rep != nil {
+		res.Excluded = e.rep.Excluded()
 	}
 	if len(e.spans) == 0 {
 		return res, nil

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,12 +79,14 @@ func TestRepairStepperMatchesSelfHeal(t *testing.T) {
 	}
 }
 
-// TestRepairRetryExhaustionMidStream: a second failure lands after the
-// first repair's opening window; the in-flight repair is snapshotted
+// TestRepairRetryExhaustionMidStream: the first repair of a link failure
+// spends its whole retry budget on two rejecting pods and still commits a
+// window; then a second failure lands mid-repair. The in-flight repair is snapshotted
 // (Repair.Outcome), the new episode composed onto it, and the successor
-// repair replanned with the carried (empty) retry budget. With every
-// remaining agent rejecting its re-aim, the successor must degrade to
-// Partial — retry budget exhausted — instead of erroring.
+// replanned (Repair.Replan), inheriting the two excluded pods and the
+// empty budget. With every remaining agent rejecting its re-aim, the
+// successor must degrade to Partial at its first rejection instead of
+// erroring, and never re-aim an inherited pod.
 func TestRepairRetryExhaustionMidStream(t *testing.T) {
 	k := 6
 	hp := startHealPlant(t, k)
@@ -93,7 +96,7 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := faults.Fail(hp.c.FlatTree().Net(), faults.Scenario{Switches: podSwitches(hp.c, 0), Seed: 4})
+	out, err := faults.Fail(hp.c.FlatTree().Net(), faults.Scenario{LinkFraction: 0.2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +104,30 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := r.Step(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if w, err := r.Step(ctx); err != nil || w == nil {
+		t.Fatalf("first window: %v, %v", w, err)
 	}
-	if w == nil {
-		t.Fatal("plan had no first window to execute")
+	// The next two pods reject their re-aim: each costs one retry, and the
+	// third pod's window commits.
+	if len(r.pending) < maxRetries+2 {
+		t.Fatalf("plan has %d pods left, want at least %d", len(r.pending), maxRetries+2)
+	}
+	rejecting := append([]int(nil), r.pending[:maxRetries]...)
+	for _, p := range rejecting {
+		hp.agents[p].RejectStage = true
+	}
+	w, err := r.Step(ctx)
+	if err != nil || w == nil {
+		t.Fatalf("window after two rejections: %v, %v", w, err)
+	}
+	if r.retries != 0 || r.Done() {
+		t.Fatalf("after two rejections: %d retries left, done=%v; want 0 and still in flight", r.retries, r.Done())
+	}
+	if got := r.Excluded(); !slices.Equal(got, rejecting) {
+		t.Fatalf("excluded %v, want %v", got, rejecting)
 	}
 
-	// Mid-repair, a pod-scoped link burst arrives. The executed window
+	// Mid-repair, a pod-scoped link burst arrives. The executed windows
 	// must survive the snapshot; the remainder is replanned.
 	snap := r.Outcome("mid")
 	if len(snap.Pinned) != len(snap.Net.Links) {
@@ -120,19 +138,17 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for p, a := range hp.agents {
-		if p != 0 {
-			a.RejectStage = true
-		}
+	for _, a := range hp.agents {
+		a.RejectStage = true
 	}
-	retries := -1 // carried budget of zero: no retries left
-	if left := r.RetriesLeft(); left != DefaultMaxRetries {
-		t.Fatalf("RetriesLeft = %d before any failure, want %d", r.RetriesLeft(), DefaultMaxRetries)
-	}
-	r2, err := hp.c.PlanRepair(out2, SelfHealOptions{
-		Seed: 4, BatchSize: 1, Exclude: r.Excluded(), MaxRetries: retries})
+	r2, err := r.Replan(out2, SelfHealOptions{Seed: 4, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range r2.pending {
+		if slices.Contains(rejecting, p) {
+			t.Errorf("successor plans to re-aim inherited excluded pod %d", p)
+		}
 	}
 	for !r2.Done() {
 		if _, err := r2.Step(ctx); err != nil {
@@ -148,6 +164,9 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 	}
 	if len(rep2.Excluded) != 0 {
 		t.Errorf("no retry budget, yet pods were excluded: %v", rep2.Excluded)
+	}
+	if got := r2.Excluded(); !slices.Equal(got, rejecting) {
+		t.Errorf("successor excludes %v, want the inherited %v", got, rejecting)
 	}
 	if rep2.Healed == nil {
 		t.Fatal("partial repair has no Healed state")
@@ -168,11 +187,20 @@ func TestRequireConnectedRefusesWindowOnDegradedFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := hp.c.SelfHealScenario(ctx, faults.Scenario{LinkFraction: 0.6, Seed: 21},
-		SelfHealOptions{Seed: 21, BatchSize: 1, RequireConnected: true})
+	out, err := faults.Fail(hp.c.FlatTree().Net(), faults.Scenario{LinkFraction: 0.6, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 21, BatchSize: 1, RequireConnected: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !r.Done() {
+		if _, err := r.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := r.Report()
 	if rep.AddedLinks == 0 {
 		t.Fatal("heavy link failure planned no rewiring; nothing to refuse")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"flattree/internal/core"
@@ -23,20 +24,12 @@ type SelfHealOptions struct {
 	// partition the live servers, leaving the repair partial rather than
 	// splitting the fabric (§2.7 staging discipline applied to recovery).
 	RequireConnected bool
-	// MaxRetries bounds how many failed windows the repair absorbs by
-	// excluding the offending pod and re-planning before degrading to a
-	// partial repair; zero selects DefaultMaxRetries, negative means no
-	// retries at all (so a carried-over budget of zero can be expressed).
-	MaxRetries int
-	// Exclude seeds the excluded-pod set: these pods never re-aim, as when
-	// a replanned repair inherits exclusions from its abandoned
-	// predecessor. Seeded pods do not appear in RepairReport.Excluded,
-	// which lists only pods dropped during this repair.
-	Exclude []int
 }
 
-// DefaultMaxRetries is used when SelfHealOptions.MaxRetries is zero.
-const DefaultMaxRetries = 2
+// maxRetries is how many failed windows a repair absorbs — excluding the
+// offending pod and re-planning — before it degrades to a partial repair.
+// A successor repair (Replan) inherits what its predecessor left.
+const maxRetries = 2
 
 // RepairWindow records one executed dark window of a repair: the pods
 // whose converters went dark, the epoch the re-aim committed under, the
@@ -54,8 +47,8 @@ type RepairWindow struct {
 // says how far the repair got and flags that it stopped short.
 type RepairReport struct {
 	// DeadPods is the validated, sorted set of pods the repair routed
-	// around (set by SelfHeal; empty for scenario- or outcome-driven
-	// repairs, where the damage is not pod-shaped).
+	// around (set by SelfHeal; empty for a repair planned from an
+	// outcome, where the damage is not pod-shaped).
 	DeadPods []int
 	// FreedPorts/AddedLinks/BrokenLinks/Leftover summarize the rewiring
 	// plan (see faults.RecoverReport).
@@ -64,6 +57,8 @@ type RepairReport struct {
 	Windows []RepairWindow
 	// Excluded lists pods dropped from the repair after their agents
 	// failed an exchange; their share of the rewiring never activated.
+	// Pods a successor inherits from its predecessor (Replan) are not
+	// listed again.
 	Excluded []int
 	// Partial is set when the repair stopped short: retry budget
 	// exhausted, or RequireConnected refused a window.
@@ -248,7 +243,7 @@ func (p *repairPlan) buildState(name string, aimed, excluded, dark map[int]bool)
 // resumable form of SelfHeal — callers that interleave repair with other
 // work (a chaos soak delivering new failures mid-repair) call Step per
 // window, snapshot the current fabric via Outcome when a new episode
-// lands, and hand the composed damage to a fresh PlanRepair.
+// lands, and hand the composed damage to Replan.
 type Repair struct {
 	c        *Controller
 	ft       *core.FlatTree
@@ -270,12 +265,20 @@ type Repair struct {
 // outcome may carry several composed episodes (faults.Compose); the plan
 // covers all of its unconsumed freed ports at once.
 func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repair, error) {
-	retries := opt.MaxRetries
-	if retries == 0 {
-		retries = DefaultMaxRetries
-	} else if retries < 0 {
-		retries = 0
-	}
+	return c.planRepair(out, opt, nil, maxRetries)
+}
+
+// Replan plans the successor of r for the damage out, typically r's own
+// Outcome snapshot with a new episode composed onto it. The successor
+// inherits r's excluded pods, which never re-aim, and the retry budget r
+// has left.
+func (r *Repair) Replan(out *faults.Outcome, opt SelfHealOptions) (*Repair, error) {
+	return r.c.planRepair(out, opt, r.excluded, r.retries)
+}
+
+// planRepair is PlanRepair with an inherited excluded-pod set and retry
+// budget.
+func (c *Controller) planRepair(out *faults.Outcome, opt SelfHealOptions, excluded map[int]bool, retries int) (*Repair, error) {
 	ft := c.FlatTree()
 
 	healed, rec, err := faults.Recover(out, faults.RecoverOptions{Seed: opt.Seed, Rewirable: faults.DefaultRewirable})
@@ -285,7 +288,7 @@ func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repa
 	r := &Repair{
 		c: c, ft: ft, opt: opt, out: out, healed: healed,
 		aimed:    make(map[int]bool),
-		excluded: make(map[int]bool, len(opt.Exclude)),
+		excluded: make(map[int]bool, len(excluded)),
 		retries:  retries,
 		rep: &RepairReport{
 			FreedPorts: rec.FreedPorts, AddedLinks: rec.AddedLinks,
@@ -293,9 +296,7 @@ func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repa
 			Degraded: out.Net,
 		},
 	}
-	for _, p := range opt.Exclude {
-		r.excluded[p] = true
-	}
+	maps.Copy(r.excluded, excluded)
 	if rec.AddedLinks == 0 && rec.BrokenLinks == 0 {
 		// Nothing to rewire (e.g. fewer than two freed rewirable ports).
 		r.finish()
@@ -304,7 +305,8 @@ func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repa
 	r.plan = newRepairPlan(out, rec)
 	r.pending = r.plan.affectedPods(r.aimed, r.excluded)
 	if len(r.pending) == 0 {
-		// Every affected pod was pre-excluded; the plan cannot execute.
+		// Every affected pod was inherited as excluded; the plan cannot
+		// execute.
 		r.finish()
 	}
 	return r, nil
@@ -404,9 +406,8 @@ func (r *Repair) Done() bool { return r.done }
 // Report returns the repair's report. Healed is only set once Done.
 func (r *Repair) Report() *RepairReport { return r.rep }
 
-// Excluded returns the sorted union of pods excluded so far, including
-// any seeded via SelfHealOptions.Exclude — the set to carry into a
-// replanned successor repair.
+// Excluded returns the sorted set of pods this repair never re-aims: those
+// it inherited from its predecessor and those it dropped itself.
 func (r *Repair) Excluded() []int {
 	var pods []int
 	for p := range r.excluded {
@@ -415,11 +416,6 @@ func (r *Repair) Excluded() []int {
 	sort.Ints(pods)
 	return pods
 }
-
-// RetriesLeft returns the remaining retry budget, for carrying into a
-// replanned successor repair (pass -MaxRetries semantics: a leftover of
-// zero maps to MaxRetries: -1).
-func (r *Repair) RetriesLeft() int { return r.retries }
 
 // CurrentNet returns the effective fabric right now, between windows (no
 // pod dark). After Done it equals Report().Healed.
@@ -435,8 +431,7 @@ func (r *Repair) CurrentNet() *topo.Network {
 
 // Outcome snapshots the in-flight repair as a faults.Outcome so a new
 // failure episode can land mid-repair: faults.Compose the new scenario
-// onto it, then PlanRepair the composed damage (carrying Excluded and
-// RetriesLeft). Executed windows are kept — their added links are real
+// onto it, then Replan the composed damage. Executed windows are kept — their added links are real
 // links of the snapshot — while the unexecuted remainder returns to the
 // freed-port ledger: ports of already-broken planned links count as freed
 // again, and each endpoint of an activated added link has consumed one
@@ -502,29 +497,6 @@ func (r *Repair) Outcome(name string) *faults.Outcome {
 	return o
 }
 
-// SelfHealScenario routes the fabric around arbitrary equipment damage,
-// online: the scenario is applied to the controller's model network
-// (faults.Fail) and the resulting repair plan is driven through the
-// surviving pods' agents window by window, exactly as SelfHeal does for
-// whole dead pods. This is the online path for partial-equipment death —
-// single switches, converter blocks, pod-scoped link bursts.
-func (c *Controller) SelfHealScenario(ctx context.Context, sc faults.Scenario, opt SelfHealOptions) (*RepairReport, error) {
-	out, err := faults.Fail(c.FlatTree().Net(), sc)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.PlanRepair(out, opt)
-	if err != nil {
-		return nil, err
-	}
-	for !r.done {
-		if _, err := r.Step(ctx); err != nil {
-			return r.rep, err
-		}
-	}
-	return r.rep, nil
-}
-
 // SelfHeal routes the fabric around a set of dead pods, online: it plans a
 // rewiring of the ports the failure freed (faults.Fail + faults.Recover),
 // then drives the surviving pods' agents through the re-aim in batches of
@@ -572,9 +544,19 @@ func (c *Controller) SelfHeal(ctx context.Context, deadPods []int, opt SelfHealO
 			switches = append(switches, s)
 		}
 	}
-	rep, err := c.SelfHealScenario(ctx, faults.Scenario{Switches: switches, Seed: opt.Seed}, opt)
-	if rep != nil {
-		rep.DeadPods = dead
+	out, err := faults.Fail(nw, faults.Scenario{Switches: switches, Seed: opt.Seed})
+	if err != nil {
+		return nil, err
 	}
-	return rep, err
+	r, err := c.PlanRepair(out, opt)
+	if err != nil {
+		return nil, err
+	}
+	r.rep.DeadPods = dead
+	for !r.done {
+		if _, err := r.Step(ctx); err != nil {
+			return r.rep, err
+		}
+	}
+	return r.rep, nil
 }

@@ -276,31 +276,37 @@ func TestStagedConvertChaosAgentDrop(t *testing.T) {
 	}
 	resCh := make(chan result, 1)
 	go func() {
-		reports, err := hp.c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom), 1, false)
+		reports, err := hp.c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom))
 		resCh <- result{reports, err}
 	}()
-	time.Sleep(25 * time.Millisecond) // let a few batches commit
+	time.Sleep(25 * time.Millisecond) // let the first batch commit
 	hp.Kill(3)
 	hp.Kill(6)
 	res := <-resCh
 	// Either outcome is legal — the conversion may have outrun the kills —
-	// but the epoch bookkeeping must be consistent either way.
+	// but the epoch bookkeeping must be consistent either way. A kill
+	// during a batch's commit phase fails that batch after some of its
+	// pods committed, so an agent can be one epoch ahead of the last
+	// epoch the controller recorded as committed, never of the last it
+	// issued.
 	epochMid := hp.c.Epoch()
-	if n := uint64(len(res.reports)); epochMid > n {
-		t.Errorf("controller epoch %d exceeds %d analyzed batches", epochMid, n)
+	hp.c.mu.Lock()
+	issued := hp.c.issued
+	hp.c.mu.Unlock()
+	if n := uint64(len(res.reports)); epochMid > n || issued > n {
+		t.Errorf("controller committed epoch %d, issued %d, for %d analyzed batches", epochMid, issued, n)
 	}
 	for p, a := range hp.agents {
-		if got := a.Commits(); uint64(got) > epochMid {
-			t.Errorf("pod %d committed %d epochs, controller only issued %d", p, got, epochMid)
+		if got := a.Commits(); uint64(got) > issued {
+			t.Errorf("pod %d committed %d epochs, controller only issued %d", p, got, issued)
 		}
 	}
 
-	// Rejoin the dead pods and converge.
+	// Rejoin the dead pods and converge. The surviving agents keep their
+	// switching delay: a failed batch can leave some of them mid-commit,
+	// still reading it.
 	hp.connect(3)
 	hp.connect(6)
-	for _, a := range hp.agents {
-		a.ApplyDelay = 0
-	}
 	hp.waitAllAlive(testDeadline)
 	if err := hp.c.Convert(ctx, uniformModes(k, core.ModeGlobalRandom)); err != nil {
 		t.Fatalf("recovery conversion failed: %v", err)

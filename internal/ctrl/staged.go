@@ -8,25 +8,20 @@ import (
 	"flattree/internal/core"
 )
 
-// StagedConvert converts the fabric to the target modes in batches of at
-// most batchSize pods, committing each batch through the two-phase protocol
-// before starting the next. Converter switching takes real time (§2.7),
-// and while a pod's converters flip, every cable they tap is dark; staging
-// bounds that blast radius.
+// StagedConvert converts the fabric to the target modes in batches of
+// pods, committing each batch through the two-phase protocol before
+// starting the next, and returns the §2.7 transition report of every
+// batch. Converter switching takes real time (§2.7), and while a pod's
+// converters flip, every cable they tap is dark: converting every pod at
+// once can partition the live servers (from Clos at k = 8 and 10 it does).
 //
-// Before each batch the controller analyzes the transition window on its
-// model: if requireConnected is set and the surviving fabric would
-// partition the still-attached servers, the conversion stops before
-// touching hardware, leaving earlier batches committed (each batch is a
-// valid hybrid state, so stopping mid-way is safe).
-//
-// The per-batch transition reports are returned for operator visibility.
-//
-//flatlint:ignore testonly the §2.7 staged-conversion mechanism behind DESIGN §5's k = 8 partition finding
-func (c *Controller) StagedConvert(ctx context.Context, modes []core.Mode, batchSize int, requireConnected bool) ([]core.TransitionReport, error) {
-	if batchSize <= 0 {
-		batchSize = 1
-	}
+// The controller plans the batches on its model. Before each one it grows
+// the batch over the remaining changed pods, in ascending order, for as
+// long as the dark window stays Connected; a single pod is always a batch
+// of its own, since no smaller step exists. Each committed batch is a
+// valid hybrid state, so an error mid-way leaves the earlier batches
+// committed and the model at the last of them.
+func (c *Controller) StagedConvert(ctx context.Context, modes []core.Mode) ([]core.TransitionReport, error) {
 	plan, err := c.Plan(modes)
 	if err != nil {
 		return nil, err
@@ -41,32 +36,45 @@ func (c *Controller) StagedConvert(ctx context.Context, modes []core.Mode, batch
 	}
 
 	var reports []core.TransitionReport
-	for start := 0; start < len(pods); start += batchSize {
-		end := start + batchSize
-		if end > len(pods) {
-			end = len(pods)
-		}
-		batch := pods[start:end]
-
+	for len(pods) > 0 {
 		c.mu.Lock()
-		rep, err := c.ft.AnalyzeTransition(batch)
-		if err != nil {
-			c.mu.Unlock()
-			return reports, err
-		}
+		n, rep, err := c.nextBatch(pods)
 		intermediate := c.ft.Modes()
 		c.mu.Unlock()
-		reports = append(reports, rep)
-		if requireConnected && !rep.Connected {
-			return reports, fmt.Errorf("ctrl: batch %v would partition live servers during switching", batch)
+		if err != nil {
+			return reports, err
 		}
-
+		reports = append(reports, rep)
+		batch := pods[:n]
 		for _, p := range batch {
 			intermediate[p] = modes[p]
 		}
 		if err := c.Convert(ctx, intermediate); err != nil {
 			return reports, fmt.Errorf("ctrl: batch %v: %w", batch, err)
 		}
+		pods = pods[n:]
 	}
 	return reports, nil
+}
+
+// nextBatch returns the length of the batch that starts pods — the longest
+// prefix whose dark window leaves the live servers connected, or the first
+// pod alone — and that window's report. The caller holds c.mu.
+func (c *Controller) nextBatch(pods []int) (int, core.TransitionReport, error) {
+	rep, err := c.ft.AnalyzeTransition(pods[:1])
+	if err != nil {
+		return 0, rep, err
+	}
+	n := 1
+	for ; rep.Connected && n < len(pods); n++ {
+		next, err := c.ft.AnalyzeTransition(pods[:n+1])
+		if err != nil {
+			return 0, rep, err
+		}
+		if !next.Connected {
+			break
+		}
+		rep = next
+	}
+	return n, rep, nil
 }

@@ -8,30 +8,9 @@ import (
 	"flattree/internal/core"
 )
 
-func TestStagedConvertBatches(t *testing.T) {
-	k := 8
-	c, agents, cleanup := startPlant(t, k)
-	defer cleanup()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom), 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 4 {
-		t.Fatalf("got %d batch reports, want 4", len(reports))
-	}
-	for i, r := range reports {
-		if !r.Connected {
-			t.Errorf("batch %d transition disconnected: %+v", i, r)
-		}
-	}
-	// Four batches, four epochs.
-	if c.Epoch() != 4 {
-		t.Errorf("epoch = %d, want 4", c.Epoch())
-	}
-	// Hardware matches the model everywhere.
+// checkHardware fails unless every agent holds the model's configuration.
+func checkHardware(t *testing.T, c *Controller, agents []*Agent) {
+	t.Helper()
 	want := c.FlatTree().Configs()
 	for _, a := range agents {
 		for id, cfg := range a.Configs() {
@@ -40,15 +19,45 @@ func TestStagedConvertBatches(t *testing.T) {
 			}
 		}
 	}
-	if c.FlatTree().Mode(7) != core.ModeGlobalRandom {
-		t.Error("target mode not reached")
+}
+
+// TestStagedConvertBatches: Clos → global-random at k = 8 takes more than
+// one epoch, every committed window keeps the live servers connected, and
+// the hardware ends on the model's configuration.
+func TestStagedConvertBatches(t *testing.T) {
+	k := 8
+	c, agents, cleanup := startPlant(t, k)
+	defer cleanup()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) < 2 {
+		t.Fatalf("got %d batch reports, want at least 2", len(reports))
+	}
+	for i, r := range reports {
+		if !r.Connected {
+			t.Errorf("batch %d transition disconnected: %+v", i, r)
+		}
+	}
+	if c.Epoch() != uint64(len(reports)) {
+		t.Errorf("epoch = %d, want one per batch (%d)", c.Epoch(), len(reports))
+	}
+	checkHardware(t, c, agents)
+	for p := range k {
+		if c.FlatTree().Mode(p) != core.ModeGlobalRandom {
+			t.Errorf("pod %d: target mode not reached", p)
+		}
 	}
 }
 
-// TestStagedConvertRefusesPartition: converting every pod in one batch at
-// k=8's default (m, n) would partition the fabric during the switching
-// window; with requireConnected the controller must refuse before touching
-// any agent.
+// TestStagedConvertRefusesPartition: at k = 8's default (m, n), switching
+// every pod at once would partition the live servers, so the planner must
+// refuse that window and split the conversion — here into pods 0..6, then
+// pod 7 — rather than commit it.
 func TestStagedConvertRefusesPartition(t *testing.T) {
 	k := 8
 	c, agents, cleanup := startPlant(t, k)
@@ -56,25 +65,49 @@ func TestStagedConvertRefusesPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	_, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom), k, true)
-	if err == nil {
-		t.Fatal("all-at-once staged conversion should be refused")
+	all := make([]int, k)
+	for p := range all {
+		all[p] = p
 	}
-	if c.Epoch() != 0 {
-		t.Errorf("epoch advanced to %d on refused conversion", c.Epoch())
+	whole, err := c.FlatTree().AnalyzeTransition(all)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range agents {
-		if a.Commits() != 0 {
-			t.Errorf("pod %d committed despite refusal", a.Pod())
-		}
+	if whole.Connected {
+		t.Fatal("the all-at-once window at k = 8 should partition; nothing to refuse")
 	}
-	// Without the connectivity requirement it proceeds (operator's call).
-	if _, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom), k, false); err != nil {
-		t.Fatalf("unchecked conversion failed: %v", err)
+	firstWant, err := c.FlatTree().AnalyzeTransition(all[:k-1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.FlatTree().Mode(0) != core.ModeGlobalRandom {
-		t.Error("conversion did not land")
+
+	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(reports) != 2 || reports[0] != firstWant {
+		t.Fatalf("batch reports %+v, want pods 0..%d (%+v) then pod %d", reports, k-2, firstWant, k-1)
+	}
+	checkHardware(t, c, agents)
+}
+
+// TestStagedConvertOneBatchWhenSafe: where switching every changed pod at
+// once keeps the fabric connected (k = 4), the staged conversion is one
+// epoch, the same as Convert.
+func TestStagedConvertOneBatchWhenSafe(t *testing.T) {
+	k := 4
+	c, agents, cleanup := startPlant(t, k)
+	defer cleanup()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeGlobalRandom))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || !reports[0].Connected || c.Epoch() != 1 {
+		t.Fatalf("reports %+v at epoch %d, want one connected batch at epoch 1", reports, c.Epoch())
+	}
+	checkHardware(t, c, agents)
 }
 
 func TestStagedConvertNoChanges(t *testing.T) {
@@ -83,7 +116,7 @@ func TestStagedConvertNoChanges(t *testing.T) {
 	defer cleanup()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeClos), 2, true)
+	reports, err := c.StagedConvert(ctx, uniformModes(k, core.ModeClos))
 	if err != nil {
 		t.Fatal(err)
 	}

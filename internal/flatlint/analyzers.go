@@ -172,7 +172,7 @@ func runGlobalrand(pc *pkgChecker) {
 //	layer 0: parallel                         (worker pool + seed streams, std-lib only)
 //	layer 1: converter, graph, lp, flatlint, store (leaf utilities)
 //	layer 2: topo                             (labeled topology model)
-//	layer 3: core, fattree, jellyfish, mcf, metrics, routing
+//	layer 3: core, fattree, jellyfish, mcf, metrics, oracle, routing
 //	layer 4: faults, netsim, traffic, twostage (failures, simulators, workloads)
 //	layer 5: ctrl                             (control plane)
 //	layer 6: chaos                            (soak engine; drives ctrl plants)
@@ -198,6 +198,7 @@ var layerOf = map[string]int{
 	"internal/jellyfish":   3,
 	"internal/mcf":         3,
 	"internal/metrics":     3,
+	"internal/oracle":      3,
 	"internal/routing":     3,
 	"internal/faults":      4,
 	"internal/netsim":      4,

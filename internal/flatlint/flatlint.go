@@ -6,8 +6,7 @@
 // float equality in the numerics, no package-global randomness, a strict
 // package layering DAG, no silently discarded errors, no panics in
 // library code, deterministic map iteration, lifecycle-tied goroutines,
-// wall-clock / RNG hygiene, and no exported library code that only tests
-// reach.
+// wall-clock / RNG hygiene, and no library code that only tests reach.
 //
 // The engine is two-phase and interprocedural. Phase 1 parses and
 // type-checks the module's packages concurrently (fan-out bounded by

@@ -68,8 +68,9 @@ type program struct {
 	randc  map[*types.Func]*reach
 	exits  map[*types.Func]*reach
 
-	refs   map[*types.Func]bool          // referenced from a non-test file outside their own body
-	ifaces map[string][]*types.Interface // interfaces the module mentions, by method name
+	reached map[*types.Func]bool          // reached from a product root (see runTestonly)
+	shipped map[string]bool               // import paths some main links
+	ifaces  map[string][]*types.Interface // interfaces the module mentions, by method name
 }
 
 // clockTrusted are the packages allowed to own wall-clock reads — ctrl

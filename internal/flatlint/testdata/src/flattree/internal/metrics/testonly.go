@@ -14,17 +14,32 @@ func Countdown(n int) int {
 	return Countdown(n - 1)
 }
 
+// Reference is called only by tests, and it is normalize's only caller: a
+// reference from code that tests alone reach reaches nothing, so both are
+// findings.
+func Reference(xs []float64) float64 { return normalize(xs) }
+
+func normalize(xs []float64) float64 { return xs[0] / float64(len(xs)) }
+
 // Oracle is a reference the tests compare against; its directive waives
 // the finding.
 //
 //flatlint:ignore testonly reference oracle kept beside the code it checks
 func Oracle() int { return 2 }
 
-// Median is called from cmd/fixture.
+// Median is referenced from cmd/fixture's package variable, and middle
+// only from Median: both are reached.
 func Median(xs []float64) float64 {
 	sort.Sort(byValue(xs))
-	return xs[len(xs)/2]
+	return middle(xs)
 }
+
+func middle(xs []float64) float64 { return xs[len(xs)/2] }
+
+// init is a root, so fill is reached.
+func init() { fill(Handlers) }
+
+func fill(h map[string]func() int) { delete(h, "unset") }
 
 // Stored is never called, only stored as a value in Handlers: a reference
 // all the same.

@@ -6,62 +6,89 @@ import (
 	"go/types"
 )
 
-// testonly keeps exported library code from outliving its last product
-// caller. An exported function or method declared under internal/ that no
-// non-test file of the module references — outside its own body — is
-// kept alive by tests alone: it belongs in a _test.go file of its
-// package, or nowhere. A reference is any use of the function, call or
-// value, so handlers stored in tables and method values count. Methods
-// that satisfy an interface are exempt: they are reached through the
-// interface (String, Error, heap.Interface, routing.Scheme, ...), which a
-// syntactic reference scan cannot see. A function the product does not
-// call but that must stay beside it — a reference oracle, a mechanism a
-// documented finding rests on — carries a reasoned directive.
+// testonly keeps library code from outliving its last product caller. A
+// function declared under internal/, exported or not, that no root of the
+// product reaches — through any chain of calls and references — is kept
+// alive by tests alone: it belongs in a _test.go file of its package, or
+// nowhere. The roots are every function of a package main (cmd/,
+// examples/, benchmark/), init functions, package-level variable
+// initializers, and methods that satisfy an interface: those are reached
+// through the interface (String, Error, heap.Interface, routing.Scheme,
+// ...), which a syntactic reference scan cannot see. A reference is any
+// use of a function, call or value, so handlers stored in tables and
+// method values count; a function referring to itself does not reach
+// itself. A package that no main imports, directly or not, ships in no
+// binary: it is test support (internal/oracle and the internal/lp it
+// solves with), and testonly does not apply to it. A function the product
+// does not reach but that must stay beside it carries a reasoned
+// directive.
 func runTestonly(pc *pkgChecker) {
+	if !pc.prog.shipped[pc.pkg.Path] {
+		return
+	}
 	for _, f := range pc.pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok {
 				continue
 			}
 			fn, ok := pc.pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || pc.prog.refs[fn] || pc.prog.satisfiesInterface(fn) {
+			if !ok || pc.prog.reached[fn] {
 				continue
 			}
 			pc.reportf("testonly", fd.Name.Pos(),
-				"exported %s has no caller outside tests; move it into a _test.go file, delete it, or justify it with a directive",
+				"%s is reached by no main, init or package variable, only by tests; move it into a _test.go file, delete it, or justify it with a directive",
 				pc.prog.shortName(fn))
 		}
 	}
 }
 
-// indexRefs records every module function referenced from a non-test file
-// outside its own body, and every interface type the module's code
-// mentions — the types of its expressions, objects, and the parameters and
-// results of the functions it uses — indexed by method name.
+// indexRefs computes which module functions the product reaches. One walk
+// over every declaration records the functions it references (outside its
+// own body) and every interface type the module's code mentions — the
+// types of its expressions, objects, and the parameters and results of the
+// functions it uses — indexed by method name. A reachability pass from the
+// roots (see runTestonly) over those references then marks reached, and
+// the import closure of the main packages marks shipped.
 func (p *program) indexRefs(r *Runner) {
-	p.refs = make(map[*types.Func]bool)
 	p.ifaces = make(map[string][]*types.Interface)
 	seen := make(map[types.Type]bool)
 	for _, t := range dynamicInterfaces() {
 		p.collectIfaces(t, seen)
 	}
+	refs := make(map[*types.Func][]*types.Func)
+	var roots, methods []*types.Func
 	for _, path := range r.order {
 		pkg := r.pkgs[path]
+		main := pkg.Types.Name() == "main"
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				var self *types.Func
 				if fd, ok := decl.(*ast.FuncDecl); ok {
 					self, _ = pkg.Info.Defs[fd.Name].(*types.Func)
+					if self == nil {
+						continue
+					}
+					if main || (fd.Recv == nil && fd.Name.Name == "init") {
+						roots = append(roots, self)
+					} else if fd.Recv != nil {
+						methods = append(methods, self)
+					}
 				}
+				var uses []*types.Func
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							p.refs[fn.Origin()] = true
+							uses = append(uses, fn.Origin())
 						}
 					}
 					return true
 				})
+				if self == nil {
+					roots = append(roots, uses...) // a package-level initializer
+				} else {
+					refs[self] = append(refs[self], uses...)
+				}
 			}
 		}
 		for _, tv := range pkg.Info.Types {
@@ -74,6 +101,37 @@ func (p *program) indexRefs(r *Runner) {
 			if obj != nil {
 				p.collectIfaces(obj.Type(), seen)
 			}
+		}
+	}
+	for _, m := range methods {
+		if p.satisfiesInterface(m) {
+			roots = append(roots, m)
+		}
+	}
+	p.reached = make(map[*types.Func]bool)
+	for len(roots) > 0 {
+		fn := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if !p.reached[fn] {
+			p.reached[fn] = true
+			roots = append(roots, refs[fn]...)
+		}
+	}
+
+	p.shipped = make(map[string]bool)
+	var ship func(*types.Package)
+	ship = func(t *types.Package) {
+		if p.shipped[t.Path()] {
+			return
+		}
+		p.shipped[t.Path()] = true
+		for _, imp := range t.Imports() {
+			ship(imp)
+		}
+	}
+	for _, path := range r.order {
+		if t := r.pkgs[path].Types; t.Name() == "main" {
+			ship(t)
 		}
 	}
 }

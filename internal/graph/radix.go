@@ -32,8 +32,8 @@ import (
 // need a re-sort per such arrival, and at a 1e33 spread they are the common
 // case.) Both kernels then relax each adjacency list in the same order under
 // the same `nd < dist` predicate, so the full sequence of Dist/Prev writes —
-// and every λ table the FPTAS derives from them — is bit-identical to
-// Dijkstra/DijkstraTargets.
+// and every λ table the FPTAS derives from them — is bit-identical to the
+// heap kernel's, early exit included.
 
 // DeltaStep computes shortest distances from src under per-edge lengths
 // (which must be non-negative) into w.Dist and w.Prev, exactly like
@@ -42,11 +42,17 @@ func (w *Workspace) DeltaStep(src int, length []float64) {
 	w.runRadix(int32(src), length, nil)
 }
 
-// DeltaStepTargets is DeltaStep with DijkstraTargets' early exit: the run
-// stops once every listed target has settled. Settled results, and in fact
-// the entire tentative Dist/Prev state at the stop point, are bit-identical
-// to DijkstraTargets' (both kernels settle nodes in the same (dist, id)
-// order and relax edges in the same adjacency order).
+// DeltaStepTargets is DeltaStep with an early exit: the run stops once
+// every listed target has settled, which serves every commodity of one
+// source in one pass — the FPTAS's batched oracle. Dist/Prev are exact on
+// every settled node, in particular every reachable target and every node
+// on a shortest path to one, so walking Prev from a target yields the tree
+// a full run would; an unreachable target reads +Inf, because the search
+// exhausts its component before it can stop. Unsettled nodes hold
+// tentative distances that callers must not read. The whole Dist/Prev
+// state at the stop point is bit-identical to the heap kernel's with the
+// same targets: both settle nodes in (dist, id) order and relax edges in
+// adjacency order.
 func (w *Workspace) DeltaStepTargets(src int, length []float64, targets []int32) {
 	w.runRadix(int32(src), length, targets)
 }

@@ -28,7 +28,7 @@ type Workspace struct {
 	heap []int32   // node ids, 4-ary min-heap by (key, id)
 	pos  []int32   // node -> heap slot, -1 when absent
 
-	tmark  []uint64 // target marks for DijkstraTargets, epoch-stamped
+	tmark  []uint64 // target marks of an early-exit run, epoch-stamped
 	tepoch uint64   // current target epoch; bumping it clears all marks
 
 	// Radix-heap queue (radix.go). Invariant between runs: no bucket
@@ -91,29 +91,6 @@ func (w *Workspace) Dijkstra(src int, length []float64) {
 	w.run(int32(src), length, w.Dist, w.Prev, nil, nil, nil)
 }
 
-// DijkstraTargets is the batched oracle under the FPTAS throughput solver:
-// one source-grouped pass that serves every commodity of a source at once.
-// It runs Dijkstra from src but stops as soon as all the given target nodes
-// have been settled, instead of exhausting the whole graph. On return,
-// Dist/Prev are exact for every settled node — in particular for every
-// reachable target and for every node on a shortest path to one (strictly
-// positive lengths mean path predecessors settle before the target) — so
-// walking Prev from a target yields the same tree edges a full Dijkstra
-// would. Unreachable targets are reported at +Inf: the search exhausts
-// their component before it can stop, which is exactly the full-run
-// behavior. Unsettled nodes hold only tentative distances (or +Inf if
-// never reached); callers must not read them.
-//
-// Because the settled pop sequence of the early-stopped run is a prefix of
-// the full run's pop sequence (same heap, same deterministic tie-break),
-// results for targets are bit-identical to Dijkstra's — callers trade no
-// reproducibility for the saved work.
-//
-//flatlint:ignore testonly FuzzSSSPKernelsAgree checks the workspace state an early exit leaves, which no full run can
-func (w *Workspace) DijkstraTargets(src int, length []float64, targets []int32) {
-	w.run(int32(src), length, w.Dist, w.Prev, nil, nil, targets)
-}
-
 // DijkstraBanned is Dijkstra with Yen's spur machinery: bannedEdge (len M)
 // marks edges that must not be used and bannedNode (len N) nodes that must
 // not be traversed. Either may be nil.
@@ -132,15 +109,6 @@ func (w *Workspace) ShortestPath(src, dst int, length []float64) (Path, bool) {
 	return w.g.extractPath(src, dst, w.Dist[dst], w.Prev), true
 }
 
-// run is the kernel: a textbook Dijkstra over an indexed 4-ary heap.
-// Every node enters the heap at most once (improvements are decrease-key
-// sift-ups rather than lazy re-insertions), so the heap slice never grows
-// past N and the whole call allocates nothing after the first targeted
-// call sizes the mark vector. dist and prev must have length N; prev is
-// always filled (the write is one int32 store per edge relaxation, cheaper
-// than a branch). A non-nil targets slice ends the run once every listed
-// node has been popped; the heap is drained (pos reset) so the workspace
-// invariant survives the early exit.
 // prepare resets dist/prev for a fresh run and epoch-stamps the target
 // marks, counting duplicates once. It returns the (possibly nil-ed) target
 // slice and the number of distinct targets still to settle; an empty target
@@ -170,6 +138,18 @@ func (w *Workspace) prepare(dist []float64, prev []int32, targets []int32) ([]in
 	return targets, remaining
 }
 
+// run is the kernel: a textbook Dijkstra over an indexed 4-ary heap.
+// Every node enters the heap at most once (improvements are decrease-key
+// sift-ups rather than lazy re-insertions), so the heap slice never grows
+// past N and the whole call allocates nothing after the first targeted
+// call sizes the mark vector. dist and prev must have length N; prev is
+// always filled (the write is one int32 store per edge relaxation, cheaper
+// than a branch). A non-nil targets slice ends the run once every listed
+// node has been popped; the heap is drained (pos reset) so the workspace
+// invariant survives the early exit. No product caller passes targets —
+// the solver's early exit is the radix kernel's (DeltaStepTargets) — but
+// the tests keep this path as the reference that early exit is checked
+// against.
 func (w *Workspace) run(src int32, length []float64, dist []float64, prev []int32, bannedEdge, bannedNode []bool, targets []int32) {
 	targets, remaining := w.prepare(dist, prev, targets)
 	w.key = dist

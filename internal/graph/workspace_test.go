@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// DijkstraTargets is the heap kernel with an early exit: the run stops
+// once every listed target has settled. Dist/Prev are then exact on every
+// settled node — every reachable target and every node on a shortest path
+// to one — and an unreachable target reads +Inf, because the search
+// exhausts its component first. Unsettled nodes hold tentative distances.
+// The settled pop sequence is a prefix of the full run's, so settled
+// results are bit-identical to Dijkstra's. It is the reference the radix
+// kernel's DeltaStepTargets is checked against.
+func (w *Workspace) DijkstraTargets(src int, length []float64, targets []int32) {
+	w.run(int32(src), length, w.Dist, w.Prev, nil, nil, targets)
+}
+
 // randomMultigraph builds a connected multigraph on 12..23 nodes with
 // deliberate parallel edges and random lengths in [0.1, 1.1).
 func randomMultigraph(rng *RNG) (*Graph, []float64) {

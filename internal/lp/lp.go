@@ -2,8 +2,9 @@
 // primal simplex with Bland's anti-cycling rule. The flat-tree paper
 // computes throughput by solving the maximum concurrent multi-commodity
 // flow LP with "a linear programming solver" (§3.1); this package plays
-// that role for small instances and validates the approximation scheme in
-// internal/mcf that handles paper-scale instances.
+// that role for small instances behind the test-only internal/oracle,
+// against which the approximation scheme in internal/mcf that handles
+// paper-scale instances is checked. No product code imports it.
 //
 // The solver is deliberately simple (dense tableau, O(m·n) per pivot) —
 // it is a reference implementation, not a production barrier method — but

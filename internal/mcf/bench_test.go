@@ -57,21 +57,3 @@ func BenchmarkSolverAllToAllChain(b *testing.B) {
 	b.ReportMetric(float64(phases)/float64(b.N), "phases/op")
 	b.ReportMetric(float64(dijkstras)/float64(b.N), "dijkstras/op")
 }
-
-// BenchmarkExactLP measures the simplex backend on a tiny instance.
-func BenchmarkExactLP(b *testing.B) {
-	ft, err := fattree.New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	comms := []Commodity{
-		{Src: ft.ServerIDs[0], Dst: ft.ServerIDs[15], Demand: 1},
-		{Src: ft.ServerIDs[4], Dst: ft.ServerIDs[11], Demand: 1},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MaxConcurrentFlowExact(ft.Net, comms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -24,7 +24,7 @@ func TestPhaseBudgetDegradesGracefully(t *testing.T) {
 		{Src: servers[1], Dst: servers[4], Demand: 1},
 		{Src: servers[2], Dst: servers[5], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(ring, comms)
+	exact, err := exactLP(ring, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPhasesCountsCompletedOnly(t *testing.T) {
 	if !res.Approximate {
 		t.Error("deadline-stopped solve not flagged Approximate")
 	}
-	exact, err := MaxConcurrentFlowExact(ft.Net, comms)
+	exact, err := exactLP(ft.Net, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDeadlineBetweenChecksDegrades(t *testing.T) {
 		{Src: servers[1], Dst: servers[4], Demand: 1},
 		{Src: servers[2], Dst: servers[5], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(ring, comms)
+	exact, err := exactLP(ring, comms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,7 @@
 // and an LP-dual upper bound, so every experiment knows its true accuracy. A
 // star-shaped instance — every commodity shares one endpoint switch, the
 // paper's single hot spot — is a single-commodity problem and is solved
-// exactly by parametric max-flow (star.go). MaxConcurrentFlowExact, the
-// edge-based LP solved with internal/lp, is the small-instance reference the
-// tests validate both against.
+// exactly by parametric max-flow (star.go).
 package mcf
 
 import (
@@ -30,7 +28,6 @@ import (
 	"time"
 
 	"flattree/internal/graph"
-	"flattree/internal/lp"
 	"flattree/internal/topo"
 )
 
@@ -654,84 +651,4 @@ func (p *problem) probeScale(ctx context.Context, ar *arena, res *Result) (float
 	// Every aggregated commodity joins two distinct switches, so some edge
 	// carries load and maxLoad > 0.
 	return 1 / maxLoad, nil
-}
-
-// MaxConcurrentFlowExact solves the instance exactly with the edge-based LP
-// formulation. Intended for small instances (the variable count is
-// 2·edges·commodities + 1); tests use it to validate MaxConcurrentFlow.
-//
-//flatlint:ignore testonly the exact LP reference oracle every solver path is checked against
-func MaxConcurrentFlowExact(nw *topo.Network, commodities []Commodity) (float64, error) {
-	pr := &problem{}
-	if err := aggregate(nw, commodities, pr); err != nil {
-		return 0, err
-	}
-	if pr.numComm == 0 {
-		return math.Inf(1), nil
-	}
-	n := pr.g.N()
-	m := pr.g.M()
-	// Variables: f[j][a] for commodity j and directed arc a (arc 2e is
-	// A->B of edge e, arc 2e+1 is B->A), then lambda last.
-	numVars := pr.numComm*2*m + 1
-	lambdaVar := numVars - 1
-	fvar := func(j, arc int) int { return j*2*m + arc }
-
-	prob := lp.NewProblem(numVars)
-	prob.Maximize()
-	prob.SetObjectiveCoef(lambdaVar, 1)
-
-	type cinfo struct {
-		src, dst int32
-		demand   float64
-	}
-	comms := make([]cinfo, pr.numComm)
-	for si, src := range pr.srcs {
-		for _, c := range pr.commsOf(si) {
-			comms[c.id] = cinfo{src: src, dst: c.dst, demand: c.demand}
-		}
-	}
-
-	// Flow conservation: for every commodity j and node v:
-	// out(v) - in(v) - lambda*demand_j*(+1 at src, -1 at dst) = 0.
-	for j := 0; j < pr.numComm; j++ {
-		for v := 0; v < n; v++ {
-			coefs := make(map[int]float64)
-			for _, h := range pr.g.Neighbors(v) {
-				e := int(h.Edge)
-				if int32(v) == pr.g.Edge(e).A {
-					coefs[fvar(j, 2*e)]++   // out A->B
-					coefs[fvar(j, 2*e+1)]-- // in  B->A
-				} else {
-					coefs[fvar(j, 2*e+1)]++
-					coefs[fvar(j, 2*e)]--
-				}
-			}
-			switch int32(v) {
-			case comms[j].src:
-				coefs[lambdaVar] = -comms[j].demand
-			case comms[j].dst:
-				coefs[lambdaVar] = comms[j].demand
-			}
-			prob.AddConstraint(coefs, lp.EQ, 0)
-		}
-	}
-	// Capacity: both directions of an edge, summed over commodities.
-	for e := 0; e < m; e++ {
-		coefs := make(map[int]float64)
-		for j := 0; j < pr.numComm; j++ {
-			coefs[fvar(j, 2*e)]++
-			coefs[fvar(j, 2*e+1)]++
-		}
-		prob.AddConstraint(coefs, lp.LE, pr.cap[e])
-	}
-
-	sol, err := prob.Solve()
-	if err != nil {
-		return 0, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, fmt.Errorf("mcf: exact LP status %s", sol.Status)
-	}
-	return sol.X[lambdaVar], nil
 }

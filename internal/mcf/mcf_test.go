@@ -8,8 +8,19 @@ import (
 
 	"flattree/internal/fattree"
 	"flattree/internal/graph"
+	"flattree/internal/oracle"
 	"flattree/internal/topo"
 )
+
+// exactLP is the LP optimum of comms from the test-only reference, which
+// shares no code with the solver under test.
+func exactLP(nw *topo.Network, comms []Commodity) (float64, error) {
+	ds := make([]oracle.Demand, len(comms))
+	for i, c := range comms {
+		ds[i] = oracle.Demand(c)
+	}
+	return oracle.MaxConcurrentFlow(nw, ds)
+}
 
 // lineNetwork builds sw0 - sw1 - ... - sw(n-1) with one server on each end.
 func lineNetwork(n int) *topo.Network {
@@ -33,7 +44,7 @@ func TestSingleCommodityLine(t *testing.T) {
 	servers := nw.Servers()
 	comm := []Commodity{{Src: servers[0], Dst: servers[1], Demand: 2}}
 	// Bottleneck capacity 1, demand 2 -> lambda = 0.5 exactly.
-	exact, err := MaxConcurrentFlowExact(nw, comm)
+	exact, err := exactLP(nw, comm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestTwoCommoditiesSharedEdgeExactVsFPTAS(t *testing.T) {
 		{Src: servers[1], Dst: servers[4], Demand: 1},
 		{Src: servers[2], Dst: servers[5], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(nw, comms)
+	exact, err := exactLP(nw, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +147,7 @@ func TestFPTASMatchesExactOnRandomInstances(t *testing.T) {
 		if len(comms) == 0 {
 			continue
 		}
-		exact, err := MaxConcurrentFlowExact(nw, comms)
+		exact, err := exactLP(nw, comms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +176,7 @@ func TestAggregationMergesAndDropsLocal(t *testing.T) {
 		{Src: servers[0], Dst: servers[1], Demand: 1},
 		{Src: servers[0], Dst: servers[1], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(nw, comms)
+	exact, err := exactLP(nw, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ func TestFatTreeK4CrossPodFlow(t *testing.T) {
 		{Src: ft.ServerIDs[0], Dst: ft.ServerIDs[15], Demand: 1},
 		{Src: ft.ServerIDs[4], Dst: ft.ServerIDs[11], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(ft.Net, comms)
+	exact, err := exactLP(ft.Net, comms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +285,7 @@ func TestProbeScaleTinyOPT(t *testing.T) {
 		{Src: ft.ServerIDs[0], Dst: ft.ServerIDs[15], Demand: 1000},
 		{Src: ft.ServerIDs[4], Dst: ft.ServerIDs[11], Demand: 1},
 	}
-	exact, err := MaxConcurrentFlowExact(ft.Net, comms)
+	exact, err := exactLP(ft.Net, comms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func checkExact(tb testing.TB, label string, res Result, exact float64) {
 // bit: a solve is a function of its instance, not of what ran before it.
 func checkChain(tb testing.TB, label string, nw *topo.Network, comms []Commodity, eps float64) {
 	tb.Helper()
-	exact, err := MaxConcurrentFlowExact(nw, comms)
+	exact, err := exactLP(nw, comms)
 	if err != nil {
 		tb.Fatalf("%s: exact LP: %v", label, err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"flattree/internal/fattree"
 	"flattree/internal/mcf"
+	"flattree/internal/oracle"
 	"flattree/internal/routing"
 )
 
@@ -64,7 +65,11 @@ func TestMaxMinNeverExceedsOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := mcf.MaxConcurrentFlowExact(f.Net, comms)
+	ds := make([]oracle.Demand, len(comms))
+	for i, c := range comms {
+		ds[i] = oracle.Demand(c)
+	}
+	exact, err := oracle.MaxConcurrentFlow(f.Net, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -546,6 +546,23 @@ func TestNoNodeGraphCallers(t *testing.T) {
 	})
 }
 
+// TestOraclesStayInTests keeps the exact references out of the product:
+// no non-test file imports internal/oracle, and none outside it imports
+// internal/lp, the simplex the oracle solves with. A checker that shared
+// code with the solver it checks could not catch that code's faults.
+func TestOraclesStayInTests(t *testing.T) {
+	oracle := regexp.MustCompile(`"flattree/internal/oracle"`)
+	lp := regexp.MustCompile(`"flattree/internal/lp"`)
+	forEachProgramFile(t, func(path string, src []byte) {
+		if oracle.Match(src) {
+			t.Errorf("%s imports internal/oracle, which only tests may import", path)
+		}
+		if filepath.Dir(path) != filepath.Join("internal", "oracle") && lp.Match(src) {
+			t.Errorf("%s imports internal/lp; only internal/oracle solves LPs", path)
+		}
+	})
+}
+
 // forEachProgramFile calls fn with every non-test .go file of the module,
 // its path relative to the root, skipping testdata and hidden directories.
 func forEachProgramFile(t *testing.T, fn func(path string, src []byte)) {
