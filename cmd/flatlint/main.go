@@ -14,8 +14,9 @@
 //	clockwall   wall-clock reads confined and banned transitively from
 //	            the deterministic packages
 //	randflow    RNGs are injected, never built from hard-coded seeds
-//	testonly    library code in a shipped package is reached from a
-//	            main, an init or a package variable, not by tests alone
+//	testonly    library code outside the test support packages is reached
+//	            from a main, an init or a package variable, not by tests
+//	            alone
 //
 // The engine is interprocedural: packages load and type-check
 // concurrently, per-function summaries are propagated over the call

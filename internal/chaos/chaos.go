@@ -407,12 +407,7 @@ func (e *engine) spawn(ctx context.Context) error {
 			BatchSize: e.opt.BatchSize,
 		}
 		e.planIdx++
-		var r *ctrl.Repair
-		if e.rep == nil {
-			r, err = e.plant.Controller().PlanRepair(out, opt)
-		} else {
-			r, err = e.rep.Replan(out, opt)
-		}
+		r, err := e.plant.Controller().PlanRepair(out, opt, e.rep)
 		if err != nil {
 			return fmt.Errorf("chaos: episode %d (%s): plan: %w", i, kind, err)
 		}

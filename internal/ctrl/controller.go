@@ -24,7 +24,9 @@ const (
 // Controller is the centralized network controller of §2.6. It owns the
 // authoritative flat-tree model, plans converter reconfigurations for
 // target per-pod modes, and drives registered pod agents through a
-// two-phase stage/commit exchange so that a conversion is all-or-nothing.
+// two-phase stage/commit exchange so that a conversion is all-or-nothing:
+// aborted everywhere, or committed everywhere — a pod that misses the
+// commit is caught up when its agent registers again.
 //
 // Agents send periodic heartbeats (MsgHeartbeat); the controller records a
 // last-seen timestamp per pod, and WaitForFailures turns those timestamps
@@ -164,12 +166,15 @@ func (c *Controller) Close() {
 }
 
 // handle registers one agent connection and reads its frames until the
-// connection fails. Every frame stamps the pod's liveness; every event but a
-// good heartbeat goes to the exchange channel that collectAcks reads. That
-// channel is bounded and lossy under pathological backlog (drop-oldest),
-// which is safe: epochs are monotone, so a dropped stale ack can only delay
-// — never corrupt — an exchange, and a live exchange drains the channel
-// promptly.
+// connection fails. Once an epoch has committed, a registering agent is
+// first caught up to the model, so a pod that missed a commit, or an agent
+// restarted from stale configurations, holds what the model says. Every
+// frame stamps the
+// pod's liveness; every event but a good heartbeat goes to the exchange
+// channel that collectAcks reads. That channel is bounded and lossy under
+// pathological backlog (drop-oldest), which is safe: epochs are monotone,
+// so a dropped stale ack can only delay — never corrupt — an exchange, and
+// a live exchange drains the channel promptly.
 func (c *Controller) handle(conn net.Conn) {
 	t, payload, err := ReadFrame(conn)
 	if err != nil || t != MsgHello {
@@ -182,11 +187,26 @@ func (c *Controller) handle(conn net.Conn) {
 		return
 	}
 	a := &agentConn{pod: hello.Pod, conn: conn}
-	c.mu.Lock()
-	if c.closed {
+	var synced uint64 // the committed epoch this connection was caught up to
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
+			return
+		}
+		if c.epoch == synced {
+			break // registered below, still under c.mu
+		}
+		epoch, entries := c.epoch, ConfigsForPod(c.ft, int(hello.Pod))
 		c.mu.Unlock()
-		conn.Close()
-		return
+		// Before the agent is registered, so no exchange can stage on this
+		// connection ahead of the catch-up.
+		if err := catchUp(a, epoch, entries); err != nil {
+			conn.Close()
+			return
+		}
+		synced = epoch
 	}
 	if old, ok := c.agents[hello.Pod]; ok {
 		old.conn.Close()
@@ -301,19 +321,18 @@ func (c *Controller) Plan(modes []core.Mode) (map[uint32][]ConfigEntry, error) {
 
 // Convert drives the two-phase reconfiguration to the target modes: stage
 // the new configurations at every affected pod agent, and commit once all
-// have staged. On any failure the staged epoch is aborted everywhere and
-// the model is left unchanged. The supplied context bounds the whole
-// exchange.
+// have staged. A failure before every pod has staged aborts the epoch
+// everywhere and leaves the model unchanged. After that the conversion is
+// committed: the model moves to modes even if a pod then fails, the error
+// names that pod, and its agent is brought up to the model when it
+// registers again. The supplied context bounds the whole exchange.
 func (c *Controller) Convert(ctx context.Context, modes []core.Mode) error {
 	plan, err := c.Plan(modes)
 	if err != nil {
 		return err
 	}
-	epoch, err := c.convertEntries(ctx, plan)
-	if err != nil {
-		return err
-	}
-	return c.commitModel(modes, epoch)
+	_, err = c.convertEntries(ctx, plan, modes)
+	return err
 }
 
 // convertEntries runs one two-phase exchange delivering the given per-pod
@@ -322,13 +341,19 @@ func (c *Controller) Convert(ctx context.Context, modes []core.Mode) error {
 // acknowledgments from an aborted exchange can never satisfy a later one.
 // An empty plan just burns an epoch (mode labels may still change).
 //
+// Once every pod has staged, the epoch is committed: the model takes modes
+// (nil keeps them) and the committed epoch before any agent is told, so no
+// agent ever holds an epoch the controller has not committed. The commit is
+// then sent to, and awaited from, every pod; one that misses it is caught
+// up when its agent registers again (see handle).
+//
 // Failures attributable to one pod are returned as *PodError so callers
 // with a repair budget can exclude that pod and re-plan. A failed stage is
 // aborted everywhere, and every abort that could not be delivered is joined
 // into the returned error: that pod's agent may still hold the staged
 // epoch (monotone epochs keep it from ever committing), and the caller
 // sees which pods missed the abort.
-func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]ConfigEntry) (uint64, error) {
+func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]ConfigEntry, modes []core.Mode) (uint64, error) {
 	c.mu.Lock()
 	c.issued++
 	epoch := c.issued
@@ -352,7 +377,7 @@ func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]Confi
 	c.mu.Unlock()
 
 	if len(plan) == 0 {
-		return epoch, nil
+		return epoch, c.commit(epoch, modes)
 	}
 
 	// Drain stale events from exchanges that ended after their collector
@@ -383,25 +408,68 @@ func (c *Controller) convertEntries(ctx context.Context, plan map[uint32][]Confi
 	}
 
 	// Phase 1: stage.
+	pending := make(map[uint32]bool, len(pods))
 	for _, pod := range pods {
 		if err := c.sendToPod(ctx, pod, MsgStage, MarshalStage(Stage{Epoch: epoch, Entries: plan[pod]})); err != nil {
 			return 0, &PodError{Pod: pod, Err: abort(fmt.Errorf("ctrl: stage to pod %d: %w", pod, err))}
 		}
+		pending[pod] = true
 	}
-	if err := c.collectAcks(ctx, involved, epoch, MsgStaged); err != nil {
+	if err := c.collectAcks(ctx, pending, epoch, MsgStaged); err != nil {
 		return 0, wrapPhase("stage", abort(err))
 	}
+	if err := c.commit(epoch, modes); err != nil {
+		return 0, abort(err)
+	}
 
-	// Phase 2: commit.
+	// Phase 2: commit. Every pod is told and waited for, whichever of
+	// them fails; the first failure is returned.
+	var failed error
 	for _, pod := range pods {
-		if err := c.sendToPod(ctx, pod, MsgCommit, MarshalCommit(Commit{Epoch: epoch})); err != nil {
-			return 0, &PodError{Pod: pod, Err: fmt.Errorf("ctrl: commit to pod %d: %w", pod, err)}
+		if err := c.sendToPod(ctx, pod, MsgCommit, MarshalCommit(Commit{Epoch: epoch})); err == nil {
+			pending[pod] = true
+		} else if failed == nil {
+			failed = &PodError{Pod: pod, Err: fmt.Errorf("ctrl: commit to pod %d: %w", pod, err)}
 		}
 	}
-	if err := c.collectAcks(ctx, involved, epoch, MsgCommitted); err != nil {
-		return 0, wrapPhase("commit", err)
+	for len(pending) > 0 {
+		err := c.collectAcks(ctx, pending, epoch, MsgCommitted)
+		if err != nil && failed == nil {
+			failed = wrapPhase("commit", err)
+		}
+		var pe *PodError
+		if !errors.As(err, &pe) || !pending[pe.Pod] {
+			break // done, the context ended, or no pending pod failed
+		}
+		delete(pending, pe.Pod)
 	}
-	return epoch, nil
+	return epoch, failed
+}
+
+// commit records epoch as committed, with the model at modes (nil keeps
+// them).
+func (c *Controller) commit(epoch uint64, modes []core.Mode) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if modes != nil {
+		if err := c.ft.SetModes(modes); err != nil {
+			return err
+		}
+	}
+	c.epoch = epoch
+	return nil
+}
+
+// catchUp brings a registering agent to the model: its pod's whole
+// configuration, staged and committed under the last committed epoch. The
+// acknowledgments carry that epoch: no later exchange waits for them, and
+// one still collecting them may count them, since the agent holds that
+// epoch's state.
+func catchUp(a *agentConn, epoch uint64, entries []ConfigEntry) error {
+	if err := a.send(MsgStage, MarshalStage(Stage{Epoch: epoch, Entries: entries})); err != nil {
+		return err
+	}
+	return a.send(MsgCommit, MarshalCommit(Commit{Epoch: epoch}))
 }
 
 // wrapPhase labels a collector error with its phase while keeping any
@@ -414,22 +482,9 @@ func wrapPhase(phase string, err error) error {
 	return fmt.Errorf("ctrl: %s phase: %w", phase, err)
 }
 
-func (c *Controller) commitModel(modes []core.Mode, epoch uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ft.SetModes(modes); err != nil {
-		return err
-	}
-	c.epoch = epoch
-	return nil
-}
-
-// collectAcks waits for the given ack type from every involved pod.
-func (c *Controller) collectAcks(ctx context.Context, involved map[uint32]*agentConn, epoch uint64, want MsgType) error {
-	pending := make(map[uint32]bool, len(involved))
-	for pod := range involved {
-		pending[pod] = true
-	}
+// collectAcks waits for the given ack type of epoch from every pending pod,
+// deleting each pod from pending as its ack arrives.
+func (c *Controller) collectAcks(ctx context.Context, pending map[uint32]bool, epoch uint64, want MsgType) error {
 	for len(pending) > 0 {
 		select {
 		case ev := <-c.xch:
@@ -452,6 +507,9 @@ func (c *Controller) collectAcks(ctx context.Context, involved map[uint32]*agent
 				em, err := UnmarshalError(ev.payload)
 				if err != nil {
 					return err
+				}
+				if em.Epoch != epoch {
+					continue // a rejection of another exchange's epoch
 				}
 				return &PodError{Pod: em.Pod, Err: fmt.Errorf("ctrl: pod %d rejected epoch %d: %s", em.Pod, em.Epoch, em.Text)}
 			default:

@@ -286,3 +286,112 @@ func TestAbortSendErrorsRecorded(t *testing.T) {
 		t.Errorf("epoch advanced to %d on failed conversion", c.Epoch())
 	}
 }
+
+// waitRegistered polls until pod's registered connection is not old.
+func waitRegistered(t *testing.T, c *Controller, pod uint32, old *agentConn) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.mu.Lock()
+		a := c.agents[pod]
+		c.mu.Unlock()
+		if a != old {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pod %d never re-registered", pod)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCommitPhaseFailureCatchesUpOnRegistration: once every pod has staged,
+// the conversion is committed even if a pod then dies before applying it.
+// The model and epoch move, the error names the pod, no agent holds an
+// epoch the controller has not committed, and the pod's next agent — here
+// one still holding the pre-conversion configuration — is brought up to
+// the model when it registers.
+func TestCommitPhaseFailureCatchesUpOnRegistration(t *testing.T) {
+	k := 4
+	c, agents, cleanup := startPlant(t, k)
+	defer cleanup()
+	const pod = 1
+	before := ConfigsForPod(c.FlatTree(), pod)
+
+	// Pod 1's agent is replaced by one that stages and then dies on commit.
+	c.mu.Lock()
+	old := c.agents[pod]
+	c.mu.Unlock()
+	conn, err := net.Dial("tcp", listenerAddr(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, MsgHello, MarshalHello(Hello{Pod: pod, NumConverters: uint32(len(before))})); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer conn.Close()
+		for {
+			mt, payload, err := ReadFrame(conn)
+			if err != nil || mt != MsgStage {
+				return // a commit, or the controller closing
+			}
+			s, err := UnmarshalStage(payload)
+			if err != nil || WriteFrame(conn, MsgStaged, MarshalAck(Ack{Epoch: s.Epoch, Pod: pod})) != nil {
+				return
+			}
+		}
+	}()
+	waitRegistered(t, c, pod, old)
+	c.mu.Lock()
+	dying := c.agents[pod]
+	c.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = c.Convert(ctx, uniformModes(k, core.ModeGlobalRandom))
+	var pe *PodError
+	if !errors.As(err, &pe) || pe.Pod != pod {
+		t.Fatalf("Convert = %v, want a *PodError for pod %d", err, pod)
+	}
+	if c.Epoch() != 1 || c.FlatTree().Mode(0) != core.ModeGlobalRandom {
+		t.Fatalf("epoch %d, mode %s: the conversion every pod staged must be committed", c.Epoch(), c.FlatTree().Mode(0))
+	}
+	want := c.FlatTree().Configs()
+	for _, a := range agents {
+		if a.Pod() == pod {
+			continue
+		}
+		if a.Commits() != 1 {
+			t.Errorf("pod %d committed %d epochs, want 1", a.Pod(), a.Commits())
+		}
+		for id, cfg := range a.Configs() {
+			if want[id] != cfg {
+				t.Fatalf("pod %d converter %d: agent has %s, model has %s", a.Pod(), id, cfg, want[id])
+			}
+		}
+	}
+
+	// The pod comes back with the hardware it had before the conversion.
+	stale := NewAgent(pod, before)
+	actx, acancel := context.WithCancel(context.Background())
+	defer acancel()
+	go stale.Run(actx, listenerAddr(c))
+	waitRegistered(t, c, pod, dying)
+	deadline := time.Now().Add(5 * time.Second)
+	for stale.Commits() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the re-registered pod was never caught up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if stale.Commits() != 1 {
+		t.Errorf("caught-up pod committed %d epochs, want 1", stale.Commits())
+	}
+	for id, cfg := range stale.Configs() {
+		if want[id] != cfg {
+			t.Errorf("caught-up pod converter %d: agent has %s, model has %s", id, cfg, want[id])
+		}
+	}
+}

@@ -39,7 +39,7 @@ func TestRepairStepperMatchesSelfHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 9, BatchSize: 2})
+	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 9, BatchSize: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRepairStepperMatchesSelfHeal(t *testing.T) {
 // spends its whole retry budget on two rejecting pods and still commits a
 // window; then a second failure lands mid-repair. The in-flight repair is snapshotted
 // (Repair.Outcome), the new episode composed onto it, and the successor
-// replanned (Repair.Replan), inheriting the two excluded pods and the
+// replanned (PlanRepair with prev), inheriting the two excluded pods and the
 // empty budget. With every remaining agent rejecting its re-aim, the
 // successor must degrade to Partial at its first rejection instead of
 // erroring, and never re-aim an inherited pod.
@@ -100,7 +100,7 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 4, BatchSize: 1})
+	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 4, BatchSize: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRepairRetryExhaustionMidStream(t *testing.T) {
 	for _, a := range hp.agents {
 		a.RejectStage = true
 	}
-	r2, err := r.Replan(out2, SelfHealOptions{Seed: 4, BatchSize: 1})
+	r2, err := hp.c.PlanRepair(out2, SelfHealOptions{Seed: 4, BatchSize: 1}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRequireConnectedRefusesWindowOnDegradedFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 21, BatchSize: 1, RequireConnected: true})
+	r, err := hp.c.PlanRepair(out, SelfHealOptions{Seed: 21, BatchSize: 1, RequireConnected: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@ type SelfHealOptions struct {
 
 // maxRetries is how many failed windows a repair absorbs — excluding the
 // offending pod and re-planning — before it degrades to a partial repair.
-// A successor repair (Replan) inherits what its predecessor left.
+// A successor repair (PlanRepair's prev) inherits what its predecessor
+// left.
 const maxRetries = 2
 
 // RepairWindow records one executed dark window of a repair: the pods
@@ -57,8 +58,8 @@ type RepairReport struct {
 	Windows []RepairWindow
 	// Excluded lists pods dropped from the repair after their agents
 	// failed an exchange; their share of the rewiring never activated.
-	// Pods a successor inherits from its predecessor (Replan) are not
-	// listed again.
+	// Pods a successor inherits from its predecessor (PlanRepair's prev)
+	// are not listed again.
 	Excluded []int
 	// Partial is set when the repair stopped short: retry budget
 	// exhausted, or RequireConnected refused a window.
@@ -243,7 +244,8 @@ func (p *repairPlan) buildState(name string, aimed, excluded, dark map[int]bool)
 // resumable form of SelfHeal — callers that interleave repair with other
 // work (a chaos soak delivering new failures mid-repair) call Step per
 // window, snapshot the current fabric via Outcome when a new episode
-// lands, and hand the composed damage to Replan.
+// lands, and plan the composed damage as this repair's successor
+// (PlanRepair with prev).
 type Repair struct {
 	c        *Controller
 	ft       *core.FlatTree
@@ -264,21 +266,17 @@ type Repair struct {
 // prepares the staged execution, without touching any agent yet. The
 // outcome may carry several composed episodes (faults.Compose); the plan
 // covers all of its unconsumed freed ports at once.
-func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions) (*Repair, error) {
-	return c.planRepair(out, opt, nil, maxRetries)
-}
-
-// Replan plans the successor of r for the damage out, typically r's own
-// Outcome snapshot with a new episode composed onto it. The successor
-// inherits r's excluded pods, which never re-aim, and the retry budget r
-// has left.
-func (r *Repair) Replan(out *faults.Outcome, opt SelfHealOptions) (*Repair, error) {
-	return r.c.planRepair(out, opt, r.excluded, r.retries)
-}
-
-// planRepair is PlanRepair with an inherited excluded-pod set and retry
-// budget.
-func (c *Controller) planRepair(out *faults.Outcome, opt SelfHealOptions, excluded map[int]bool, retries int) (*Repair, error) {
+//
+// A non-nil prev is the repair this one succeeds, typically planned on
+// prev's own Outcome snapshot with a new episode composed onto it: the
+// successor inherits prev's excluded pods, which never re-aim, and the
+// retry budget prev has left. A nil prev starts with neither exclusions
+// nor spent retries.
+func (c *Controller) PlanRepair(out *faults.Outcome, opt SelfHealOptions, prev *Repair) (*Repair, error) {
+	excluded, retries := map[int]bool(nil), maxRetries
+	if prev != nil {
+		excluded, retries = prev.excluded, prev.retries
+	}
 	ft := c.FlatTree()
 
 	healed, rec, err := faults.Recover(out, faults.RecoverOptions{Seed: opt.Seed, Rewirable: faults.DefaultRewirable})
@@ -349,7 +347,7 @@ func (r *Repair) Step(ctx context.Context) (*RepairWindow, error) {
 		for _, p := range window {
 			entries[uint32(p)] = ConfigsForPod(r.ft, p)
 		}
-		epoch, err := r.c.convertEntries(ctx, entries)
+		epoch, err := r.c.convertEntries(ctx, entries, nil)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("ctrl: self-heal: %w", err)
@@ -431,8 +429,9 @@ func (r *Repair) CurrentNet() *topo.Network {
 
 // Outcome snapshots the in-flight repair as a faults.Outcome so a new
 // failure episode can land mid-repair: faults.Compose the new scenario
-// onto it, then Replan the composed damage. Executed windows are kept — their added links are real
-// links of the snapshot — while the unexecuted remainder returns to the
+// onto it, then plan the composed damage as r's successor (PlanRepair with
+// prev r). Executed windows are kept — their added links are real links of
+// the snapshot — while the unexecuted remainder returns to the
 // freed-port ledger: ports of already-broken planned links count as freed
 // again, and each endpoint of an activated added link has consumed one
 // rewirable freed port.
@@ -548,7 +547,7 @@ func (c *Controller) SelfHeal(ctx context.Context, deadPods []int, opt SelfHealO
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.PlanRepair(out, opt)
+	r, err := c.PlanRepair(out, opt, nil)
 	if err != nil {
 		return nil, err
 	}

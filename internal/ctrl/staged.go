@@ -19,8 +19,10 @@ import (
 // the batch over the remaining changed pods, in ascending order, for as
 // long as the dark window stays Connected; a single pod is always a batch
 // of its own, since no smaller step exists. Each committed batch is a
-// valid hybrid state, so an error mid-way leaves the earlier batches
-// committed and the model at the last of them.
+// valid hybrid state, and an error mid-way stops at a batch boundary (see
+// Convert): the model is at the last batch that every pod staged, and a
+// pod that missed that batch's commit is brought up to it when its agent
+// registers again.
 func (c *Controller) StagedConvert(ctx context.Context, modes []core.Mode) ([]core.TransitionReport, error) {
 	plan, err := c.Plan(modes)
 	if err != nil {

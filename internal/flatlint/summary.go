@@ -69,7 +69,6 @@ type program struct {
 	exits  map[*types.Func]*reach
 
 	reached map[*types.Func]bool          // reached from a product root (see runTestonly)
-	shipped map[string]bool               // import paths some main links
 	ifaces  map[string][]*types.Interface // interfaces the module mentions, by method name
 }
 

@@ -1,6 +1,7 @@
 // Command fixture references the fixture module's exported library API, so
-// that of all the analyzers only testonly's own fixture (internal/metrics/
-// testonly.go) reports a function no product code reaches.
+// that of all the analyzers only testonly's own fixtures (internal/metrics/
+// testonly.go, and internal/twostage, which no main imports) report a
+// function no product code reaches.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"flattree/internal/lp"
 	"flattree/internal/mcf"
 	"flattree/internal/metrics"
+	"flattree/internal/netsim"
 	"flattree/internal/parallel"
 	"flattree/internal/routing"
 	"flattree/internal/serve"
@@ -30,6 +32,7 @@ var api = []any{
 	mcf.Explode, mcf.Invariant,
 	metrics.Unknown, metrics.MissingReason, metrics.Unused, metrics.Close,
 	metrics.Median, metrics.Handlers,
+	netsim.Loops,
 	parallel.Spawn,
 	routing.Route, routing.Legacy, routing.BuildTables, routing.Injected, routing.Waived,
 	serve.Bad, serve.Waived,

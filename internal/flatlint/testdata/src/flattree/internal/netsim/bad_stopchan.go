@@ -14,3 +14,6 @@ func legacyLoop() chan struct{} {
 	quit := make(chan struct{}, 1)
 	return quit
 }
+
+// Loops is read by cmd/fixture, so neither loop is a testonly finding.
+var Loops = []func() chan struct{}{runLoop, legacyLoop}

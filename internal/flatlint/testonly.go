@@ -6,6 +6,11 @@ import (
 	"go/types"
 )
 
+// testSupport are the packages testonly exempts: the exact oracle the
+// tests check the solver against, and the LP it solves with. Root
+// TestOraclesStayInTests keeps them out of every non-test import.
+var testSupport = map[string]bool{"internal/oracle": true, "internal/lp": true}
+
 // testonly keeps library code from outliving its last product caller. A
 // function declared under internal/, exported or not, that no root of the
 // product reaches — through any chain of calls and references — is kept
@@ -17,13 +22,12 @@ import (
 // ...), which a syntactic reference scan cannot see. A reference is any
 // use of a function, call or value, so handlers stored in tables and
 // method values count; a function referring to itself does not reach
-// itself. A package that no main imports, directly or not, ships in no
-// binary: it is test support (internal/oracle and the internal/lp it
-// solves with), and testonly does not apply to it. A function the product
-// does not reach but that must stay beside it carries a reasoned
-// directive.
+// itself. The test support packages ship in no binary by design and are
+// exempt; every other package is checked, whether a main links it or not.
+// A function the product does not reach but that must stay beside it
+// carries a reasoned directive.
 func runTestonly(pc *pkgChecker) {
-	if !pc.prog.shipped[pc.pkg.Path] {
+	if testSupport[pc.pkg.RelPath] {
 		return
 	}
 	for _, f := range pc.pkg.Files {
@@ -118,22 +122,6 @@ func (p *program) indexRefs(r *Runner) {
 		}
 	}
 
-	p.shipped = make(map[string]bool)
-	var ship func(*types.Package)
-	ship = func(t *types.Package) {
-		if p.shipped[t.Path()] {
-			return
-		}
-		p.shipped[t.Path()] = true
-		for _, imp := range t.Imports() {
-			ship(imp)
-		}
-	}
-	for _, path := range r.order {
-		if t := r.pkgs[path].Types; t.Name() == "main" {
-			ship(t)
-		}
-	}
 }
 
 // dynamicInterfaces are the interfaces the standard library asserts at
