@@ -48,15 +48,18 @@ func main() {
 		}
 		start := time.Now()
 		err = controller.Convert(ctx, modes)
+		// The wall time goes on a line of its own: every other line is
+		// the same on every run.
+		took := time.Since(start).Round(time.Millisecond)
 		if err != nil {
-			fmt.Printf("%-26s FAILED after %v: %v\n", label, time.Since(start).Round(time.Millisecond), err)
+			fmt.Printf("%-26s FAILED: %v\n  took %v\n", label, err, took)
 			return
 		}
 		nw := controller.FlatTree().Net()
 		st := nw.Stats()
-		fmt.Printf("%-26s epoch=%d  %d configs changed in %v  links: clos=%d conv=%d side=%d\n",
-			label, controller.Epoch(), changes, time.Since(start).Round(time.Millisecond),
-			st.LinksByTag[topo.TagClos], st.LinksByTag[topo.TagConverter], st.LinksByTag[topo.TagSide])
+		fmt.Printf("%-26s epoch=%d  %d configs changed  links: clos=%d conv=%d side=%d\n  took %v\n",
+			label, controller.Epoch(), changes,
+			st.LinksByTag[topo.TagClos], st.LinksByTag[topo.TagConverter], st.LinksByTag[topo.TagSide], took)
 	}
 
 	convert("-> global random graph", uniform(core.ModeGlobalRandom))

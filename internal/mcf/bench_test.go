@@ -48,10 +48,9 @@ func BenchmarkFleischer(b *testing.B) {
 func BenchmarkSolverAllToAllChain(b *testing.B) {
 	var phases, dijkstras int
 	for i := 0; i < b.N; i++ {
-		_, chain := solveAllToAllChain(b, 0.1)
-		for _, res := range chain {
-			phases += res.Phases
-			dijkstras += res.Dijkstras
+		for _, cs := range solveAllToAllChain(b, 0.1) {
+			phases += cs.res.Phases
+			dijkstras += cs.res.Dijkstras
 		}
 	}
 	b.ReportMetric(float64(phases)/float64(b.N), "phases/op")

@@ -231,6 +231,69 @@ func TestDeadlineBetweenChecksDegrades(t *testing.T) {
 	}
 }
 
+// TestDeadlineInProbeDegrades: a deadline that passes during the
+// demand-scaling probe ends the solve with nothing routed — λ = 0, no bound,
+// flagged Approximate — instead of failing it.
+func TestDeadlineInProbeDegrades(t *testing.T) {
+	ring, comms := ringDiameters(t)
+	// The probe checks Err once per source (three here): the second fires.
+	n := 1
+	res, err := MaxConcurrentFlow(lateDeadline{context.Background(), &n}, ring, comms, Options{Epsilon: 0.05})
+	if err != nil {
+		t.Fatalf("deadline during the probe errored instead of degrading: %v", err)
+	}
+	if !res.Approximate || res.Lambda != 0 || !math.IsInf(res.UpperBound, 1) || res.Phases != 0 {
+		t.Errorf("got %+v; want Approximate, λ = 0, UpperBound = +Inf, 0 phases", res)
+	}
+	if res.Dijkstras != 1 {
+		t.Errorf("Dijkstras = %d, want the 1 probe pass that ran", res.Dijkstras)
+	}
+}
+
+// TestDeadlineInFinalSweepKeepsConvergedLambda: a deadline that passes
+// during the exact final dual sweep leaves a converged solve converged —
+// the same λ, not flagged Approximate — with the per-phase bound it held
+// before the sweep, which is no tighter than the swept one.
+func TestDeadlineInFinalSweepKeepsConvergedLambda(t *testing.T) {
+	ring, comms := ringDiameters(t)
+	// Count the Err calls of a solve whose deadline never fires; the last
+	// three are the sweep's, one per source.
+	n := 1 << 30
+	full, err := MaxConcurrentFlow(lateDeadline{context.Background(), &n}, ring, comms, Options{Epsilon: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 1<<30 - n
+	// Fire at the sweep's second check.
+	n = calls - 2
+	res, err := MaxConcurrentFlow(lateDeadline{context.Background(), &n}, ring, comms, Options{Epsilon: 0.05})
+	if err != nil {
+		t.Fatalf("deadline during the final sweep errored instead of degrading: %v", err)
+	}
+	if res.Approximate || res.Lambda != full.Lambda || res.Phases != full.Phases {
+		t.Errorf("got %+v; want the converged λ %g after %d phases, unflagged", res, full.Lambda, full.Phases)
+	}
+	if !(res.UpperBound >= full.UpperBound) || math.IsInf(res.UpperBound, 1) {
+		t.Errorf("UpperBound %g; want the per-phase bound, finite and ≥ the swept %g", res.UpperBound, full.UpperBound)
+	}
+	if res.Dijkstras != full.Dijkstras-2 {
+		t.Errorf("Dijkstras = %d, want %d (the sweep's last two passes not run)", res.Dijkstras, full.Dijkstras-2)
+	}
+}
+
+// ringDiameters is the 6-ring with three diameter demands (optimum 2/3):
+// three sources, so the probe and the final sweep each make three passes.
+func ringDiameters(t *testing.T) (*topo.Network, []Commodity) {
+	t.Helper()
+	ring := ringNetwork(6)
+	servers := ring.Servers()
+	return ring, []Commodity{
+		{Src: servers[0], Dst: servers[3], Demand: 1},
+		{Src: servers[1], Dst: servers[4], Demand: 1},
+		{Src: servers[2], Dst: servers[5], Demand: 1},
+	}
+}
+
 // TestCancellationAbortsSolve: a cancelled context aborts both solve paths —
 // the exact one (a single commodity is a star) and the FPTAS.
 func TestCancellationAbortsSolve(t *testing.T) {

@@ -16,6 +16,18 @@
 // star-shaped instance — every commodity shares one endpoint switch, the
 // paper's single hot spot — is a single-commodity problem and is solved
 // exactly by parametric max-flow (star.go).
+//
+// The FPTAS reuses paths the way Fleischer's algorithm does. Each source
+// keeps, from the last shortest-path pass that reached them, the path to
+// each of its destinations and the distance that pass measured; lengths only
+// grow, so that distance is a lower bound on the current one. At a source's
+// first iteration of a phase, if every stored path is still within 1+ε of
+// its lower bound, the source routes on them without a pass. A reused path
+// then costs at most 1+ε times a shortest one, which turns ε into ε(1+ε) in
+// the Garg-Könemann potential argument: λ keeps its (1−O(ε)) guarantee, the
+// feasibility scaling is untouched (it is per edge), and the per-phase dual
+// bound, whose α terms are then the lower bounds, stays valid but looser.
+// The exact final dual sweep restores the tight bound.
 package mcf
 
 import (
@@ -63,8 +75,11 @@ type Result struct {
 	// smaller of the best per-phase bound and the exact dual value
 	// D(l)/α(l) of its final length function; a deadline-stopped
 	// (Approximate) solve has no time for that last sweep and reports the
-	// per-phase bound alone. An exact (star) solve reports the ratio of its
-	// minimum cut, which Lambda meets up to rounding.
+	// per-phase bound alone, and so does a converged solve whose deadline
+	// passes during the sweep (not flagged Approximate: its λ met the ε
+	// guarantee). A solve whose deadline passes during the demand-scaling
+	// probe has no bound (+Inf). An exact (star) solve reports the ratio of
+	// its minimum cut, which Lambda meets up to rounding.
 	UpperBound float64
 	// Phases counts *completed* phases: full passes over every source in
 	// which each commodity shipped one round of its demand — the demand as
@@ -73,16 +88,20 @@ type Result struct {
 	// context deadline or a mid-phase convergence break does not count the
 	// partial phase, and the final dual sweep is not a phase. Dijkstras
 	// counts every shortest-path pass the solve ran, including the
-	// demand-scaling probe's and the final dual sweep's. Both are 0 for an
-	// exact (star) solve, which runs neither phases nor shortest paths.
+	// demand-scaling probe's and the final dual sweep's. An iteration that
+	// routed on its source's stored paths (Fleischer's reuse, see
+	// MaxConcurrentFlow) ran no pass and is not counted, so Dijkstras can be
+	// well below Phases × sources. Both are 0 for an exact (star) solve,
+	// which runs neither phases nor shortest paths.
 	Phases    int
 	Dijkstras int
 	// Approximate reports that the FPTAS stopped at its context deadline
 	// before reaching its ε guarantee. Lambda is still feasible and never
 	// below the demand-scaling probe's λ (every demand on one shortest
-	// path, scaled by the worst edge), and DualGap still tells the truth
-	// about how far off it might be; the flag only says the usual
-	// (1-ε)-optimality promise no longer applies.
+	// path, scaled by the worst edge) — or 0 when the deadline passed
+	// during that probe — and DualGap still tells the truth about how far
+	// off it might be; the flag only says the usual (1-ε)-optimality
+	// promise no longer applies.
 	Approximate bool
 	// WarmStarted is always false: no solve is seeded from another. The
 	// field stays only because benchmark/ reads it, and goes with that read
@@ -151,7 +170,9 @@ func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 	for range pr.g.M() {
 		pr.cap = append(pr.cap, 1)
 	}
-	pr.pairs = pr.pairs[:0]
+	// pairs and comms are grown once to their size, not appended into from
+	// empty, so a state fresh from the pool allocates each of them once.
+	pr.pairs = slices.Grow(pr.pairs[:0], len(commodities))
 	for i, c := range commodities {
 		if !(c.Demand > 0) || math.IsInf(c.Demand, 1) {
 			return fmt.Errorf("mcf: commodity %d: demand %g must be positive and finite", i, c.Demand)
@@ -175,7 +196,13 @@ func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 		}
 		return int(a.t) - int(b.t)
 	})
-	pr.srcs, pr.srcOff, pr.comms = pr.srcs[:0], pr.srcOff[:0], pr.comms[:0]
+	merged := 0
+	for i, p := range pr.pairs {
+		if i == 0 || p.s != pr.pairs[i-1].s || p.t != pr.pairs[i-1].t {
+			merged++
+		}
+	}
+	pr.srcs, pr.srcOff, pr.comms = pr.srcs[:0], pr.srcOff[:0], slices.Grow(pr.comms[:0], merged)
 	pr.numComm = 0
 	for i := 0; i < len(pr.pairs); {
 		p := pr.pairs[i]
@@ -209,9 +236,19 @@ type arena struct {
 	touched []int32   // edges with req != 0
 	rem     []float64 // per-destination demand left this phase (len N)
 	remID   []int32   // per-destination commodity id for the current source
-	active  []int32   // destinations with remaining demand, ascending
+	active  []int32   // the current source's destinations while they have demand left, ascending
 	routed  []float64 // per-commodity flow accumulated so far (len numComm)
 	flow    []float64 // per-edge flow accumulated so far, in units of cap_e (len M)
+
+	// The stored paths Fleischer's reuse routes on. paths[si] is one CSR
+	// per source: the edge ids of each of its commodities' paths, walked
+	// from the destination back to the source, in commodity order; pathEnd
+	// (indexed by commodity id) ends each path there. lb is the distance
+	// the pass that stored the path measured — a lower bound on the current
+	// distance, since lengths only grow.
+	paths   [][]int32
+	pathEnd []int32
+	lb      []float64
 }
 
 // solveState pairs an aggregated problem with the scratch of both solve
@@ -241,8 +278,9 @@ func putState(st *solveState) { statePool.Put(st) }
 
 // bind sizes the arena for pr, reusing backing arrays whose capacity
 // suffices. req, length, routed, and flow are accumulated into with += by
-// the solver and must start zero; rem and remID are fully written before
-// each read, so stale values there are harmless.
+// the solver and must start zero; rem, remID and the stored paths are fully
+// written before each read (phase 1 stores every source's paths before any
+// reuse reads them), so stale values there are harmless.
 func (ar *arena) bind(pr *problem) {
 	n, m := pr.g.N(), pr.g.M()
 	if ar.ws == nil {
@@ -265,6 +303,17 @@ func (ar *arena) bind(pr *problem) {
 	}
 	ar.touched = ar.touched[:0]
 	ar.active = ar.active[:0]
+	if cap(ar.paths) < len(pr.srcs) {
+		ar.paths = make([][]int32, len(pr.srcs))
+	} else {
+		ar.paths = ar.paths[:len(pr.srcs)]
+	}
+	if cap(ar.pathEnd) < pr.numComm {
+		ar.pathEnd = make([]int32, pr.numComm)
+	} else {
+		ar.pathEnd = ar.pathEnd[:pr.numComm]
+	}
+	ar.lb = resized(ar.lb, pr.numComm)
 }
 
 // zeroed returns s resized to n with every element zero, reusing the
@@ -291,11 +340,13 @@ func resized(s []float64, n int) []float64 {
 // disconnected pairs yield an error.
 //
 // The context is checked between shortest-path iterations (including the
-// demand-scaling probe's) and between max-flow rounds: cancellation aborts
-// the solve and returns ctx.Err(). A context deadline instead ends the
-// FPTAS's phase loop early with the best feasible λ found so far (flagged
-// Approximate); an exact solve has nothing to cut short, and an expired
-// context is an error there.
+// demand-scaling probe's and the final dual sweep's) and between max-flow
+// rounds: cancellation aborts the solve and returns ctx.Err(). A context
+// deadline never fails a FPTAS solve: in the probe it returns λ = 0, in the
+// phase loop the best feasible λ found so far (both flagged Approximate),
+// and in the final dual sweep the converged λ with its per-phase bound. An
+// exact solve has nothing to cut short, and an expired context is an error
+// there.
 func MaxConcurrentFlow(ctx context.Context, nw *topo.Network, commodities []Commodity, opt Options) (Result, error) {
 	st := getState()
 	defer putState(st)
@@ -354,6 +405,11 @@ func (st *solveState) fptas(ctx context.Context, opt Options, maxPhases int) (Re
 	// λ is also the floor a deadline-stopped solve reports.
 	lambdaProbe, err := pr.probeScale(ctx, ar, &res)
 	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			// Nothing is routed yet, so 0 is the only λ known feasible.
+			res.Approximate = true
+			return res, nil
+		}
 		return Result{}, err
 	}
 	lambdaHat := lambdaProbe
@@ -379,7 +435,7 @@ func (st *solveState) fptas(ctx context.Context, opt Options, maxPhases int) (Re
 	// with the remaining time so chained solves under one request deadline
 	// each still get a positive budget. (The demand-scaling probe above is
 	// context-checked but unbudgeted: a deadline shorter than the probe
-	// still ends in a context error.)
+	// ends the solve at λ = 0.)
 	var deadline time.Time
 	if d, ok := ctx.Deadline(); ok {
 		//flatlint:ignore clockwall converting the context's wall-clock deadline into a budget deadline; bounds work, never the answer for a converged run
@@ -406,7 +462,7 @@ phases:
 				ar.remID[c.dst] = c.id
 				ar.active = append(ar.active, c.dst)
 			}
-			firstIteration := true
+			first := true
 			for len(ar.active) > 0 {
 				if err := ctx.Err(); err != nil {
 					if errors.Is(err, context.DeadlineExceeded) {
@@ -424,38 +480,40 @@ phases:
 					converged = true
 					break phases
 				}
-				// Batched oracle: one pass serves every remaining commodity
-				// of the source and stops once all of them have settled.
-				// Settled results are bit-identical to a full Dijkstra, so
-				// the early stop is pure savings. The radix-heap kernel
-				// settles in the 4-ary heap's (dist, id) order at any length
-				// spread — here ~1e33 between the δ floor and used edges.
-				ar.ws.DeltaStepTargets(int(src), length, ar.active)
-				res.Dijkstras++
-				dist, prev := ar.ws.Dist, ar.ws.Prev
-				if firstIteration && !opt.SkipDualBound {
+				// Fleischer's reuse: a source's first iteration routes on its
+				// stored paths when each is still within 1+ε of its lower
+				// bound (phase 1 has none yet). Otherwise one batched pass
+				// serves every remaining commodity of the source and stops
+				// once all of them have settled — settled results are
+				// bit-identical to a full Dijkstra, so the early stop is pure
+				// savings; the radix-heap kernel settles in the 4-ary heap's
+				// (dist, id) order at any length spread, here ~1e33 between
+				// the δ floor and used edges — and refreshes their paths.
+				if !first || phase == 1 || !ar.pathsHold(pr, si, length, eps) {
+					ar.ws.DeltaStepTargets(int(src), length, ar.active)
+					res.Dijkstras++
+					ar.storePaths(pr, si)
+				}
+				if first && !opt.SkipDualBound {
 					for _, c := range comms {
-						dualAlpha += c.demand * dist[c.dst]
+						dualAlpha += c.demand * ar.lb[c.id]
 					}
 					dualD = sumLC
-					firstIteration = false
 				}
+				first = false
 				// Requested flow per edge if every remaining demand were
-				// sent fully along its shortest path. Destinations are
-				// walked in ascending order, so the floating-point
-				// accumulation order — and hence the solve — is
-				// deterministic (the map-based predecessor of this loop
-				// was not).
+				// sent fully along its stored path. Destinations are walked
+				// in ascending order, so the floating-point accumulation
+				// order — and hence the solve — is deterministic (the
+				// map-based predecessor of this loop was not).
 				ar.touched = ar.touched[:0]
 				for _, dst := range ar.active {
 					rem := ar.rem[dst]
-					for v := dst; v != src; {
-						e := prev[v]
+					for _, e := range ar.path(pr, si, ar.remID[dst]) {
 						if ar.req[e] == 0 { //flatlint:ignore floatcmp req is exactly 0 iff the edge is untouched; demands are strictly positive
 							ar.touched = append(ar.touched, e)
 						}
 						ar.req[e] += rem
-						v = pr.g.Edge(int(e)).Other(v)
 					}
 				}
 				// Largest uniform fraction that respects per-step capacity.
@@ -465,16 +523,16 @@ phases:
 						alpha = a
 					}
 				}
-				keep := ar.active[:0]
 				for _, dst := range ar.active {
 					f := alpha * ar.rem[dst]
 					routed[ar.remID[dst]] += f
-					if alpha < 1-1e-15 {
-						ar.rem[dst] -= f
-						keep = append(keep, dst)
-					}
+					ar.rem[dst] -= f
 				}
-				ar.active = keep
+				if alpha >= 1-1e-15 {
+					// Each destination shipped the same fraction α of what
+					// it had left, so all of them are done at once.
+					ar.active = ar.active[:0]
+				}
 				for _, e := range ar.touched {
 					sent := alpha * ar.req[e] / pr.cap[e]
 					old := length[e]
@@ -542,11 +600,13 @@ phases:
 	}
 
 	// Exact final dual. Bigger late phases loosen the per-phase bound above
-	// (its alpha terms predate most of a phase of length growth), so a
-	// converged solve measures D(l)/alpha(l) once under its final lengths:
-	// one distance-only pass per source, context-checked but unbudgeted
-	// like the probe. Deadline-stopped solves skip it — they have no time
-	// left — and keep the running bound.
+	// (its alpha terms predate most of a phase of length growth, or are
+	// stored lower bounds), so a converged solve measures D(l)/alpha(l)
+	// once under its final lengths: one distance-only pass per source,
+	// context-checked but unbudgeted like the probe. Deadline-stopped
+	// solves skip it — they have no time left — and keep the running bound;
+	// so does a converged one whose deadline passes during the sweep: its λ
+	// met the ε guarantee, only the bound stays looser.
 	if converged && !opt.SkipDualBound {
 		d, alpha := 0.0, 0.0
 		for e, l := range length {
@@ -554,6 +614,9 @@ phases:
 		}
 		for si := range pr.srcs {
 			if err := ctx.Err(); err != nil {
+				if errors.Is(err, context.DeadlineExceeded) {
+					return res, nil
+				}
 				return Result{}, err
 			}
 			pr.sourcePass(ar, si, length)
@@ -565,6 +628,53 @@ phases:
 		res.UpperBound = min(res.UpperBound, d/alpha*lambdaHat)
 	}
 	return res, nil
+}
+
+// pathsHold reports whether every stored path of the si-th source is, under
+// length, at most 1+eps times the lower bound stored beside it — and so at
+// most 1+eps times its current shortest distance.
+func (ar *arena) pathsHold(pr *problem, si int, length []float64, eps float64) bool {
+	for j := pr.srcOff[si]; j < pr.srcOff[si+1]; j++ {
+		d := 0.0
+		for _, e := range ar.path(pr, si, j) {
+			d += length[e]
+		}
+		if d > (1+eps)*ar.lb[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// path returns the stored path of commodity j, one of the si-th source's.
+func (ar *arena) path(pr *problem, si int, j int32) []int32 {
+	lo := int32(0)
+	if j > pr.srcOff[si] {
+		lo = ar.pathEnd[j-1]
+	}
+	return ar.paths[si][lo:ar.pathEnd[j]]
+}
+
+// storePaths stores, for every commodity of the si-th source, its path in
+// the workspace's last shortest-path tree and the distance that tree
+// measured. Every pass of a source targets all of its destinations — a step
+// ships the same fraction α of each one's demand, so they finish together —
+// and so rewrites the source's whole CSR, in place in its own buffer.
+func (ar *arena) storePaths(pr *problem, si int) {
+	src := pr.srcs[si]
+	dist, prev := ar.ws.Dist, ar.ws.Prev
+	buf := ar.paths[si][:0]
+	for j := pr.srcOff[si]; j < pr.srcOff[si+1]; j++ {
+		dst := pr.comms[j].dst
+		for v := dst; v != src; {
+			e := prev[v]
+			buf = append(buf, e)
+			v = pr.g.Edge(int(e)).Other(v)
+		}
+		ar.pathEnd[j] = int32(len(buf))
+		ar.lb[j] = dist[dst]
+	}
+	ar.paths[si] = buf
 }
 
 // sourcePass runs one shortest-path pass under length from the si-th source

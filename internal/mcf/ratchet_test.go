@@ -177,12 +177,21 @@ func allToAllColumn(tb testing.TB, k int) (*topo.Network, []Commodity) {
 	return ft.Net, comms
 }
 
+// chainSolve is one solve of the all-to-all column: its result, its
+// feasibility scale (the phase count at normalized OPT = 1) and its number
+// of distinct source switches.
+type chainSolve struct {
+	res     Result
+	scale   float64
+	sources int
+}
+
 // solveAllToAllChain solves the k=4→6→8 all-to-all column on one solve
-// state, returning each solve's result beside its feasibility scale (the
-// phase count at normalized OPT = 1).
-func solveAllToAllChain(tb testing.TB, eps float64) (scales []float64, out []Result) {
+// state.
+func solveAllToAllChain(tb testing.TB, eps float64) []chainSolve {
 	tb.Helper()
 	st := new(solveState)
+	var out []chainSolve
 	for _, k := range []int{4, 6, 8} {
 		nw, comms := allToAllColumn(tb, k)
 		res, err := st.solve(context.Background(), nw, comms, Options{Epsilon: eps})
@@ -190,9 +199,9 @@ func solveAllToAllChain(tb testing.TB, eps float64) (scales []float64, out []Res
 			tb.Fatalf("k=%d: %v", k, err)
 		}
 		_, scale := gkConstants(eps, st.pr.g.M())
-		scales, out = append(scales, scale), append(out, res)
+		out = append(out, chainSolve{res: res, scale: scale, sources: len(st.pr.srcs)})
 	}
-	return scales, out
+	return out
 }
 
 // TestRatchetBoundsPhases pins what the ratchet is for. A Garg-Könemann
@@ -201,18 +210,28 @@ func solveAllToAllChain(tb testing.TB, eps float64) (scales []float64, out []Res
 // within the first phases and every solve finishes inside 1.5·scale. The
 // final dual sweep must also leave each converged solve a tighter
 // certificate than the per-phase bound the pre-ratchet solver reported on
-// the same chain.
+// the same chain. And path reuse must fire: each solve runs fewer
+// shortest-path passes than the solver that ran one per source at the start
+// of every phase did on the same chain. (Phases × sources is no ceiling
+// here: the iterations after a source's first, α < 1, run their own passes,
+// 0.4–0.7 × Phases × sources of them on this column.)
 func TestRatchetBoundsPhases(t *testing.T) {
 	const eps = 0.1
 	// DualGap() of the k=4, 6, 8 solves at the parent of the ratchet change.
 	parentGap := []float64{0.1588, 0.1723, 0.1812}
-	scales, chain := solveAllToAllChain(t, eps)
-	for i, res := range chain {
-		k := 4 + 2*i
+	// Dijkstras of the k=4, 6, 8 solves before path reuse (344, 471 and
+	// 559 phases over 7, 17 and 31 sources).
+	noReuse := []int{3439, 12520, 29253}
+	for i, cs := range solveAllToAllChain(t, eps) {
+		k, res := 4+2*i, cs.res
 		if res.Approximate {
 			t.Fatalf("k=%d: unbudgeted solve flagged Approximate", k)
 		}
-		if r := float64(res.Phases) / scales[i]; r > 1.5 {
+		if res.Dijkstras >= noReuse[i] {
+			t.Errorf("k=%d: %d shortest-path passes (%d phases × %d sources), want fewer than the %d without reuse",
+				k, res.Dijkstras, res.Phases, cs.sources, noReuse[i])
+		}
+		if r := float64(res.Phases) / cs.scale; r > 1.5 {
 			t.Errorf("k=%d: %d phases = %.2f·scale, want ≤ 1.5·scale", k, res.Phases, r)
 		}
 		if res.Lambda > res.UpperBound {
@@ -220,6 +239,43 @@ func TestRatchetBoundsPhases(t *testing.T) {
 		}
 		if gap := res.DualGap(); gap > parentGap[i] {
 			t.Errorf("k=%d: DualGap %.4f looser than the pre-ratchet solver's %.4f", k, gap, parentGap[i])
+		}
+	}
+}
+
+// TestStoredPathsStayValid checks the state path reuse routes on, after
+// a solve of the k = 6 all-to-all column, whose sources both reuse their
+// stored paths across phases and refresh them several times within one.
+// Every commodity's stored path must walk from its destination to its own
+// source, and its stored distance must be a lower bound on the current
+// one — what pathsHold's 1+ε test relies on.
+func TestStoredPathsStayValid(t *testing.T) {
+	nw, comms := allToAllColumn(t, 6)
+	st := new(solveState)
+	if _, err := st.solve(context.Background(), nw, comms, Options{Epsilon: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	pr, ar := &st.pr, &st.ar
+	for si, src := range pr.srcs {
+		pr.sourcePass(ar, si, ar.length)
+		for j := pr.srcOff[si]; j < pr.srcOff[si+1]; j++ {
+			dst := pr.comms[j].dst
+			v, length := dst, 0.0
+			for _, e := range ar.path(pr, si, j) {
+				edge := pr.g.Edge(int(e))
+				if edge.A != v && edge.B != v {
+					t.Fatalf("source %d, commodity %d: edge %d does not leave node %d", src, j, e, v)
+				}
+				v = edge.Other(v)
+				length += ar.length[e]
+			}
+			if v != src {
+				t.Fatalf("source %d, commodity %d: stored path from %d ends at %d", src, j, dst, v)
+			}
+			if d := ar.ws.Dist[dst]; ar.lb[j] > d*(1+1e-12) || d > length*(1+1e-12) {
+				t.Errorf("source %d, commodity %d: stored distance %g, current distance %g, stored path %g; want lb ≤ dist ≤ path",
+					src, j, ar.lb[j], d, length)
+			}
 		}
 	}
 }

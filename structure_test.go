@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -335,30 +336,34 @@ func TestStarLambdaIgnoresNumbering(t *testing.T) {
 }
 
 // TestFPTASBracketIgnoresNumbering: the FPTAS's certificate is a property
-// of the network too. A multi-source instance over the largest component —
-// each server to the servers a half and a third of the way around it —
-// runs the FPTAS (not the exact star path) on every structure case at
-// k = 4 and on fat-tree and global flat-tree at k = 8, each rebuilt the
-// three ways above. Both brackets [λ, UpperBound] hold the optimum, so
-// every rebuilt network's bracket must intersect the original's.
+// of the network too. Every instance below is solved on its network and on
+// the three rebuilds above, with its commodities mapped through the same
+// permutation. Every solve must converge with a finite bracket
+// [λ, UpperBound] and take the original's solve path (exact star or
+// FPTAS); both brackets hold the optimum, so each rebuild's must intersect
+// the original's.
+//
+// The instances: a multi-source one over the largest component — each
+// server to the servers a half and a third of the way around it — which
+// runs the FPTAS on every structure case at k = 4 and on fat-tree and
+// global flat-tree at k = 8; and every checked-in FuzzSolverCertificate
+// corpus entry, decoded as that target does (a k = 4 flat-tree mode, ε,
+// demand scale and up to four commodities). The corpus holds instances on
+// the solver's edges (one source, skewed demands, 1e-3 and 1e3 scales), and
+// the solver keeps per-source state — the stored paths of its path reuse —
+// where a bug tied to numbering would hide. Corpus entries with one source
+// or one destination switch take the exact star path; the rest must run
+// the FPTAS.
 func TestFPTASBracketIgnoresNumbering(t *testing.T) {
 	rng := graph.NewRNG(1)
-	check := func(name string, nw *topo.Network) {
-		servers := faults.LargestComponent(nw)
-		n := len(servers)
+	bracket := func(name string, nw *topo.Network, comms func(perm []int) []mcf.Commodity, eps float64) mcf.Result {
 		solve := func(way string, nw *topo.Network, perm []int) mcf.Result {
-			var comms []mcf.Commodity
-			for i, sv := range servers {
-				for _, shift := range []int{n / 2, n / 3} {
-					comms = append(comms, mcf.Commodity{Src: perm[sv], Dst: perm[servers[(i+shift)%n]], Demand: 1})
-				}
-			}
-			res, err := mcf.MaxConcurrentFlow(context.Background(), nw, comms, mcf.Options{Epsilon: 0.1})
+			res, err := mcf.MaxConcurrentFlow(context.Background(), nw, comms(perm), mcf.Options{Epsilon: eps})
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, way, err)
 			}
-			if res.Phases == 0 || res.Approximate || !(res.Lambda > 0) || math.IsInf(res.UpperBound, 0) {
-				t.Fatalf("%s, %s: λ %g ≤ %g after %d phases (approximate %t); want a converged FPTAS solve",
+			if res.Approximate || !(res.Lambda > 0) || math.IsInf(res.UpperBound, 0) {
+				t.Fatalf("%s, %s: λ %g ≤ %g after %d phases (approximate %t); want a converged solve",
 					name, way, res.Lambda, res.UpperBound, res.Phases, res.Approximate)
 			}
 			return res
@@ -366,23 +371,102 @@ func TestFPTASBracketIgnoresNumbering(t *testing.T) {
 		want := solve("original", nw, identity(nw.N()))
 		for _, way := range renumberings(rng, nw) {
 			got := solve(way.name, relabel(nw, way), way.perm)
+			if (got.Phases == 0) != (want.Phases == 0) {
+				t.Errorf("%s, %s: %d phases where the original ran %d; a rebuild must take the same solve path",
+					name, way.name, got.Phases, want.Phases)
+			}
 			if got.Lambda > want.UpperBound*(1+1e-9) || want.Lambda > got.UpperBound*(1+1e-9) {
 				t.Errorf("%s, %s: bracket [%g, %g] misses the original's [%g, %g]",
 					name, way.name, got.Lambda, got.UpperBound, want.Lambda, want.UpperBound)
 			}
 		}
+		return want
 	}
-	structureNetworks(t, []int{4}, check)
+
+	shifts := func(name string, nw *topo.Network) {
+		servers := faults.LargestComponent(nw)
+		n := len(servers)
+		comms := func(perm []int) []mcf.Commodity {
+			var comms []mcf.Commodity
+			for i, sv := range servers {
+				for _, shift := range []int{n / 2, n / 3} {
+					comms = append(comms, mcf.Commodity{Src: perm[sv], Dst: perm[servers[(i+shift)%n]], Demand: 1})
+				}
+			}
+			return comms
+		}
+		if res := bracket(name, nw, comms, 0.1); res.Phases == 0 {
+			t.Fatalf("%s: solved with 0 phases; want the FPTAS", name)
+		}
+	}
+	structureNetworks(t, []int{4}, shifts)
 	fat, err := fattree.New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("fattree/k=8", fat.Net)
+	shifts("fattree/k=8", fat.Net)
 	ft, err := core.BuildIn(core.Params{K: 8}, core.ModeGlobalRandom)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("flattree/k=8/global-random", ft.Net())
+	shifts("flattree/k=8/global-random", ft.Net())
+
+	const corpus = "internal/mcf/testdata/fuzz/FuzzSolverCertificate"
+	entries, err := os.ReadDir(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []core.Mode{core.ModeClos, core.ModeGlobalRandom, core.ModeLocalRandom}
+	fptas := 0
+	for _, e := range entries {
+		data, err := readFuzzBytes(filepath.Join(corpus, e.Name()))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		// Byte 0 the mode, byte 1 the ε, byte 2 the power of ten, then
+		// (src, dst, demand) triples.
+		if len(data) < 6 {
+			t.Fatalf("%s: %d bytes decode to no instance", e.Name(), len(data))
+		}
+		ft, err := core.BuildIn(core.Params{K: 4}, modes[int(data[0])%len(modes)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers := ft.ServerIDs
+		eps := []float64{0.05, 0.1, 0.2}[int(data[1])%3]
+		scale := math.Pow(10, float64(int(data[2])%7-3))
+		comms := func(perm []int) []mcf.Commodity {
+			var comms []mcf.Commodity
+			for rest := data[3:]; len(rest) >= 3 && len(comms) < 4; rest = rest[3:] {
+				s, d := int(rest[0])%len(servers), int(rest[1])%len(servers)
+				if s != d {
+					comms = append(comms, mcf.Commodity{Src: perm[servers[s]], Dst: perm[servers[d]], Demand: float64(1+int(rest[2])%8) * scale})
+				}
+			}
+			return comms
+		}
+		if res := bracket(e.Name(), ft.Net(), comms, eps); res.Phases > 0 {
+			fptas++
+		}
+	}
+	if len(entries) != 8 || fptas < 6 {
+		t.Errorf("%d corpus entries, %d of them on the FPTAS; want 8 and at least 6", len(entries), fptas)
+	}
+}
+
+// readFuzzBytes reads a one-[]byte go-fuzz corpus file.
+func readFuzzBytes(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		return nil, fmt.Errorf("not a one-[]byte corpus file: %q", raw)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	return []byte(s), err
 }
 
 // TestStructureGolden pins node IDs, link IDs, tags and adjacency order of
