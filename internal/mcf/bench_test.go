@@ -46,13 +46,27 @@ func BenchmarkFleischer(b *testing.B) {
 // demand normalizer sat below OPT, dijkstras/op is the oracle traffic that
 // follows from it.
 func BenchmarkSolverAllToAllChain(b *testing.B) {
-	var phases, dijkstras int
+	benchChain(b, func() []chainSolve { return solveAllToAllChain(b, 0.1) })
+}
+
+// BenchmarkSolverPermutation solves the permutation chain of
+// TestPermutationRootsAndPasses — chaos.Score's instance, the one selfheal,
+// faultsrecovery and soak solve — and reports roots/op, the shortest-path
+// roots the orientation left, beside the work counts.
+func BenchmarkSolverPermutation(b *testing.B) {
+	benchChain(b, func() []chainSolve { return solvePermutationChain(b, 0.1) })
+}
+
+func benchChain(b *testing.B, chain func() []chainSolve) {
+	var phases, dijkstras, roots int
 	for i := 0; i < b.N; i++ {
-		for _, cs := range solveAllToAllChain(b, 0.1) {
+		for _, cs := range chain() {
 			phases += cs.res.Phases
 			dijkstras += cs.res.Dijkstras
+			roots += cs.roots
 		}
 	}
 	b.ReportMetric(float64(phases)/float64(b.N), "phases/op")
 	b.ReportMetric(float64(dijkstras)/float64(b.N), "dijkstras/op")
+	b.ReportMetric(float64(roots)/float64(b.N), "roots/op")
 }

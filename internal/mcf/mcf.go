@@ -17,16 +17,26 @@
 // paper's single hot spot — is a single-commodity problem and is solved
 // exactly by parametric max-flow (star.go).
 //
+// The oracle's cost is one shortest-path pass per source per iteration, so
+// the sources are chosen, not inherited. Links are undirected, so commodity
+// s→t is the same LP as t→s: aggregation merges the two and roots every
+// switch pair at an end in a greedy vertex cover of the demand graph, or at
+// the input's sources or destinations when those are fewer. An instance and
+// its transpose aggregate to the same problem and solve to the same bits.
+// A star — every pair at one hot spot, whichever way its commodities point —
+// has one root.
+//
 // The FPTAS reuses paths the way Fleischer's algorithm does. Each source
 // keeps, from the last shortest-path pass that reached them, the path to
 // each of its destinations and the distance that pass measured; lengths only
-// grow, so that distance is a lower bound on the current one. At a source's
-// first iteration of a phase, if every stored path is still within 1+ε of
-// its lower bound, the source routes on them without a pass. A reused path
-// then costs at most 1+ε times a shortest one, which turns ε into ε(1+ε) in
-// the Garg-Könemann potential argument: λ keeps its (1−O(ε)) guarantee, the
-// feasibility scaling is untouched (it is per edge), and the per-phase dual
-// bound, whose α terms are then the lower bounds, stays valid but looser.
+// grow, so that distance is a lower bound on the current one. At every
+// iteration but the very first of phase 1, if every stored path of the
+// source is still within 1+ε of its lower bound, the source routes on them
+// without a pass. A reused path then costs at most 1+ε times a shortest one,
+// which turns ε into ε(1+ε) in the Garg-Könemann potential argument: λ keeps
+// its (1−O(ε)) guarantee, the feasibility scaling is untouched (it is per
+// edge), and the per-phase dual bound, whose α terms are the lower bounds
+// read at a source's first iteration of the phase, stays valid but looser.
 // The exact final dual sweep restores the tight bound.
 package mcf
 
@@ -88,11 +98,14 @@ type Result struct {
 	// context deadline or a mid-phase convergence break does not count the
 	// partial phase, and the final dual sweep is not a phase. Dijkstras
 	// counts every shortest-path pass the solve ran, including the
-	// demand-scaling probe's and the final dual sweep's. An iteration that
-	// routed on its source's stored paths (Fleischer's reuse, see
-	// MaxConcurrentFlow) ran no pass and is not counted, so Dijkstras can be
-	// well below Phases × sources. Both are 0 for an exact (star) solve,
-	// which runs neither phases nor shortest paths.
+	// demand-scaling probe's and the final dual sweep's. A pass is rooted at
+	// one source of the aggregated instance, whose sources cover the switch
+	// pairs and may be fewer than the input's (see the package doc). An
+	// iteration that routed on its source's stored paths (Fleischer's reuse,
+	// see the package doc) ran no pass and is not counted, so Dijkstras can
+	// be well below Phases × sources even though a source may take several
+	// iterations per phase. Both are 0 for an exact (star) solve, which runs
+	// neither phases nor shortest paths.
 	Phases    int
 	Dijkstras int
 	// Approximate reports that the FPTAS stopped at its context deadline
@@ -125,7 +138,9 @@ type aggCommodity struct {
 	id     int32
 }
 
-// spair is a pre-merge (source, destination, demand) triple.
+// spair is a switch-level (source, destination, demand) triple: an
+// unordered pair (lower switch first) as aggregate collects and merges it,
+// then the same pair rooted by orient.
 type spair struct {
 	s, t   int32
 	demand float64
@@ -139,37 +154,59 @@ type problem struct {
 	g       *graph.Graph // switch-level graph
 	cap     []float64    // per-edge capacity
 	node    []int        // problem node -> network node (the network's own switch list: read-only)
-	srcs    []int32      // commodity sources in ascending order
+	srcs    []int32      // the roots, each pair's source (see orient), in ascending order
 	srcOff  []int32      // comms offsets per source; len(srcs)+1 entries
 	comms   []aggCommodity
 	numComm int
 
 	idx   []int32 // scratch: network node -> switch index, -1 for servers
-	pairs []spair // scratch: pre-merge triples
+	pairs []spair // scratch: one per cross-switch commodity, then one per switch pair
+
+	// Scratch of the orientation, per switch unless noted: the demand
+	// graph's adjacency as a CSR over pair indices (adjOff has N+1 entries),
+	// each switch's count of still uncovered pairs, its position in the
+	// cover (notRoot outside it) and whether it is an input source (1) or
+	// destination (2). The grouping by root reuses deg and rank.
+	adjOff []int32
+	adj    []int32
+	deg    []int32
+	rank   []int32
+	role   []uint8
 }
+
+// notRoot is the cover rank of a switch outside the cover.
+const notRoot = math.MaxInt32
 
 // commsOf returns the aggregated commodities of the si-th source.
 func (p *problem) commsOf(si int) []aggCommodity {
 	return p.comms[p.srcOff[si]:p.srcOff[si+1]]
 }
 
-// aggregate maps commodities to switch pairs and merges duplicates,
-// refilling pr in place. Same-switch commodities are dropped: with
-// uncapacitated server links they are satisfiable at any λ and never bind.
+// aggregate maps commodities to switch pairs, merges duplicates and roots
+// every pair at one of its ends, refilling pr in place. Same-switch
+// commodities are dropped: with uncapacitated server links they are
+// satisfiable at any λ and never bind.
 //
-// Duplicate (src, dst) pairs are merged by a stable sort followed by an
-// adjacent sum, so demands accumulate in input order — the same order the
-// map-based predecessor of this code used — keeping solves bit-identical.
+// Links are undirected, so commodity s→t is the same LP as t→s, and the
+// FPTAS pays one shortest-path pass per root per iteration. So the pairs are
+// merged unordered — (s, t) with (t, s) and with its duplicates, by a stable
+// sort and an adjacent sum, so demands accumulate in input order — and
+// rooted on a vertex cover of the demand graph (see orient). Both steps read
+// the unordered pair set and the two endpoint sets, which transposition only
+// swaps, so an instance and its transpose aggregate to the identical problem.
 func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 	if pr.g == nil {
 		pr.g = new(graph.Graph)
 	}
 	pr.node = nw.Switches()
 	pr.idx = nw.SwitchGraph(pr.g, pr.idx)
+	n := pr.g.N()
 	pr.cap = pr.cap[:0]
 	for range pr.g.M() {
 		pr.cap = append(pr.cap, 1)
 	}
+	pr.role = slices.Grow(pr.role[:0], n)[:n]
+	clear(pr.role)
 	// pairs and comms are grown once to their size, not appended into from
 	// empty, so a state fresh from the pool allocates each of them once.
 	pr.pairs = slices.Grow(pr.pairs[:0], len(commodities))
@@ -188,7 +225,10 @@ func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 		if s == t {
 			continue
 		}
-		pr.pairs = append(pr.pairs, spair{s: pr.idx[s], t: pr.idx[t], demand: c.Demand})
+		si, ti := pr.idx[s], pr.idx[t]
+		pr.role[si] |= 1
+		pr.role[ti] |= 2
+		pr.pairs = append(pr.pairs, spair{s: min(si, ti), t: max(si, ti), demand: c.Demand})
 	}
 	slices.SortStableFunc(pr.pairs, func(a, b spair) int {
 		if a.s != b.s {
@@ -198,29 +238,149 @@ func aggregate(nw *topo.Network, commodities []Commodity, pr *problem) error {
 	})
 	merged := 0
 	for i, p := range pr.pairs {
-		if i == 0 || p.s != pr.pairs[i-1].s || p.t != pr.pairs[i-1].t {
-			merged++
+		if i > 0 && p.s == pr.pairs[merged-1].s && p.t == pr.pairs[merged-1].t {
+			pr.pairs[merged-1].demand += p.demand
+			continue
+		}
+		pr.pairs[merged] = p
+		merged++
+	}
+	pr.pairs = pr.pairs[:merged]
+	pr.orient()
+
+	// Group the rooted pairs by root with a counting sort. Walked in
+	// (lower, higher) order, a root's pairs come with their other ends
+	// ascending — those below it as the higher end, then those above it as
+	// the lower — so each group is sorted by destination.
+	count := pr.deg
+	clear(count)
+	for _, p := range pr.pairs {
+		count[p.s]++
+	}
+	pr.srcs, pr.srcOff = pr.srcs[:0], pr.srcOff[:0]
+	next := pr.rank // per root: where its next commodity goes
+	off := int32(0)
+	for v, c := range count {
+		if c > 0 {
+			pr.srcs = append(pr.srcs, int32(v))
+			pr.srcOff = append(pr.srcOff, off)
+			next[v] = off
+			off += c
 		}
 	}
-	pr.srcs, pr.srcOff, pr.comms = pr.srcs[:0], pr.srcOff[:0], slices.Grow(pr.comms[:0], merged)
-	pr.numComm = 0
-	for i := 0; i < len(pr.pairs); {
-		p := pr.pairs[i]
-		d := p.demand
-		j := i + 1
-		for ; j < len(pr.pairs) && pr.pairs[j].s == p.s && pr.pairs[j].t == p.t; j++ {
-			d += pr.pairs[j].demand
-		}
-		if len(pr.srcs) == 0 || pr.srcs[len(pr.srcs)-1] != p.s {
-			pr.srcs = append(pr.srcs, p.s)
-			pr.srcOff = append(pr.srcOff, int32(len(pr.comms)))
-		}
-		pr.comms = append(pr.comms, aggCommodity{dst: p.t, demand: d, id: int32(pr.numComm)})
-		pr.numComm++
-		i = j
+	pr.srcOff = append(pr.srcOff, off)
+	pr.comms = slices.Grow(pr.comms[:0], merged)[:merged]
+	for _, p := range pr.pairs {
+		j := next[p.s]
+		next[p.s]++
+		pr.comms[j] = aggCommodity{dst: p.t, demand: p.demand, id: j}
 	}
-	pr.srcOff = append(pr.srcOff, int32(len(pr.comms)))
+	pr.numComm = merged
 	return nil
+}
+
+// orient roots every unordered pair in pr.pairs (stored lower switch first)
+// at one of its ends, rewriting it as (root, other). The roots form a greedy
+// vertex cover of the demand graph: repeatedly the switch with the most
+// still uncovered pairs, the lower index on ties, covers them all. Greedy is
+// no optimum, so the cover is taken only when it has no more roots than the
+// input's own orientation (its distinct sources) or its transpose (its
+// distinct destinations); otherwise the smaller of those two sets is — on a
+// tie, the one whose ascending switch list is lexicographically first, a
+// property of the set that transposition only relabels. A pair with both
+// ends in the cover is rooted at the end the greedy picked first (in a
+// fallback set, the lower index). When either set has one switch no cover
+// is smaller, and the greedy is skipped. A star is rooted at its center
+// either way.
+func (pr *problem) orient() {
+	n := pr.g.N()
+	pr.deg = slices.Grow(pr.deg[:0], n)[:n]
+	pr.rank = slices.Grow(pr.rank[:0], n)[:n]
+	sources, dests := 0, 0
+	first := uint8(0) // the role of the lowest switch in exactly one of the two sets
+	for _, r := range pr.role {
+		if r&1 != 0 {
+			sources++
+		}
+		if r&2 != 0 {
+			dests++
+		}
+		if first == 0 && (r == 1 || r == 2) {
+			first = r
+		}
+	}
+	if roots := pr.greedyCover(min(sources, dests)); roots > min(sources, dests) {
+		want := uint8(1)
+		if dests < sources || (dests == sources && first == 2) {
+			want = 2
+		}
+		for v, r := range pr.role {
+			if r&want != 0 {
+				pr.rank[v] = int32(v)
+			} else {
+				pr.rank[v] = notRoot
+			}
+		}
+	}
+	for i, p := range pr.pairs {
+		if pr.rank[p.t] < pr.rank[p.s] {
+			pr.pairs[i].s, pr.pairs[i].t = p.t, p.s
+		}
+	}
+}
+
+// greedyCover leaves in pr.rank each switch's position in the greedy vertex
+// cover of pr.pairs (notRoot outside it) and returns the cover's size. It
+// stops early, returning more than limit, once the cover would exceed it.
+func (pr *problem) greedyCover(limit int) int {
+	if limit <= 1 {
+		return limit + 1 // no cover has fewer than one root
+	}
+	clear(pr.deg)
+	for _, p := range pr.pairs {
+		pr.deg[p.s]++
+		pr.deg[p.t]++
+	}
+	n := len(pr.deg)
+	pr.adjOff = slices.Grow(pr.adjOff[:0], n+1)[:n+1]
+	pr.adjOff[0] = 0
+	for v, d := range pr.deg {
+		pr.adjOff[v+1] = pr.adjOff[v] + d
+	}
+	pr.adj = slices.Grow(pr.adj[:0], 2*len(pr.pairs))[:2*len(pr.pairs)]
+	copy(pr.rank, pr.adjOff[:n]) // fill cursors, reset to notRoot below
+	for i, p := range pr.pairs {
+		pr.adj[pr.rank[p.s]] = int32(i)
+		pr.rank[p.s]++
+		pr.adj[pr.rank[p.t]] = int32(i)
+		pr.rank[p.t]++
+	}
+	for v := range pr.rank {
+		pr.rank[v] = notRoot
+	}
+
+	roots, uncovered := 0, len(pr.pairs)
+	for uncovered > 0 {
+		if roots == limit {
+			return roots + 1
+		}
+		best := 0
+		for v, d := range pr.deg {
+			if d > pr.deg[best] {
+				best = v
+			}
+		}
+		pr.rank[best] = int32(roots)
+		roots++
+		uncovered -= int(pr.deg[best])
+		for _, i := range pr.adj[pr.adjOff[best]:pr.adjOff[best+1]] {
+			if other := pr.pairs[i].s + pr.pairs[i].t - int32(best); pr.rank[other] == notRoot {
+				pr.deg[other]--
+			}
+		}
+		pr.deg[best] = 0
+	}
+	return roots
 }
 
 // arena is the per-solve scratch reused across every phase, iteration, and
@@ -480,16 +640,17 @@ phases:
 					converged = true
 					break phases
 				}
-				// Fleischer's reuse: a source's first iteration routes on its
+				// Fleischer's reuse: an iteration routes on the source's
 				// stored paths when each is still within 1+ε of its lower
-				// bound (phase 1 has none yet). Otherwise one batched pass
-				// serves every remaining commodity of the source and stops
-				// once all of them have settled — settled results are
-				// bit-identical to a full Dijkstra, so the early stop is pure
-				// savings; the radix-heap kernel settles in the 4-ary heap's
-				// (dist, id) order at any length spread, here ~1e33 between
-				// the δ floor and used edges — and refreshes their paths.
-				if !first || phase == 1 || !ar.pathsHold(pr, si, length, eps) {
+				// bound (the first iteration of phase 1 has none yet).
+				// Otherwise one batched pass serves every remaining commodity
+				// of the source and stops once all of them have settled —
+				// settled results are bit-identical to a full Dijkstra, so
+				// the early stop is pure savings; the radix-heap kernel
+				// settles in the 4-ary heap's (dist, id) order at any length
+				// spread, here ~1e33 between the δ floor and used edges — and
+				// refreshes their paths.
+				if (phase == 1 && first) || !ar.pathsHold(pr, si, length, eps) {
 					ar.ws.DeltaStepTargets(int(src), length, ar.active)
 					res.Dijkstras++
 					ar.storePaths(pr, si)

@@ -3,6 +3,7 @@ package mcf
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,6 +193,62 @@ func TestAggregationMergesAndDropsLocal(t *testing.T) {
 	}
 }
 
+// TestOrientationRootsOnACover: aggregate roots every switch pair on a
+// vertex cover of the demand graph, and the problem it builds is the same
+// for an instance and its transpose. On the 8-ring, switch i carries server
+// i; each case lists (src, dst) switch pairs and the roots it must get.
+func TestOrientationRootsOnACover(t *testing.T) {
+	nw := ringNetwork(8)
+	servers := nw.Servers()
+	for _, tc := range []struct {
+		name  string
+		pairs [][2]int
+		roots []int32
+	}{
+		// Broadcast and incast at one hot spot: one root, the exact path.
+		{"mixed star", [][2]int{{0, 1}, {2, 0}, {0, 3}, {4, 0}}, []int32{0}},
+		// Both directions of one pair merge into one commodity.
+		{"pair both ways", [][2]int{{0, 3}, {3, 0}}, []int32{0}},
+		// The path 5–2–1–3–4: greedy takes 1 first (degree 2, lowest
+		// index), then needs 2 and 3, one root more than the input's
+		// sources {2, 3}, which therefore root it.
+		{"greedy misses, sources", [][2]int{{2, 1}, {2, 5}, {3, 4}, {3, 1}}, []int32{2, 3}},
+		// A 6-cycle: greedy needs 4 roots, sources {2, 5, 6} and
+		// destinations {1, 4, 7} 3 each; the destinations' list sorts
+		// first, so they root it — in either orientation.
+		{"greedy misses, tie", [][2]int{{2, 7}, {6, 4}, {2, 4}, {5, 7}, {5, 1}, {6, 1}}, []int32{1, 4, 7}},
+		// A permutation-like matching with a shared hub: the hub 0 covers
+		// three pairs, the cover two roots where the input has four sources.
+		{"hub", [][2]int{{1, 0}, {0, 2}, {3, 0}, {5, 6}, {6, 7}}, []int32{0, 6}},
+	} {
+		var comms []Commodity
+		for i, p := range tc.pairs {
+			comms = append(comms, Commodity{Src: servers[p[0]], Dst: servers[p[1]], Demand: float64(1 + i)})
+		}
+		var fwd, rev problem
+		if err := aggregate(nw, comms, &fwd); err != nil {
+			t.Fatal(err)
+		}
+		if err := aggregate(nw, transposed(comms), &rev); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(fwd.srcs, tc.roots) {
+			t.Errorf("%s: roots %v, want %v", tc.name, fwd.srcs, tc.roots)
+		}
+		if !slices.Equal(fwd.srcs, rev.srcs) || !slices.Equal(fwd.srcOff, rev.srcOff) || !slices.Equal(fwd.comms, rev.comms) {
+			t.Errorf("%s: transpose aggregates to roots %v, commodities %v; original %v, %v",
+				tc.name, rev.srcs, rev.comms, fwd.srcs, fwd.comms)
+		}
+		total := 0.0
+		for _, c := range fwd.comms {
+			total += c.demand
+		}
+		if want := float64(len(comms) * (len(comms) + 1) / 2); total != want {
+			t.Errorf("%s: merged demand %g, want %g", tc.name, total, want)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	nw := lineNetwork(2)
 	servers := nw.Servers()
@@ -322,9 +379,9 @@ func TestProbeDisconnectedCommodity(t *testing.T) {
 	b.AddLink(sc, c0, topo.TagClos)
 	nw := b.Build()
 	star := []Commodity{{Src: sa0, Dst: sc, Demand: 1}}
-	// Two source and two destination switches: not star-shaped, so the
-	// FPTAS runs and its probe meets the island.
-	multi := []Commodity{{Src: sa0, Dst: sa1, Demand: 1}, {Src: sa1, Dst: sc, Demand: 1}}
+	// A triangle of switch pairs: no one switch covers it, so the FPTAS
+	// runs and its probe meets the island.
+	multi := []Commodity{{Src: sa0, Dst: sa1, Demand: 1}, {Src: sa1, Dst: sc, Demand: 1}, {Src: sc, Dst: sa0, Demand: 1}}
 	for _, ctx := range []context.Context{context.Background(), pastDeadline{context.Background()}} {
 		for _, comms := range [][]Commodity{star, multi} {
 			res, err := MaxConcurrentFlow(ctx, nw, comms, Options{})

@@ -62,8 +62,7 @@ func checkCertificate(tb testing.TB, label string, res Result, exact, eps float6
 }
 
 // isStar reports whether the solver takes the exact path for comms: the
-// aggregated instance has one distinct source switch or one distinct
-// destination switch.
+// aggregated instance has one root, every commodity one switch at one end.
 func isStar(tb testing.TB, nw *topo.Network, comms []Commodity) bool {
 	tb.Helper()
 	st := &solveState{}
@@ -177,31 +176,93 @@ func allToAllColumn(tb testing.TB, k int) (*topo.Network, []Commodity) {
 	return ft.Net, comms
 }
 
-// chainSolve is one solve of the all-to-all column: its result, its
-// feasibility scale (the phase count at normalized OPT = 1) and its number
-// of distinct source switches.
+// chainSolve is one solve of a chain: its result, its feasibility scale
+// (the phase count at normalized OPT = 1), its number of shortest-path
+// roots and the distinct source switches of its input.
 type chainSolve struct {
 	res     Result
 	scale   float64
+	roots   int
 	sources int
+}
+
+// solveChain solves each instance on one solve state.
+func solveChain(tb testing.TB, nw []*topo.Network, comms [][]Commodity, opt Options) []chainSolve {
+	tb.Helper()
+	st := new(solveState)
+	var out []chainSolve
+	for i := range nw {
+		res, err := st.solve(context.Background(), nw[i], comms[i], opt)
+		if err != nil {
+			tb.Fatalf("instance %d: %v", i, err)
+		}
+		_, scale := gkConstants(opt.Epsilon, st.pr.g.M())
+		out = append(out, chainSolve{res: res, scale: scale, roots: len(st.pr.srcs), sources: inputSources(tb, nw[i], comms[i])})
+	}
+	return out
+}
+
+// inputSources counts the distinct source switches of comms' cross-switch
+// commodities: the roots the FPTAS would pay for in the input's own
+// orientation.
+func inputSources(tb testing.TB, nw *topo.Network, comms []Commodity) int {
+	tb.Helper()
+	src := map[int]bool{}
+	for _, c := range comms {
+		s, err := nw.EntrySwitch(c.Src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		t, err := nw.EntrySwitch(c.Dst)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if s != t {
+			src[s] = true
+		}
+	}
+	return len(src)
 }
 
 // solveAllToAllChain solves the k=4→6→8 all-to-all column on one solve
 // state.
 func solveAllToAllChain(tb testing.TB, eps float64) []chainSolve {
 	tb.Helper()
-	st := new(solveState)
-	var out []chainSolve
+	var nws []*topo.Network
+	var comms [][]Commodity
 	for _, k := range []int{4, 6, 8} {
-		nw, comms := allToAllColumn(tb, k)
-		res, err := st.solve(context.Background(), nw, comms, Options{Epsilon: eps})
-		if err != nil {
-			tb.Fatalf("k=%d: %v", k, err)
-		}
-		_, scale := gkConstants(eps, st.pr.g.M())
-		out = append(out, chainSolve{res: res, scale: scale, sources: len(st.pr.srcs)})
+		nw, cs := allToAllColumn(tb, k)
+		nws, comms = append(nws, nw), append(comms, cs)
 	}
-	return out
+	return solveChain(tb, nws, comms, Options{Epsilon: eps})
+}
+
+// permutationSeeds are the server permutations of the permutation chain.
+var permutationSeeds = []uint64{1, 2, 3}
+
+// solvePermutationChain solves chaos.Score's instance — a seeded server
+// permutation, unit demands, fixed points dropped, no dual bound — on the
+// global-random flat-tree at k = 8 for each of permutationSeeds, on one
+// solve state. The permutation is built here as traffic.Permutation builds
+// it, since mcf sits below traffic.
+func solvePermutationChain(tb testing.TB, eps float64) []chainSolve {
+	tb.Helper()
+	ft, err := core.BuildIn(core.Params{K: 8}, core.ModeGlobalRandom)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var nws []*topo.Network
+	var comms [][]Commodity
+	for _, seed := range permutationSeeds {
+		var cs []Commodity
+		for i, p := range graph.NewRNG(seed).Perm(len(ft.ServerIDs)) {
+			if i != p {
+				cs = append(cs, Commodity{Src: ft.ServerIDs[i], Dst: ft.ServerIDs[p], Demand: 1})
+			}
+		}
+		nws, comms = append(nws, ft.Net()), append(comms, cs)
+	}
+	return solveChain(tb, nws, comms, Options{Epsilon: eps, SkipDualBound: true})
 }
 
 // TestRatchetBoundsPhases pins what the ratchet is for. A Garg-Könemann
@@ -210,26 +271,29 @@ func solveAllToAllChain(tb testing.TB, eps float64) []chainSolve {
 // within the first phases and every solve finishes inside 1.5·scale. The
 // final dual sweep must also leave each converged solve a tighter
 // certificate than the per-phase bound the pre-ratchet solver reported on
-// the same chain. And path reuse must fire: each solve runs fewer
-// shortest-path passes than the solver that ran one per source at the start
-// of every phase did on the same chain. (Phases × sources is no ceiling
-// here: the iterations after a source's first, α < 1, run their own passes,
-// 0.4–0.7 × Phases × sources of them on this column.)
+// the same chain. And path reuse must fire in every iteration: each solve
+// runs fewer shortest-path passes than the solver that reused stored paths
+// only at a source's first iteration of a phase did on the same chain (its
+// α < 1 iterations each ran a pass, 0.4–0.7 × Phases × sources of them). On
+// this column the orientation saves no roots — each cluster's demand graph
+// is complete, so every vertex cover leaves one switch out, as the input's
+// own orientation does — and the cut is reuse alone.
 func TestRatchetBoundsPhases(t *testing.T) {
 	const eps = 0.1
 	// DualGap() of the k=4, 6, 8 solves at the parent of the ratchet change.
 	parentGap := []float64{0.1588, 0.1723, 0.1812}
-	// Dijkstras of the k=4, 6, 8 solves before path reuse (344, 471 and
-	// 559 phases over 7, 17 and 31 sources).
-	noReuse := []int{3439, 12520, 29253}
+	// Dijkstras of the k=4, 6, 8 solves with reuse at a source's first
+	// iteration only (361, 479 and 558 phases over 7, 17 and 31 sources);
+	// without any reuse they were 3439, 12520 and 29253.
+	firstOnly := []int{2740, 10699, 27757}
 	for i, cs := range solveAllToAllChain(t, eps) {
 		k, res := 4+2*i, cs.res
 		if res.Approximate {
 			t.Fatalf("k=%d: unbudgeted solve flagged Approximate", k)
 		}
-		if res.Dijkstras >= noReuse[i] {
-			t.Errorf("k=%d: %d shortest-path passes (%d phases × %d sources), want fewer than the %d without reuse",
-				k, res.Dijkstras, res.Phases, cs.sources, noReuse[i])
+		if res.Dijkstras >= firstOnly[i] {
+			t.Errorf("k=%d: %d shortest-path passes (%d phases × %d roots), want fewer than the %d with first-iteration reuse",
+				k, res.Dijkstras, res.Phases, cs.roots, firstOnly[i])
 		}
 		if r := float64(res.Phases) / cs.scale; r > 1.5 {
 			t.Errorf("k=%d: %d phases = %.2f·scale, want ≤ 1.5·scale", k, res.Phases, r)
@@ -239,6 +303,32 @@ func TestRatchetBoundsPhases(t *testing.T) {
 		}
 		if gap := res.DualGap(); gap > parentGap[i] {
 			t.Errorf("k=%d: DualGap %.4f looser than the pre-ratchet solver's %.4f", k, gap, parentGap[i])
+		}
+	}
+}
+
+// TestPermutationRootsAndPasses pins the work of the instance chaos.Score
+// solves for selfheal, faultsrecovery and soak: a seeded server permutation
+// on the global-random flat-tree at k = 8. Its 125–127 switch pairs leave
+// 78–80 input sources, so the orientation has a cover to find, and every
+// pass it saves is a pass of every iteration. Rooted at the input's sources
+// with reuse at a source's first iteration only, the three solves ran
+// 40893, 40771 and 40761 passes over 80, 78 and 80 roots; now roots must
+// stay at most 0.6 of the input's sources (45, 44 and 47 when pinned) and
+// passes at most 0.65 of that count (24331, 23744 and 25100 when pinned).
+func TestPermutationRootsAndPasses(t *testing.T) {
+	firstOnly := []int{40893, 40771, 40761}
+	for i, cs := range solvePermutationChain(t, 0.1) {
+		seed, res := permutationSeeds[i], cs.res
+		if res.Approximate || !(res.Lambda > 0) {
+			t.Fatalf("seed %d: λ %g (approximate %t); want a converged solve", seed, res.Lambda, res.Approximate)
+		}
+		if float64(cs.roots) > 0.6*float64(cs.sources) {
+			t.Errorf("seed %d: %d roots for %d input sources, want at most 0.6 of them", seed, cs.roots, cs.sources)
+		}
+		if float64(res.Dijkstras) > 0.65*float64(firstOnly[i]) {
+			t.Errorf("seed %d: %d shortest-path passes (%d phases × %d roots), want at most 0.65 × %d",
+				seed, res.Dijkstras, res.Phases, cs.roots, firstOnly[i])
 		}
 	}
 }
@@ -309,12 +399,39 @@ func TestDemandScalingIsMetamorphic(t *testing.T) {
 	}
 }
 
+// checkTranspose asserts what the orientation promises of comms: reversing
+// every commodity leaves the instance's LP alone, so it must leave the
+// Result alone too, bit for bit — λ, UpperBound, Phases and Dijkstras — and
+// the solve roots its shortest paths at no more switches than the input's
+// distinct sources or destinations.
+func checkTranspose(tb testing.TB, label string, nw *topo.Network, comms []Commodity, eps float64) {
+	tb.Helper()
+	st := new(solveState)
+	want, err := st.solve(context.Background(), nw, comms, Options{Epsilon: eps})
+	if err != nil {
+		tb.Fatalf("%s: %v", label, err)
+	}
+	roots := len(st.pr.srcs)
+	got, err := new(solveState).solve(context.Background(), nw, transposed(comms), Options{Epsilon: eps})
+	if err != nil {
+		tb.Fatalf("%s transposed: %v", label, err)
+	}
+	if got != want {
+		tb.Errorf("%s: transposed solve %+v, original %+v", label, got, want)
+	}
+	if bound := min(inputSources(tb, nw, comms), inputSources(tb, nw, transposed(comms))); roots > bound {
+		tb.Errorf("%s: %d roots, more than the input's %d distinct sources or destinations", label, roots, bound)
+	}
+}
+
 // FuzzSolverCertificate decodes bytes into a k=4 flat-tree mode, an ε, a
 // demand scale and up to four commodities — byte 0 the mode, byte 1 the ε,
 // byte 2 the power of ten, then (src, dst, demand) triples — and runs
 // checkChain on it: certificates against the exact LP (checkExact when the
-// decoded instance is a star) and a bit-identical re-solve on used scratch.
-// The seed corpus is checked in under testdata/fuzz/FuzzSolverCertificate.
+// decoded instance is a star) and a bit-identical re-solve on used scratch;
+// then checkTranspose: the reversed instance solves to the same bits, on no
+// more roots than the input's sources or destinations. The seed corpus is
+// checked in under testdata/fuzz/FuzzSolverCertificate.
 func FuzzSolverCertificate(f *testing.F) {
 	// Solves only read the network, so the three are built once.
 	nets := make([]*topo.Network, len(k4Modes))
@@ -340,6 +457,8 @@ func FuzzSolverCertificate(f *testing.F) {
 		if len(comms) == 0 {
 			return
 		}
-		checkChain(t, fmt.Sprintf("%v eps=%g scale=%g %v", mode, eps, scale, comms), nw, comms, eps)
+		label := fmt.Sprintf("%v eps=%g scale=%g %v", mode, eps, scale, comms)
+		checkChain(t, label, nw, comms, eps)
+		checkTranspose(t, label, nw, comms, eps)
 	})
 }

@@ -14,41 +14,29 @@ import (
 type starArena struct {
 	mf     *graph.MaxFlow
 	center int32
-	incast bool      // the center is the common destination, not the common source
 	leaf   []int32   // the other endpoint of every commodity, ascending
 	demand []float64 // demand[i] is leaf[i]'s
 	drain  []float64 // per switch: λ·demand at the leaves, 0 elsewhere
 }
 
 // stageStar reports whether the aggregated problem is star-shaped — every
-// commodity leaves one switch, or every commodity ends at one switch — and
-// if so restates it in st.star. Links are undirected, so the two cases are
-// the same flow problem with the roles swapped (traffic.BroadcastCommodities
-// documents the symmetry); both stage their leaves in ascending switch
-// order, which makes an incast solve bit-identical to its broadcast
+// commodity has one switch at one of its ends — and if so restates it in
+// st.star. Links are undirected, so broadcast, incast and any mix of the two
+// at one hot spot are the same flow problem (traffic.BroadcastCommodities
+// documents the symmetry), and aggregate roots every star at its center: a
+// star is an instance with one root. Its leaves are staged in ascending
+// switch order, which makes an incast solve bit-identical to its broadcast
 // transpose.
 func (st *solveState) stageStar() bool {
 	pr, sa := &st.pr, &st.star
-	sa.leaf, sa.demand = sa.leaf[:0], sa.demand[:0]
-	switch {
-	case len(pr.srcs) == 1:
-		sa.center, sa.incast = pr.srcs[0], false
-		for _, c := range pr.comms {
-			sa.leaf = append(sa.leaf, c.dst)
-			sa.demand = append(sa.demand, c.demand)
-		}
-	case pr.numComm == len(pr.srcs):
-		// One commodity per source, so comms[si] is the si-th source's.
-		sa.center, sa.incast = pr.comms[0].dst, true
-		for si, c := range pr.comms {
-			if c.dst != sa.center {
-				return false
-			}
-			sa.leaf = append(sa.leaf, pr.srcs[si])
-			sa.demand = append(sa.demand, c.demand)
-		}
-	default:
+	if len(pr.srcs) != 1 {
 		return false
+	}
+	sa.center = pr.srcs[0]
+	sa.leaf, sa.demand = sa.leaf[:0], sa.demand[:0]
+	for _, c := range pr.comms {
+		sa.leaf = append(sa.leaf, c.dst)
+		sa.demand = append(sa.demand, c.demand)
 	}
 	return true
 }
@@ -117,11 +105,7 @@ func (st *solveState) solveStar(ctx context.Context) (Result, error) {
 			break // every leaf is on the center's side with its drain full
 		}
 		if crossing == 0 {
-			src, dst := sa.center, sa.leaf[beyond]
-			if sa.incast {
-				src, dst = dst, src
-			}
-			return Result{}, fmt.Errorf("mcf: commodity %d->%d disconnected", pr.node[src], pr.node[dst])
+			return Result{}, fmt.Errorf("mcf: commodity %d->%d disconnected", pr.node[sa.center], pr.node[sa.leaf[beyond]])
 		}
 		next := cut / cutoff
 		if next >= lambda {

@@ -100,16 +100,16 @@ echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks, of the root package's
 # path-length benchmark and its three simulator benchmarks (netsim.MaxMin and
 # netsim.Fluid are reached from benches and examples only), of the solver's
-# all-to-all chain and of its exact star path up to k=48: not a perf
-# measurement (that is `go run ./benchmark`), just proof the bench harness
-# still builds and the kernels still run. Catches bit-rot in bench-only code
-# paths that go test -run never executes.
+# all-to-all and permutation chains and of its exact star path up to k=48:
+# not a perf measurement (that is `go run ./benchmark`), just proof the bench
+# harness still builds and the kernels still run. Catches bit-rot in
+# bench-only code paths that go test -run never executes.
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
 go test -run '^$' \
     -bench 'BenchmarkAPL|BenchmarkAblationRouting|BenchmarkDynsimFCT|BenchmarkLatency' \
     -benchtime 1x . > /dev/null
-go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkStar' \
+go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkSolverPermutation|BenchmarkStar' \
     -benchtime 1x ./internal/mcf > /dev/null
 
 echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec, store entry reader)"

@@ -351,8 +351,8 @@ func TestStarLambdaIgnoresNumbering(t *testing.T) {
 // demand scale and up to four commodities). The corpus holds instances on
 // the solver's edges (one source, skewed demands, 1e-3 and 1e3 scales), and
 // the solver keeps per-source state — the stored paths of its path reuse —
-// where a bug tied to numbering would hide. Corpus entries with one source
-// or one destination switch take the exact star path; the rest must run
+// where a bug tied to numbering would hide. Corpus entries whose switch
+// pairs all share one switch take the exact star path; the rest must run
 // the FPTAS.
 func TestFPTASBracketIgnoresNumbering(t *testing.T) {
 	rng := graph.NewRNG(1)
@@ -449,9 +449,59 @@ func TestFPTASBracketIgnoresNumbering(t *testing.T) {
 			fptas++
 		}
 	}
-	if len(entries) != 8 || fptas < 6 {
-		t.Errorf("%d corpus entries, %d of them on the FPTAS; want 8 and at least 6", len(entries), fptas)
+	if len(entries) != 9 || fptas < 6 {
+		t.Errorf("%d corpus entries, %d of them on the FPTAS; want 9 and at least 6", len(entries), fptas)
 	}
+}
+
+// TestTransposeSolvesIdentically: links are undirected, so reversing every
+// commodity leaves the LP alone, and the solver — which roots each switch
+// pair on a vertex cover of the unordered pair set — must return the same
+// Result bit for bit: λ, UpperBound, Phases and Dijkstras. Every structure
+// case at k = 4 is solved on two instances over its largest component:
+// each server to the servers a half and a third of the way around (the
+// FPTAS), and the first server's broadcast to the others mixed with
+// the last half's incast to it (one hot spot both ways: the exact path).
+func TestTransposeSolvesIdentically(t *testing.T) {
+	structureNetworks(t, []int{4}, func(name string, nw *topo.Network) {
+		servers := faults.LargestComponent(nw)
+		n := len(servers)
+		var shifts, hot []mcf.Commodity
+		for i, sv := range servers {
+			for _, shift := range []int{n / 2, n / 3} {
+				shifts = append(shifts, mcf.Commodity{Src: sv, Dst: servers[(i+shift)%n], Demand: float64(1 + i%3)})
+			}
+			if i > 0 && i < n/2 {
+				hot = append(hot, mcf.Commodity{Src: servers[0], Dst: sv, Demand: 1})
+			} else if i >= n/2 {
+				hot = append(hot, mcf.Commodity{Src: sv, Dst: servers[0], Demand: 2})
+			}
+		}
+		for _, tc := range []struct {
+			kind, path string
+			comms      []mcf.Commodity
+		}{{"shifts", "FPTAS", shifts}, {"hot spot both ways", "exact star", hot}} {
+			rev := make([]mcf.Commodity, len(tc.comms))
+			for i, c := range tc.comms {
+				rev[i] = mcf.Commodity{Src: c.Dst, Dst: c.Src, Demand: c.Demand}
+			}
+			want, err := mcf.MaxConcurrentFlow(context.Background(), nw, tc.comms, mcf.Options{Epsilon: 0.1})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, tc.kind, err)
+			}
+			got, err := mcf.MaxConcurrentFlow(context.Background(), nw, rev, mcf.Options{Epsilon: 0.1})
+			if err != nil {
+				t.Fatalf("%s, %s reversed: %v", name, tc.kind, err)
+			}
+			if got != want {
+				t.Errorf("%s, %s: reversed %+v, original %+v", name, tc.kind, got, want)
+			}
+			star := want.Phases == 0 && want.Dijkstras == 0
+			if star != (tc.path == "exact star") || !(want.Lambda > 0) || math.IsInf(want.UpperBound, 0) {
+				t.Errorf("%s, %s: %+v; want a finite bracket on the %s path", name, tc.kind, want, tc.path)
+			}
+		}
+	})
 }
 
 // readFuzzBytes reads a one-[]byte go-fuzz corpus file.
