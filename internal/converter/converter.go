@@ -174,9 +174,10 @@ type Converter struct {
 }
 
 // validate checks that cfg is legal for the port count, that
-// device-facing ports are cabled, and that side ports are only used on
-// 6-port converters. It returns cfg's matching.
-func (c *Converter) validate(cfg Config) (*matchTable, error) {
+// device-facing ports are cabled, and that each side port is uncabled or,
+// on a 6-port converter, cabled to another side port in plant whose cable
+// comes back to it. It returns cfg's matching.
+func (c *Converter) validate(plant []Converter, cfg Config) (*matchTable, error) {
 	if c.Ports != 4 && c.Ports != 6 {
 		return nil, fmt.Errorf("converter %d: bad port count %d", c.ID, c.Ports)
 	}
@@ -189,10 +190,22 @@ func (c *Converter) validate(cfg Config) (*matchTable, error) {
 			return nil, fmt.Errorf("converter %d: %s port not cabled to a device", c.ID, p)
 		}
 	}
-	if c.Ports == 4 {
-		for _, p := range []Port{PortSide1, PortSide2} {
-			if c.Attach[p] != NoEndpoint {
-				return nil, fmt.Errorf("converter %d: 4-port converter has a %s cable", c.ID, p)
+	for _, p := range []Port{PortSide1, PortSide2} {
+		e := c.Attach[p]
+		switch {
+		case e == NoEndpoint:
+		case c.Ports == 4:
+			return nil, fmt.Errorf("converter %d: 4-port converter has a %s cable", c.ID, p)
+		case e.IsNode() || !e.IsConv() || int(e.Conv) >= len(plant):
+			return nil, fmt.Errorf("converter %d: %s cable does not reach a converter of the plant", c.ID, p)
+		case e.Port != PortSide1 && e.Port != PortSide2:
+			return nil, fmt.Errorf("converter %d: %s cable lands on %s, not a side port", c.ID, p, e.Port)
+		case int(e.Conv) == c.ID && e.Port == p:
+			return nil, fmt.Errorf("converter %d: %s cable loops onto itself", c.ID, p)
+		default:
+			back := plant[e.Conv].Attach[e.Port]
+			if back.IsNode() || int(back.Conv) != c.ID || back.Port != p {
+				return nil, fmt.Errorf("converter %d: %s cable to converter %d %s is not cabled back", c.ID, p, e.Conv, e.Port)
 			}
 		}
 	}
@@ -211,7 +224,9 @@ type EffectiveLink struct {
 // returns the resulting device-to-device links. Each link is reported once.
 // Chains that dead-end on an uncabled port (e.g. a Side configuration whose
 // peer is missing) produce no link. An error is returned for malformed
-// inputs or a cyclic chain, which cannot arise from valid configurations.
+// inputs: an illegal configuration, an uncabled device port, or a side
+// cable that leaves the plant, lands on a non-side port or is not cabled
+// back.
 //
 // A non-nil configs gives converter i's configuration as configs[i] in place
 // of convs[i].Config. Splice only reads convs, so one cabled plant can be
@@ -231,7 +246,7 @@ func Splice(convs []Converter, configs []Config) ([]EffectiveLink, error) {
 		if configs != nil {
 			cfg = configs[i]
 		}
-		t, err := c.validate(cfg)
+		t, err := c.validate(convs, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -246,15 +261,13 @@ func Splice(convs []Converter, configs []Config) ([]EffectiveLink, error) {
 			if done[i][p] || !convs[i].Attach[p].IsNode() {
 				continue
 			}
-			// Trace from device-facing port (i, p).
+			// Trace from device-facing port (i, p). Matchings and side
+			// cables each pair ports at most once, and a device port ends
+			// the chain, so the trace cannot cycle.
 			start := convs[i].Attach[p].Node
 			ci, cp := i, p
 			viaSide := false
-			steps := 0
 			for {
-				if steps++; steps > 4*len(convs)+8 {
-					return nil, fmt.Errorf("converter: cyclic splice chain starting at converter %d port %s", i, p)
-				}
 				done[ci][cp] = true
 				mp := tables[ci][cp]
 				if mp < 0 {
@@ -272,9 +285,8 @@ func Splice(convs []Converter, configs []Config) ([]EffectiveLink, error) {
 					// Matched onto an uncabled port: wasted link.
 					break
 				}
-				if cp == PortSide1 || cp == PortSide2 {
-					viaSide = true
-				}
+				// Only side ports carry converter cables (validate).
+				viaSide = true
 				ci, cp = int(ep.Conv), ep.Port
 			}
 		}

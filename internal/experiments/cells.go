@@ -180,8 +180,9 @@ func (t *Table) Approximate() bool {
 // Cell computes one experiment cell. A figure column runs the figure's one
 // driver over just that column — the identical work items a full table run
 // fans out, merged in the same order — so the cell is byte-identical to the
-// same column of the full table by construction. Scenario experiments run
-// their whole driver and, when Column is set, project it afterwards.
+// same column of the full table by construction. The driver builds, per k,
+// only the network that column reads. Scenario experiments run their whole
+// driver and, when Column is set, project it afterwards.
 func Cell(ctx context.Context, cfg Config, sp CellSpec) (*Table, error) {
 	e, err := lookup(sp.Experiment)
 	if err != nil {

@@ -83,6 +83,7 @@ func TestCellDeterministicAcrossWorkerCounts(t *testing.T) {
 		{Experiment: "fig7", Column: "flat-tree/loc"},
 		{Experiment: "fig8", Column: "two-stage-rg/weak"},
 		{Experiment: "fig5", Column: "random-graph"},
+		{Experiment: "fig6", Column: "two-stage-rg"},
 	}
 	for _, sp := range specs {
 		var want []byte

@@ -24,12 +24,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"flattree/internal/core"
 	"flattree/internal/fattree"
 	"flattree/internal/jellyfish"
 	"flattree/internal/parallel"
+	"flattree/internal/topo"
 	"flattree/internal/twostage"
 )
 
@@ -162,7 +164,19 @@ func marked(cell string, approx bool) string {
 	return cell
 }
 
-// suite bundles the four comparable topologies for one k.
+// topology names one network of the comparison suite: the four
+// topologies the paper builds from the same equipment (§3).
+type topology uint8
+
+const (
+	fatTree topology = iota
+	flatTree
+	randomGraph
+	twoStage
+)
+
+// suite bundles the comparable topologies for one k. Only the networks a
+// driver asked buildSuite for are built; the others stay nil.
 type suite struct {
 	k        int
 	fat      *fattree.FatTree
@@ -171,33 +185,62 @@ type suite struct {
 	twoStage *twostage.TwoStage
 }
 
-func buildSuite(k int, seed uint64, mode core.Mode, withTwoStage bool) (*suite, error) {
+// net returns the suite's network of topology t.
+func (s *suite) net(t topology) *topo.Network {
+	switch t {
+	case fatTree:
+		return s.fat.Net
+	case flatTree:
+		return s.flat.Net()
+	case randomGraph:
+		return s.rg.Net
+	default:
+		return s.twoStage.Net
+	}
+}
+
+// buildSuite builds the networks tops at k. Each is a pure function of (k,
+// seed, mode), so a suite built for fewer topologies holds byte-identical
+// networks.
+func buildSuite(k int, seed uint64, mode core.Mode, tops []topology) (*suite, error) {
 	s := &suite{k: k}
 	var err error
-	if s.fat, err = fattree.New(k); err != nil {
-		return nil, err
-	}
-	if s.rg, err = jellyfish.New(k, seed); err != nil {
-		return nil, err
-	}
-	if s.flat, err = core.BuildIn(core.Params{K: k}, mode); err != nil {
-		return nil, err
-	}
-	if withTwoStage {
-		_, n := core.DefaultMN(k)
-		if s.twoStage, err = twostage.New(k, n, seed); err != nil {
+	for _, t := range tops {
+		switch t {
+		case fatTree:
+			s.fat, err = fattree.New(k)
+		case flatTree:
+			s.flat, err = core.BuildIn(core.Params{K: k}, mode)
+		case randomGraph:
+			s.rg, err = jellyfish.New(k, seed)
+		case twoStage:
+			_, n := core.DefaultMN(k)
+			s.twoStage, err = twostage.New(k, n, seed)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// buildSuites builds the suite of every k in the sweep, fanned out over the
-// worker pool. Each suite is a pure function of (k, cfg.Seed, mode), so a
-// run over fewer columns rebuilds byte-identical networks.
-func buildSuites(ctx context.Context, cfg Config, mode core.Mode, withTwoStage bool) ([]*suite, error) {
+// buildSuites builds the networks tops at every k in the sweep, fanned out
+// over the worker pool.
+func buildSuites(ctx context.Context, cfg Config, mode core.Mode, tops []topology) ([]*suite, error) {
 	ks := cfg.Ks()
 	return parallel.MapCtx(ctx, len(ks), cfg.workers(), func(i int) (*suite, error) {
-		return buildSuite(ks[i], cfg.Seed, mode, withTwoStage)
+		return buildSuite(ks[i], cfg.Seed, mode, tops)
 	})
+}
+
+// columnNets returns the distinct topologies the data columns cols read,
+// where data column ci reads nets[ci/per], in first-read order.
+func columnNets(nets []topology, per int, cols []int) []topology {
+	var tops []topology
+	for _, ci := range cols {
+		if t := nets[ci/per]; !slices.Contains(tops, t) {
+			tops = append(tops, t)
+		}
+	}
+	return tops
 }

@@ -27,7 +27,7 @@ import (
 // information the APL mean no longer hides is still visible.
 func Faults(ctx context.Context, cfg Config, k int) (*Table, error) {
 	trials := cfg.trials()
-	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
+	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, []topology{fatTree, flatTree, randomGraph})
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ import (
 // the table is byte-identical at every worker count.
 func FaultsRecovery(ctx context.Context, cfg Config, k int, base faults.Scenario) (*Table, error) {
 	trials := cfg.trials()
-	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, false)
+	s, err := buildSuite(k, cfg.Seed, core.ModeGlobalRandom, []topology{fatTree, flatTree, randomGraph})
 	if err != nil {
 		return nil, err
 	}

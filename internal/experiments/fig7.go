@@ -50,20 +50,19 @@ type figSolve struct {
 	approx bool
 }
 
-// figSpec describes one throughput figure (7 or 8): the topology suite, the
+// figSpec describes one throughput figure (7 or 8): the topologies, the
 // traffic pattern, and the table layout. Its one driver, table, computes any
 // set of columns, so a column computed alone runs exactly the code a full
 // table run would.
 type figSpec struct {
-	fig          string
-	title        string
-	header       []string // column 0 is the "k" key column
-	mode         core.Mode
-	withTwoStage bool
-	clusterSize  int
-	placements   []traffic.Placement
-	pattern      func([]traffic.Cluster) []mcf.Commodity
-	netsOf       func(*suite) []*topo.Network
+	fig         string
+	title       string
+	header      []string // column 0 is the "k" key column
+	mode        core.Mode
+	nets        []topology // data column ci reads nets[ci/len(placements)]
+	clusterSize int
+	placements  []traffic.Placement
+	pattern     func([]traffic.Cluster) []mcf.Commodity
 }
 
 // columnTrial is the unit of work a figure fans out over: one (column,
@@ -75,7 +74,7 @@ func (fs figSpec) columnTrial(ctx context.Context, cfg Config, suites []*suite, 
 	numPl := len(fs.placements)
 	out := make([]figSolve, len(suites))
 	for ki := range suites {
-		nw := fs.netsOf(suites[ki])[ci/numPl]
+		nw := suites[ki].net(fs.nets[ci/numPl])
 		res, err := throughput(ctx, nw, fs.clusterSize, fs.placements[ci%numPl],
 			fs.pattern, seeds.Seed(uint64(tr)), cfg.Epsilon)
 		if err != nil {
@@ -102,17 +101,18 @@ func averageColumn(perTrial [][]figSolve, nk int) []string {
 	return cells
 }
 
-// table measures the data columns cols (nil = all) of the figure: the work
-// items are the (column, trial) pairs, fanned out over cfg.Parallelism
-// workers and merged in index order — byte-identical for every Parallelism
-// setting and for every column set.
+// table measures the data columns cols (nil = all) of the figure: it builds,
+// per k, only the networks those columns read, then fans the (column, trial)
+// work items out over cfg.Parallelism workers and merges them in index
+// order — byte-identical for every Parallelism setting and for every column
+// set.
 func (fs figSpec) table(ctx context.Context, cfg Config, cols []int) (*Table, error) {
 	cols, header := selectColumns(fs.header, cols)
 	ks := cfg.Ks()
 	if len(ks) == 0 {
 		return &Table{Title: fs.title, Header: header}, nil
 	}
-	suites, err := buildSuites(ctx, cfg, fs.mode, fs.withTwoStage)
+	suites, err := buildSuites(ctx, cfg, fs.mode, columnNets(fs.nets, len(fs.placements), cols))
 	if err != nil {
 		return nil, err
 	}
@@ -149,10 +149,10 @@ var fig7Spec = figSpec{
 		"flat-tree/loc", "flat-tree/noloc",
 		"random-graph/loc", "random-graph/noloc"},
 	mode:        core.ModeGlobalRandom,
+	nets:        []topology{fatTree, flatTree, randomGraph},
 	clusterSize: BroadcastClusterSize,
 	placements:  []traffic.Placement{traffic.Locality, traffic.NoLocality},
 	pattern:     broadcastPattern,
-	netsOf:      func(s *suite) []*topo.Network { return []*topo.Network{s.fat.Net, s.flat.Net(), s.rg.Net} },
 }
 
 // fig8Spec is Figure 8's layout: all-to-all traffic in 20-server clusters
@@ -166,14 +166,11 @@ var fig8Spec = figSpec{
 		"flat-tree/loc", "flat-tree/weak",
 		"two-stage-rg/loc", "two-stage-rg/weak",
 		"random-graph/loc", "random-graph/weak"},
-	mode:         core.ModeLocalRandom,
-	withTwoStage: true,
-	clusterSize:  AllToAllClusterSize,
-	placements:   []traffic.Placement{traffic.Locality, traffic.WeakLocality},
-	pattern:      allToAllPattern,
-	netsOf: func(s *suite) []*topo.Network {
-		return []*topo.Network{s.fat.Net, s.flat.Net(), s.twoStage.Net, s.rg.Net}
-	},
+	mode:        core.ModeLocalRandom,
+	nets:        []topology{fatTree, flatTree, twoStage, randomGraph},
+	clusterSize: AllToAllClusterSize,
+	placements:  []traffic.Placement{traffic.Locality, traffic.WeakLocality},
+	pattern:     allToAllPattern,
 }
 
 // Fig7 regenerates Figure 7, averaged over cfg.trials() placement seeds.

@@ -24,7 +24,7 @@ func Latency(ctx context.Context, cfg Config, k int, load float64) (*Table, erro
 	if !(load > 0) {
 		return nil, fmt.Errorf("latency: load %g must be positive", load)
 	}
-	s, err := buildSuite(k, cfg.Seed, core.ModeClos, false)
+	s, err := buildSuite(k, cfg.Seed, core.ModeClos, []topology{fatTree, flatTree, randomGraph})
 	if err != nil {
 		return nil, err
 	}

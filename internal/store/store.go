@@ -63,8 +63,13 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu    sync.Mutex
-	stats Stats
+	// commitMu orders the renames that add, replace and quarantine
+	// entries, so Put can tell a new entry from a replaced one. It is
+	// taken before mu, which guards only the counters, so a hit never
+	// waits on a rename.
+	commitMu sync.Mutex
+	mu       sync.Mutex
+	stats    Stats
 }
 
 // ErrBadKey rejects keys that are not 64-character lowercase SHA-256 hex —
@@ -193,6 +198,8 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false, nil
 	case errors.Is(err, errCorrupt):
+		s.commitMu.Lock()
+		defer s.commitMu.Unlock()
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		// Re-check under the lock: a concurrent Get may have quarantined
@@ -241,14 +248,35 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err := f.Close(); err != nil {
 		return fail(err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, key+entrySuffix)); err != nil {
+	if err := s.commit(tmp, key); err != nil {
 		_ = os.Remove(tmp) //flatlint:ignore ignorederr best-effort cleanup on the error path; the Open sweep deletes stragglers
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
 	if err := s.syncDir(); err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
-	s.count(func(st *Stats) { st.Entries++ })
+	return nil
+}
+
+// commit renames tmp into place as key's entry and counts the entry if it
+// is new. The lookup and the rename happen under commitMu, so a Put that
+// replaces an existing entry, or races another Put of the same key, leaves
+// Entries unchanged.
+func (s *Store) commit(tmp, key string) error {
+	final := filepath.Join(s.dir, key+entrySuffix)
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	_, err := os.Lstat(final)
+	exists := err == nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	if !exists {
+		s.count(func(st *Stats) { st.Entries++ })
+	}
 	return nil
 }
 

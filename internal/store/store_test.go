@@ -213,6 +213,44 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestPutSameKeyCountsOnce: Entries counts entries on disk, not Puts. Two
+// sequential Puts of one key and then eight concurrent ones leave one entry,
+// the count a fresh Open of the directory reads.
+func TestPutSameKeyCountsOnce(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, body := testKey("twice"), []byte("# table\n")
+	for i := 0; i < 2; i++ {
+		if err := s.Put(key, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("after two sequential Puts: stats = %+v; want 1 entry", st)
+	}
+	errs := make(chan error, 8)
+	for w := 0; w < cap(errs); w++ {
+		go func() { errs <- s.Put(key, body) }()
+	}
+	for w := 0; w < cap(errs); w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Errorf("after concurrent Puts: stats = %+v; want 1 entry", st)
+	}
+	reopened, err := Open(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := reopened.Stats(); st.Entries != 1 {
+		t.Errorf("reopened stats = %+v; want 1 entry", st)
+	}
+}
+
 // FuzzStoreEntry writes arbitrary bytes as a committed entry and opens the
 // store over it. Neither Open nor Get may panic or fail; a hit must return
 // exactly the bytes after the header line, whose SHA-256 and length the

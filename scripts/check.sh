@@ -19,8 +19,9 @@
 # repository root, and a short fuzz leg exercises the /v1/cell query parser,
 # the two SSSP kernels' agreement, the path-length kernel against BFS, the
 # max-flow kernel against the simplex LP, the solver's certificate (FPTAS
-# bracket, exact star path) against the exact LP, and the control plane's
-# wire decoders.
+# bracket, exact star path) against the exact LP, the control plane's
+# wire decoders, the result store's entry reader and the converter splice
+# tracer.
 # CI and local development both run exactly this script:
 #
 #	./scripts/check.sh
@@ -100,10 +101,11 @@ echo "== bench smoke (1 iteration; compiles and runs the kernel benches)"
 # One pinned iteration of the SSSP kernel benchmarks, of the root package's
 # path-length benchmark and its three simulator benchmarks (netsim.MaxMin and
 # netsim.Fluid are reached from benches and examples only), of the solver's
-# all-to-all and permutation chains and of its exact star path up to k=48:
-# not a perf measurement (that is `go run ./benchmark`), just proof the bench
-# harness still builds and the kernels still run. Catches bit-rot in
-# bench-only code paths that go test -run never executes.
+# all-to-all and permutation chains and of its exact star path up to k=48,
+# and of one cold fig7 cell per topology: not a perf measurement (that is
+# `go run ./benchmark`), just proof the bench harness still builds and the
+# kernels still run. Catches bit-rot in bench-only code paths that go test
+# -run never executes.
 go test -run '^$' -bench 'BenchmarkDijkstra|BenchmarkDeltaStep' \
     -benchtime 1x ./internal/graph > /dev/null
 go test -run '^$' \
@@ -111,8 +113,9 @@ go test -run '^$' \
     -benchtime 1x . > /dev/null
 go test -run '^$' -bench 'BenchmarkSolverAllToAllChain|BenchmarkSolverPermutation|BenchmarkStar' \
     -benchtime 1x ./internal/mcf > /dev/null
+go test -run '^$' -bench 'BenchmarkCellColumn' -benchtime 1x ./internal/experiments > /dev/null
 
-echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec, store entry reader)"
+echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-length kernel, max-flow kernel, solver certificate, ctrl wire codec, store entry reader, converter splice)"
 # The one knob parser behind both flatsim's flags and /v1/cell: no panic on
 # arbitrary queries, canonical re-encoding keeps the content address, and
 # parameter order never matters. Then the radix-heap kernel against the
@@ -131,10 +134,14 @@ echo "== fuzz (10s each: /v1/cell query parser, SSSP kernel agreement, path-leng
 # error rather than a panic, and whatever they accept re-encodes to the same
 # bytes. Last, the result store's entry reader on arbitrary entry bytes: Open
 # and Get never panic or fail, a hit is exactly the payload its header's
-# SHA-256 and length describe, and a miss is quarantined and counted. The
-# checked-in seed corpora (internal/{serve,graph,mcf,store}/testdata/fuzz)
-# and the wire target's in-code seeds already ran in the unit-test leg; this
-# leg mutates from them.
+# SHA-256 and length describe, and a miss is quarantined and counted. Then
+# the converter splice tracer on generated plants of 4- and 6-port
+# converters with random cabling, configurations and corruptions: no panic,
+# an error exactly when the plant is malformed, every device cable in at
+# most one link, and the Clos links from an all-Default plant. The
+# checked-in seed corpora
+# (internal/{serve,graph,mcf,store,converter}/testdata/fuzz) and the in-code
+# seeds already ran in the unit-test leg; this leg mutates from them.
 go test -run '^$' -fuzz 'FuzzCellQuery' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz 'FuzzSSSPKernelsAgree' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzHopKernelAgrees' -fuzztime 10s ./internal/graph
@@ -142,5 +149,6 @@ go test -run '^$' -fuzz 'FuzzMaxFlowMatchesLP' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz 'FuzzSolverCertificate' -fuzztime 10s ./internal/mcf
 go test -run '^$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/ctrl
 go test -run '^$' -fuzz 'FuzzStoreEntry' -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz 'FuzzSplice' -fuzztime 10s ./internal/converter
 
 echo "ok: all checks passed"
